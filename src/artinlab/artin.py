@@ -24,9 +24,7 @@ from .subspace import (
     as_module,
     series_to_vec,
     solve_linear,
-    span_m_power,
     span_module,
-    subspace_intersect,
     vec_to_series,
 )
 from .xpoly import PolyInX
@@ -86,7 +84,7 @@ def artin_rees_index(M) -> ArIndexResult:
     i0 = 0
     witness = None
     for i in range(cert + 1):
-        inter = subspace_intersect(U, span_m_power(ring, i, M.arity))
+        inter = U.cap_m_power(i)
         j_ok = 0
         for j in range(i, -1, -1):
             if scaled_span(j).contains(inter):
@@ -237,11 +235,13 @@ def solve_linear_regular(
     check = TruncatedSeries.zero(ring)
     for g, xb in zip(f, xbar):
         check = check + g * xb
-    assert check.is_zero, "antisymmetric output failed to be an exact solution"
+    if not check.is_zero:
+        raise PrecondError("antisymmetric output failed to be an exact solution")
     proximity = [(xb - xi).order() for xb, xi in zip(xbar, x)]
     for j, pr in enumerate(proximity):
         need = i + en - e[j] + 1
-        assert pr >= ExtOrder.of(min(need, D + 1)), "proximity guarantee violated"
+        if pr < ExtOrder.of(min(need, D + 1)):
+            raise PrecondError("proximity guarantee violated")
     return SolveCertificate(
         input=tuple(x),
         output=tuple(xbar),
@@ -413,9 +413,11 @@ def solve_fx_hy(
     ybar = -(f * z)
     xbar = h1 * z - a * ybar
     check = f * xbar + h * ybar
-    assert check.is_zero, "koszul output failed to be an exact solution"
+    if not check.is_zero:
+        raise PrecondError("koszul output failed to be an exact solution")
     prox = [(xbar - x).order(), (ybar - y).order()]
-    assert all(p >= ExtOrder.of(min(i + 1, D + 1)) for p in prox), "proximity guarantee violated"
+    if any(p < ExtOrder.of(min(i + 1, D + 1)) for p in prox):
+        raise PrecondError("proximity guarantee violated")
     return SolveCertificate(
         input=(x, y),
         output=(xbar, ybar),
@@ -471,33 +473,27 @@ def stable_ar_scan(
         aug = ModuleSpec(ring, 1, tuple((g,) for g in I.generators) + ((x,),))
         cert = D - max(gen_deg, x.max_degree())
         U = span_module(aug)
-        inter_cache = {}
         scaled_cache = {}
-
-        def inter(kk, U=U, cache=inter_cache):
-            if kk not in cache:
-                cache[kk] = subspace_intersect(U, span_m_power(ring, kk))
-            return cache[kk]
 
         def scaled(ii, aug=aug, cache=scaled_cache):
             if ii not in cache:
                 cache[ii] = span_module(aug, min_mult_degree=ii)
             return cache[ii]
 
-        data.append((x, nu_x.value, cert, inter, scaled, {}))
+        data.append((x, nu_x.value, cert, U, scaled, {}))
 
     def holds(x_entry, i, kk):
-        x, nu_v, cert, inter, scaled, memo = x_entry
+        x, nu_v, cert, U, scaled, memo = x_entry
         key = (i, kk)
         if key not in memo:
-            memo[key] = scaled(i).contains(inter(kk))
+            memo[key] = scaled(i).contains(U.cap_m_power(kk))
         return memo[key]
 
     def run(a_val, b_val):
         rows = []
         ok = True
         for entry in data:
-            x, nu_v, cert, inter, scaled, memo = entry
+            x, nu_v, cert, U, scaled, memo = entry
             i = 0
             while True:
                 exponent = i + ceil(a_val * nu_v) + b_val

@@ -43,11 +43,19 @@ def _split_list(text: str):
     return [t.strip() for t in text.split(";") if t.strip()]
 
 
+def _budget(args, default: int) -> int:
+    return default if args.budget is None else args.budget
+
+
+def _name_list(text: str, flag: str) -> list:
+    names = [v.strip() for v in text.split(",") if v.strip()]
+    if len(set(names)) != len(names):
+        raise PrecondError(f"duplicate name in {flag} {text!r}")
+    return names
+
+
 def _ring_from(args) -> tuple:
-    if args.vars:
-        names = [v.strip() for v in args.vars.split(",") if v.strip()]
-    else:
-        names = default_names(3)
+    names = _name_list(args.vars, "--vars") if args.vars else default_names(3)
     if args.trunc is None:
         raise PrecondError("--trunc is required for this command")
     ring = RingSpec(num_vars=len(names), char=args.char, trunc=args.trunc)
@@ -286,7 +294,7 @@ def run_command(argv) -> tuple:
         ring, names = _ring_from(args)
         I = _ideal_from(args, ring, names)
         seed_used = args.seed
-        budget = args.budget or 200_000
+        budget = _budget(args, 200_000)
         if args.a is None:
             reps = orders.icl_envelope(
                 I, args.deg_max, mode=args.mode, count=args.count, seed=args.seed, budget=budget
@@ -321,7 +329,7 @@ def run_command(argv) -> tuple:
             mode=args.mode,
             count=args.count,
             seed=args.seed,
-            budget=args.budget or 200_000,
+            budget=_budget(args, 200_000),
         )
         payload = {
             "is_valuation": rep.is_valuation,
@@ -391,11 +399,11 @@ def run_command(argv) -> tuple:
 
     elif command == "beta-lb":
         ring, names = _ring_from(args)
-        unknowns = [u.strip() for u in args.unknowns.split(",") if u.strip()]
+        unknowns = _name_list(args.unknowns, "--unknowns")
         system = [
             parse_expr(t, ring, names, unknowns) for t in _split_list(args.system)
         ]
-        res = artin.beta_lower_bound_bruteforce(system, args.i, budget=args.budget or 2_000_000)
+        res = artin.beta_lower_bound_bruteforce(system, args.i, budget=_budget(args, 2_000_000))
         payload = {
             "beta_lower_bound": res.value,
             "i": res.level_i,
@@ -405,16 +413,10 @@ def run_command(argv) -> tuple:
         }
 
     elif command == "witness":
-        if args.vars is None:
-            names = default_names(3)
-        else:
-            names = [v.strip() for v in args.vars.split(",") if v.strip()]
-        if args.trunc is None:
-            raise PrecondError("--trunc is required for this command")
-        ring = RingSpec(num_vars=len(names), char=args.char, trunc=args.trunc)
+        ring, names = _ring_from(args)
         if args.i_max is not None:
             rep = witness_mod.lower_bound_certificate(
-                args.i_max, ring, budget=args.budget or 10_000_000
+                args.i_max, ring, budget=_budget(args, 10_000_000)
             )
             payload = {
                 "i_max": rep.i_max,
@@ -434,7 +436,7 @@ def run_command(argv) -> tuple:
 
     elif command == "irr-check":
         cert = witness_mod.irreducibility_exhaustive(
-            args.i, args.p, budget=args.budget or 10_000_000
+            args.i, args.p, budget=_budget(args, 10_000_000)
         )
         payload = {
             "i": cert.i,
@@ -452,7 +454,10 @@ def run_command(argv) -> tuple:
         points = []
         for chunk in _split_list(args.points):
             left, _, right = chunk.partition("=")
-            points.append((int(left), int(right)))
+            try:
+                points.append((int(left), int(right)))
+            except ValueError:
+                raise PrecondError(f"bad point {chunk!r}: expected i=value with integers")
         rep = bounds.cross_check_bound(args.formula, _bound_params(args), points)
         payload = {
             "formula": rep.formula_id,

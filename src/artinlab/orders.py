@@ -17,7 +17,7 @@ from typing import Optional
 
 from .errors import BudgetError, PrecondError
 from .series import ExtOrder, RingSpec, TruncatedSeries, monomials_up_to
-from .subspace import IdealSpec, MTower, span_ideal
+from .subspace import IdealSpec, distance_order, member, span_ideal
 
 
 class NuOracle:
@@ -27,13 +27,12 @@ class NuOracle:
         self.ideal = I
         self.ring = I.ring
         self.span = span_ideal(I)
-        self.tower = MTower(self.span)
         self._sound = None
 
     def nu(self, x: TruncatedSeries) -> ExtOrder:
         if x.ring != self.ring:
             raise PrecondError("incompatible rings")
-        return self.tower.order_of(x)
+        return distance_order(x, self.span)
 
     def sound_member(self, x: TruncatedSeries) -> bool:
         """Membership certified without truncation interference.
@@ -43,8 +42,6 @@ class NuOracle:
         """
         if self._sound is None:
             self._sound = span_ideal(self.ideal, sound=True)
-        from .subspace import member
-
         return member(x, self._sound)
 
 

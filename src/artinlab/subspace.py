@@ -1,10 +1,16 @@
 """Ideals, submodules and powers of the maximal ideal as exact linear subspaces.
 
 At truncation order D every A-submodule of A^p becomes a finite-dimensional
-subspace of the coefficient space, indexed component-major and graded-lex
-within each component.  All set queries (membership, sum, intersection,
-order of the distance to a subspace) reduce to exact reduced row echelon
-computations, which are canonical: equal subspaces have identical bases.
+subspace of the coefficient space, indexed degree-major: by total degree,
+then component, then graded-lex.  All set queries (membership, sum,
+intersection) reduce to exact reduced row echelon computations, which are
+canonical: equal subspaces have identical bases.
+
+Because lower degrees come first, the echelon basis also answers filtration
+queries without further elimination (the truncated standard-basis normal
+form for a local degree ordering): the remainder of x modulo U has order
+max{n : x in U + m^n}, and U cap m^i is spanned by the basis rows whose
+pivot has degree >= i.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from .series import (
     TruncatedSeries,
     _raw,
     mono_degree,
+    monomials_of_degree,
     monomials_up_to,
 )
 
@@ -73,31 +80,42 @@ def as_module(M) -> ModuleSpec:
 
 
 @lru_cache(maxsize=None)
-def coord_index(num_vars: int, trunc: int):
-    """Monomial list in graded-lex order plus its rank table."""
-    monos = monomials_up_to(num_vars, trunc)
-    return monos, {m: i for i, m in enumerate(monos)}
+def coord_index(num_vars: int, trunc: int, arity: int = 1):
+    """Column layout of A^arity: by degree, then component, then graded-lex.
+
+    Returns (cols, ranks, starts): cols[k] is the (component, monomial) of
+    column k, ranks[comp] maps a monomial to its column, and starts[d] is the
+    first column of degree d, with starts[trunc + 1] the number of columns.
+    """
+    cols, starts = [], []
+    for d in range(trunc + 1):
+        starts.append(len(cols))
+        for comp in range(arity):
+            cols.extend((comp, m) for m in monomials_of_degree(num_vars, d))
+    starts.append(len(cols))
+    ranks = tuple({} for _ in range(arity))
+    for k, (comp, m) in enumerate(cols):
+        ranks[comp][m] = k
+    return tuple(cols), ranks, tuple(starts)
 
 
 def series_to_vec(xs: Sequence[TruncatedSeries], ring: RingSpec) -> dict:
-    monos, rank = coord_index(ring.num_vars, ring.trunc)
-    width = len(monos)
+    _, ranks, _ = coord_index(ring.num_vars, ring.trunc, len(xs))
     vec = {}
-    for comp, s in enumerate(xs):
+    for s, rank in zip(xs, ranks):
         if s.ring != ring:
             raise PrecondError("incompatible rings")
-        base = comp * width
         for mono, c in s.terms.items():
-            vec[base + rank[mono]] = c
+            vec[rank[mono]] = c
     return vec
 
 
 def vec_to_series(vec: dict, ring: RingSpec, arity: int) -> tuple:
-    monos, _ = coord_index(ring.num_vars, ring.trunc)
-    width = len(monos)
+    cols, _, _ = coord_index(ring.num_vars, ring.trunc, arity)
     parts = [{} for _ in range(arity)]
     for idx, c in vec.items():
-        parts[idx // width][monos[idx % width]] = c
+        comp, mono = cols[idx]
+        parts[comp][mono] = c
     return tuple(_raw(ring, p) for p in parts)
 
 
@@ -173,6 +191,19 @@ class Subspace:
     def contains_vec(self, vec: dict) -> bool:
         return not self.reduce(vec)
 
+    def cap_m_power(self, i: int) -> "Subspace":
+        """This subspace cap m^i: the basis rows whose pivot has degree >= i.
+
+        Every entry of a row lies at or after its pivot, hence in degree >= i,
+        and the rows are already the canonical basis of the intersection.
+        """
+        starts = _degree_starts(self.ring, i, self.arity)
+        k = bisect.bisect_left(self.pivots, starts[i])
+        out = Subspace(self.ring, self.arity)
+        out.rows = [dict(r) for r in self.rows[k:]]
+        out.pivots = self.pivots[k:]
+        return out
+
     def contains(self, other: "Subspace") -> bool:
         self._check(other)
         return all(self.contains_vec(row) for row in other.rows)
@@ -236,23 +267,18 @@ def span_ideal(I: IdealSpec, min_mult_degree: int = 0, sound: bool = False) -> S
     return span_module(I.as_module(), min_mult_degree, sound)
 
 
-def span_m_power(ring: RingSpec, i: int, arity: int = 1) -> Subspace:
-    """Direct sum of m^i over all components; i = D+1 gives the zero subspace."""
+def _degree_starts(ring: RingSpec, i: int, arity: int) -> tuple:
     if not 0 <= i <= ring.trunc + 1:
         raise PrecondError(f"m-power exponent {i} out of range 0..{ring.trunc + 1}")
-    monos, _ = coord_index(ring.num_vars, ring.trunc)
-    width = len(monos)
+    return coord_index(ring.num_vars, ring.trunc, arity)[2]
+
+
+def span_m_power(ring: RingSpec, i: int, arity: int = 1) -> Subspace:
+    """Direct sum of m^i over all components; i = D+1 gives the zero subspace."""
+    starts = _degree_starts(ring, i, arity)
     U = Subspace(ring, arity)
-    one = ring.s_one
-    for comp in range(arity):
-        base = comp * width
-        for idx, m in enumerate(monos):
-            if mono_degree(m) >= i:
-                U.rows.append({base + idx: one})
-                U.pivots.append(base + idx)
-    order = sorted(range(len(U.pivots)), key=U.pivots.__getitem__)
-    U.rows = [U.rows[k] for k in order]
-    U.pivots = [U.pivots[k] for k in order]
+    U.pivots = list(range(starts[i], starts[-1]))
+    U.rows = [{k: ring.s_one} for k in U.pivots]
     return U
 
 
@@ -267,8 +293,7 @@ def subspace_sum(U: Subspace, V: Subspace) -> Subspace:
 def subspace_intersect(U: Subspace, V: Subspace) -> Subspace:
     """Exact intersection via echelon on doubled coordinates."""
     U._check(V)
-    monos, _ = coord_index(U.ring.num_vars, U.ring.trunc)
-    n = len(monos) * U.arity
+    n = len(coord_index(U.ring.num_vars, U.ring.trunc, U.arity)[0])
     work = Subspace(U.ring, U.arity)  # columns 0..2n-1, arity only nominal
     for row in U.rows:
         double = dict(row)
@@ -286,111 +311,51 @@ def subspace_intersect(U: Subspace, V: Subspace) -> Subspace:
     return inter
 
 
-def member(xs, U: Subspace) -> bool:
-    """Membership of a series (or vector of series) in the subspace."""
+def _vec_of(xs, U: Subspace) -> dict:
     if isinstance(xs, TruncatedSeries):
         xs = (xs,)
     if len(xs) != U.arity:
         raise PrecondError("incompatible rings")
-    return U.contains_vec(series_to_vec(xs, U.ring))
+    return series_to_vec(xs, U.ring)
 
 
-class MTower:
-    """Cached echelon bases of U + m^n for n = 0..D+1, for fast order queries."""
-
-    def __init__(self, base: Subspace):
-        self.ring = base.ring
-        self.arity = base.arity
-        D = base.ring.trunc
-        monos, _ = coord_index(base.ring.num_vars, base.ring.trunc)
-        width = len(monos)
-        levels = [None] * (D + 2)
-        levels[D + 1] = base.copy()
-        current = base.copy()
-        one = base.ring.s_one
-        for n in range(D, -1, -1):
-            for comp in range(base.arity):
-                off = comp * width
-                for idx, m in enumerate(monos):
-                    if mono_degree(m) == n:
-                        current.insert({off + idx: one})
-            levels[n] = current.copy()
-        self.levels = levels
-
-    def order_of_vec(self, vec: dict) -> ExtOrder:
-        """Largest n with vec in U + m^n; full membership gives the at-least marker."""
-        D = self.ring.trunc
-        if self.levels[D + 1].contains_vec(vec):
-            return ExtOrder.at_least(D + 1)
-        lo, hi = 0, D + 1  # membership holds at lo, fails at hi
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if self.levels[mid].contains_vec(vec):
-                lo = mid
-            else:
-                hi = mid
-        return ExtOrder.of(lo)
-
-    def order_of(self, xs) -> ExtOrder:
-        if isinstance(xs, TruncatedSeries):
-            xs = (xs,)
-        return self.order_of_vec(series_to_vec(xs, self.ring))
+def member(xs, U: Subspace) -> bool:
+    """Membership of a series (or vector of series) in the subspace."""
+    return U.contains_vec(_vec_of(xs, U))
 
 
 def distance_order(xs, U: Subspace) -> ExtOrder:
-    """max{ n : x in U + m^n }, the order of the distance from x to U."""
-    return MTower(U).order_of(xs)
+    """max{ n : x in U + m^n }, the order of the remainder of x modulo U.
+
+    Reducing any w in m^n only subtracts rows whose pivot, and so every entry,
+    has degree >= n; hence the remainder has order >= n iff x is in U + m^n.
+    A zero remainder gives the at-least marker.
+    """
+    rem = U.reduce(_vec_of(xs, U))
+    D = U.ring.trunc
+    if not rem:
+        return ExtOrder.at_least(D + 1)
+    starts = coord_index(U.ring.num_vars, D, U.arity)[2]
+    return ExtOrder.of(bisect.bisect_right(starts, min(rem)) - 1)
 
 
 def solve_linear(equations, num_unknowns: int, ring: RingSpec):
     """One exact solution of a sparse linear system, or None if inconsistent.
 
-    equations: list of (coeffs: dict unknown->scalar, rhs scalar).  Free
-    unknowns are set to zero, so the answer is deterministic.
+    equations: list of (coeffs: dict unknown->scalar, rhs scalar).  Each one
+    is inserted as an augmented row with the right-hand side in column
+    num_unknowns, so the system is inconsistent exactly when that column
+    becomes a pivot.  Free unknowns are set to zero, so the answer is
+    deterministic.
     """
-    reduced = []  # (pivot, row, rhs) in reduced echelon form
+    S = Subspace(ring)
     for coeffs, rhs in equations:
-        row = {}
-        for k, v in coeffs.items():
-            v = ring.s_from(v)
-            if v != 0:
-                row[k] = v
-        rhs = ring.s_from(rhs)
-        for p, prow, prhs in reduced:
-            c = row.get(p)
-            if not c:
-                continue
-            for k, v in prow.items():
-                s = ring.s_sub(row.get(k, 0), ring.s_mul(c, v))
-                if s == 0:
-                    row.pop(k, None)
-                else:
-                    row[k] = s
-            rhs = ring.s_sub(rhs, ring.s_mul(c, prhs))
-        if not row:
-            if rhs != 0:
-                return None
-            continue
-        p = min(row)
-        inv = ring.s_inv(row[p])
-        row = {k: ring.s_mul(v, inv) for k, v in row.items()}
-        rhs = ring.s_mul(rhs, inv)
-        next_reduced = []
-        for q, erow, erhs in reduced:
-            c = erow.get(p)
-            if c:
-                for k, v in row.items():
-                    s = ring.s_sub(erow.get(k, 0), ring.s_mul(c, v))
-                    if s == 0:
-                        erow.pop(k, None)
-                    else:
-                        erow[k] = s
-                erhs = ring.s_sub(erhs, ring.s_mul(c, rhs))
-            next_reduced.append((q, erow, erhs))
-        reduced = next_reduced
-        reduced.append((p, row, rhs))
-    zero = ring.s_from(0)
-    solution = [zero] * num_unknowns
-    for p, row, rhs in reduced:
-        solution[p] = rhs
+        row = {k: ring.s_from(v) for k, v in coeffs.items()}
+        row[num_unknowns] = ring.s_from(rhs)
+        S.insert({k: v for k, v in row.items() if v != 0})
+        if S.pivots and S.pivots[-1] == num_unknowns:
+            return None
+    solution = [ring.s_from(0)] * num_unknowns
+    for p, row in zip(S.pivots, S.rows):
+        solution[p] = row.get(num_unknowns, solution[p])
     return solution

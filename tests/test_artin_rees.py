@@ -45,19 +45,24 @@ def test_index_matches_naive_sweep():
 
 def test_tight_witness_is_genuine():
     R = RingSpec(2, 0, 8)
-    I = IdealSpec.of(R, [parse_poly("T1^2", R)])
-    res = artin_rees_index(I)
-    assert res.tight_witness is not None
-    i, elem = res.tight_witness
-    M = I.as_module()
-    # witness lies in the intersection ...
-    inter_ok = member(elem, span_module(M)) and member(
-        elem, span_m_power(R, i, M.arity)
-    )
-    assert inter_ok
-    # ... but not in m^(i - i0 + 1) * M, so index i0 - 1 fails at i
-    too_deep = span_module(M, min_mult_degree=i - res.i0 + 1)
-    assert not member(elem, too_deep)
+    rows = (("T1", "T2"), ("T2^2", "T1^2 + T2^3"))
+    cases = [
+        IdealSpec.of(R, [parse_poly("T1^2", R)]).as_module(),
+        # arity 2: the witness is the first basis row in degree-major order
+        ModuleSpec(R, 2, tuple(tuple(parse_poly(c, R) for c in row) for row in rows)),
+    ]
+    for M in cases:
+        res = artin_rees_index(M)
+        assert res.tight_witness is not None
+        i, elem = res.tight_witness
+        # witness lies in the intersection ...
+        inter_ok = member(elem, span_module(M)) and member(
+            elem, span_m_power(R, i, M.arity)
+        )
+        assert inter_ok
+        # ... but not in m^(i - i0 + 1) * M, so index i0 - 1 fails at i
+        too_deep = span_module(M, min_mult_degree=i - res.i0 + 1)
+        assert not member(elem, too_deep)
 
 
 def test_inclusion_holds_at_reported_index():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -139,6 +140,12 @@ def test_exit_code_budget():
         expect=3,
     )
     assert "budget" in proc.stderr
+    # a zero budget is a budget, not a request for the default
+    proc = run_cli(
+        "icl-scan", "--vars", "T1,T2", "--trunc", "8", "--ideal", "T1^2 + T2^3",
+        "--deg-max", "3", "--a", "1", "--budget", "0", expect=3,
+    )
+    assert "budget" in proc.stderr
 
 
 def test_parse_error_exit_code():
@@ -146,6 +153,17 @@ def test_parse_error_exit_code():
         "ord", "--vars", "T1,T2", "--trunc", "4", "--x", "T9 + 1", expect=2
     )
     assert "unknown variable" in proc.stderr
+    proc = run_cli(
+        "cross-check", "--formula", "lin31", "--iI", "3", "--points", "1=x", expect=2
+    )
+    assert "bad point" in proc.stderr
+    proc = run_cli("ord", "--vars", "T1,T1", "--trunc", "4", "--x", "T1", expect=2)
+    assert "duplicate name in --vars" in proc.stderr
+    proc = run_cli(
+        "beta-lb", "--vars", "T1,T2", "--char", "2", "--trunc", "4",
+        "--system", "X1*X1 + T1", "--unknowns", "X1,X1", "--i", "1", expect=2,
+    )
+    assert "duplicate name in --unknowns" in proc.stderr
 
 
 def test_out_file(tmp_path):
@@ -171,3 +189,42 @@ def test_cross_check_cli():
     rep = json.loads(out.stdout)
     assert rep["result"]["ok"] is False
     assert "no affine bound" in rep["result"]["note"]
+
+
+# sha256 of the stdout bytes of each invocation; a change here is a change to
+# the output contract in docs/report-schema.md and must be deliberate
+PINNED_OUTPUTS = [
+    (("nu", "--vars", "T1,T2", "--trunc", "8", "--ideal", "T1^2 - T2^3", "--x", "T1*T2 + T2^4"),
+     "3733a13967b28b471c620805402cb76b05f20e50bd0cfe0f9d0b2c86e3e88489"),
+    (("nubar", "--vars", "T1,T2", "--trunc", "12", "--ideal", "T1^2 - T2^3", "--x", "T1",
+      "--nmax", "4"),
+     "c838a8d4edcbda3208299ec2d86c88b963db401daa10037f3d6a9c42fddd5b26"),
+    (("icl-scan", "--vars", "T1,T2", "--trunc", "8", "--ideal", "T1^2 + T2^3", "--deg-max", "3",
+      "--count", "10", "--seed", "3"),
+     "eca4cfdf1d3573c805e4b27aec9bde1fb6493dd126769474cc7f9d6e768fb95a"),
+    (("icl-scan", "--vars", "T1,T2", "--trunc", "8", "--ideal", "T1^2 + T2^3", "--deg-max", "3",
+      "--a", "1", "--count", "15", "--seed", "7"),
+     "9484ac82b5a2d4ed11a0d3c4fd0a4b8dc8b633047fe9bced51be211c75e8e14f"),
+    (("valcheck", "--vars", "T1,T2", "--trunc", "8", "--ideal", "T1*T2", "--deg-max", "3",
+      "--count", "10", "--seed", "1"),
+     "9c8c2e2dc651b46d1af2d83b10af9721a44e6e64905d9f601c43e7f8fe107d82"),
+    (("stable-ar", "--vars", "T1,T2", "--trunc", "8", "--ideal", "T1^2 + T2^3",
+      "--xs", "T1;T2;T1*T2", "--grid-b-max", "4"),
+     "d5b9d0bac73966e45dda16ceee5ae48da09a74c3bd69cbe32bb4023b8893c800"),
+    (("solve-linreg", "--vars", "T1,T2", "--trunc", "8", "--gens", "T1;T2^2",
+      "--x", "T2^2; -T1 + T1^5", "--i", "3"),
+     "01a8d2e81aa9da08f16c2d1691886c5a3f63b3ae83b8f19804ab27442040cfcb"),
+    (("solve-fxhy", "--vars", "T1,T2", "--trunc", "9", "--k", "2", "--f", "T1^2 + T2^3",
+      "--h", "T1", "--x", "T1 + T1^4", "--y", "-T1^2 - T2^3", "--i", "3"),
+     "974d4ee9e903bbe00c416fe58f1202dc80e091db7bbf3c4226733e0222b06b55"),
+    (("ar-index", "--vars", "T1,T2", "--trunc", "8", "--ideal", "T1^2 - T2^3; T1*T2^2"),
+     "970de9e8bbc186d0208a362a8a759a5683a36a7e4a89bc6e9726722bcdbb1e94"),
+    (("ar-index", "--vars", "T1,T2", "--trunc", "8", "--module", "T1,0;0,T2"),
+     "b20273b3941a4dca18254c763d0fbe039f9e4cfa7f6edc542ab591fe854a5b9d"),
+]
+
+
+def test_pinned_output_bytes():
+    for argv, digest in PINNED_OUTPUTS:
+        out = run_cli(*argv).stdout.encode("ascii")
+        assert hashlib.sha256(out).hexdigest() == digest, argv

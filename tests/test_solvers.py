@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from artinlab import artin
 from artinlab.artin import reduce_mod_principal, solve_fx_hy, solve_linear_regular
 from artinlab.errors import PrecondError
 from artinlab.orders import NuOracle
@@ -101,6 +102,37 @@ def test_fxhy_zero_and_exact_family():
     cert2 = solve_fx_hy(2, f, h, h * z, -(f * z), 3)
     assert cert2.output[0] == h * z
     assert cert2.output[1] == -(f * z)
+
+
+def test_wrong_corrections_raise_precond_error(monkeypatch):
+    # a helper that returns a wrong correction must end in PrecondError (CLI
+    # exit 2), never in an AssertionError that vanishes under python -O
+    R = RingSpec(2, 0, 9)
+    f = parse_poly("T1^2 + T2^3", R)
+    h = parse_poly("T1", R)
+    x = parse_poly("T1 + T1^4", R)
+    with monkeypatch.context() as m:
+        m.setattr(artin, "_antisymmetric_step", lambda *args: {})
+        with pytest.raises(PrecondError, match="did not converge"):
+            solve_linear_regular(
+                [parse_poly("T1", R), parse_poly("T2^2", R)],
+                [parse_poly("T2^2", R), parse_poly("-T1 + T1^5", R)],
+                3,
+            )
+    with monkeypatch.context() as m:
+        m.setattr(artin, "_divide_homogeneous", lambda xi, phi: TruncatedSeries.zero(R))
+        with pytest.raises(PrecondError, match="did not converge"):
+            solve_fx_hy(2, f, h, x, -f, 3)
+    # a wrong normal form of h survives the elimination loop and is caught
+    # only by the final exactness check
+    def wrong_normal_form(h_, f_, k):
+        a, h1 = reduce_mod_principal(h_, f_, k)
+        return a, h1 + parse_poly("T2^5", R)
+
+    with monkeypatch.context() as m:
+        m.setattr(artin, "reduce_mod_principal", wrong_normal_form)
+        with pytest.raises(PrecondError, match="failed to be an exact solution"):
+            solve_fx_hy(2, f, h, x, -f, 3)
 
 
 def test_fxhy_shape_preconditions():

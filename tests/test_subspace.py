@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,6 +11,8 @@ from artinlab.subspace import (
     ModuleSpec,
     distance_order,
     member,
+    series_to_vec,
+    solve_linear,
     span_ideal,
     span_m_power,
     span_module,
@@ -159,6 +163,54 @@ def test_echelon_form_is_canonical_reduced():
                 assert p not in other
 
 
+def test_solve_linear_matches_dense_rank():
+    R = RingSpec(2, 0, 4)
+    # x0 + x2 = 3, x1 - x2 = 1: x2 is free and set to 0
+    eqs = [({0: 1, 2: 1}, 3), ({1: 1, 2: -1}, 1)]
+    assert solve_linear(eqs, 3, R) == [3, 1, 0]
+    assert solve_linear(eqs + [({0: 2, 2: 2}, 6)], 3, R) == [3, 1, 0]
+    assert solve_linear(eqs + [({0: 2, 2: 2}, 5)], 3, R) is None
+    assert solve_linear([({0: 0}, 0)], 2, R) == [0, 0]
+    assert solve_linear([({0: 0}, 1)], 1, R) is None
+    assert solve_linear([({0: 2}, 1)], 1, RingSpec(1, 5, 3)) == [3]
+    # random systems: consistent iff rank [A] == rank [A | b], and a returned
+    # solution satisfies every row
+    R = RingSpec(1, 7, 3)
+    rng = random.Random(5)
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        eqs = [
+            ({k: rng.randrange(7) for k in rng.sample(range(n), rng.randint(0, n))}, rng.randrange(7))
+            for _ in range(rng.randint(1, 6))
+        ]
+        dense = [[coeffs.get(k, 0) for k in range(n)] for coeffs, _ in eqs]
+        augmented = [row + [rhs] for row, (_, rhs) in zip(dense, eqs)]
+        sol = solve_linear(eqs, n, R)
+        consistent = oracles.dense_rank(dense, R) == oracles.dense_rank(augmented, R)
+        assert (sol is not None) == consistent
+        if sol is not None:
+            for row, (_, rhs) in zip(dense, eqs):
+                assert sum(a * x for a, x in zip(row, sol)) % 7 == rhs
+
+
+def dense_to_vec(vec, R, arity):
+    """Oracle coordinates (component-major) to the package's column layout."""
+    monos = monomials_up_to(R.num_vars, R.trunc)
+    parts = [{} for _ in range(arity)]
+    for idx, c in enumerate(vec):
+        if c != 0:
+            parts[idx // len(monos)][monos[idx % len(monos)]] = c
+    return series_to_vec([TruncatedSeries(R, p) for p in parts], R)
+
+
+def assert_matches_dense_intersection(inter, rows_u, rows_v, R, arity):
+    dense = oracles.naive_intersection_basis(rows_u, rows_v, R)
+    assert inter.dim == oracles.dense_rank(dense, R) if dense else inter.dim == 0
+    # mutual containment of the two computed intersections
+    for vec in dense:
+        assert inter.contains_vec(dense_to_vec(vec, R, arity))
+
+
 def test_intersection_equals_dense_kernel_oracle():
     R = RingSpec(2, 0, 4)
     t1, t2 = var(R, 0), var(R, 1)
@@ -173,12 +225,17 @@ def test_intersection_equals_dense_kernel_oracle():
         inter = subspace_intersect(span_ideal(Iu), span_ideal(Iv))
         rows_u = oracles.module_vectors(Iu.as_module())
         rows_v = oracles.module_vectors(Iv.as_module())
-        dense = oracles.naive_intersection_basis(rows_u, rows_v, R)
-        assert inter.dim == oracles.dense_rank(dense, R) if dense else inter.dim == 0
-        # mutual containment of the two computed intersections
-        for vec in dense:
-            fat = {idx: c for idx, c in enumerate(vec) if c != 0}
-            assert inter.contains_vec(fat)
+        assert_matches_dense_intersection(inter, rows_u, rows_v, R, 1)
+    # U cap m^i read off the pivots, for ideals and an arity-2 module
+    M2 = ModuleSpec(R, 2, ((t1, t2), (t2**2, t1**2 + t2**3)))
+    for M in [IdealSpec.of(R, g).as_module() for g, _ in pairs] + [M2]:
+        U = span_module(M)
+        rows_u = oracles.module_vectors(M)
+        for i in range(R.trunc + 2):
+            inter = U.cap_m_power(i)
+            assert inter == subspace_intersect(U, span_m_power(R, i, M.arity))
+            rows_v = oracles.m_power_vectors(R, i, M.arity)
+            assert_matches_dense_intersection(inter, rows_u, rows_v, R, M.arity)
 
 
 @settings(max_examples=25, deadline=None)
@@ -200,3 +257,7 @@ def test_dimension_formula_random(data):
     for row in x.rows:
         assert U.contains_vec(row) and V.contains_vec(row)
     assert s.contains(U) and s.contains(V)
+    M = ModuleSpec(R, 2, tuple(zip(gens_u, gens_v)) + tuple((g, g * g) for g in gens_u))
+    for W, arity in ((U, 1), (V, 1), (span_module(M), 2)):
+        for i in range(R.trunc + 2):
+            assert W.cap_m_power(i) == subspace_intersect(W, span_m_power(R, i, arity))
