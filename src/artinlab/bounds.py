@@ -87,6 +87,9 @@ _CATALOG = {
 
 FORMULA_IDS = tuple(sorted(_CATALOG))
 
+# parameters a formula divides by, which must therefore be >= 1
+_DIVISORS = {"lem66": ("n",), "prop74": ("n", "t")}
+
 # ex434 reuses the power-of-T1 exponent as its n; nu_x is the order of the
 # second coefficient in the quotient by the first.
 
@@ -101,6 +104,9 @@ def evaluate_bound(formula_id: str, params: BoundParams, i: int) -> int:
     for name in required:
         if getattr(params, name) is None:
             raise PrecondError(f"formula {formula_id} needs parameter {name}")
+    for name in _DIVISORS.get(formula_id, ()):
+        if getattr(params, name) < 1:
+            raise PrecondError(f"formula {formula_id} divides by {name}, which must be >= 1")
     val = fn(params, i)
     return floor(val)
 

@@ -165,6 +165,11 @@ def scan_candidates(
 
 
 def _scan_pairs(I, deg_max, mode, count, seed, budget):
+    """One pass over the candidate pairs with exact orders: (oracle, rows, pair
+    count), one row (g, h, nu_g, nu_h, nu_gh, g*h) per pair.  The product is
+    kept only where nu_gh is inexact, the one case that looks at it again."""
+    if deg_max < 1:
+        raise PrecondError("deg_max must be >= 1: the candidates have degree 1..deg_max")
     if 2 * deg_max > I.ring.trunc:
         raise PrecondError("need 2*deg_max <= trunc so products keep meaningful orders")
     cands = scan_candidates(I.ring, deg_max, mode, count, seed, budget)
@@ -182,8 +187,58 @@ def _scan_pairs(I, deg_max, mode, count, seed, budget):
             if npairs > budget:
                 raise BudgetError(f"pair budget {budget} exhausted after {npairs} pairs")
             gh = cands[i] * cands[j]
-            rows.append((cands[i], cands[j], nus[i], nus[j], oracle.nu(gh), gh))
-    return cands, oracle, rows, npairs
+            ngh = oracle.nu(gh)
+            rows.append((cands[i], cands[j], nus[i], nus[j], ngh, None if ngh.exact else gh))
+    return oracle, rows, npairs
+
+
+def _icl_reports(I, deg_max, slopes, mode, count, seed, budget) -> list:
+    """One IclReport per slope, all read off a single pass over the pairs.
+
+    Which pairs are violations or skipped does not depend on the slope; only
+    the additive constant b and the pairs attaining it do.
+    """
+    oracle, rows, npairs = _scan_pairs(I, deg_max, mode, count, seed, budget)
+    violations = []
+    skipped = []
+    for g, h, ng, nh, ngh, gh in rows:
+        if ngh.exact:
+            continue
+        if oracle.sound_member(gh):
+            violations.append((g, h, ng, nh))
+        else:
+            skipped.append((g, h, ng, nh, ngh))
+    note = (
+        f"constants certified for the scanned pairs only (factors of degree <= {deg_max}, "
+        f"truncation {I.ring.trunc}); no claim beyond the scan"
+    )
+    reports = []
+    for a in slopes:
+        b_best = None  # a violation leaves no finite b
+        attaining = []
+        if not violations:
+            b_best = Fraction(0)
+            for g, h, ng, nh, ngh, _ in rows:
+                if not ngh.exact:
+                    continue
+                diff = Fraction(ngh.value) - a * (ng.value + nh.value)
+                if diff > b_best:
+                    b_best = diff
+                    attaining = [(g, h, ng, nh, ngh)]
+                elif diff == b_best:
+                    attaining.append((g, h, ng, nh, ngh))
+            # simplest witnesses first: fewest terms, then lowest degree, then text
+            attaining.sort(
+                key=lambda t: (
+                    len(t[0].terms) + len(t[1].terms),
+                    t[0].max_degree() + t[1].max_degree(),
+                    t[0].to_str(),
+                    t[1].to_str(),
+                )
+            )
+        reports.append(IclReport(I, a, b_best, attaining[:8], list(violations), deg_max, note,
+                                 seed, mode, npairs, list(skipped)))
+    return reports
 
 
 def icl_scan(
@@ -205,45 +260,20 @@ def icl_scan(
     a = Fraction(a)
     if a < 1:
         raise PrecondError("ICL slope a must be >= 1")
-    cands, oracle, rows, npairs = _scan_pairs(I, deg_max, mode, count, seed, budget)
-    b_best = Fraction(0)
-    attaining = []
-    violations = []
-    skipped = []
-    for g, h, ng, nh, ngh, gh in rows:
-        if not ngh.exact:
-            if oracle.sound_member(gh):
-                violations.append((g, h, ng, nh))
-            else:
-                skipped.append((g, h, ng, nh, ngh))
-            continue
-        diff = Fraction(ngh.value) - a * (ng.value + nh.value)
-        if diff > b_best:
-            b_best = diff
-            attaining = [(g, h, ng, nh, ngh)]
-        elif diff == b_best:
-            attaining.append((g, h, ng, nh, ngh))
-    note = (
-        f"constants certified for the scanned pairs only (factors of degree <= {deg_max}, "
-        f"truncation {I.ring.trunc}); no claim beyond the scan"
-    )
-    if violations:
-        return IclReport(I, a, None, [], violations, deg_max, note, seed, mode, npairs, skipped)
-    # simplest witnesses first: fewest terms, then lowest degree, then text
-    attaining.sort(
-        key=lambda t: (
-            len(t[0].terms) + len(t[1].terms),
-            t[0].max_degree() + t[1].max_degree(),
-            t[0].to_str(),
-            t[1].to_str(),
-        )
-    )
-    return IclReport(I, a, b_best, attaining[:8], [], deg_max, note, seed, mode, npairs, skipped)
+    return _icl_reports(I, deg_max, (a,), mode, count, seed, budget)[0]
 
 
-def icl_envelope(I: IdealSpec, deg_max: int, **kw) -> list:
-    """Lower envelope of (a, b_min) over the standard slope grid."""
-    return [icl_scan(I, deg_max, a=a, **kw) for a in (Fraction(1), Fraction(3, 2), Fraction(2))]
+def icl_envelope(
+    I: IdealSpec,
+    deg_max: int,
+    mode: str = "random",
+    count: int = 40,
+    seed: int = 0,
+    budget: int = 200_000,
+) -> list:
+    """Lower envelope of (a, b_min) over the standard slope grid, from one scan."""
+    slopes = (Fraction(1), Fraction(3, 2), Fraction(2))
+    return _icl_reports(I, deg_max, slopes, mode, count, seed, budget)
 
 
 @dataclass
@@ -264,7 +294,7 @@ def valuation_check(
     budget: int = 200_000,
 ) -> ValuationReport:
     """True iff nu(g*h) = nu(g) + nu(h) on every scanned pair with decidable orders."""
-    cands, oracle, rows, npairs = _scan_pairs(I, deg_max, mode, count, seed, budget)
+    _, rows, npairs = _scan_pairs(I, deg_max, mode, count, seed, budget)
     D = I.ring.trunc
     for g, h, ng, nh, ngh, gh in rows:
         total = ng.value + nh.value

@@ -11,12 +11,12 @@ quadric below by i -> i^2 - 1.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb
 from typing import Optional
 
 from .errors import BudgetError, PrecondError
-from .series import ExtOrder, RingSpec, TruncatedSeries, monomials_of_degree
+from .series import ExtOrder, RingSpec, TruncatedSeries, _is_prime, monomials_of_degree
 
 
 @dataclass
@@ -81,7 +81,12 @@ class IrreducibilityCertificate:
     search_space_size: int
     factorizations_found: int
     method: str
-    counterexample: Optional[tuple] = None
+    counterexample: Optional[tuple] = field(default=None, repr=False)  # not part of a report
+
+
+def _search_space_size(i: int, p: int) -> int:
+    """Pairs of non-unit factors modulo m^(i+1): both factors' layers 1..i-1."""
+    return p ** (2 * sum(len(monomials_of_degree(3, d)) for d in range(1, i)))
 
 
 def _factorization_scan(target: dict, i: int, p: int, budget: int):
@@ -94,8 +99,7 @@ def _factorization_scan(target: dict, i: int, p: int, budget: int):
     the full space while visiting only a fraction of it.
     """
     layer_monos = {d: monomials_of_degree(3, d) for d in range(1, i + 1)}
-    coeff_count = sum(len(layer_monos[d]) for d in range(1, i))
-    size = p ** (2 * coeff_count)
+    size = _search_space_size(i, p)
     if size > budget:
         raise BudgetError(f"search space has size {size} > budget {budget}")
     target = {m: c % p for m, c in target.items() if c % p}
@@ -154,6 +158,9 @@ def irreducibility_exhaustive(i: int, p: int, num_vars: int = 3, budget: int = 1
         raise PrecondError("certificate is defined for 3 variables")
     if i < 2:
         raise PrecondError("need i >= 2 (for i=1 the product T1*T2 - T3 has unit cofactors)")
+    # a p the size gate refuses is left to it: trial division of a huge p is slow
+    if _search_space_size(i, p) <= budget and not _is_prime(p):
+        raise PrecondError(f"p = {p} is not a prime; the certificate is over the field F_p")
     target = {(1, 1, 0): 1, (0, 0, i): -1}
     size, found, counterexample = _factorization_scan(target, i, p, budget)
     return IrreducibilityCertificate(
@@ -195,8 +202,7 @@ def lower_bound_certificate(
     certs = []
     for i in range(2, i_max + 1):
         for p in certificate_primes:
-            layer_count = sum(len(monomials_of_degree(3, d)) for d in range(1, i))
-            if p ** (2 * layer_count) > budget:
+            if _search_space_size(i, p) > budget:
                 continue
             certs.append(irreducibility_exhaustive(i, p, budget=budget))
     statement = (

@@ -79,6 +79,10 @@ def test_missing_parameter_is_named():
         evaluate_bound("cor48_artin", BoundParams(), 1)
     with pytest.raises(PrecondError, match="unknown formula"):
         evaluate_bound("nope", BoundParams(), 1)
+    with pytest.raises(PrecondError, match="divides by n"):
+        evaluate_bound("lem66", BoundParams(n=0, i_I=1, c=0), 4)
+    with pytest.raises(PrecondError, match="divides by t"):
+        evaluate_bound("prop74", BoundParams(a=1, n=2, t=0), 4)
 
 
 def test_param_validation():

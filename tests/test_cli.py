@@ -1,8 +1,15 @@
+import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from artinlab.cli import COMMANDS, COMMON_FLAGS, build_parser, main
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
@@ -131,6 +138,16 @@ def test_exit_code_precondition():
         "--deg-max", "3", "--a", "1", expect=2,
     )
     assert "precondition" in proc.stderr
+    # the scan candidates are monomials of degree 1..deg_max: an empty range is refused
+    proc = run_cli(
+        "valcheck", "--vars", "T1,T2", "--trunc", "8", "--ideal", "T1*T2", "--deg-max", "-2",
+        expect=2,
+    )
+    assert "deg_max must be >= 1" in proc.stderr
+    # the no-factorization certificate is over the field F_p
+    for p in ("0", "1", "4", "-2"):
+        proc = run_cli("irr-check", "--i", "2", "--p", p, expect=2)
+        assert "not a prime" in proc.stderr
 
 
 def test_exit_code_budget():
@@ -164,6 +181,20 @@ def test_parse_error_exit_code():
         "--system", "X1*X1 + T1", "--unknowns", "X1,X1", "--i", "1", expect=2,
     )
     assert "duplicate name in --unknowns" in proc.stderr
+    # a negative budget or count is a malformed flag, refused before any work
+    for flag, value in (("--budget", "-5"), ("--count", "-1")):
+        proc = run_cli(
+            "icl-scan", "--vars", "T1,T2", "--trunc", "8", "--ideal", "T1", "--deg-max", "3",
+            "--a", "1", flag, value, expect=2,
+        )
+        assert f"argument {flag}: must be >= 0, got {value}" in proc.stderr
+    proc = run_cli(
+        "beta-lb", "--vars", "T1,T2", "--char", "2", "--trunc", "5",
+        "--system", "T1*X1", "--unknowns", "X1", "--i", "2", "--budget", "-1", expect=2,
+    )
+    assert "argument --budget: must be >= 0" in proc.stderr
+    proc = run_cli("irr-check", "--i", "2", "--p", "3", "--budget", "ten", expect=2)
+    assert "argument --budget: invalid int value: 'ten'" in proc.stderr
 
 
 def test_out_file(tmp_path):
@@ -221,6 +252,43 @@ PINNED_OUTPUTS = [
      "970de9e8bbc186d0208a362a8a759a5683a36a7e4a89bc6e9726722bcdbb1e94"),
     (("ar-index", "--vars", "T1,T2", "--trunc", "8", "--module", "T1,0;0,T2"),
      "b20273b3941a4dca18254c763d0fbe039f9e4cfa7f6edc542ab591fe854a5b9d"),
+    (("ord", "--vars", "T1,T2", "--trunc", "5", "--x", "T1^2*T2 + T2^4"),
+     "096e9a97bf2cf24010c5ef1f2e99a158782a580993d2176c638e193d0321b36f"),
+    (("beta-lb", "--vars", "T1,T2", "--char", "2", "--trunc", "5", "--system", "T1*X1",
+      "--unknowns", "X1", "--i", "2"),
+     "0ea0b6cba15fbb93a7a15e03a08daa12f8e776d1199608f43652c88e20f837e9"),
+    (("witness", "--i", "3", "--trunc", "9"),
+     "c2506e32f92138c2901bab71bfa1a6ac2f00881679dfda3b63429f0db4fbb3ef"),
+    (("witness", "--i", "2", "--char", "2", "--trunc", "6"),
+     "2c899bc749f5704471485a04bdcada860fe10709bfc6e7eb561c050bf4ede64f"),
+    (("witness", "--i-max", "3", "--trunc", "9"),
+     "68088a583547de4fe828d0457199fc3e1bef42198b960a20423506a71ca65084"),
+    (("irr-check", "--i", "2", "--p", "3"),
+     "4cdcdec09030d30df175cf7c02951717ac9523844dbbb8aac3b1c284bfc110c2"),
+    (("bound", "--formula", "prop43ii", "--a", "3/2", "--b", "1", "--c", "1/2", "--iI", "2",
+      "--i", "5"),
+     "38460255a58e2ce11e1fdc03630b8fb2f61e9631f3c6d25d216e39eff2619e0a"),
+    (("cross-check", "--formula", "lin31", "--iI", "3", "--points", "1=0;2=3;3=8;4=15"),
+     "af5cb18acb16bed1db9f8655000cb14e13d45adb9d29c9816a84336df59f0077"),
+    # --format csv: the natural table of each command, and one key,value flattening
+    (("nubar", "--vars", "T1,T2", "--trunc", "12", "--ideal", "T1^2 - T2^3", "--x", "T1",
+      "--nmax", "4", "--format", "csv"),
+     "48fc0261fc538177a7e945965f261b740fe93de5219a99ceb0062895ea73a4d3"),
+    (("icl-scan", "--vars", "T1,T2", "--trunc", "8", "--ideal", "T1^2 + T2^3", "--deg-max",
+      "3", "--a", "1", "--count", "15", "--seed", "7", "--format", "csv"),
+     "6bf4106994722e84b78011d1b7e1109ba52f8cc792414cbf0f379ad58d3bcc97"),
+    (("stable-ar", "--vars", "T1,T2", "--trunc", "8", "--ideal", "T1^2 + T2^3", "--xs",
+      "T1;T2;T1*T2", "--grid-b-max", "4", "--format", "csv"),
+     "6c5579318468ff60ab3a26b0a1d4388a890eb36e6bbf61217328c128d606497d"),
+    (("cross-check", "--formula", "lin31", "--iI", "3", "--points", "1=0;2=3;3=8;4=15",
+      "--format", "csv"),
+     "45cf35fc6cd3df46b614200d07d69490e6a6d6b752ecfcbf03edcf0dcf5f19d3"),
+    (("nu", "--vars", "T1,T2", "--trunc", "8", "--ideal", "T1^2 - T2^3", "--x", "T1*T2 + T2^4",
+      "--format", "csv"),
+     "b5ad405ce9554a5245daffdd6d80f2c2ee4a7a9da1511ae22bf8cfbdff12a1a5"),
+    (("ar-index", "--vars", "T1,T2", "--trunc", "8", "--ideal", "T1^2 - T2^3; T1*T2^2",
+      "--format", "csv"),
+     "3a403263e582920d60ab1628d2281a1ee6e2c04b9d8d427aa65e79e796851b57"),
 ]
 
 
@@ -228,3 +296,70 @@ def test_pinned_output_bytes():
     for argv, digest in PINNED_OUTPUTS:
         out = run_cli(*argv).stdout.encode("ascii")
         assert hashlib.sha256(out).hexdigest() == digest, argv
+
+
+def test_every_subcommand_is_pinned():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    pinned = {argv[0] for argv, _ in PINNED_OUTPUTS}
+    assert set(sub.choices) <= pinned, sorted(set(sub.choices) - pinned)
+
+
+# values per flag, small enough to keep every run short: mostly well-formed
+# inputs, so that most runs get past the parser, plus malformed ones of each kind
+POLYS = st.sampled_from([
+    "T1", "T2", "0", "1", "T1^2 + T2^3", "T1*T2 - T3^2", "-1/2*T2 + T1^3", "T1;T2^2",
+    "T1^2 - T2^3; T1*T2^2", "T1 +", "", "T9",
+])
+RATIONALS = st.sampled_from(["1", "3/2", "2", "0", "1/0"])
+VALUES = {
+    "--vars": st.sampled_from(["T1", "T1,T2", "T1,T2", "T1,T2,T3", "T1,T1", ""]),
+    "--char": st.sampled_from(["0", "0", "2", "3", "4"]),
+    "--trunc": st.sampled_from(["-1", "2", "4", "5", "6", "6"]),
+    "--budget": st.sampled_from(["-1", "0", "10", "1000", "1000", "1000"]),
+    "--module": st.sampled_from(["T1,0;0,T2", "T1,T2;T2^2,T1", "T1,T2;T2", "T1,"]),
+    "--system": st.sampled_from(["T1*X1", "X1*X1 - T1^2", "X1^2 + T1*X2", "T1*X1 + T2*X2", "X1 +"]),
+    "--unknowns": st.sampled_from(["X1", "X1,X2", "X1,X2", "X1,X1", "T1"]),
+    "--points": st.sampled_from(["1=0;2=3;3=8", "2=2", "1=x", ""]),
+}
+
+
+@st.composite
+def cli_argv(draw):
+    """A subcommand of the command table with a random subset of its flags.
+
+    --budget is always set, so no default budget (up to 10^7) is spent; --out is
+    never drawn, so nothing is written."""
+    name = draw(st.sampled_from(sorted(COMMANDS)))
+    argv = [name, "--budget", draw(VALUES["--budget"])]
+    for flag, keywords in COMMON_FLAGS + COMMANDS[name].flags:
+        if flag in ("--out", "--budget"):
+            continue
+        likely = keywords.get("required") or flag in ("--vars", "--char", "--trunc")
+        if draw(st.integers(0, 9)) >= (9 if likely else 5):
+            continue
+        if keywords.get("action") == "store_true":
+            argv.append(flag)
+        elif flag in VALUES:
+            argv += [flag, draw(VALUES[flag])]
+        elif "choices" in keywords:
+            argv += [flag, draw(st.sampled_from([*keywords["choices"], "bogus"]))]
+        elif "type" in keywords:
+            argv += [flag, draw(st.sampled_from(["-1", "0", "1", "2", "2", "3", "4"]))]
+        elif flag in ("--a", "--b", "--c"):
+            argv += [flag, draw(RATIONALS)]
+        else:
+            argv += [flag, draw(POLYS)]
+    return argv
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(cli_argv())
+def test_random_argv_never_crashes(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects malformed flags this way
+            code = exc.code
+    assert code in (0, 2, 3), (argv, code, err.getvalue())
+    assert (code == 0) == (out.getvalue() != "" and err.getvalue() == ""), argv

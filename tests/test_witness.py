@@ -96,6 +96,15 @@ def test_scan_finds_factorizations_when_they_exist():
     assert irreducibility_exhaustive(2, 2).counterexample is None
 
 
+def test_certificate_needs_prime_field():
+    for p in (0, 1, 4, 6, -2):
+        with pytest.raises(PrecondError, match="not a prime"):
+            irreducibility_exhaustive(2, p)
+    # the size gate refuses a p too large to search before any primality test
+    with pytest.raises(BudgetError):
+        irreducibility_exhaustive(2, 2**89 - 1)
+
+
 def test_certificate_budget():
     with pytest.raises(BudgetError):
         irreducibility_exhaustive(4, 3, budget=1000)
