@@ -212,6 +212,19 @@ def _icl_reports(I, deg_max, slopes, mode, count, seed, budget) -> list:
         f"constants certified for the scanned pairs only (factors of degree <= {deg_max}, "
         f"truncation {I.ring.trunc}); no claim beyond the scan"
     )
+    shapes = {}  # id(candidate) -> (terms, degree, text), each computed once per scan
+
+    def shape(s):
+        key = id(s)
+        if key not in shapes:
+            shapes[key] = (len(s.terms), s.max_degree(), s.to_str())
+        return shapes[key]
+
+    def simplest(t):
+        # simplest witnesses first: fewest terms, then lowest degree, then text
+        (ng, dg, tg), (nh, dh, th) = shape(t[0]), shape(t[1])
+        return (ng + nh, dg + dh, tg, th)
+
     reports = []
     for a in slopes:
         b_best = None  # a violation leaves no finite b
@@ -227,15 +240,7 @@ def _icl_reports(I, deg_max, slopes, mode, count, seed, budget) -> list:
                     attaining = [(g, h, ng, nh, ngh)]
                 elif diff == b_best:
                     attaining.append((g, h, ng, nh, ngh))
-            # simplest witnesses first: fewest terms, then lowest degree, then text
-            attaining.sort(
-                key=lambda t: (
-                    len(t[0].terms) + len(t[1].terms),
-                    t[0].max_degree() + t[1].max_degree(),
-                    t[0].to_str(),
-                    t[1].to_str(),
-                )
-            )
+            attaining.sort(key=simplest)
         reports.append(IclReport(I, a, b_best, attaining[:8], list(violations), deg_max, note,
                                  seed, mode, npairs, list(skipped)))
     return reports

@@ -5,8 +5,14 @@ where m = (T1,..,TN) and D is the truncation order.  Working there makes
 every statement of the form "x lies in m^n" decidable by finite linear
 algebra with zero approximation error, because m^(D+1) = (0).
 
-Coefficients are exact: Fraction over the rationals, canonical residues for
-a prime field.  No floating point anywhere.
+Coefficients are exact.  Over the rationals a scalar is an int when it is
+integral and a Fraction (with denominator != 1) only otherwise, so the common
+integral traffic never pays for Fraction arithmetic; over a prime field it is
+the canonical residue in 0..p-1.  No floating point anywhere.
+
+The hot loops (series products and sums, echelon reduction) use native
+operators: one reduction mod p over F_p, one demotion of an integral Fraction
+over Q.  The RingSpec.s_* methods give the same arithmetic for cold callers.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, total_ordering
+from operator import add, itemgetter
 from typing import Optional, Sequence
 
 from .errors import PrecondError
@@ -47,18 +54,19 @@ class RingSpec:
             raise PrecondError("num_vars must be >= 1")
         if self.trunc < 1:
             raise PrecondError("trunc must be >= 1")
-        if self.char != 0 and not _is_prime(self.char):
-            raise PrecondError(f"characteristic {self.char} is not 0 or a prime")
+        # the bound first: trial division of a huge --char would run unbounded
         if self.char >= 2**31:
             raise PrecondError("prime characteristic must be < 2^31")
+        if self.char != 0 and not _is_prime(self.char):
+            raise PrecondError(f"characteristic {self.char} is not 0 or a prime")
 
     # -- exact scalar arithmetic ------------------------------------------
     def s_from(self, v):
         if self.char == 0:
             if isinstance(v, Fraction):
-                return v
+                return demote(v)
             if isinstance(v, int):
-                return Fraction(v)
+                return int(v)
             raise PrecondError(f"bad scalar {v!r} for characteristic 0")
         if isinstance(v, Fraction):
             if v.denominator % self.char == 0:
@@ -69,13 +77,13 @@ class RingSpec:
         raise PrecondError(f"bad scalar {v!r} for characteristic {self.char}")
 
     def s_add(self, a, b):
-        return a + b if self.char == 0 else (a + b) % self.char
+        return demote(a + b) if self.char == 0 else (a + b) % self.char
 
     def s_sub(self, a, b):
-        return a - b if self.char == 0 else (a - b) % self.char
+        return demote(a - b) if self.char == 0 else (a - b) % self.char
 
     def s_mul(self, a, b):
-        return a * b if self.char == 0 else (a * b) % self.char
+        return demote(a * b) if self.char == 0 else (a * b) % self.char
 
     def s_neg(self, a):
         return -a if self.char == 0 else (-a) % self.char
@@ -84,12 +92,37 @@ class RingSpec:
         if a == 0:
             raise ZeroDivisionError("scalar inverse of zero")
         if self.char == 0:
-            return 1 / a
+            return demote(Fraction(1, a))  # never 1 / a: that is a float for an int
         return pow(a, self.char - 2, self.char)
 
     @property
     def s_one(self):
-        return Fraction(1) if self.char == 0 else 1
+        return 1
+
+
+def demote(s):
+    """An integral Fraction as its int; any other scalar unchanged."""
+    if s.__class__ is Fraction and s.denominator == 1:
+        return s.numerator
+    return s
+
+
+def sub_multiple(v: dict, row: dict, c, p: int) -> None:
+    """v -= c * row in place over F_p (p > 0) or Q (p = 0); zero entries are dropped.
+
+    The scalar loop shared by series sums and echelon elimination, for both
+    fields: native operators, then one reduction mod p or one demotion.
+    """
+    for k, rc in row.items():
+        s = v.get(k, 0) - c * rc
+        if p:
+            s %= p
+        elif s.__class__ is Fraction and s.denominator == 1:
+            s = s.numerator
+        if s:
+            v[k] = s
+        else:
+            v.pop(k, None)
 
 
 def grlex_key(m: Monomial):
@@ -99,10 +132,6 @@ def grlex_key(m: Monomial):
 
 def mono_degree(m: Monomial) -> int:
     return sum(m)
-
-
-def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
 
 
 @lru_cache(maxsize=None)
@@ -223,27 +252,15 @@ class TruncatedSeries:
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check_ring(other)
-        r = self.ring
         out = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = r.s_add(out.get(mono, 0), c)
-            if s == 0:
-                out.pop(mono, None)
-            else:
-                out[mono] = s
-        return _raw(r, out)
+        sub_multiple(out, other.terms, -1, self.ring.char)
+        return _raw(self.ring, out)
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check_ring(other)
-        r = self.ring
         out = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = r.s_sub(out.get(mono, 0), c)
-            if s == 0:
-                out.pop(mono, None)
-            else:
-                out[mono] = s
-        return _raw(r, out)
+        sub_multiple(out, other.terms, 1, self.ring.char)
+        return _raw(self.ring, out)
 
     def __neg__(self) -> "TruncatedSeries":
         r = self.ring
@@ -251,21 +268,27 @@ class TruncatedSeries:
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check_ring(other)
-        r = self.ring
-        D = r.trunc
+        p = self.ring.char
+        D = self.ring.trunc
+        # the right factor by degree, once: each left term stops at the truncation
+        right = sorted(((sum(m), m, c) for m, c in other.terms.items()), key=itemgetter(0))
         out = {}
         for m1, c1 in self.terms.items():
-            d1 = sum(m1)
-            for m2, c2 in other.terms.items():
-                if d1 + sum(m2) > D:
-                    continue
-                m = mono_mul(m1, m2)
-                s = r.s_add(out.get(m, 0), r.s_mul(c1, c2))
-                if s == 0:
-                    out.pop(m, None)
-                else:
+            room = D - sum(m1)
+            for d2, m2, c2 in right:
+                if d2 > room:
+                    break
+                m = tuple(map(add, m1, m2))
+                s = out.get(m, 0) + c1 * c2
+                if p:
+                    s %= p
+                elif s.__class__ is Fraction and s.denominator == 1:
+                    s = s.numerator
+                if s:
                     out[m] = s
-        return _raw(r, out)
+                else:
+                    out.pop(m, None)
+        return _raw(self.ring, out)
 
     def scale(self, c) -> "TruncatedSeries":
         r = self.ring

@@ -29,6 +29,7 @@ from .series import (
     mono_degree,
     monomials_of_degree,
     monomials_up_to,
+    sub_multiple,
 )
 
 
@@ -146,19 +147,25 @@ class Subspace:
         return len(self.rows)
 
     def reduce(self, vec: dict) -> dict:
-        """Canonical remainder of vec modulo this subspace (non-destructive)."""
+        """Canonical remainder of vec modulo this subspace (non-destructive).
+
+        Only the pivot columns in vec's own support are eliminated: a row is
+        zero in every other pivot column, so subtracting it creates none.
+        """
         v = dict(vec)
-        r = self.ring
-        for p, row in zip(self.pivots, self.rows):
-            c = v.get(p)
-            if not c:
-                continue
-            for col, rc in row.items():
-                s = r.s_sub(v.get(col, 0), r.s_mul(c, rc))
-                if s == 0:
-                    v.pop(col, None)
-                else:
-                    v[col] = s
+        pivots, rows = self.pivots, self.rows
+        n = len(pivots)
+        own = []
+        for col in v:
+            i = bisect.bisect_left(pivots, col)
+            if i < n and pivots[i] == col:
+                own.append(i)
+        own.sort()  # ascending pivots, the order a full sweep would take
+        p = self.ring.char
+        for i in own:
+            c = v[pivots[i]]
+            if c:
+                sub_multiple(v, rows[i], c, p)
         return v
 
     def insert(self, vec: dict) -> bool:
@@ -166,26 +173,19 @@ class Subspace:
         rem = self.reduce(vec)
         if not rem:
             return False
-        r = self.ring
-        p = min(rem)
-        inv = r.s_inv(rem[p])
-        row = {col: r.s_mul(c, inv) for col, c in rem.items()}
-        pos = bisect.bisect_left(self.pivots, p)
-        self.pivots.insert(pos, p)
+        p = self.ring.char
+        piv = min(rem)
+        row = {}
+        sub_multiple(row, rem, -self.ring.s_inv(rem[piv]), p)  # row = rem / rem[piv]
+        pos = bisect.bisect_left(self.pivots, piv)
+        # back-eliminate the new pivot column; a row with a later pivot has no
+        # entry before it, so only the rows above pos can carry one
+        for other in self.rows[:pos]:
+            c = other.get(piv)
+            if c:
+                sub_multiple(other, row, c, p)
+        self.pivots.insert(pos, piv)
         self.rows.insert(pos, row)
-        # back-eliminate the new pivot column from the other rows
-        for i, other in enumerate(self.rows):
-            if i == pos:
-                continue
-            c = other.get(p)
-            if not c:
-                continue
-            for col, rc in row.items():
-                s = r.s_sub(other.get(col, 0), r.s_mul(c, rc))
-                if s == 0:
-                    other.pop(col, None)
-                else:
-                    other[col] = s
         return True
 
     def contains_vec(self, vec: dict) -> bool:

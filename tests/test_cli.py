@@ -14,14 +14,19 @@ from artinlab.cli import COMMANDS, COMMON_FLAGS, build_parser, main
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
-def run_cli(*argv, expect=0):
+def cli_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
+def run_cli(*argv, expect=0, timeout=None):
     proc = subprocess.run(
         [sys.executable, "-m", "artinlab", *argv],
         capture_output=True,
         text=True,
-        env=env,
+        env=cli_env(),
+        timeout=timeout,
     )
     assert proc.returncode == expect, proc.stderr or proc.stdout
     return proc
@@ -148,6 +153,10 @@ def test_exit_code_precondition():
     for p in ("0", "1", "4", "-2"):
         proc = run_cli("irr-check", "--i", "2", "--p", p, expect=2)
         assert "not a prime" in proc.stderr
+    # a huge --char is refused by its bound, before any trial division
+    proc = run_cli("ord", "--char", "1000000000000000003", "--trunc", "2", "--x", "T1",
+                   expect=2, timeout=30)
+    assert "must be < 2^31" in proc.stderr
 
 
 def test_exit_code_budget():
@@ -289,6 +298,13 @@ PINNED_OUTPUTS = [
     (("ar-index", "--vars", "T1,T2", "--trunc", "8", "--ideal", "T1^2 - T2^3; T1*T2^2",
       "--format", "csv"),
      "3a403263e582920d60ab1628d2281a1ee6e2c04b9d8d427aa65e79e796851b57"),
+    # generators with non-unit coefficients: the normalised echelon rows, and so the
+    # printed witness, carry non-integral rationals
+    (("ar-index", "--vars", "T1,T2", "--trunc", "7", "--module", "2*T1 + 3*T2^2,T2;T2^2,3*T1"),
+     "f150c22d56518e5795e3d7fc97a5887ebdddf6c22b204ba22fe0c59cdf7965ec"),
+    (("ar-index", "--vars", "T1,T2", "--trunc", "7", "--module", "2*T1,3*T2;T2^2,T1",
+      "--format", "csv"),
+     "356f1f58cefd6897609da9644f7c203f2f84623ea03f6702c1722eced3400351"),
 ]
 
 
@@ -296,6 +312,35 @@ def test_pinned_output_bytes():
     for argv, digest in PINNED_OUTPUTS:
         out = run_cli(*argv).stdout.encode("ascii")
         assert hashlib.sha256(out).hexdigest() == digest, argv
+
+
+# every pinned invocation in one fresh interpreter under -O, which strips assert
+# statements: the outputs and the checks behind them must not depend on them
+PINNED_UNDER_O = """
+import contextlib, hashlib, io, json, sys
+from artinlab.cli import main
+digests = []
+for argv in json.load(sys.stdin):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    digests.append([code, hashlib.sha256(out.getvalue().encode("ascii")).hexdigest()])
+print(json.dumps({"optimize": sys.flags.optimize, "digests": digests}))
+"""
+
+
+def test_pinned_output_bytes_under_optimize():
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", PINNED_UNDER_O],
+        input=json.dumps([argv for argv, _ in PINNED_OUTPUTS]),
+        capture_output=True,
+        text=True,
+        env=cli_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["optimize"] == 1
+    assert result["digests"] == [[0, digest] for _, digest in PINNED_OUTPUTS]
 
 
 def test_every_subcommand_is_pinned():

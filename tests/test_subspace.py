@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,7 @@ from artinlab.series import ExtOrder, RingSpec, TruncatedSeries, monomials_up_to
 from artinlab.subspace import (
     IdealSpec,
     ModuleSpec,
+    Subspace,
     distance_order,
     member,
     series_to_vec,
@@ -18,6 +20,7 @@ from artinlab.subspace import (
     span_module,
     subspace_intersect,
     subspace_sum,
+    vec_to_series,
 )
 
 
@@ -261,3 +264,50 @@ def test_dimension_formula_random(data):
     for W, arity in ((U, 1), (V, 1), (span_module(M), 2)):
         for i in range(R.trunc + 2):
             assert W.cap_m_power(i) == subspace_intersect(W, span_m_power(R, i, arity))
+
+
+def assert_canonical_scalars(values, R):
+    """Over Q an integral scalar is an int and any other a Fraction with
+    denominator != 1; over F_p a residue in 0..p-1.  Never a float."""
+    for c in values:
+        if R.char:
+            assert type(c) is int and 0 <= c < R.char, c
+        else:
+            assert type(c) is int or (type(c) is Fraction and c.denominator != 1), repr(c)
+
+
+# non-integral rationals with small numerators and denominators, so that products
+# and eliminations often land back on integers
+SCALARS = [Fraction(1, 2), Fraction(-3, 4), Fraction(2, 3), Fraction(-5, 2), Fraction(4, 3), 1, -1, 2, 3]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_scalar_representation_random(data):
+    R = data.draw(st.sampled_from([RingSpec(2, 0, 3), RingSpec(2, 0, 4), RingSpec(2, 7, 3)]))
+    arity = data.draw(st.sampled_from([1, 2]))
+    monos = list(monomials_up_to(R.num_vars, R.trunc))
+    mk = st.dictionaries(st.sampled_from(monos), st.sampled_from(SCALARS), max_size=4).map(
+        lambda d: TruncatedSeries(R, d)
+    )
+    vecs = data.draw(st.lists(st.tuples(*[mk] * arity), min_size=1, max_size=5))
+    x = data.draw(st.tuples(*[mk] * arity))
+    # ring operations
+    a, b = vecs[0][0], x[0]
+    for s in (a, b, a + b, a - b, a * b, -a, a.scale(Fraction(2, 3)), a * a * b):
+        assert_canonical_scalars(s.terms.values(), R)
+    # echelon inserts and remainders
+    U = Subspace(R, arity)
+    for v in vecs:
+        U.insert(series_to_vec(v, R))
+    for p, row in zip(U.pivots, U.rows):
+        assert row[p] == 1
+        assert_canonical_scalars(row.values(), R)
+    dense = [oracles.dense_coords(v, R) for v in vecs]
+    assert U.dim == oracles.dense_rank(dense, R)
+    rem = U.reduce(series_to_vec(x, R))
+    assert_canonical_scalars(rem.values(), R)
+    # the remainder is the canonical one: no pivot column, and x - rem lies in U
+    assert not set(rem) & set(U.pivots)
+    diff = [xs - rs for xs, rs in zip(x, vec_to_series(rem, R, arity))]
+    assert oracles.naive_member(oracles.dense_coords(diff, R), dense, R)
