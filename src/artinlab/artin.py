@@ -552,6 +552,11 @@ class _BetaSearch:
     so a nonzero one fixes the residual order of the entire subtree; slots
     that cannot influence the residual at all are frozen to zero, which
     collapses classes that are equivalent by translation.
+
+    The residual is kept incrementally: a new layer of x_j changes it by
+    coeff * (x_j'^a - x_j^a) * prod_{u != j} x_u^(alpha_u) over the system
+    terms that contain x_j, read off per-unknown power lists (x_u^1 .. x_u^k,
+    k the largest exponent of x_u in the system) that the undo frames restore.
     """
 
     def __init__(self, system: Sequence[PolyInX], i: int, budget: int):
@@ -575,13 +580,16 @@ class _BetaSearch:
         self.D = D
         self.slots = [(d, j) for d in range(D + 1) for j in range(n)]
         self.boundary = (i + 1) * n
+        # per unknown j, the system terms containing it:
+        # (equation, coefficient, its order, alpha_j, ((u, alpha_u) for the other unknowns))
         self.terms_by_unknown = []
         for j in range(n):
             lst = []
             for pidx, poly in enumerate(self.system):
                 for alpha, coeff in poly.terms.items():
                     if alpha[j] >= 1 and not coeff.is_zero:
-                        lst.append((pidx, alpha, coeff.order().value))
+                        others = tuple((u, a) for u, a in enumerate(alpha) if a and u != j)
+                        lst.append((pidx, coeff, coeff.order().value, alpha[j], others))
             self.terms_by_unknown.append(lst)
         num_coeffs = n * len(monomials_up_to(ring.num_vars, D))
         self.state_space_size = ring.char**num_coeffs
@@ -591,6 +599,9 @@ class _BetaSearch:
         # mutable search state
         self.xs = [TruncatedSeries.zero(ring) for _ in range(n)]
         self.res = [poly.eval(self.xs) for poly in self.system]
+        # pows[u][k] = xs[u]^k for 1 <= k <= the largest exponent of x_u (index 0 unused)
+        top = [max((t[3] for t in self.terms_by_unknown[u]), default=0) for u in range(n)]
+        self.pows = [[None] + [self.xs[u]] * top[u] for u in range(n)]
         self.fno = [None] * n
         self.next_layer = [0] * n
         self._frames = []
@@ -609,53 +620,51 @@ class _BetaSearch:
 
     def _slot_min_degree(self, j: int, d: int) -> int:
         best = self.D + 1
-        for pidx, alpha, cord in self.terms_by_unknown[j]:
-            s = cord + d
-            for u in range(self.n):
-                mult = alpha[u] - (1 if u == j else 0)
-                if mult:
-                    s += mult * self._lb(u)
-                if s > self.D:
-                    break
-            best = min(best, s)
+        lb = self._lb
+        for _, _, cord, aj, others in self.terms_by_unknown[j]:
+            s = cord + d + (aj - 1) * lb(j)
+            for u, a in others:
+                s += a * lb(u)
+            if s < best:
+                best = s
         return best
 
     def _assign(self, j: int, d: int, layer_terms: dict):
         old_x = self.xs[j]
-        old_res = self.res
-        old_fno = self.fno[j]
-        self._frames.append((j, old_x, old_res, old_fno))
+        old_pows = self.pows[j]
+        self._frames.append((j, old_x, old_pows, self.res, self.fno[j]))
+        self.next_layer[j] = d + 1
+        if not layer_terms:
+            return
         merged = dict(old_x.terms)
         merged.update(layer_terms)
         new_x = _raw(self.ring, merged)
-        new_res = list(old_res)
-        if layer_terms:
-            for pidx, poly in enumerate(self.system):
-                delta = TruncatedSeries.zero(self.ring)
-                for alpha, coeff in poly.terms.items():
-                    aj = alpha[j]
-                    if aj == 0:
-                        continue
-                    diff = new_x**aj - old_x**aj
-                    if diff.is_zero:
-                        continue
-                    term = coeff * diff
-                    for u in range(self.n):
-                        if u == j or alpha[u] == 0 or term.is_zero:
-                            continue
-                        term = term * self.xs[u] ** alpha[u]
-                    delta = delta + term
-                if not delta.is_zero:
-                    new_res[pidx] = new_res[pidx] + delta
+        new_pows = [None, new_x]
+        for _ in range(2, len(old_pows)):
+            new_pows.append(new_pows[-1] * new_x)
+        pows = self.pows
+        new_res = list(self.res)
+        for pidx, coeff, _, aj, others in self.terms_by_unknown[j]:
+            diff = new_pows[aj] - old_pows[aj]
+            if diff.is_zero:
+                continue
+            term = coeff * diff
+            for u, a in others:
+                if term.is_zero:
+                    break
+                term = term * pows[u][a]
+            if not term.is_zero:
+                new_res[pidx] = new_res[pidx] + term
         self.xs[j] = new_x
+        pows[j] = new_pows
         self.res = new_res
-        if layer_terms and old_fno is None:
+        if self.fno[j] is None:
             self.fno[j] = d
-        self.next_layer[j] = d + 1
 
     def _undo(self):
-        j, old_x, old_res, old_fno = self._frames.pop()
+        j, old_x, old_pows, old_res, old_fno = self._frames.pop()
         self.xs[j] = old_x
+        self.pows[j] = old_pows
         self.res = old_res
         self.fno[j] = old_fno
         self.next_layer[j] -= 1
@@ -672,12 +681,15 @@ class _BetaSearch:
         return slot_idx, frames
 
     def _finality(self, slot_idx: int) -> int:
+        """Least residual degree any remaining slot can still change.
+
+        _slot_min_degree(j, d) is nondecreasing in d and the slots are
+        degree-major, so each unknown's first remaining slot, among the next
+        n slots, carries its minimum over all of its remaining ones.
+        """
         best = self.D + 1
-        for idx in range(slot_idx, len(self.slots)):
-            d, j = self.slots[idx]
+        for d, j in self.slots[slot_idx:slot_idx + self.n]:
             best = min(best, self._slot_min_degree(j, d))
-            if best == 0:
-                break
         return best
 
     def _first_nonzero(self, bound: int) -> Optional[int]:

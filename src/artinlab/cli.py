@@ -11,6 +11,7 @@ import json
 import sys
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
+from math import comb
 from typing import Callable, NamedTuple, Optional
 
 from . import artin, bounds, orders, witness as witness_mod
@@ -179,8 +180,12 @@ def _ord(args, s):
     return Out({"x": x, "ord": x.order()})
 
 
-@command("nu", "order of x in the quotient by an ideal", IDEAL, X, ideal=True)
+@command("nu", "order of x in the quotient by an ideal", IDEAL, X, ideal=True, budget=20_000)
 def _nu(args, s):
+    # one echelon column per monomial of degree <= D: refuse before building any span
+    columns = comb(s.ring.num_vars + s.ring.trunc, s.ring.num_vars)
+    if columns > args.budget:
+        raise BudgetError(f"nu needs {columns} columns > budget {args.budget}")
     x = s.poly(args.x)
     return Out({"x": x, "nu": orders.nu(s.ideal, x)})
 

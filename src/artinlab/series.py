@@ -125,6 +125,26 @@ def sub_multiple(v: dict, row: dict, c, p: int) -> None:
             v.pop(k, None)
 
 
+def power(base, e: int, one):
+    """base**e by square-and-multiply, for any ring element type; `one` is base**0.
+
+    The result starts from base, not from one * base, and the base is squared
+    only while exponent bits remain, so base**1 costs no product at all.
+    """
+    if e < 0:
+        raise PrecondError("negative exponent")
+    if e == 0:
+        return one
+    result = None
+    while True:
+        if e & 1:
+            result = base if result is None else result * base
+        e >>= 1
+        if not e:
+            return result
+        base = base * base
+
+
 def grlex_key(m: Monomial):
     """Sort key realizing graded-lex order with T1 > T2 > ... (degree first)."""
     return (sum(m), tuple(-e for e in m))
@@ -247,7 +267,8 @@ class TruncatedSeries:
 
     # -- ring operations ---------------------------------------------------
     def _check_ring(self, other: "TruncatedSeries"):
-        if self.ring != other.ring:
+        # the identity test first: operands almost always share one RingSpec
+        if self.ring is not other.ring and self.ring != other.ring:
             raise PrecondError("incompatible rings")
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
@@ -298,16 +319,7 @@ class TruncatedSeries:
         return _raw(r, {m: r.s_mul(v, c) for m, v in self.terms.items()})
 
     def __pow__(self, e: int) -> "TruncatedSeries":
-        if e < 0:
-            raise PrecondError("negative exponent")
-        result = TruncatedSeries.one(self.ring)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, e, TruncatedSeries.one(self.ring))
 
     # -- order structure ----------------------------------------------------
     @property

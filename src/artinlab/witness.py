@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from math import comb
+from operator import add
 from typing import Optional
 
 from .errors import BudgetError, PrecondError
@@ -104,23 +105,16 @@ def _factorization_scan(target: dict, i: int, p: int, budget: int):
         raise BudgetError(f"search space has size {size} > budget {budget}")
     target = {m: c % p for m, c in target.items() if c % p}
 
-    def product_layer(xl, yl, d):
-        """Degree-d part of x*y from the layer dicts."""
-        out = {}
-        for u in range(1, d):
-            xu = xl.get(u)
-            yv = yl.get(d - u)
-            if not xu or not yv:
-                continue
-            for m1, c1 in xu.items():
-                for m2, c2 in yv.items():
-                    m = tuple(a + b for a, b in zip(m1, m2))
-                    s = (out.get(m, 0) + c1 * c2) % p
-                    if s:
-                        out[m] = s
-                    else:
-                        out.pop(m, None)
-        return out
+    def add_product(out, xu, yv, sign=1):
+        """out += sign * xu * yv for two homogeneous layers, in place over F_p."""
+        for m1, c1 in xu.items():
+            for m2, c2 in yv.items():
+                m = tuple(map(add, m1, m2))
+                s = (out.get(m, 0) + sign * c1 * c2) % p
+                if s:
+                    out[m] = s
+                else:
+                    out.pop(m, None)
 
     found = 0
     counterexample = None
@@ -138,12 +132,19 @@ def _factorization_scan(target: dict, i: int, p: int, budget: int):
             if counterexample is None:
                 counterexample = (dict(xl), dict(yl))
             return
+        want = {m: c for m, c in target.items() if sum(m) == depth + 1}
         for xlayer in all_layers(depth):
             xl[depth] = xlayer
+            # degree depth+1 of x*y is sum_{u=1..depth} x_u * y_(depth+1-u); only its
+            # u = 1 term involves the new y layer, so the rest is taken off `want` once
+            need = dict(want)
+            for u in range(2, depth + 1):
+                add_product(need, xl[u], yl[depth + 1 - u], -1)
             for ylayer in all_layers(depth):
                 yl[depth] = ylayer
-                want = {m: c for m, c in target.items() if sum(m) == depth + 1}
-                if product_layer(xl, yl, depth + 1) == want:
+                got = {}
+                add_product(got, xl[1], ylayer)
+                if got == need:
                     dfs(depth + 1, xl, yl)
             yl.pop(depth, None)
         xl.pop(depth, None)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import PrecondError
-from .series import RingSpec, TruncatedSeries
+from .series import RingSpec, TruncatedSeries, power
 
 
 class PolyInX:
@@ -72,16 +72,7 @@ class PolyInX:
         return PolyInX(self.ring, self.n_unknowns, out)
 
     def __pow__(self, e: int):
-        if e < 0:
-            raise PrecondError("negative exponent")
-        result = PolyInX.from_series(TruncatedSeries.one(self.ring), self.n_unknowns)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, e, PolyInX.from_series(TruncatedSeries.one(self.ring), self.n_unknowns))
 
     @property
     def is_constant(self) -> bool:

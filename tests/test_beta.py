@@ -1,7 +1,7 @@
 import pytest
 
 import oracles
-from artinlab.artin import beta_lower_bound_bruteforce
+from artinlab.artin import _BetaSearch, beta_lower_bound_bruteforce
 from artinlab.errors import BudgetError, PrecondError
 from artinlab.series import RingSpec
 from artinlab.parsing import parse_expr
@@ -97,3 +97,60 @@ def test_level_out_of_range():
     R = RingSpec(2, 2, 3)
     with pytest.raises(PrecondError):
         beta_lower_bound_bruteforce(system("T1*X1", R, ["X1"]), 9)
+
+
+class CheckedSearch(_BetaSearch):
+    """The search with its incremental state checked against the definitions at every node."""
+
+    checked = 0
+
+    def _advance_auto(self, slot_idx):
+        slot_idx, frames = super()._advance_auto(slot_idx)
+        for poly, r in zip(self.system, self.res):
+            assert r == poly.eval(self.xs)
+        for x, pows in zip(self.xs, self.pows):
+            assert all(pows[k] == x**k for k in range(1, len(pows)))
+        assert self._finality(slot_idx) == self.full_scan_finality(slot_idx)
+        self.checked += 1
+        return slot_idx, frames
+
+    def full_scan_finality(self, slot_idx):
+        # least degree of a residual term that an assignment to any remaining slot
+        # can still reach: every remaining slot, every system term with its unknown
+        best = self.D + 1
+        for d, j in self.slots[slot_idx:]:
+            for poly in self.system:
+                for alpha, coeff in poly.terms.items():
+                    if alpha[j]:
+                        lbs = sum((a - (u == j)) * self._lb(u) for u, a in enumerate(alpha))
+                        best = min(best, coeff.order().value + d + lbs)
+        return best
+
+
+def test_incremental_state_matches_definitions():
+    R, R2, R3 = RingSpec(1, 2, 2), RingSpec(2, 2, 2), RingSpec(1, 3, 2)
+    cases = [
+        # the systems of test_matches_full_enumeration_oracle
+        (R, "T1*X1", ["X1"]),
+        (R, "X1*X1 - T1^2*X2", ["X1", "X2"]),
+        (R, "T1*X1 + T1^2", ["X1"]),
+        (R, "X1*X1 - T1", ["X1"]),
+        (R2, "T1*X1 + T2*X2", ["X1", "X2"]),
+        (R2, "T1*X1 + T2", ["X1"]),
+        (R2, "X1*X2 - T1*T2", ["X1", "X2"]),
+        (R3, "T1*X1 + T1*X2*X2", ["X1", "X2"]),
+        (R, "T1*X1; T1^2*X2", ["X1", "X2"]),
+        # the beta-lb systems of the search benchmark, at D = 3
+        (RingSpec(2, 2, 3), "T1*X1 + T2*X2", ["X1", "X2"]),
+        (RingSpec(2, 3, 3), "T1*X1 + T2*X2", ["X1", "X2"]),
+        (RingSpec(2, 2, 3), "X1*X2 - T1*T2", ["X1", "X2"]),
+        (RingSpec(2, 2, 3), "X1^2 + T1*X2", ["X1", "X2"]),
+        (RingSpec(2, 2, 3), "T1*X1", ["X1"]),
+    ]
+    for ring, text, unknowns in cases:
+        sys_ = system(text, ring, unknowns)
+        for i in range(2):
+            search = CheckedSearch(sys_, i, 2_000_000)
+            got = search.run()
+            assert search.checked == search.nodes > 0, (text, i)
+            assert got == beta_lower_bound_bruteforce(sys_, i), (text, i)

@@ -172,6 +172,12 @@ def test_exit_code_budget():
         "--deg-max", "3", "--a", "1", "--budget", "0", expect=3,
     )
     assert "budget" in proc.stderr
+    # nu counts its echelon columns, C(4+40, 4) here, before building any span
+    proc = run_cli(
+        "nu", "--vars", "T1,T2,T3,T4", "--trunc", "40", "--ideal", "T1^2 - T2^3",
+        "--x", "T1*T2", expect=3, timeout=30,
+    )
+    assert "135751 columns > budget 20000" in proc.stderr
 
 
 def test_parse_error_exit_code():
@@ -266,6 +272,16 @@ PINNED_OUTPUTS = [
     (("beta-lb", "--vars", "T1,T2", "--char", "2", "--trunc", "5", "--system", "T1*X1",
       "--unknowns", "X1", "--i", "2"),
      "0ea0b6cba15fbb93a7a15e03a08daa12f8e776d1199608f43652c88e20f837e9"),
+    # an exponent 2 (the search's power lists), a cross term, and F_3
+    (("beta-lb", "--vars", "T1,T2", "--char", "2", "--trunc", "4", "--system", "X1^2 + T1*X2",
+      "--unknowns", "X1,X2", "--i", "2"),
+     "c2d5f4e2dbaf009a6fb1da6a51bd5b0420b8ae4042f0111d99a0310dcdda70f1"),
+    (("beta-lb", "--vars", "T1,T2", "--char", "2", "--trunc", "4", "--system", "X1*X2 - T1*T2",
+      "--unknowns", "X1,X2", "--i", "2"),
+     "4d7d03ec99c098214aa6773c8834faed640825c1efb238992b88d7cc0e24197d"),
+    (("beta-lb", "--vars", "T1,T2", "--char", "3", "--trunc", "4", "--system", "T1*X1 + T2*X2",
+      "--unknowns", "X1,X2", "--i", "1"),
+     "b7d385408f2f040fc5e5c3775f9123c59d8ee857827a2b894a9ba4b4096e1555"),
     (("witness", "--i", "3", "--trunc", "9"),
      "c2506e32f92138c2901bab71bfa1a6ac2f00881679dfda3b63429f0db4fbb3ef"),
     (("witness", "--i", "2", "--char", "2", "--trunc", "6"),

@@ -3,6 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from artinlab.errors import PrecondError
 from artinlab.series import ExtOrder, RingSpec, TruncatedSeries, monomials_up_to
+from artinlab.xpoly import PolyInX
 
 QQ = RingSpec(2, 0, 4)
 T1 = TruncatedSeries.variable(QQ, 0)
@@ -141,3 +142,34 @@ def test_homogeneous_reconstruction(data):
     for d in range(R.trunc + 1):
         total = total + a.homogeneous_part(d)
     assert total == a
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(RINGS).flatmap(lambda R: st.tuples(series_strategy(R), st.integers(0, 7))))
+def test_power_is_repeated_product(data):
+    # e runs past D (4 and 3 here), and the zero series is checked with every e
+    a, e = data
+    one = TruncatedSeries.one(a.ring)
+    for base in (a, TruncatedSeries.zero(a.ring)):
+        want = one
+        for _ in range(e):
+            want = want * base
+        assert base**e == want
+
+
+def xpoly_strategy(ring):
+    exps = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    return st.dictionaries(exps, series_strategy(ring), max_size=3).map(
+        lambda d: PolyInX(ring, 2, d)
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(RINGS).flatmap(lambda R: st.tuples(xpoly_strategy(R), st.integers(0, 7))))
+def test_polyinx_power_is_repeated_product(data):
+    p, e = data
+    for base in (p, PolyInX(p.ring, 2)):
+        want = PolyInX.from_series(TruncatedSeries.one(p.ring), 2)
+        for _ in range(e):
+            want = want * base
+        assert (base**e).terms == want.terms

@@ -96,6 +96,25 @@ def test_scan_finds_factorizations_when_they_exist():
     assert irreducibility_exhaustive(2, 2).counterexample is None
 
 
+def test_scan_counts_deeper_factorizations():
+    # i = 3 checks degree 3 with the x-layer part of the product held fixed across
+    # the y layers; the counts were taken from the full pairwise product
+    from artinlab.witness import _factorization_scan
+
+    for target, i, p, want in [
+        ({(1, 1, 0): 1}, 3, 2, 16),
+        ({(1, 1, 0): 1, (0, 2, 1): 1}, 3, 2, 16),
+        ({(1, 1, 0): 1}, 2, 3, 4),
+    ]:
+        _, found, ce = _factorization_scan(target, i, p, 10**6)
+        assert found == want, (target, i, p)
+        # the reported pair multiplies to the target modulo m^(i+1)
+        R = RingSpec(3, p, i)
+        x, y = (TruncatedSeries(R, {m: c for layer in f.values() for m, c in layer.items()})
+                for f in ce)
+        assert x * y == TruncatedSeries(R, target)
+
+
 def test_certificate_needs_prime_field():
     for p in (0, 1, 4, 6, -2):
         with pytest.raises(PrecondError, match="not a prime"):
