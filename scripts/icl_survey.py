@@ -5,9 +5,10 @@ singularities, and the stable intersection inclusion they feed.
 Usage: scripts/icl_survey.py [deg_max] [trunc] [count]
 """
 
+import os
 import sys
 
-sys.path.insert(0, "src")
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"))
 
 from fractions import Fraction
 

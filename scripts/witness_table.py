@@ -7,9 +7,10 @@ this pins the approximation function below by i^2 - 1, so no affine bound
 exists.  Usage: scripts/witness_table.py [i_max] [trunc]
 """
 
+import os
 import sys
 
-sys.path.insert(0, "src")
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"))
 
 from artinlab.series import RingSpec
 from artinlab.witness import lower_bound_certificate

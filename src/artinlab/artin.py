@@ -22,8 +22,11 @@ from .subspace import (
     ModuleSpec,
     Subspace,
     as_module,
+    distance_order,
+    multiples,
     series_to_vec,
     solve_linear,
+    span_ideal,
     span_module,
     vec_to_series,
 )
@@ -45,8 +48,8 @@ class ArIndexResult:
     deficits: list = field(default_factory=list)  # (i, largest j with inclusion)
 
 
-def _prune_redundant_generators(M: ModuleSpec) -> ModuleSpec:
-    """Degree-minimal generating subset of the same truncated module.
+def _prune_redundant_generators(M: ModuleSpec) -> tuple:
+    """Degree-minimal generating subset of the same truncated module, and its span.
 
     Redundant generators do not change the module, so they must not shrink
     the certified range; keep lowest-degree generators first and drop any
@@ -56,50 +59,63 @@ def _prune_redundant_generators(M: ModuleSpec) -> ModuleSpec:
         (vec for vec in M.generators if not all(g.is_zero for g in vec)),
         key=lambda vec: (max(g.max_degree() for g in vec if not g.is_zero), tuple(g.to_str() for g in vec)),
     )
+    ring = M.ring
     kept = []
-    span = None
+    span = Subspace(ring, M.arity)
     for vec in order:
-        if span is not None and span.contains_vec(series_to_vec(vec, M.ring)):
+        if span.contains_vec(series_to_vec(vec, ring)):
             continue
         kept.append(vec)
-        span = span_module(ModuleSpec(M.ring, M.arity, tuple(kept)))
-    return ModuleSpec(M.ring, M.arity, tuple(kept))
+        for d in range(ring.trunc + 1):
+            for row in multiples(vec, d, ring):
+                span.insert(row)
+    return ModuleSpec(ring, M.arity, tuple(kept)), span
+
+
+def _ar_profile(M: ModuleSpec, U: Subspace, cert: int) -> list:
+    """prof[i] for 0 <= i <= cert: the largest j <= i with U cap m^i inside m^j * M.
+
+    U is the span of M.  prof is nondecreasing in i and m^j * M grows as j
+    falls, so one downward sweep over i grows a single span of m^j * M, one
+    multiplier degree at a time.
+    """
+    ring = M.ring
+    span = Subspace(ring, M.arity)
+    built = ring.trunc + 1  # span holds the multiples of degree >= built
+    prof = [0] * (cert + 1)
+    j = cert
+    for i in range(cert, 0, -1):
+        inter = U.cap_m_power(i)
+        j = min(j, i)
+        while j > 0:
+            while built > j:
+                built -= 1
+                for gen in M.generators:
+                    for vec in multiples(gen, built, ring):
+                        span.insert(vec)
+            if span.contains(inter):
+                break
+            j -= 1
+        prof[i] = j
+    return prof
 
 
 def artin_rees_index(M) -> ArIndexResult:
-    M = _prune_redundant_generators(as_module(M))
+    M, U = _prune_redundant_generators(as_module(M))
     ring = M.ring
     cert = ring.trunc - M.max_generator_degree()
     if cert < 0:
         raise PrecondError("generators exceed the truncation order; no certified range")
-    U = span_module(M)
-    scaled = {}
-
-    def scaled_span(j: int) -> Subspace:
-        if j not in scaled:
-            scaled[j] = span_module(M, min_mult_degree=j)
-        return scaled[j]
-
-    deficits = []
-    i0 = 0
+    prof = _ar_profile(M, U, cert)
+    deficits = list(enumerate(prof))
+    i0 = max(i - j for i, j in deficits)
     witness = None
-    for i in range(cert + 1):
-        inter = U.cap_m_power(i)
-        j_ok = 0
-        for j in range(i, -1, -1):
-            if scaled_span(j).contains(inter):
-                j_ok = j
-                break
-        deficits.append((i, j_ok))
-        if i - j_ok > i0:
-            i0 = i - j_ok
-            # a basis vector of the intersection outside m^(j_ok+1) * M shows i0-1 fails
-            bad = scaled_span(j_ok + 1)
-            witness = None
-            for row in inter.rows:
-                if not bad.contains_vec(row):
-                    witness = (i, vec_to_series(row, ring, M.arity))
-                    break
+    if i0:
+        # a basis vector of the intersection outside m^(prof[i]+1) * M shows i0-1 fails
+        i = next(i for i, j in deficits if i - j == i0)
+        bad = span_module(M, min_mult_degree=prof[i] + 1)
+        row = next(row for row in U.cap_m_power(i).rows if not bad.contains_vec(row))
+        witness = (i, vec_to_series(row, ring, M.arity))
     return ArIndexResult(i0=i0, certified_up_to=cert, tight_witness=witness, module=M, deficits=deficits)
 
 
@@ -185,16 +201,7 @@ def solve_linear_regular(
         raise PrecondError("approximation level insufficient")
 
     phi = [g.initial_form() for g in f]
-    cur = list(x)
-    zmap = {}  # (k, j) with k < j  ->  accumulated series
-
-    def z_at(k, j):
-        if k == j:
-            return TruncatedSeries.zero(ring)
-        if k < j:
-            return zmap.get((k, j), TruncatedSeries.zero(ring))
-        return -zmap.get((j, k), TruncatedSeries.zero(ring))
-
+    cur = list(x)  # x_j - sum_k f_k z(k,j) over the corrections so far
     guard = 0
     while True:
         guard += 1
@@ -213,25 +220,11 @@ def solve_linear_regular(
                 "no antisymmetric correction exists at the lowest level; "
                 "the initial forms are not a regular sequence or the input is inconsistent"
             )
-        for (k, j), z0 in correction.items():
-            zmap[(k, j)] = zmap.get((k, j), TruncatedSeries.zero(ring)) + z0
-        for j in range(n):
-            corr = TruncatedSeries.zero(ring)
-            for k in range(n):
-                zkj = correction.get((k, j))
-                if zkj is None and k > j:
-                    zx = correction.get((j, k))
-                    zkj = -zx if zx is not None else None
-                if zkj is not None:
-                    corr = corr + f[k] * zkj
-            cur[j] = cur[j] - corr
+        for (k, j), z in correction.items():  # z(j,k) = -z(k,j)
+            cur[j] = cur[j] - f[k] * z
+            cur[k] = cur[k] + f[j] * z
 
-    xbar = []
-    for j in range(n):
-        out = TruncatedSeries.zero(ring)
-        for k in range(n):
-            out = out + f[k] * z_at(k, j)
-        xbar.append(out)
+    xbar = [xj - cj for xj, cj in zip(x, cur)]
     check = TruncatedSeries.zero(ring)
     for g, xb in zip(f, xbar):
         check = check + g * xb
@@ -256,10 +249,13 @@ def _antisymmetric_step(ring, phi, e, cur, mu, live):
     """Solve xi_j = sum_k phi_k z(k,j) with z(k,j) = -z(j,k) on the active indices.
 
     Unknowns are the coefficients of the homogeneous z(k,j) for k < j in
-    `live`; returns a dict for those pairs, or None when inconsistent.
+    `live`; the unknown of z(k,j) at u has image u*phi_k in component j and
+    -u*phi_j in component k.  Returns a dict for those pairs, or None when
+    inconsistent.
     """
+    zero = TruncatedSeries.zero(ring)
     unknowns = []  # (k, j, monomial)
-    index = {}
+    columns = []
     for a in range(len(live)):
         for b in range(a + 1, len(live)):
             k, j = live[a], live[b]
@@ -267,41 +263,20 @@ def _antisymmetric_step(ring, phi, e, cur, mu, live):
             if dz < 0:
                 continue
             for m in monomials_of_degree(ring.num_vars, dz):
-                index[(k, j, m)] = len(unknowns)
+                u = TruncatedSeries.monomial(ring, m)
+                image = [zero] * len(live)
+                image[b] = u * phi[k]
+                image[a] = -(u * phi[j])
                 unknowns.append((k, j, m))
-    equations = []
-    for j in live:
-        xi = cur[j].homogeneous_part(mu - e[j])
-        rows = {}  # monomial of degree mu - e[j]  ->  dict unknown -> scalar
-        for k in live:
-            if k == j:
-                continue
-            lo, hi = (k, j) if k < j else (j, k)
-            sign = 1 if k < j else -1
-            for mono_phi, c in phi[k].terms.items():
-                dz = mu - e[k] - e[j]
-                if dz < 0:
-                    continue
-                for mz in monomials_of_degree(ring.num_vars, dz):
-                    key = (lo, hi, mz)
-                    if key not in index:
-                        continue
-                    target = tuple(a + b for a, b in zip(mono_phi, mz))
-                    row = rows.setdefault(target, {})
-                    val = c if sign == 1 else ring.s_neg(c)
-                    idx = index[key]
-                    row[idx] = ring.s_add(row.get(idx, 0), val)
-        for m in monomials_of_degree(ring.num_vars, mu - e[j]):
-            equations.append((rows.get(m, {}), xi.terms.get(m, 0)))
-    sol = solve_linear(equations, len(unknowns), ring)
+                columns.append(series_to_vec(image, ring))
+    target = series_to_vec([cur[j].homogeneous_part(mu - e[j]) for j in live], ring)
+    sol = solve_linear(columns, target, ring)
     if sol is None:
         return None
     out = {}
-    for (k, j, m), idx in index.items():
-        c = sol[idx]
+    for (k, j, m), c in zip(unknowns, sol):
         if c != 0:
-            cur_s = out.get((k, j), TruncatedSeries.zero(ring))
-            out[(k, j)] = cur_s + TruncatedSeries.monomial(ring, m, c)
+            out[(k, j)] = out.get((k, j), zero) + TruncatedSeries.monomial(ring, m, c)
     return out
 
 
@@ -331,25 +306,17 @@ def reduce_mod_principal(h: TruncatedSeries, f: TruncatedSeries, k: int):
 def _divide_homogeneous(xi: TruncatedSeries, phi: TruncatedSeries):
     """z with phi * z = xi for homogeneous forms, or None when not divisible."""
     ring = xi.ring
-    dz = xi.order().value - phi.order().value if not xi.is_zero else 0
     if xi.is_zero:
         return TruncatedSeries.zero(ring)
+    dz = xi.order().value - phi.order().value
     if dz < 0:
         return None
-    zmonos = list(monomials_of_degree(ring.num_vars, dz))
-    index = {m: i for i, m in enumerate(zmonos)}
-    rows = {}
-    for mono_phi, c in phi.terms.items():
-        for mz in zmonos:
-            target = tuple(a + b for a, b in zip(mono_phi, mz))
-            rows.setdefault(target, {})[index[mz]] = c
-    equations = []
-    for m in monomials_of_degree(ring.num_vars, xi.order().value):
-        equations.append((rows.get(m, {}), xi.terms.get(m, 0)))
-    sol = solve_linear(equations, len(zmonos), ring)
+    zmonos = monomials_of_degree(ring.num_vars, dz)
+    columns = [series_to_vec([TruncatedSeries.monomial(ring, m) * phi], ring) for m in zmonos]
+    sol = solve_linear(columns, series_to_vec([xi], ring), ring)
     if sol is None:
         return None
-    return TruncatedSeries(ring, {m: sol[index[m]] for m in zmonos})
+    return TruncatedSeries(ring, dict(zip(zmonos, sol)))
 
 
 def solve_fx_hy(
@@ -453,72 +420,47 @@ def stable_ar_scan(
 ) -> StableArReport:
     """Check ((x)+I) cap m^(i + a*nu(x) + b)  inside  ((x)+I) * m^i for each x.
 
-    Scans every feasible i in the certified range, then grid-searches the
-    smallest passing (a, b) over the standard slopes.
+    This is the Artin-Rees statement for the module (x)+I at the offset
+    ceil(a*nu(x)) + b, so every check reads the Artin-Rees profile of (x)+I:
+    it holds iff i <= prof[exponent].  Scans every feasible i in the certified
+    range, then grid-searches the smallest passing (a, b) over the standard
+    slopes.
     """
-    from .orders import NuOracle
-
     a = Fraction(a)
     ring = I.ring
     D = ring.trunc
-    oracle = NuOracle(I)
+    span_I = span_ideal(I)
     gen_deg = max((g.max_degree() for g in I.generators if not g.is_zero), default=0)
-    data = []
+    data = []  # (x, nu(x), profile of (x)+I)
     skipped = []
     for x in xs:
-        nu_x = oracle.nu(x)
+        nu_x = distance_order(x, span_I)
         if not nu_x.exact:
             skipped.append(x)
             continue
+        offset = ceil(a * nu_x.value) + b
+        if offset < 0:
+            raise PrecondError(f"offset ceil(a*nu(x)) + b = {offset} < 0 for x = {x.to_str()}")
         aug = ModuleSpec(ring, 1, tuple((g,) for g in I.generators) + ((x,),))
         cert = D - max(gen_deg, x.max_degree())
-        U = span_module(aug)
-        scaled_cache = {}
-
-        def scaled(ii, aug=aug, cache=scaled_cache):
-            if ii not in cache:
-                cache[ii] = span_module(aug, min_mult_degree=ii)
-            return cache[ii]
-
-        data.append((x, nu_x.value, cert, U, scaled, {}))
-
-    def holds(x_entry, i, kk):
-        x, nu_v, cert, U, scaled, memo = x_entry
-        key = (i, kk)
-        if key not in memo:
-            memo[key] = scaled(i).contains(U.cap_m_power(kk))
-        return memo[key]
+        data.append((x, nu_x.value, _ar_profile(aug, span_module(aug), cert)))
 
     def run(a_val, b_val):
         rows = []
-        ok = True
-        for entry in data:
-            x, nu_v, cert, U, scaled, memo = entry
-            i = 0
-            while True:
-                exponent = i + ceil(a_val * nu_v) + b_val
-                if exponent > cert or i > cert:
-                    break
-                good = holds(entry, i, exponent)
-                rows.append((x, i, ExtOrder.of(nu_v), exponent, good))
-                ok = ok and good
-                i += 1
-        return rows, ok
+        for x, nu_v, prof in data:
+            offset = ceil(a_val * nu_v) + b_val
+            for i in range(len(prof) - offset):
+                exponent = i + offset
+                rows.append((x, i, ExtOrder.of(nu_v), exponent, i <= prof[exponent]))
+        return rows, all(row[-1] for row in rows)
 
     checks, all_hold = run(a, b)
-    grid = []
-    minimal = None
     cap = grid_b_max if grid_b_max is not None else D
-    for a_val in (Fraction(1), Fraction(3, 2), Fraction(2)):
-        found = None
-        for b_val in range(cap + 1):
-            _, ok = run(a_val, b_val)
-            if ok:
-                found = b_val
-                break
-        grid.append((a_val, found))
-        if found is not None and minimal is None:
-            minimal = (a_val, found)
+    grid = [
+        (a_val, next((b_val for b_val in range(cap + 1) if run(a_val, b_val)[1]), None))
+        for a_val in (Fraction(1), Fraction(3, 2), Fraction(2))
+    ]
+    minimal = next((point for point in grid if point[1] is not None), None)
     return StableArReport(
         ideal=I,
         a=a,

@@ -251,8 +251,8 @@ def _solve_fxhy(args, s):
 
 @command("stable-ar", "uniform intersection inclusion scan over translates", IDEAL,
          ("--xs", {"required": True, "help": "elements separated by ';'"}),
-         ("--a", {"default": "1"}), ("--b", {"type": int, "default": 0}), ("--grid-b-max", INT),
-         ideal=True)
+         ("--a", {"default": "1"}), ("--b", {"type": int, "default": 0}),
+         ("--grid-b-max", {"type": _nonneg_int}), ideal=True)
 def _stable_ar(args, s):
     xs = s.polys(args.xs)
     a = _parse_fraction(args.a)

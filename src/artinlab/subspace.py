@@ -26,9 +26,7 @@ from .series import (
     RingSpec,
     TruncatedSeries,
     _raw,
-    mono_degree,
     monomials_of_degree,
-    monomials_up_to,
     sub_multiple,
 )
 
@@ -231,6 +229,27 @@ class Subspace:
 
 
 
+def multiples(gen, d: int, ring: RingSpec, sound: bool = False):
+    """The vectors u * gen, one per monomial u of degree d, as sparse columns.
+
+    Nothing past the multiplier cap: D - ord(gen), beyond which every product
+    truncates to 0, or with sound=True D - deg(gen), so that every product is
+    computed without losing terms to truncation.
+    """
+    live = [g for g in gen if not g.is_zero]
+    if not live:
+        return
+    if sound:
+        cap = ring.trunc - max(g.max_degree() for g in live)
+    else:
+        cap = ring.trunc - min(g.order().value for g in live)
+    if d > cap:
+        return
+    for u in monomials_of_degree(ring.num_vars, d):
+        mono = TruncatedSeries.monomial(ring, u)
+        yield series_to_vec([mono * g for g in gen], ring)
+
+
 def span_module(
     M: ModuleSpec,
     min_mult_degree: int = 0,
@@ -239,27 +258,21 @@ def span_module(
     """Span of {u * g : g generator, u monomial with deg(u) >= min_mult_degree}.
 
     min_mult_degree = j realizes the module m^j * M.  With sound=True the
-    multiplier degree is additionally capped at D - deg(g), so every product
-    is computed without losing terms to truncation; membership in the sound
-    span certifies membership in the untruncated module.
+    multiplier degree is additionally capped at D - deg(g) (see multiples);
+    membership in the sound span certifies membership in the untruncated
+    module.
     """
     ring = M.ring
-    D = ring.trunc
     U = Subspace(ring, M.arity)
+    # generator-major: the multiples of one generator are shifts of one vector
+    # and reduce against few rows.  Interleaving the generators degree by
+    # degree made the spans of (2*T1^2 - T2^3 - 2*T1^4, -T2^3 - 2*T1^2*T2^2 +
+    # 3*T1^5) over Q at D = 14 take 4x the eliminations and 36x the Fraction
+    # entries, and its ar-index 6x the time.
     for gen in M.generators:
-        degs = [g.max_degree() for g in gen if not g.is_zero]
-        if not degs:
-            continue
-        gdeg = max(degs)
-        lowest = min(g.order().value for g in gen if not g.is_zero)
-        cap = D - gdeg if sound else D - lowest
-        for u in monomials_up_to(ring.num_vars, max(cap, min_mult_degree - 1)):
-            if mono_degree(u) < min_mult_degree:
-                continue
-            if mono_degree(u) > cap:
-                continue
-            mono_series = TruncatedSeries.monomial(ring, u)
-            U.insert(series_to_vec([mono_series * g for g in gen], ring))
+        for d in range(min_mult_degree, ring.trunc + 1):
+            for vec in multiples(gen, d, ring, sound):
+                U.insert(vec)
     return U
 
 
@@ -339,23 +352,26 @@ def distance_order(xs, U: Subspace) -> ExtOrder:
     return ExtOrder.of(bisect.bisect_right(starts, min(rem)) - 1)
 
 
-def solve_linear(equations, num_unknowns: int, ring: RingSpec):
-    """One exact solution of a sparse linear system, or None if inconsistent.
+def solve_linear(columns, target: dict, ring: RingSpec):
+    """One exact x with sum_k x[k] * columns[k] = target, or None if there is none.
 
-    equations: list of (coeffs: dict unknown->scalar, rhs scalar).  Each one
-    is inserted as an augmented row with the right-hand side in column
-    num_unknowns, so the system is inconsistent exactly when that column
-    becomes a pivot.  Free unknowns are set to zero, so the answer is
+    columns[k] is the image of unknown k, a sparse dict like target.  Each
+    coordinate's equation is inserted as an augmented row with the target in
+    column len(columns), so the system is inconsistent exactly when that
+    column becomes a pivot.  Free unknowns are set to zero, so the answer is
     deterministic.
     """
+    n = len(columns)
+    equations = {}
+    for k, col in enumerate([*columns, target]):
+        for r, c in col.items():
+            equations.setdefault(r, {})[k] = ring.s_from(c)
     S = Subspace(ring)
-    for coeffs, rhs in equations:
-        row = {k: ring.s_from(v) for k, v in coeffs.items()}
-        row[num_unknowns] = ring.s_from(rhs)
-        S.insert({k: v for k, v in row.items() if v != 0})
-        if S.pivots and S.pivots[-1] == num_unknowns:
+    for row in equations.values():
+        S.insert({k: c for k, c in row.items() if c != 0})
+        if S.pivots and S.pivots[-1] == n:
             return None
-    solution = [ring.s_from(0)] * num_unknowns
+    solution = [ring.s_from(0)] * n
     for p, row in zip(S.pivots, S.rows):
-        solution[p] = row.get(num_unknowns, solution[p])
+        solution[p] = row.get(n, solution[p])
     return solution

@@ -1,6 +1,11 @@
+from fractions import Fraction
+from math import ceil
+
+from hypothesis import given, settings, strategies as st
+
 import oracles
 from artinlab.artin import artin_rees_index, stable_ar_scan
-from artinlab.series import RingSpec, TruncatedSeries
+from artinlab.series import RingSpec, TruncatedSeries, monomials_up_to
 from artinlab.subspace import (
     IdealSpec,
     ModuleSpec,
@@ -122,13 +127,64 @@ def test_stable_scan_finds_finite_constants_for_cusp():
 
 
 def test_stable_scan_inclusion_matches_direct_check():
-    # spot-check one reported row by recomputing both sides from scratch
+    # every reported row, recomputed from scratch on both sides
     R = RingSpec(2, 0, 8)
-    I = IdealSpec.of(R, [parse_poly("T1^2 + T2^3", R)])
-    x = parse_poly("T1", R)
-    rep = stable_ar_scan(I, [x], a=1, b=0)
-    aug = ModuleSpec(R, 1, tuple((g,) for g in I.generators) + ((x,),))
-    for xx, i, nu_x, exponent, holds in rep.checks:
-        lhs = subspace_intersect(span_module(aug), span_m_power(R, exponent))
-        rhs = span_module(aug, min_mult_degree=i)
-        assert holds == rhs.contains(lhs)
+    ideals = [["T1^2 + T2^3"], ["T1^2 - T2^3", "T1*T2^2"]]
+    xs = [parse_poly(t, R) for t in ["T1", "T2", "T1*T2 + T2^3", "T2^2"]]
+    for gens in ideals:
+        I = IdealSpec.of(R, [parse_poly(g, R) for g in gens])
+        for a in (1, Fraction(3, 2), 2):
+            for b in (0, 1, 2):
+                rep = stable_ar_scan(I, xs, a=a, b=b, grid_b_max=2)
+                assert rep.checks and not rep.skipped
+                for x in xs:
+                    aug = ModuleSpec(R, 1, tuple((g,) for g in I.generators) + ((x,),))
+                    rows = [row for row in rep.checks if row[0] == x]
+                    for i, (xx, ii, nu_x, exponent, holds) in enumerate(rows):
+                        assert ii == i and exponent == i + ceil(a * nu_x.value) + b
+                        lhs = subspace_intersect(span_module(aug), span_m_power(R, exponent))
+                        rhs = span_module(aug, min_mult_degree=i)
+                        assert holds == rhs.contains(lhs)
+
+
+def reference_deficits(M, cert):
+    """(i, largest j <= i with M cap m^i inside m^j * M), one span per j."""
+    U = span_module(M)
+    out = []
+    for i in range(cert + 1):
+        inter = U.cap_m_power(i)
+        j_ok = 0
+        for j in range(i, -1, -1):
+            if span_module(M, min_mult_degree=j).contains(inter):
+                j_ok = j
+                break
+        out.append((i, j_ok))
+    return out
+
+
+RINGS = [RingSpec(2, 0, 6), RingSpec(2, 0, 7), RingSpec(2, 3, 6), RingSpec(2, 7, 7)]
+COEFFS = [1, -1, 2, 3, Fraction(1, 2)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_profile_matches_per_degree_definition(data):
+    R = data.draw(st.sampled_from(RINGS))
+    arity = data.draw(st.sampled_from([1, 2]))
+    monos = [m for m in monomials_up_to(2, 3) if sum(m) >= 1]
+    mk = st.dictionaries(st.sampled_from(monos), st.sampled_from(COEFFS), max_size=3).map(
+        lambda d: TruncatedSeries(R, d)
+    )
+    gens = data.draw(st.lists(st.tuples(*[mk] * arity), min_size=1, max_size=3))
+    M = ModuleSpec(R, arity, tuple(gens))
+    res = artin_rees_index(M)
+    assert span_module(res.module) == span_module(M)
+    assert res.deficits == reference_deficits(M, res.certified_up_to)
+    assert res.i0 == max((i - j for i, j in res.deficits), default=0)
+    if res.i0 == 0:
+        assert res.tight_witness is None
+        return
+    i, elem = res.tight_witness
+    assert i == min(i for i, j in res.deficits if i - j == res.i0)
+    assert member(elem, span_module(M)) and member(elem, span_m_power(R, i, arity))
+    assert not member(elem, span_module(M, min_mult_degree=i - res.i0 + 1))

@@ -157,6 +157,10 @@ def test_exit_code_precondition():
     proc = run_cli("ord", "--char", "1000000000000000003", "--trunc", "2", "--x", "T1",
                    expect=2, timeout=30)
     assert "must be < 2^31" in proc.stderr
+    # stable-ar reads the profile at i + ceil(a*nu(x)) + b, so a negative offset is refused
+    proc = run_cli("stable-ar", "--vars", "T1,T2", "--trunc", "8", "--ideal", "T1^2 + T2^3",
+                   "--xs", "T1;T2", "--a", "1", "--b", "-3", expect=2)
+    assert "ceil(a*nu(x)) + b = -2 < 0 for x = T1" in proc.stderr
 
 
 def test_exit_code_budget():
@@ -210,6 +214,9 @@ def test_parse_error_exit_code():
     assert "argument --budget: must be >= 0" in proc.stderr
     proc = run_cli("irr-check", "--i", "2", "--p", "3", "--budget", "ten", expect=2)
     assert "argument --budget: invalid int value: 'ten'" in proc.stderr
+    proc = run_cli("stable-ar", "--vars", "T1,T2", "--trunc", "8", "--ideal", "T1^2 + T2^3",
+                   "--xs", "T1;T2", "--grid-b-max", "-1", expect=2)
+    assert "argument --grid-b-max: must be >= 0, got -1" in proc.stderr
 
 
 def test_out_file(tmp_path):
@@ -321,6 +328,19 @@ PINNED_OUTPUTS = [
     (("ar-index", "--vars", "T1,T2", "--trunc", "7", "--module", "2*T1,3*T2;T2^2,T1",
       "--format", "csv"),
      "356f1f58cefd6897609da9644f7c203f2f84623ea03f6702c1722eced3400351"),
+    # the Artin-Rees profile over F_7, over a large prime field, and of an arity-2
+    # module at D = 14; a three-generator correction with antisymmetric steps
+    (("stable-ar", "--vars", "T1,T2", "--char", "7", "--trunc", "10", "--ideal",
+      "T1^2 - T2^3; T1*T2^2", "--xs", "T1 + T2^2;T2;T1*T2 + T2^3"),
+     "9ebe4f9ec5c199a2633cdf6e4bebe1f44c52a14383fea13f2673da83fecf8cd3"),
+    (("ar-index", "--vars", "T1,T2,T3", "--char", "32003", "--trunc", "12", "--ideal",
+      "T1^2 + T2^3"),
+     "4eba880e2906f812cfbf0eabeb7e3e3652f5880e354833318003b6aea3a4fe17"),
+    (("ar-index", "--vars", "T1,T2", "--trunc", "14", "--module", "T1,T2; T2^2,T1^2 + T2^3"),
+     "2d33084ad23f14da1007cf5d4661e39ce21c68c8fb8be93353fb3a8070eca8fd"),
+    (("solve-linreg", "--vars", "T1,T2,T3", "--trunc", "8", "--gens", "T1;T2^2;T3^2",
+      "--x", "T2^2;-T1+T1^5;T1^3", "--i", "2"),
+     "7d77f8b768daa453040c58e6a81c51087780b985d3bea9041dd05287acb7feff"),
 ]
 
 

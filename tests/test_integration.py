@@ -1,5 +1,8 @@
 """Cross-module consistency: measured quantities against catalog bounds."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 from artinlab.artin import artin_rees_index, beta_lower_bound_bruteforce
@@ -72,3 +75,23 @@ def test_solver_feeds_bound_parameters():
     cert = solve_fx_hy(k, f, h, x, -f, i)
     assert (f * x + h * (-f)).order().value >= bound + 1
     assert all(p.value >= i + 1 for p in cert.proximity if p.exact)
+
+
+SCRIPTS = os.path.join(os.path.dirname(__file__), os.pardir, "scripts")
+
+
+def test_scripts_run_from_any_directory(tmp_path):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+
+    def run(script, *args):
+        proc = subprocess.run([sys.executable, os.path.join(SCRIPTS, script), *args],
+                              cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    out = run("icl_survey.py", "2", "6", "5")
+    # the stable inclusion scan of each of the four ideals; the cusp passes at b = 2
+    assert out.count("stable inclusion at (a, b) = (1, 0):") == 4
+    assert "smallest passing grid point: (Fraction(1, 1), 2)" in out
+    out = run("witness_table.py", "3")
+    assert "T3^9" in out and "certificate i=3 p=2: scanned 262144 pairs, 0 factorizations" in out

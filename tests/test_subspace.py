@@ -167,15 +167,18 @@ def test_echelon_form_is_canonical_reduced():
 
 
 def test_solve_linear_matches_dense_rank():
+    # a system is given by columns: the image of each unknown, and the target
     R = RingSpec(2, 0, 4)
     # x0 + x2 = 3, x1 - x2 = 1: x2 is free and set to 0
-    eqs = [({0: 1, 2: 1}, 3), ({1: 1, 2: -1}, 1)]
-    assert solve_linear(eqs, 3, R) == [3, 1, 0]
-    assert solve_linear(eqs + [({0: 2, 2: 2}, 6)], 3, R) == [3, 1, 0]
-    assert solve_linear(eqs + [({0: 2, 2: 2}, 5)], 3, R) is None
-    assert solve_linear([({0: 0}, 0)], 2, R) == [0, 0]
-    assert solve_linear([({0: 0}, 1)], 1, R) is None
-    assert solve_linear([({0: 2}, 1)], 1, RingSpec(1, 5, 3)) == [3]
+    cols = [{0: 1}, {1: 1}, {0: 1, 1: -1}]
+    assert solve_linear(cols, {0: 3, 1: 1}, R) == [3, 1, 0]
+    # and 2*x0 + 2*x2 = 6 (consistent) or = 5 (inconsistent)
+    cols3 = [{0: 1, 2: 2}, {1: 1}, {0: 1, 1: -1, 2: 2}]
+    assert solve_linear(cols3, {0: 3, 1: 1, 2: 6}, R) == [3, 1, 0]
+    assert solve_linear(cols3, {0: 3, 1: 1, 2: 5}, R) is None
+    assert solve_linear([{0: 0}, {}], {0: 0}, R) == [0, 0]
+    assert solve_linear([{0: 0}], {0: 1}, R) is None
+    assert solve_linear([{0: 2}], {0: 1}, RingSpec(1, 5, 3)) == [3]
     # random systems: consistent iff rank [A] == rank [A | b], and a returned
     # solution satisfies every row
     R = RingSpec(1, 7, 3)
@@ -188,7 +191,8 @@ def test_solve_linear_matches_dense_rank():
         ]
         dense = [[coeffs.get(k, 0) for k in range(n)] for coeffs, _ in eqs]
         augmented = [row + [rhs] for row, (_, rhs) in zip(dense, eqs)]
-        sol = solve_linear(eqs, n, R)
+        cols = [{r: coeffs[k] for r, (coeffs, _) in enumerate(eqs) if k in coeffs} for k in range(n)]
+        sol = solve_linear(cols, {r: rhs for r, (_, rhs) in enumerate(eqs)}, R)
         consistent = oracles.dense_rank(dense, R) == oracles.dense_rank(augmented, R)
         assert (sol is not None) == consistent
         if sol is not None:
