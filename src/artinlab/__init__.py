@@ -2,7 +2,7 @@
 and approximation-function bounds in truncated power-series rings."""
 
 from .errors import BudgetError, PrecondError
-from .series import ExtOrder, RingSpec, TruncatedSeries, ord_of
+from .series import ExtOrder, RingSpec, TruncatedSeries
 from .subspace import (
     IdealSpec,
     ModuleSpec,

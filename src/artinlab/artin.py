@@ -9,14 +9,13 @@ silently degrading.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil
 from typing import Optional, Sequence
 
 from .errors import BudgetError, PrecondError
-from .series import ExtOrder, TruncatedSeries, _raw, monomials_of_degree, monomials_up_to
+from .series import ExtOrder, TruncatedSeries, _raw, fp_vectors, monomials_of_degree, monomials_up_to
 from .subspace import (
     IdealSpec,
     ModuleSpec,
@@ -72,20 +71,29 @@ def _prune_redundant_generators(M: ModuleSpec) -> tuple:
     return ModuleSpec(ring, M.arity, tuple(kept)), span
 
 
-def _ar_profile(M: ModuleSpec, U: Subspace, cert: int) -> list:
-    """prof[i] for 0 <= i <= cert: the largest j <= i with U cap m^i inside m^j * M.
+def _ar_profile(M: ModuleSpec, U: Subspace, cert: int) -> tuple:
+    """(prof, failed) for 0 <= i <= cert: prof[i] is the largest j <= i with
+    U cap m^i inside m^j * M, and failed[i] the first basis row of U cap m^i
+    outside m^(prof[i]+1) * M when the sweep tested that span (else None).
 
     U is the span of M.  prof is nondecreasing in i and m^j * M grows as j
     falls, so one downward sweep over i grows a single span of m^j * M, one
-    multiplier degree at a time.
+    multiplier degree at a time.  At i = cert it tests every row of U cap
+    m^cert; below, only the rows whose pivot has degree i, as the deeper ones
+    lie in m^prof[i+1] * M.  A row that passed stays inside as the span grows,
+    so each test resumes at the row that failed the last one.
     """
     ring = M.ring
     span = Subspace(ring, M.arity)
     built = ring.trunc + 1  # span holds the multiples of degree >= built
     prof = [0] * (cert + 1)
+    failed = [None] * (cert + 1)
+    rows = U.rows
+    stop = len(rows)
     j = cert
     for i in range(cert, 0, -1):
-        inter = U.cap_m_power(i)
+        start = U.cap_start(i)
+        k = start  # rows[start:k] lie in the span
         j = min(j, i)
         while j > 0:
             while built > j:
@@ -93,11 +101,15 @@ def _ar_profile(M: ModuleSpec, U: Subspace, cert: int) -> list:
                 for gen in M.generators:
                     for vec in multiples(gen, built, ring):
                         span.insert(vec)
-            if span.contains(inter):
+            while k < stop and span.contains_vec(rows[k]):
+                k += 1
+            if k == stop:
                 break
+            failed[i] = rows[k]
             j -= 1
         prof[i] = j
-    return prof
+        stop = start
+    return prof, failed
 
 
 def artin_rees_index(M) -> ArIndexResult:
@@ -106,16 +118,15 @@ def artin_rees_index(M) -> ArIndexResult:
     cert = ring.trunc - M.max_generator_degree()
     if cert < 0:
         raise PrecondError("generators exceed the truncation order; no certified range")
-    prof = _ar_profile(M, U, cert)
+    prof, failed = _ar_profile(M, U, cert)
     deficits = list(enumerate(prof))
     i0 = max(i - j for i, j in deficits)
     witness = None
     if i0:
-        # a basis vector of the intersection outside m^(prof[i]+1) * M shows i0-1 fails
+        # at the first i reaching i0, prof[i] < min(prof[i+1], i), so the sweep
+        # tested j = prof[i]+1 there: its failed row shows that i0-1 fails
         i = next(i for i, j in deficits if i - j == i0)
-        bad = span_module(M, min_mult_degree=prof[i] + 1)
-        row = next(row for row in U.cap_m_power(i).rows if not bad.contains_vec(row))
-        witness = (i, vec_to_series(row, ring, M.arity))
+        witness = (i, vec_to_series(failed[i], ring, M.arity))
     return ArIndexResult(i0=i0, certified_up_to=cert, tight_witness=witness, module=M, deficits=deficits)
 
 
@@ -443,7 +454,7 @@ def stable_ar_scan(
             raise PrecondError(f"offset ceil(a*nu(x)) + b = {offset} < 0 for x = {x.to_str()}")
         aug = ModuleSpec(ring, 1, tuple((g,) for g in I.generators) + ((x,),))
         cert = D - max(gen_deg, x.max_degree())
-        data.append((x, nu_x.value, _ar_profile(aug, span_module(aug), cert)))
+        data.append((x, nu_x.value, _ar_profile(aug, span_module(aug), cert)[0]))
 
     def run(a_val, b_val):
         rows = []
@@ -499,6 +510,10 @@ class _BetaSearch:
     coeff * (x_j'^a - x_j^a) * prod_{u != j} x_u^(alpha_u) over the system
     terms that contain x_j, read off per-unknown power lists (x_u^1 .. x_u^k,
     k the largest exponent of x_u in the system) that the undo frames restore.
+
+    Every pass is one depth-first _walk with its own visit.  Pass 1 records
+    the classes modulo m^(i+1) that hold an exact solution; pass 2 takes the
+    largest residual order outside them, each confirmed by a witness walk.
     """
 
     def __init__(self, system: Sequence[PolyInX], i: int, budget: int):
@@ -549,14 +564,6 @@ class _BetaSearch:
         self._frames = []
 
     # -- bookkeeping -------------------------------------------------------
-    def _tick(self):
-        self.nodes += 1
-        if self.nodes > self.budget:
-            raise BudgetError(
-                f"enumeration budget {self.budget} exhausted after {self.nodes} nodes; "
-                f"raw state space has size {self.state_space_size}"
-            )
-
     def _lb(self, u: int) -> int:
         return self.fno[u] if self.fno[u] is not None else self.next_layer[u]
 
@@ -634,7 +641,9 @@ class _BetaSearch:
             best = min(best, self._slot_min_degree(j, d))
         return best
 
-    def _first_nonzero(self, bound: int) -> Optional[int]:
+    def _fixed_order(self, slot_idx: int) -> Optional[int]:
+        """Least order of a residual term that no remaining slot can change, or None."""
+        bound = self._finality(slot_idx)
         out = None
         for r in self.res:
             o = r.order()
@@ -649,83 +658,71 @@ class _BetaSearch:
             for j in range(self.n)
         )
 
-    def _layer_values(self, d: int):
-        monos = monomials_of_degree(self.ring.num_vars, d)
-        p = self.ring.char
-        for coeffs in itertools.product(range(p), repeat=len(monos)):
-            yield {m: c for m, c in zip(monos, coeffs) if c}
+    # -- the one depth-first walk ---------------------------------------------
+    def _walk(self, slot_idx: int, visit, stop_from: int) -> bool:
+        """Depth-first from slot_idx, counting every node against the budget.
 
-    # -- pass 1: record every class containing an exact solution ------------
-    def _dfs_solutions(self, slot_idx: int) -> bool:
-        self._tick()
+        Past the slots frozen to zero, visit(slot_idx) ends the node with a
+        verdict, or returns None to try each value of the next layer.  A True
+        verdict returns through the layers of degree >= stop_from, skipping
+        their remaining values, and stops at the first shallower layer, which
+        goes on to its next value; the walk returns whether one got through.
+        """
+        self.nodes += 1
+        if self.nodes > self.budget:
+            raise BudgetError(
+                f"enumeration budget {self.budget} exhausted after {self.nodes} nodes; "
+                f"raw state space has size {self.state_space_size}"
+            )
         slot_idx, frames = self._advance_auto(slot_idx)
         try:
-            bound = self._finality(slot_idx)
-            if self._first_nonzero(bound) is not None:
-                return False
-            if slot_idx == len(self.slots):
-                self.solset.add(self._class_key())
-                return True
+            verdict = visit(slot_idx)
+            if verdict is not None:
+                return verdict
             d, j = self.slots[slot_idx]
-            for layer in self._layer_values(d):
+            for layer in fp_vectors(monomials_of_degree(self.ring.num_vars, d), self.ring.char):
                 self._assign(j, d, layer)
-                found = self._dfs_solutions(slot_idx + 1)
+                found = self._walk(slot_idx + 1, visit, stop_from)
                 self._undo()
-                if found and d > self.i:
+                if found and d >= stop_from:
                     return True
             return False
         finally:
             for _ in range(frames):
                 self._undo()
 
-    # -- pass 2: max residual order over classes with no nearby solution ----
-    def _dfs_beta(self, slot_idx: int):
-        self._tick()
-        slot_idx, frames = self._advance_auto(slot_idx)
-        try:
-            if slot_idx >= self.boundary and self._class_key() in self.solset:
-                return
-            bound = self._finality(slot_idx)
-            e = self._first_nonzero(bound)
-            if e is not None:
-                if e > self.best and self._dfs_witness(slot_idx):
-                    self.best = e
-                return
-            if slot_idx == len(self.slots):
-                # zero residual everywhere: an exact solution, so its class
-                # was recorded in pass 1 and pruned above
-                return
-            d, j = self.slots[slot_idx]
-            for layer in self._layer_values(d):
-                self._assign(j, d, layer)
-                self._dfs_beta(slot_idx + 1)
-                self._undo()
-        finally:
-            for _ in range(frames):
-                self._undo()
-
-    def _dfs_witness(self, slot_idx: int) -> bool:
-        """Some completion of the class layers escapes every solution class?"""
-        self._tick()
-        slot_idx, frames = self._advance_auto(slot_idx)
-        try:
-            if slot_idx >= self.boundary:
-                return self._class_key() not in self.solset
-            d, j = self.slots[slot_idx]
-            for layer in self._layer_values(d):
-                self._assign(j, d, layer)
-                found = self._dfs_witness(slot_idx + 1)
-                self._undo()
-                if found:
-                    return True
+    # pass 1: record every class containing an exact solution; one solution
+    # decides all layers past i, so the walk stops there at the first one
+    def _solution_visit(self, slot_idx: int):
+        if self._fixed_order(slot_idx) is not None:
             return False
-        finally:
-            for _ in range(frames):
-                self._undo()
+        if slot_idx == len(self.slots):
+            self.solset.add(self._class_key())
+            return True
+        return None
+
+    # pass 2: max residual order over classes with no nearby solution
+    def _beta_visit(self, slot_idx: int):
+        if slot_idx >= self.boundary and self._class_key() in self.solset:
+            return False
+        e = self._fixed_order(slot_idx)
+        if e is not None:
+            if e > self.best and self._walk(slot_idx, self._witness_visit, 0):
+                self.best = e
+            return False
+        if slot_idx == len(self.slots):  # an exact solution: pass 1 recorded its class
+            return False
+        return None
+
+    # does some completion of the class layers escape every solution class?
+    def _witness_visit(self, slot_idx: int):
+        if slot_idx >= self.boundary:
+            return self._class_key() not in self.solset
+        return None
 
     def run(self) -> BetaResult:
-        self._dfs_solutions(0)
-        self._dfs_beta(0)
+        self._walk(0, self._solution_visit, self.i + 1)
+        self._walk(0, self._beta_visit, self.D + 1)
         return BetaResult(
             value=max(self.best, 0),
             level_i=self.i,

@@ -102,33 +102,38 @@ class Out(NamedTuple):
 
 class Command(NamedTuple):
     summary: str
-    flags: tuple  # (flag, add_argument keywords), declared after COMMON_FLAGS
+    flags: tuple  # (flag, add_argument keywords) beyond the ring and common flags
     run: Callable  # (args, Setup) -> Out
-    ring: bool  # build the ring and names from --vars, --char, --trunc
+    ring: bool  # take --vars, --char, --trunc and build the ring and names from them
     ideal: bool  # also build the ideal from --ideal
-    budget: Optional[int]  # default of --budget
 
 
-def command(name: str, summary: str, *flags, ring=True, ideal=False, budget=None):
+def command(name: str, summary: str, *flags, ring=True, ideal=False):
     """Register the decorated handler as subcommand `name` of the parser."""
     def register(run):
-        COMMANDS[name] = Command(summary, flags, run, ring, ideal, budget)
+        COMMANDS[name] = Command(summary, flags, run, ring, ideal)
         return run
     return register
 
 
+def budget_flag(default: int) -> tuple:
+    """The --budget flag of a command that runs under a budget, with its default."""
+    return ("--budget", {"type": _nonneg_int, "default": default, "help": "enumeration/scan budget"})
+
+
 COMMANDS = {}  # subcommand name -> Command, in the order the parser lists them
-COMMON_FLAGS = (
+RING_FLAGS = (
     ("--vars", {"help": "comma-separated variable names, e.g. T1,T2,T3"}),
     ("--char", {"type": int, "default": 0, "help": "coefficient characteristic: 0 or a prime"}),
     ("--trunc", {"type": int, "help": "truncation order D"}),
-    ("--seed", {"type": int, "default": 0, "help": "seed for randomized scans"}),
-    ("--budget", {"type": _nonneg_int, "help": "enumeration/scan budget"}),
+)
+COMMON_FLAGS = (
     ("--format", {"choices": ("json", "csv"), "default": "json"}),
     ("--out", {"help": "write the report to this file instead of stdout"}),
 )
-# the common flags configure the run; every other flag is echoed under "params"
-NOT_ECHOED = {"command"} | {flag[2:] for flag, _ in COMMON_FLAGS}
+# a command takes only the flags it reads, so any other exits 2; those that
+# configure the run are not echoed, every other one is, under "params"
+NOT_ECHOED = {"command", "vars", "char", "trunc", "seed", "budget", "format", "out"}
 
 REQ = {"required": True}
 INT = {"type": int}
@@ -138,7 +143,9 @@ LEVEL = ("--i", REQ_INT)
 IDEAL = ("--ideal", REQ)
 DEG_MAX = ("--deg-max", REQ_INT)
 SCAN = (("--mode", {"choices": ("random", "exhaustive"), "default": "random"}),
-        ("--count", {"type": _nonneg_int, "default": 40}))
+        ("--count", {"type": _nonneg_int, "default": 40}),
+        ("--seed", {"type": int, "default": 0, "help": "seed for randomized scans"}),
+        budget_flag(200_000))
 FORMULA = ("--formula", {"required": True, "choices": bounds.FORMULA_IDS})
 PAIR = ("g", "h", "nu_g", "nu_h", "nu_gh")
 CHECK = ("x", "i", "nu_x", "exponent", "holds")
@@ -180,7 +187,7 @@ def _ord(args, s):
     return Out({"x": x, "ord": x.order()})
 
 
-@command("nu", "order of x in the quotient by an ideal", IDEAL, X, ideal=True, budget=20_000)
+@command("nu", "order of x in the quotient by an ideal", IDEAL, X, budget_flag(20_000), ideal=True)
 def _nu(args, s):
     # one echelon column per monomial of degree <= D: refuse before building any span
     columns = comb(s.ring.num_vars + s.ring.trunc, s.ring.num_vars)
@@ -215,7 +222,7 @@ def _ar_index(args, s):
 
 @command("icl-scan", "scan for the additive constant of a complementary inequality", IDEAL,
          DEG_MAX, ("--a", {"help": "slope (rational); omit to scan the slope grid"}), *SCAN,
-         ideal=True, budget=200_000)
+         ideal=True)
 def _icl_scan(args, s):
     if args.a is None:
         reps = orders.icl_envelope(s.ideal, args.deg_max, **_scan_options(args))
@@ -225,7 +232,7 @@ def _icl_scan(args, s):
 
 
 @command("valcheck", "is the quotient order function additive on products?", IDEAL, DEG_MAX,
-         *SCAN, ideal=True, budget=200_000)
+         *SCAN, ideal=True)
 def _valcheck(args, s):
     rep = orders.valuation_check(s.ideal, args.deg_max, **_scan_options(args))
     counterexample = _named(PAIR, rep.counterexample)
@@ -267,7 +274,7 @@ def _stable_ar(args, s):
 @command("beta-lb", "brute-force lower bound of the approximation function",
          ("--system", {"required": True, "help": "polynomials in the unknowns, separated by ';'"}),
          ("--unknowns", {"required": True, "help": "comma-separated unknown names"}), LEVEL,
-         budget=2_000_000)
+         budget_flag(2_000_000))
 def _beta_lb(args, s):
     unknowns = _name_list(args.unknowns, "--unknowns")
     system = [parse_expr(t, s.ring, s.names, unknowns) for t in _split_list(args.system)]
@@ -278,8 +285,8 @@ def _beta_lb(args, s):
                 "solvable_classes": res.solvable_classes})
 
 
-@command("witness", "quadratic lower-bound witness family", ("--i", INT),
-         ("--i-max", {"type": int, "help": "emit the full report for 1..i_max"}), budget=10_000_000)
+@command("witness", "quadratic lower-bound witness family", ("--i", INT), budget_flag(10_000_000),
+         ("--i-max", {"type": int, "help": "emit the full report for 1..i_max"}))
 def _witness(args, s):
     if args.i_max is not None:
         return Out(witness_mod.lower_bound_certificate(args.i_max, s.ring, budget=args.budget))
@@ -290,7 +297,7 @@ def _witness(args, s):
 
 
 @command("irr-check", "exhaustive no-factorization certificate over a prime field", LEVEL,
-         ("--p", REQ_INT), ring=False, budget=10_000_000)
+         ("--p", REQ_INT), budget_flag(10_000_000), ring=False)
 def _irr_check(args, s):
     return Out(witness_mod.irreducibility_exhaustive(args.i, args.p, budget=args.budget))
 
@@ -323,9 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
     for name, cmd in COMMANDS.items():
         p = sub.add_parser(name, help=cmd.summary)
-        for flag, keywords in COMMON_FLAGS + cmd.flags:
+        for flag, keywords in (RING_FLAGS if cmd.ring else ()) + COMMON_FLAGS + cmd.flags:
             p.add_argument(flag, **keywords)
-        p.set_defaults(budget=cmd.budget)
     return ap
 
 

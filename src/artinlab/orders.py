@@ -9,14 +9,13 @@ the constants up to the scan degree, never beyond it.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 from .errors import BudgetError, PrecondError
-from .series import ExtOrder, RingSpec, TruncatedSeries, monomials_up_to
+from .series import ExtOrder, RingSpec, TruncatedSeries, fp_vectors, monomials_up_to
 from .subspace import IdealSpec, distance_order, member, span_ideal
 
 
@@ -131,8 +130,8 @@ def scan_candidates(
             raise BudgetError(f"exhaustive candidate space has size {size} > budget {budget}")
         seen = set()
         out = []
-        for coeffs in itertools.product(range(ring.char), repeat=len(supp)):
-            s = TruncatedSeries(ring, dict(zip(supp, coeffs)))
+        for terms in fp_vectors(supp, ring.char):
+            s = TruncatedSeries(ring, terms)
             key = tuple(s.sorted_terms())
             if key not in seen and not s.is_zero:
                 seen.add(key)

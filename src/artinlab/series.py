@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, total_ordering
+from itertools import product
 from operator import add, itemgetter
 from typing import Optional, Sequence
 
@@ -150,10 +151,6 @@ def grlex_key(m: Monomial):
     return (sum(m), tuple(-e for e in m))
 
 
-def mono_degree(m: Monomial) -> int:
-    return sum(m)
-
-
 @lru_cache(maxsize=None)
 def monomials_of_degree(num_vars: int, degree: int) -> tuple:
     """All exponent vectors of the given total degree, in graded-lex order."""
@@ -172,6 +169,13 @@ def monomials_up_to(num_vars: int, degree: int) -> tuple:
     for d in range(degree + 1):
         out.extend(monomials_of_degree(num_vars, d))
     return tuple(out)
+
+
+def fp_vectors(monos: Sequence[Monomial], p: int):
+    """All p^len(monos) coefficient vectors over F_p on `monos`, each as the dict of
+    its nonzero entries, the last monomial varying fastest: one order for every search."""
+    for coeffs in product(range(p), repeat=len(monos)):
+        yield {m: c for m, c in zip(monos, coeffs) if c}
 
 
 @total_ordering
@@ -412,8 +416,4 @@ def _scalar_str(c) -> str:
 
 def default_names(num_vars: int) -> list:
     return [f"T{i + 1}" for i in range(num_vars)]
-
-
-def ord_of(a: TruncatedSeries) -> ExtOrder:
-    return a.order()
 

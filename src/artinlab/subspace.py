@@ -189,14 +189,16 @@ class Subspace:
     def contains_vec(self, vec: dict) -> bool:
         return not self.reduce(vec)
 
-    def cap_m_power(self, i: int) -> "Subspace":
-        """This subspace cap m^i: the basis rows whose pivot has degree >= i.
-
-        Every entry of a row lies at or after its pivot, hence in degree >= i,
-        and the rows are already the canonical basis of the intersection.
-        """
+    def cap_start(self, i: int) -> int:
+        """Position of the first basis row whose pivot has degree >= i: the rows
+        from there on are the canonical basis of this subspace cap m^i, as every
+        entry of a row lies at or after its pivot, hence in degree >= i."""
         starts = _degree_starts(self.ring, i, self.arity)
-        k = bisect.bisect_left(self.pivots, starts[i])
+        return bisect.bisect_left(self.pivots, starts[i])
+
+    def cap_m_power(self, i: int) -> "Subspace":
+        """This subspace cap m^i, as a new Subspace (see cap_start)."""
+        k = self.cap_start(i)
         out = Subspace(self.ring, self.arity)
         out.rows = [dict(r) for r in self.rows[k:]]
         out.pivots = self.pivots[k:]

@@ -10,14 +10,13 @@ quadric below by i -> i^2 - 1.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from math import comb
 from operator import add
 from typing import Optional
 
 from .errors import BudgetError, PrecondError
-from .series import ExtOrder, RingSpec, TruncatedSeries, _is_prime, monomials_of_degree
+from .series import ExtOrder, RingSpec, TruncatedSeries, _is_prime, fp_vectors, monomials_of_degree
 
 
 @dataclass
@@ -119,11 +118,6 @@ def _factorization_scan(target: dict, i: int, p: int, budget: int):
     found = 0
     counterexample = None
 
-    def all_layers(d):
-        monos = layer_monos[d]
-        for coeffs in itertools.product(range(p), repeat=len(monos)):
-            yield {m: c for m, c in zip(monos, coeffs) if c}
-
     def dfs(depth, xl, yl):
         nonlocal found, counterexample
         # layers 1..depth-1 of both factors fixed; product checked through degree depth
@@ -133,14 +127,14 @@ def _factorization_scan(target: dict, i: int, p: int, budget: int):
                 counterexample = (dict(xl), dict(yl))
             return
         want = {m: c for m, c in target.items() if sum(m) == depth + 1}
-        for xlayer in all_layers(depth):
+        for xlayer in fp_vectors(layer_monos[depth], p):
             xl[depth] = xlayer
             # degree depth+1 of x*y is sum_{u=1..depth} x_u * y_(depth+1-u); only its
             # u = 1 term involves the new y layer, so the rest is taken off `want` once
             need = dict(want)
             for u in range(2, depth + 1):
                 add_product(need, xl[u], yl[depth + 1 - u], -1)
-            for ylayer in all_layers(depth):
+            for ylayer in fp_vectors(layer_monos[depth], p):
                 yl[depth] = ylayer
                 got = {}
                 add_product(got, xl[1], ylayer)
@@ -153,10 +147,8 @@ def _factorization_scan(target: dict, i: int, p: int, budget: int):
     return size, found, counterexample
 
 
-def irreducibility_exhaustive(i: int, p: int, num_vars: int = 3, budget: int = 10_000_000) -> IrreducibilityCertificate:
+def irreducibility_exhaustive(i: int, p: int, budget: int = 10_000_000) -> IrreducibilityCertificate:
     """Certify that no pair of non-units multiplies to T1*T2 - T3^i modulo m^(i+1)."""
-    if num_vars != 3:
-        raise PrecondError("certificate is defined for 3 variables")
     if i < 2:
         raise PrecondError("need i >= 2 (for i=1 the product T1*T2 - T3 has unit cofactors)")
     # a p the size gate refuses is left to it: trial division of a huge p is slow

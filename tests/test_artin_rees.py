@@ -1,7 +1,7 @@
 from fractions import Fraction
 from math import ceil
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from artinlab.artin import artin_rees_index, stable_ar_scan
@@ -13,8 +13,11 @@ from artinlab.subspace import (
     span_m_power,
     span_module,
     subspace_intersect,
+    vec_to_series,
 )
 from artinlab.parsing import parse_poly
+
+F7 = RingSpec(2, 7, 5)
 
 
 def test_principal_ideal_indices():
@@ -26,6 +29,9 @@ def test_principal_ideal_indices():
     res2 = artin_rees_index(IdealSpec.of(R, [t1**2]))
     assert res2.i0 == 2
     assert res2.certified_up_to == 6
+    res3 = artin_rees_index(IdealSpec.of(F7, [parse_poly("3*T1*T2^2", F7)]))
+    assert (res3.i0, res3.certified_up_to) == (2, 2)
+    assert res3.tight_witness == (2, (parse_poly("T1*T2^2", F7),))
 
 
 def test_diagonal_module_index():
@@ -166,17 +172,24 @@ RINGS = [RingSpec(2, 0, 6), RingSpec(2, 0, 7), RingSpec(2, 3, 6), RingSpec(2, 7,
 COEFFS = [1, -1, 2, 3, Fraction(1, 2)]
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.data())
-def test_profile_matches_per_degree_definition(data):
-    R = data.draw(st.sampled_from(RINGS))
-    arity = data.draw(st.sampled_from([1, 2]))
+@st.composite
+def modules(draw):
+    R = draw(st.sampled_from(RINGS))
+    arity = draw(st.sampled_from([1, 2]))
     monos = [m for m in monomials_up_to(2, 3) if sum(m) >= 1]
     mk = st.dictionaries(st.sampled_from(monos), st.sampled_from(COEFFS), max_size=3).map(
         lambda d: TruncatedSeries(R, d)
     )
-    gens = data.draw(st.lists(st.tuples(*[mk] * arity), min_size=1, max_size=3))
-    M = ModuleSpec(R, arity, tuple(gens))
+    gens = draw(st.lists(st.tuples(*[mk] * arity), min_size=1, max_size=3))
+    return ModuleSpec(R, arity, tuple(gens))
+
+
+@settings(max_examples=40, deadline=None)
+@given(modules())
+# i0 = 2 only shows when every row of M cap m^cert, here cert = 2, is tested at i = cert
+@example(ModuleSpec(F7, 1, ((parse_poly("3*T1*T2^2", F7),),)))
+def test_profile_matches_per_degree_definition(M):
+    R, arity = M.ring, M.arity
     res = artin_rees_index(M)
     assert span_module(res.module) == span_module(M)
     assert res.deficits == reference_deficits(M, res.certified_up_to)
@@ -188,3 +201,7 @@ def test_profile_matches_per_degree_definition(data):
     assert i == min(i for i, j in res.deficits if i - j == res.i0)
     assert member(elem, span_module(M)) and member(elem, span_m_power(R, i, arity))
     assert not member(elem, span_module(M, min_mult_degree=i - res.i0 + 1))
+    # the first basis row of U cap m^i outside m^(prof[i]+1) * M, from a span of its own
+    bad = span_module(res.module, min_mult_degree=res.deficits[i][1] + 1)
+    row = next(r for r in span_module(res.module).cap_m_power(i).rows if not bad.contains_vec(r))
+    assert elem == vec_to_series(row, R, arity)

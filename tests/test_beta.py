@@ -129,28 +129,31 @@ class CheckedSearch(_BetaSearch):
 
 def test_incremental_state_matches_definitions():
     R, R2, R3 = RingSpec(1, 2, 2), RingSpec(2, 2, 2), RingSpec(1, 3, 2)
+    # (value, explored_nodes, solvable_classes) at i = 0 and i = 1: every pass
+    # of the search, so its node count and with it every budget error, is pinned
     cases = [
         # the systems of test_matches_full_enumeration_oracle
-        (R, "T1*X1", ["X1"]),
-        (R, "X1*X1 - T1^2*X2", ["X1", "X2"]),
-        (R, "T1*X1 + T1^2", ["X1"]),
-        (R, "X1*X1 - T1", ["X1"]),
-        (R2, "T1*X1 + T2*X2", ["X1", "X2"]),
-        (R2, "T1*X1 + T2", ["X1"]),
-        (R2, "X1*X2 - T1*T2", ["X1", "X2"]),
-        (R3, "T1*X1 + T1*X2*X2", ["X1", "X2"]),
-        (R, "T1*X1; T1^2*X2", ["X1", "X2"]),
+        (R, "T1*X1", ["X1"], [(1, 8, 1), (2, 11, 1)]),
+        (R, "X1*X1 - T1^2*X2", ["X1", "X2"], [(0, 15, 2), (2, 19, 2)]),
+        (R, "T1*X1 + T1^2", ["X1"], [(1, 9, 1), (2, 11, 1)]),
+        (R, "X1*X1 - T1", ["X1"], [(1, 7, 0), (1, 8, 0)]),
+        (R2, "T1*X1 + T2*X2", ["X1", "X2"], [(1, 17, 1), (2, 55, 2)]),
+        (R2, "T1*X1 + T2", ["X1"], [(1, 7, 0), (1, 8, 0)]),
+        (R2, "X1*X2 - T1*T2", ["X1", "X2"], [(0, 29, 3), (2, 110, 7)]),
+        (R3, "T1*X1 + T1*X2*X2", ["X1", "X2"], [(1, 32, 3), (2, 81, 7)]),
+        (R, "T1*X1; T1^2*X2", ["X1", "X2"], [(2, 16, 1), (2, 19, 1)]),
         # the beta-lb systems of the search benchmark, at D = 3
-        (RingSpec(2, 2, 3), "T1*X1 + T2*X2", ["X1", "X2"]),
-        (RingSpec(2, 3, 3), "T1*X1 + T2*X2", ["X1", "X2"]),
-        (RingSpec(2, 2, 3), "X1*X2 - T1*T2", ["X1", "X2"]),
-        (RingSpec(2, 2, 3), "X1^2 + T1*X2", ["X1", "X2"]),
-        (RingSpec(2, 2, 3), "T1*X1", ["X1"]),
+        (RingSpec(2, 2, 3), "T1*X1 + T2*X2", ["X1", "X2"], [(1, 19, 1), (2, 59, 2)]),
+        (RingSpec(2, 3, 3), "T1*X1 + T2*X2", ["X1", "X2"], [(1, 31, 1), (2, 213, 3)]),
+        (RingSpec(2, 2, 3), "X1*X2 - T1*T2", ["X1", "X2"], [(0, 34, 3), (2, 164, 10)]),
+        (RingSpec(2, 2, 3), "X1^2 + T1*X2", ["X1", "X2"], [(1, 14, 1), (2, 54, 2)]),
+        (RingSpec(2, 2, 3), "T1*X1", ["X1"], [(1, 9, 1), (2, 16, 1)]),
     ]
-    for ring, text, unknowns in cases:
+    for ring, text, unknowns, pinned in cases:
         sys_ = system(text, ring, unknowns)
         for i in range(2):
             search = CheckedSearch(sys_, i, 2_000_000)
             got = search.run()
             assert search.checked == search.nodes > 0, (text, i)
             assert got == beta_lower_bound_bruteforce(sys_, i), (text, i)
+            assert (got.value, got.explored_nodes, got.solvable_classes) == pinned[i], (text, i)

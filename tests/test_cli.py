@@ -9,7 +9,7 @@ import sys
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from artinlab.cli import COMMANDS, COMMON_FLAGS, build_parser, main
+from artinlab.cli import build_parser, main
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
@@ -217,6 +217,14 @@ def test_parse_error_exit_code():
     proc = run_cli("stable-ar", "--vars", "T1,T2", "--trunc", "8", "--ideal", "T1^2 + T2^3",
                    "--xs", "T1;T2", "--grid-b-max", "-1", expect=2)
     assert "argument --grid-b-max: must be >= 0, got -1" in proc.stderr
+    # a command takes only the flags it reads: one it would ignore is refused
+    for argv in (
+        ("ord", "--vars", "T1,T2", "--trunc", "5", "--x", "T1", "--seed", "3"),
+        ("ar-index", "--vars", "T1,T2", "--trunc", "8", "--ideal", "T1", "--budget", "10"),
+        ("irr-check", "--i", "2", "--p", "3", "--trunc", "4"),
+    ):
+        proc = run_cli(*argv, expect=2)
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in proc.stderr
 
 
 def test_out_file(tmp_path):
@@ -379,10 +387,12 @@ def test_pinned_output_bytes_under_optimize():
     assert result["digests"] == [[0, digest] for _, digest in PINNED_OUTPUTS]
 
 
+SUBPARSERS = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def test_every_subcommand_is_pinned():
-    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     pinned = {argv[0] for argv, _ in PINNED_OUTPUTS}
-    assert set(sub.choices) <= pinned, sorted(set(sub.choices) - pinned)
+    assert set(SUBPARSERS) <= pinned, sorted(set(SUBPARSERS) - pinned)
 
 
 # values per flag, small enough to keep every run short: mostly well-formed
@@ -406,25 +416,26 @@ VALUES = {
 
 @st.composite
 def cli_argv(draw):
-    """A subcommand of the command table with a random subset of its flags.
+    """A subcommand with a random subset of the flags its subparser declares.
 
-    --budget is always set, so no default budget (up to 10^7) is spent; --out is
-    never drawn, so nothing is written."""
-    name = draw(st.sampled_from(sorted(COMMANDS)))
-    argv = [name, "--budget", draw(VALUES["--budget"])]
-    for flag, keywords in COMMON_FLAGS + COMMANDS[name].flags:
-        if flag in ("--out", "--budget"):
+    --budget is always set where the command takes one, so no default budget (up
+    to 10^7) is spent; --out is never drawn, so nothing is written."""
+    name = draw(st.sampled_from(sorted(SUBPARSERS)))
+    argv = [name]
+    for action in SUBPARSERS[name]._actions:
+        flag = action.option_strings[0] if action.option_strings else None
+        if flag in (None, "-h", "--out"):
             continue
-        likely = keywords.get("required") or flag in ("--vars", "--char", "--trunc")
-        if draw(st.integers(0, 9)) >= (9 if likely else 5):
+        likely = action.required or flag in ("--vars", "--char", "--trunc")
+        if flag != "--budget" and draw(st.integers(0, 9)) >= (9 if likely else 5):
             continue
-        if keywords.get("action") == "store_true":
+        if action.nargs == 0:  # a store_true switch
             argv.append(flag)
         elif flag in VALUES:
             argv += [flag, draw(VALUES[flag])]
-        elif "choices" in keywords:
-            argv += [flag, draw(st.sampled_from([*keywords["choices"], "bogus"]))]
-        elif "type" in keywords:
+        elif action.choices:
+            argv += [flag, draw(st.sampled_from([*action.choices, "bogus"]))]
+        elif action.type is not None:
             argv += [flag, draw(st.sampled_from(["-1", "0", "1", "2", "2", "3", "4"]))]
         elif flag in ("--a", "--b", "--c"):
             argv += [flag, draw(RATIONALS)]
