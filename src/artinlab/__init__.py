@@ -42,7 +42,7 @@ from .witness import (
     lower_bound_certificate,
     monomial_witness_family,
 )
-from .bounds import BoundFunction, BoundParams, FORMULA_IDS, cross_check_bound, evaluate_bound
+from .bounds import BoundParams, FORMULA_IDS, cross_check_bound, evaluate_bound
 from .parsing import parse_expr, parse_poly
 from .xpoly import PolyInX
 

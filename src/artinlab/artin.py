@@ -9,13 +9,15 @@ silently degrading.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil
 from typing import Optional, Sequence
 
 from .errors import BudgetError, PrecondError
-from .series import ExtOrder, TruncatedSeries, _raw, fp_vectors, monomials_of_degree, monomials_up_to
+from .series import (ExtOrder, TruncatedSeries, _raw, fp_space_size, fp_vectors, monomials_of_degree,
+                     monomials_up_to)
 from .subspace import (
     IdealSpec,
     ModuleSpec,
@@ -26,7 +28,6 @@ from .subspace import (
     series_to_vec,
     solve_linear,
     span_ideal,
-    span_module,
     vec_to_series,
 )
 from .xpoly import PolyInX
@@ -71,10 +72,11 @@ def _prune_redundant_generators(M: ModuleSpec) -> tuple:
     return ModuleSpec(ring, M.arity, tuple(kept)), span
 
 
-def _ar_profile(M: ModuleSpec, U: Subspace, cert: int) -> tuple:
-    """(prof, failed) for 0 <= i <= cert: prof[i] is the largest j <= i with
-    U cap m^i inside m^j * M, and failed[i] the first basis row of U cap m^i
-    outside m^(prof[i]+1) * M when the sweep tested that span (else None).
+def _ar_profile(M: ModuleSpec, U: Subspace) -> tuple:
+    """(prof, failed) for 0 <= i <= cert = D - (largest generator degree), the
+    certified range: prof[i] is the largest j <= i with U cap m^i inside
+    m^j * M, and failed[i] the first basis row of U cap m^i outside
+    m^(prof[i]+1) * M when the sweep tested that span (else None).
 
     U is the span of M.  prof is nondecreasing in i and m^j * M grows as j
     falls, so one downward sweep over i grows a single span of m^j * M, one
@@ -84,6 +86,9 @@ def _ar_profile(M: ModuleSpec, U: Subspace, cert: int) -> tuple:
     so each test resumes at the row that failed the last one.
     """
     ring = M.ring
+    cert = ring.trunc - M.max_generator_degree()
+    if cert < 0:
+        raise PrecondError("generators exceed the truncation order; no certified range")
     span = Subspace(ring, M.arity)
     built = ring.trunc + 1  # span holds the multiples of degree >= built
     prof = [0] * (cert + 1)
@@ -114,11 +119,7 @@ def _ar_profile(M: ModuleSpec, U: Subspace, cert: int) -> tuple:
 
 def artin_rees_index(M) -> ArIndexResult:
     M, U = _prune_redundant_generators(as_module(M))
-    ring = M.ring
-    cert = ring.trunc - M.max_generator_degree()
-    if cert < 0:
-        raise PrecondError("generators exceed the truncation order; no certified range")
-    prof, failed = _ar_profile(M, U, cert)
+    prof, failed = _ar_profile(M, U)
     deficits = list(enumerate(prof))
     i0 = max(i - j for i, j in deficits)
     witness = None
@@ -126,8 +127,8 @@ def artin_rees_index(M) -> ArIndexResult:
         # at the first i reaching i0, prof[i] < min(prof[i+1], i), so the sweep
         # tested j = prof[i]+1 there: its failed row shows that i0-1 fails
         i = next(i for i, j in deficits if i - j == i0)
-        witness = (i, vec_to_series(failed[i], ring, M.arity))
-    return ArIndexResult(i0=i0, certified_up_to=cert, tight_witness=witness, module=M, deficits=deficits)
+        witness = (i, vec_to_series(failed[i], M.ring, M.arity))
+    return ArIndexResult(i0, len(prof) - 1, witness, M, deficits)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +262,8 @@ def _antisymmetric_step(ring, phi, e, cur, mu, live):
 
     Unknowns are the coefficients of the homogeneous z(k,j) for k < j in
     `live`; the unknown of z(k,j) at u has image u*phi_k in component j and
-    -u*phi_j in component k.  Returns a dict for those pairs, or None when
+    -u*phi_j in component k, so the pair's columns are the multiples of one
+    generator vector.  Returns a dict for those pairs, or None when
     inconsistent.
     """
     zero = TruncatedSeries.zero(ring)
@@ -273,22 +275,20 @@ def _antisymmetric_step(ring, phi, e, cur, mu, live):
             dz = mu - e[k] - e[j]
             if dz < 0:
                 continue
-            for m in monomials_of_degree(ring.num_vars, dz):
-                u = TruncatedSeries.monomial(ring, m)
-                image = [zero] * len(live)
-                image[b] = u * phi[k]
-                image[a] = -(u * phi[j])
-                unknowns.append((k, j, m))
-                columns.append(series_to_vec(image, ring))
+            # the image degree mu - e_j is at most D, so the multiplier cap never binds
+            gen = [zero] * len(live)
+            gen[a], gen[b] = -phi[j], phi[k]
+            columns.extend(multiples(gen, dz, ring))
+            unknowns.extend((k, j, m) for m in monomials_of_degree(ring.num_vars, dz))
     target = series_to_vec([cur[j].homogeneous_part(mu - e[j]) for j in live], ring)
     sol = solve_linear(columns, target, ring)
     if sol is None:
         return None
-    out = {}
+    terms = {}  # (k, j) -> coefficients of z(k,j)
     for (k, j, m), c in zip(unknowns, sol):
         if c != 0:
-            out[(k, j)] = out.get((k, j), zero) + TruncatedSeries.monomial(ring, m, c)
-    return out
+            terms.setdefault((k, j), {})[m] = c
+    return {pair: TruncatedSeries(ring, z) for pair, z in terms.items()}
 
 
 def reduce_mod_principal(h: TruncatedSeries, f: TruncatedSeries, k: int):
@@ -322,12 +322,10 @@ def _divide_homogeneous(xi: TruncatedSeries, phi: TruncatedSeries):
     dz = xi.order().value - phi.order().value
     if dz < 0:
         return None
-    zmonos = monomials_of_degree(ring.num_vars, dz)
-    columns = [series_to_vec([TruncatedSeries.monomial(ring, m) * phi], ring) for m in zmonos]
-    sol = solve_linear(columns, series_to_vec([xi], ring), ring)
+    sol = solve_linear(list(multiples((phi,), dz, ring)), series_to_vec([xi], ring), ring)
     if sol is None:
         return None
-    return TruncatedSeries(ring, dict(zip(zmonos, sol)))
+    return TruncatedSeries(ring, dict(zip(monomials_of_degree(ring.num_vars, dz), sol)))
 
 
 def solve_fx_hy(
@@ -433,15 +431,15 @@ def stable_ar_scan(
 
     This is the Artin-Rees statement for the module (x)+I at the offset
     ceil(a*nu(x)) + b, so every check reads the Artin-Rees profile of (x)+I:
-    it holds iff i <= prof[exponent].  Scans every feasible i in the certified
-    range, then grid-searches the smallest passing (a, b) over the standard
-    slopes.
+    it holds iff i <= prof[exponent], with the span of (x)+I grown from I's by
+    the multiples of x (the echelon form is canonical).  Scans every feasible i
+    in the certified range, then grid-searches the smallest passing (a, b) over
+    the standard slopes.
     """
     a = Fraction(a)
     ring = I.ring
     D = ring.trunc
     span_I = span_ideal(I)
-    gen_deg = max((g.max_degree() for g in I.generators if not g.is_zero), default=0)
     data = []  # (x, nu(x), profile of (x)+I)
     skipped = []
     for x in xs:
@@ -452,9 +450,12 @@ def stable_ar_scan(
         offset = ceil(a * nu_x.value) + b
         if offset < 0:
             raise PrecondError(f"offset ceil(a*nu(x)) + b = {offset} < 0 for x = {x.to_str()}")
+        span = span_I.copy()
+        for d in range(D + 1):
+            for vec in multiples((x,), d, ring):
+                span.insert(vec)
         aug = ModuleSpec(ring, 1, tuple((g,) for g in I.generators) + ((x,),))
-        cert = D - max(gen_deg, x.max_degree())
-        data.append((x, nu_x.value, _ar_profile(aug, span_module(aug), cert)[0]))
+        data.append((x, nu_x.value, _ar_profile(aug, span)[0]))
 
     def run(a_val, b_val):
         rows = []
@@ -488,12 +489,17 @@ def stable_ar_scan(
 # Brute-force approximation-function lower bound
 # ---------------------------------------------------------------------------
 
+# frames the recursion limit must leave beside one _walk frame per slot: measured,
+# 37 below the search at the deepest caller in the tests and at most 6 inside it
+_STACK_MARGIN = 100
+
+
 @dataclass
 class BetaResult:
     value: int
     level_i: int
     explored_nodes: int
-    state_space_size: int
+    state_space_size: str  # decimal, or "p^e" past 3000 digits
     solvable_classes: int
 
 
@@ -536,6 +542,11 @@ class _BetaSearch:
         D = ring.trunc
         self.D = D
         self.slots = [(d, j) for d in range(D + 1) for j in range(n)]
+        # _walk recurses once per slot: refuse a depth the interpreter stack cannot hold
+        limit = sys.getrecursionlimit()
+        if len(self.slots) > limit - _STACK_MARGIN:
+            raise BudgetError(f"search depth {len(self.slots)} slots > {limit - _STACK_MARGIN}: the "
+                              f"recursion limit {limit} less {_STACK_MARGIN} frames for the callers")
         self.boundary = (i + 1) * n
         # per unknown j, the system terms containing it:
         # (equation, coefficient, its order, alpha_j, ((u, alpha_u) for the other unknowns))
@@ -548,8 +559,7 @@ class _BetaSearch:
                         others = tuple((u, a) for u, a in enumerate(alpha) if a and u != j)
                         lst.append((pidx, coeff, coeff.order().value, alpha[j], others))
             self.terms_by_unknown.append(lst)
-        num_coeffs = n * len(monomials_up_to(ring.num_vars, D))
-        self.state_space_size = ring.char**num_coeffs
+        self.space = (ring.char, n * len(monomials_up_to(ring.num_vars, D)))  # raw space F_p^e
         self.nodes = 0
         self.solset = set()
         self.best = -1
@@ -672,7 +682,7 @@ class _BetaSearch:
         if self.nodes > self.budget:
             raise BudgetError(
                 f"enumeration budget {self.budget} exhausted after {self.nodes} nodes; "
-                f"raw state space has size {self.state_space_size}"
+                "raw state space has size %d^%d" % self.space
             )
         slot_idx, frames = self._advance_auto(slot_idx)
         try:
@@ -723,11 +733,12 @@ class _BetaSearch:
     def run(self) -> BetaResult:
         self._walk(0, self._solution_visit, self.i + 1)
         self._walk(0, self._beta_visit, self.D + 1)
+        size = fp_space_size(*self.space, 10**3000 - 1)  # decimal up to 3000 digits
         return BetaResult(
             value=max(self.best, 0),
             level_i=self.i,
             explored_nodes=self.nodes,
-            state_space_size=self.state_space_size,
+            state_space_size="%d^%d" % self.space if size is None else str(size),
             solvable_classes=len(self.solset),
         )
 

@@ -112,18 +112,6 @@ def evaluate_bound(formula_id: str, params: BoundParams, i: int) -> int:
 
 
 @dataclass
-class BoundFunction:
-    """A bound from the catalog together with its constants; callable in i."""
-
-    formula_id: str
-    params: BoundParams
-    provenance: str = ""
-
-    def __call__(self, i: int) -> int:
-        return evaluate_bound(self.formula_id, self.params, i)
-
-
-@dataclass
 class CrossCheckReport:
     formula_id: str
     rows: list  # (i, measured, bound, within)

@@ -281,7 +281,7 @@ def _beta_lb(args, s):
     res = artin.beta_lower_bound_bruteforce(system, args.i, budget=args.budget)
     return Out({"beta_lower_bound": res.value, "i": res.level_i,
                 "explored_nodes": res.explored_nodes,
-                "state_space_size": str(res.state_space_size),
+                "state_space_size": res.state_space_size,
                 "solvable_classes": res.solvable_classes})
 
 

@@ -12,10 +12,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Optional
 
 from .errors import BudgetError, PrecondError
-from .series import ExtOrder, RingSpec, TruncatedSeries, fp_vectors, monomials_up_to
+from .series import ExtOrder, RingSpec, TruncatedSeries, fp_space_size, fp_vectors, monomials_up_to
 from .subspace import IdealSpec, distance_order, member, span_ideal
 
 
@@ -103,10 +104,6 @@ class IclReport:
     pair_count: int = 0
     skipped: list = field(default_factory=list)
 
-    @property
-    def unbounded_at_truncation(self) -> bool:
-        return self.b_min is None
-
 
 def scan_candidates(
     ring: RingSpec,
@@ -116,50 +113,40 @@ def scan_candidates(
     seed: int = 0,
     budget: int = 200_000,
 ) -> list:
-    """Deterministic candidate pool: all monomials of degree 1..deg_max, plus
-    either every field vector on that support (exhaustive, finite field only)
-    or seeded random series over the rationals."""
-    monos = [m for m in monomials_up_to(ring.num_vars, deg_max) if sum(m) >= 1]
-    base = [TruncatedSeries.monomial(ring, m) for m in monos]
+    """Deterministic candidate pool: the distinct nonzero series of one stream of
+    draws, in order.  Exhaustive (finite field, space within budget): every field
+    vector on the monomials of degree <= deg_max.  Random: every monomial of degree
+    1..deg_max, then at most 50*(count+1) seeded random series, up to count new."""
+    supp = list(monomials_up_to(ring.num_vars, deg_max))
+    out = []
     if mode == "exhaustive":
         if ring.char == 0:
             raise PrecondError("exhaustive sampling requires a finite field")
-        supp = list(monomials_up_to(ring.num_vars, deg_max))
-        size = ring.char ** len(supp)
-        if size > budget:
+        if fp_space_size(ring.char, len(supp), budget) is None:
+            size = f"{ring.char}^{len(supp)}"
             raise BudgetError(f"exhaustive candidate space has size {size} > budget {budget}")
-        seen = set()
-        out = []
-        for terms in fp_vectors(supp, ring.char):
-            s = TruncatedSeries(ring, terms)
-            key = tuple(s.sorted_terms())
-            if key not in seen and not s.is_zero:
-                seen.add(key)
-                out.append(s)
-        return out
-    if mode != "random":
+        stream = fp_vectors(supp, ring.char)
+    elif mode == "random":
+        monos = [m for m in supp if sum(m) >= 1]
+
+        def draws():  # the stop test comes before each draw, so no draw is wasted
+            rng = random.Random(seed)
+            for _ in range(50 * (count + 1)):
+                if len(out) == len(monos) + count:
+                    return
+                yield {m: rng.randrange(1, ring.char) if ring.char else rng.choice([-3, -2, -1, 1, 2, 3])
+                       for m in supp if rng.random() < 0.35}
+
+        stream = chain(({m: 1} for m in monos), draws())
+    else:
         raise PrecondError(f"unknown sampling mode {mode!r}")
-    rng = random.Random(seed)
-    supp = list(monomials_up_to(ring.num_vars, deg_max))
-    out = list(base)
-    seen = {tuple(s.sorted_terms()) for s in out}
-    attempts = 0
-    while len(out) < len(base) + count and attempts < 50 * (count + 1):
-        attempts += 1
-        terms = {}
-        for m in supp:
-            if rng.random() < 0.35:
-                if ring.char == 0:
-                    c = rng.choice([-3, -2, -1, 1, 2, 3])
-                else:
-                    c = rng.randrange(1, ring.char)
-                terms[m] = c
+    seen = set()
+    for terms in stream:
         s = TruncatedSeries(ring, terms)
         key = tuple(s.sorted_terms())
-        if s.is_zero or key in seen:
-            continue
-        seen.add(key)
-        out.append(s)
+        if key not in seen and not s.is_zero:
+            seen.add(key)
+            out.append(s)
     return out
 
 
@@ -229,16 +216,19 @@ def _icl_reports(I, deg_max, slopes, mode, count, seed, budget) -> list:
         b_best = None  # a violation leaves no finite b
         attaining = []
         if not violations:
-            b_best = Fraction(0)
+            # ngh - a*(ng + nh) for a = p/q, scaled by q to stay an int
+            p, q = a.numerator, a.denominator
+            best = 0
             for g, h, ng, nh, ngh, _ in rows:
                 if not ngh.exact:
                     continue
-                diff = Fraction(ngh.value) - a * (ng.value + nh.value)
-                if diff > b_best:
-                    b_best = diff
+                diff = q * ngh.value - p * (ng.value + nh.value)
+                if diff > best:
+                    best = diff
                     attaining = [(g, h, ng, nh, ngh)]
-                elif diff == b_best:
+                elif diff == best:
                     attaining.append((g, h, ng, nh, ngh))
+            b_best = Fraction(best, q)
             attaining.sort(key=simplest)
         reports.append(IclReport(I, a, b_best, attaining[:8], list(violations), deg_max, note,
                                  seed, mode, npairs, list(skipped)))

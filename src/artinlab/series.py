@@ -178,6 +178,16 @@ def fp_vectors(monos: Sequence[Monomial], p: int):
         yield {m: c for m, c in zip(monos, coeffs) if c}
 
 
+def fp_space_size(p: int, e: int, limit: int) -> Optional[int]:
+    """p^e, the size of the exhaustive space F_p^e (p >= 2), or None past limit.  The
+    exponent is tested first: e > limit.bit_length() already gives p^e > limit, so
+    p^e is never built past the limit (callers print a refused size as "p^e")."""
+    if e > limit.bit_length():
+        return None
+    size = p**e
+    return size if size <= limit else None
+
+
 @total_ordering
 @dataclass(frozen=True)
 class ExtOrder:
@@ -204,14 +214,6 @@ class ExtOrder:
 
     def __lt__(self, other: "ExtOrder") -> bool:
         return self._key() < other._key()
-
-    def __add__(self, other: "ExtOrder") -> "ExtOrder":
-        # the inexact marker absorbs addition: "at least n" + anything = "at least n"
-        if not self.exact:
-            return self
-        if not other.exact:
-            return other
-        return ExtOrder(self.value + other.value, True)
 
     def __repr__(self):
         return str(self.value) if self.exact else f">={self.value}"

@@ -16,7 +16,8 @@ from operator import add
 from typing import Optional
 
 from .errors import BudgetError, PrecondError
-from .series import ExtOrder, RingSpec, TruncatedSeries, _is_prime, fp_vectors, monomials_of_degree
+from .series import (ExtOrder, RingSpec, TruncatedSeries, _is_prime, fp_space_size, fp_vectors,
+                     monomials_of_degree)
 
 
 @dataclass
@@ -84,24 +85,24 @@ class IrreducibilityCertificate:
     counterexample: Optional[tuple] = field(default=None, repr=False)  # not part of a report
 
 
-def _search_space_size(i: int, p: int) -> int:
-    """Pairs of non-unit factors modulo m^(i+1): both factors' layers 1..i-1."""
-    return p ** (2 * sum(len(monomials_of_degree(3, d)) for d in range(1, i)))
-
-
 def _factorization_scan(target: dict, i: int, p: int, budget: int):
-    """Count pairs of non-units with x*y congruent to `target` modulo m^(i+1).
+    """Count pairs of non-units with x*y congruent to `target` modulo m^(i+1),
+    over F_p: (size of the space searched, count, first pair found).
 
     Non-units are determined modulo m^(i+1) by their homogeneous layers of
     degrees 1..i-1: anything deeper meets the other factor's order >= 1 and
-    lands beyond degree i.  The scan walks the layers in lockstep and rejects
-    as soon as a homogeneous component of the product disagrees, which covers
-    the full space while visiting only a fraction of it.
+    lands beyond degree i, so the space is F_p^e with e = 2 * sum of the layer
+    dimensions.  The scan walks the layers in lockstep and rejects as soon as
+    a homogeneous component of the product disagrees, which covers the full
+    space while visiting only a fraction of it.
     """
+    e = 2 * sum(comb(d + 2, 2) for d in range(1, i))
+    # a p >= 2 meets the size gate first: trial division of a p too large to search is slow
+    if p >= 2 and (size := fp_space_size(p, e, budget)) is None:
+        raise BudgetError(f"search space has size {p}^{e} > budget {budget}")
+    if not _is_prime(p):
+        raise PrecondError(f"p = {p} is not a prime; the certificate is over the field F_p")
     layer_monos = {d: monomials_of_degree(3, d) for d in range(1, i + 1)}
-    size = _search_space_size(i, p)
-    if size > budget:
-        raise BudgetError(f"search space has size {size} > budget {budget}")
     target = {m: c % p for m, c in target.items() if c % p}
 
     def add_product(out, xu, yv, sign=1):
@@ -151,9 +152,6 @@ def irreducibility_exhaustive(i: int, p: int, budget: int = 10_000_000) -> Irred
     """Certify that no pair of non-units multiplies to T1*T2 - T3^i modulo m^(i+1)."""
     if i < 2:
         raise PrecondError("need i >= 2 (for i=1 the product T1*T2 - T3 has unit cofactors)")
-    # a p the size gate refuses is left to it: trial division of a huge p is slow
-    if _search_space_size(i, p) <= budget and not _is_prime(p):
-        raise PrecondError(f"p = {p} is not a prime; the certificate is over the field F_p")
     target = {(1, 1, 0): 1, (0, 0, i): -1}
     size, found, counterexample = _factorization_scan(target, i, p, budget)
     return IrreducibilityCertificate(
@@ -195,9 +193,10 @@ def lower_bound_certificate(
     certs = []
     for i in range(2, i_max + 1):
         for p in certificate_primes:
-            if _search_space_size(i, p) > budget:
+            try:
+                certs.append(irreducibility_exhaustive(i, p, budget=budget))
+            except BudgetError:  # the space exceeds the budget: no certificate at (i, p)
                 continue
-            certs.append(irreducibility_exhaustive(i, p, budget=budget))
     statement = (
         f"for each certified i <= {i_max} the family gives a residual of order exactly i^2 "
         "while every non-unit factorization of the third coordinate is excluded modulo "

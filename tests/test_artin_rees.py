@@ -1,9 +1,11 @@
 from fractions import Fraction
 from math import ceil
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
+from artinlab import artin
 from artinlab.artin import artin_rees_index, stable_ar_scan
 from artinlab.series import RingSpec, TruncatedSeries, monomials_up_to
 from artinlab.subspace import (
@@ -104,10 +106,27 @@ def test_certified_range_shrinks_with_generator_degree():
     assert res.i0 == 0
 
 
+def checked_scan(I, xs, **kw):
+    """stable_ar_scan, required to equal the report rebuilt with each profile read
+    off span_module((x)+I), a span of its own, which the grown span must equal."""
+    rep = stable_ar_scan(I, xs, **kw)
+    profile = artin._ar_profile
+
+    def from_span_module(M, U):
+        ref = span_module(M)
+        assert U == ref
+        return profile(M, ref)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(artin, "_ar_profile", from_span_module)
+        assert rep == stable_ar_scan(I, xs, **kw)
+    return rep
+
+
 def test_stable_scan_zero_ideal():
     R = RingSpec(2, 0, 8)
     xs = [parse_poly(t, R) for t in ["T1", "T1^2", "T1*T2"]]
-    rep = stable_ar_scan(IdealSpec.of(R, []), xs, a=1, b=0)
+    rep = checked_scan(IdealSpec.of(R, []), xs, a=1, b=0)
     assert rep.all_hold
     assert rep.minimal_pass == (1, 0)
     assert all(h for *_, h in rep.checks)
@@ -117,7 +136,7 @@ def test_stable_scan_skips_members():
     R = RingSpec(2, 0, 8)
     f = parse_poly("T1^2 + T2^3", R)
     I = IdealSpec.of(R, [f])
-    rep = stable_ar_scan(I, [f * parse_poly("T1", R)], a=1, b=0)
+    rep = checked_scan(I, [f * parse_poly("T1", R)], a=1, b=0)
     assert len(rep.skipped) == 1 and not rep.checks and rep.all_hold
 
 
@@ -125,10 +144,10 @@ def test_stable_scan_finds_finite_constants_for_cusp():
     R = RingSpec(2, 0, 8)
     I = IdealSpec.of(R, [parse_poly("T1^2 + T2^3", R)])
     xs = [parse_poly(t, R) for t in ["T1", "T2", "T1^2", "T1*T2", "T2^2"]]
-    rep = stable_ar_scan(I, xs, a=1, b=0, grid_b_max=5)
+    rep = checked_scan(I, xs, a=1, b=0, grid_b_max=5)
     assert rep.minimal_pass is not None
     a_min, b_min = rep.minimal_pass
-    again = stable_ar_scan(I, xs, a=a_min, b=b_min, grid_b_max=5)
+    again = checked_scan(I, xs, a=a_min, b=b_min, grid_b_max=5)
     assert again.all_hold
 
 
@@ -141,7 +160,7 @@ def test_stable_scan_inclusion_matches_direct_check():
         I = IdealSpec.of(R, [parse_poly(g, R) for g in gens])
         for a in (1, Fraction(3, 2), 2):
             for b in (0, 1, 2):
-                rep = stable_ar_scan(I, xs, a=a, b=b, grid_b_max=2)
+                rep = checked_scan(I, xs, a=a, b=b, grid_b_max=2)
                 assert rep.checks and not rep.skipped
                 for x in xs:
                     aug = ModuleSpec(R, 1, tuple((g,) for g in I.generators) + ((x,),))
@@ -205,3 +224,16 @@ def test_profile_matches_per_degree_definition(M):
     bad = span_module(res.module, min_mult_degree=res.deficits[i][1] + 1)
     row = next(r for r in span_module(res.module).cap_m_power(i).rows if not bad.contains_vec(r))
     assert elem == vec_to_series(row, R, arity)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_stable_scan_grows_the_span_of_each_x(data):
+    R = data.draw(st.sampled_from(RINGS))
+    # constant terms too, so that some x are units and (x) + I is the whole ring
+    series = st.dictionaries(st.sampled_from(monomials_up_to(2, 3)), st.sampled_from(COEFFS),
+                             max_size=3).map(lambda d: TruncatedSeries(R, d))
+    I = IdealSpec.of(R, data.draw(st.lists(series, max_size=2)))
+    xs = data.draw(st.lists(series, min_size=1, max_size=3))
+    a = data.draw(st.sampled_from([1, Fraction(3, 2), 2, Fraction(5, 3)]))
+    checked_scan(I, xs, a=a, b=data.draw(st.integers(0, 2)), grid_b_max=3)

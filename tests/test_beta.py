@@ -1,7 +1,9 @@
+import sys
+
 import pytest
 
 import oracles
-from artinlab.artin import _BetaSearch, beta_lower_bound_bruteforce
+from artinlab.artin import _STACK_MARGIN, _BetaSearch, beta_lower_bound_bruteforce
 from artinlab.errors import BudgetError, PrecondError
 from artinlab.series import RingSpec
 from artinlab.parsing import parse_expr
@@ -97,6 +99,16 @@ def test_level_out_of_range():
     R = RingSpec(2, 2, 3)
     with pytest.raises(PrecondError):
         beta_lower_bound_bruteforce(system("T1*X1", R, ["X1"]), 9)
+
+
+def test_deepest_search_fits_the_stack():
+    # the deepest search the gate accepts, one slot per degree, runs from inside
+    # the test suite without a RecursionError; one slot more is refused
+    depth = sys.getrecursionlimit() - _STACK_MARGIN
+    res = beta_lower_bound_bruteforce(system("T1*X1", RingSpec(1, 2, depth - 1), ["X1"]), 0)
+    assert res.value == 1
+    with pytest.raises(BudgetError, match=f"search depth {depth + 1} slots > {depth}"):
+        beta_lower_bound_bruteforce(system("T1*X1", RingSpec(1, 2, depth), ["X1"]), 0)
 
 
 class CheckedSearch(_BetaSearch):

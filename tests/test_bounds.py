@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from artinlab.bounds import (
-    BoundFunction,
     BoundParams,
     FORMULA_IDS,
     cross_check_bound,
@@ -92,11 +91,6 @@ def test_param_validation():
         BoundParams(b=-1)
     with pytest.raises(PrecondError):
         BoundParams(n=-2)
-
-
-def test_bound_function_wrapper():
-    bf = BoundFunction("lin31", BoundParams(i_I=1), provenance="scan")
-    assert [bf(i) for i in range(3)] == [1, 2, 3]
 
 
 def test_cross_check_flags_exceedances():

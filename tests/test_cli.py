@@ -7,7 +7,7 @@ import os
 import subprocess
 import sys
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from artinlab.cli import build_parser, main
 
@@ -153,6 +153,9 @@ def test_exit_code_precondition():
     for p in ("0", "1", "4", "-2"):
         proc = run_cli("irr-check", "--i", "2", "--p", p, expect=2)
         assert "not a prime" in proc.stderr
+    # a p below 2 is no prime whatever the size of the space
+    proc = run_cli("irr-check", "--i", "40", "--p", "-2", "--budget", "0", expect=2, timeout=2)
+    assert "p = -2 is not a prime" in proc.stderr
     # a huge --char is refused by its bound, before any trial division
     proc = run_cli("ord", "--char", "1000000000000000003", "--trunc", "2", "--x", "T1",
                    expect=2, timeout=30)
@@ -182,6 +185,33 @@ def test_exit_code_budget():
         "--x", "T1*T2", expect=3, timeout=30,
     )
     assert "135751 columns > budget 20000" in proc.stderr
+    # an exhaustive space is gated on its exponent and printed as p^e: none of
+    # these builds p^e, so none ends in the 4300-digit limit of int printing
+    for argv, message in (
+        (("irr-check", "--i", "40", "--p", "2"), "search space has size 2^22958 > budget 10000000"),
+        (("irr-check", "--i", "2000", "--p", "2"), "search space has size 2^2670667998 > budget"),
+        (("icl-scan", "--vars", "T1,T2,T3,T4,T5", "--char", "3", "--trunc", "40", "--ideal", "T1",
+          "--deg-max", "20", "--mode", "exhaustive"), "candidate space has size 3^53130 > budget"),
+        (("beta-lb", "--vars", "T1,T2,T3", "--char", "2", "--trunc", "50", "--system", "X1",
+          "--unknowns", "X1", "--i", "0", "--budget", "5"), "raw state space has size 2^23426"),
+    ):
+        proc = run_cli(*argv, expect=3, timeout=2)
+        assert message in proc.stderr and "Traceback" not in proc.stderr
+    # this search fits its budget; its state space, past 3000 digits, is reported as p^e
+    proc = run_cli("beta-lb", "--vars", "T1,T2,T3,T4", "--char", "2", "--trunc", "40",
+                   "--system", "T1^40*X1", "--unknowns", "X1", "--i", "0", timeout=10)
+    assert json.loads(proc.stdout)["result"]["state_space_size"] == "2^135751"
+
+
+def test_beta_lb_depth_gate():
+    # _walk recurses once per slot: a search deeper than the recursion limit
+    # allows is refused before any node, not ended by a RecursionError
+    argv = ("beta-lb", "--vars", "T1", "--char", "2", "--system", "T1*X1", "--unknowns", "X1",
+            "--i", "0")
+    proc = run_cli(*argv, "--trunc", "1200", expect=3, timeout=2)
+    assert "search depth 1201 slots > 900" in proc.stderr
+    rep = json.loads(run_cli(*argv, "--trunc", "500", timeout=10).stdout)["result"]
+    assert (rep["beta_lower_bound"], rep["explored_nodes"]) == (1, 506)
 
 
 def test_parse_error_exit_code():
@@ -436,7 +466,7 @@ def cli_argv(draw):
         elif action.choices:
             argv += [flag, draw(st.sampled_from([*action.choices, "bogus"]))]
         elif action.type is not None:
-            argv += [flag, draw(st.sampled_from(["-1", "0", "1", "2", "2", "3", "4"]))]
+            argv += [flag, draw(st.sampled_from(["-1", "0", "1", "2", "2", "3", "4", "40"]))]
         elif flag in ("--a", "--b", "--c"):
             argv += [flag, draw(RATIONALS)]
         else:
@@ -446,6 +476,7 @@ def cli_argv(draw):
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(cli_argv())
+@example(["irr-check", "--i", "40", "--p", "2", "--budget", "1000"])
 def test_random_argv_never_crashes(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

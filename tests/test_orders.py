@@ -1,8 +1,13 @@
+import hashlib
+import json
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
+from artinlab import orders
 from artinlab.errors import BudgetError, PrecondError
 from artinlab.orders import (
     NuOracle,
@@ -130,7 +135,7 @@ def test_icl_scan_zero_divisor_violation():
     R = RingSpec(2, 0, 8)
     I = IdealSpec.of(R, [parse_poly("T1*T2", R)])
     rep = icl_scan(I, 3, a=Fraction(1), seed=0, count=25)
-    assert rep.b_min is None and rep.unbounded_at_truncation
+    assert rep.b_min is None
     pairs = {(g.to_str(), h.to_str()) for g, h, *_ in rep.violations}
     assert ("T1", "T2") in pairs
 
@@ -198,3 +203,90 @@ def test_scan_candidates_deterministic():
     assert [s.to_str() for s in a] == [s.to_str() for s in b]
     c = scan_candidates(R, 2, "random", count=10, seed=4)
     assert [s.to_str() for s in a] != [s.to_str() for s in c]
+
+
+# (ring, deg_max, mode, count, seed) -> (sha256 of the candidates' text, calls to the
+# seeded generator), captured before the random and exhaustive modes shared one stream
+PINNED_CANDIDATES = [
+    ((2, 0, 6), 2, "random", 0, 7, "67a3ec765e50554370257086ca020ce0aab17e6885eb65d99c10819d173d48b4", 0),
+    ((2, 0, 6), 2, "random", 10, 7, "82e772387579b24073bb5022eccdf75bd41cfd603edb85695547e9195de81bb3", 88),
+    ((2, 0, 6), 2, "random", 40, 7, "d64a3bb7f7ff67288e35f99aba2803db11118729de6d7b0fb4b42cdebb5d0051", 409),
+    ((1, 0, 4), 1, "random", 10, 7, "70a59f4dc963ad6856179e1864a882d9dfdd1ab96df960aa3af30576d8aebff9", 63),
+    ((1, 0, 4), 1, "random", 40, 7, "b87a98f3a2459a4ebf45966b64602a07338a5f77150bb23a83d7b937b3710a04", 1324),
+    ((2, 5, 6), 2, "random", 0, 7, "67a3ec765e50554370257086ca020ce0aab17e6885eb65d99c10819d173d48b4", 0),
+    ((2, 5, 6), 2, "random", 10, 7, "b83c5cdd7ff8c8b26522118b9a51f2e767226471049eecfb2fe72592baab26cc", 109),
+    ((2, 5, 6), 2, "random", 40, 7, "bccacbca13d602db19ce73b8de2c931707beac514db44adae377b8c1e6da1104", 485),
+    ((1, 5, 4), 1, "random", 10, 7, "43b68a18c24ec411999af5f1d149bac01294b58b286abcfe3e14a196c7ba902a", 71),
+    # only 24 nonzero series exist: every one of the 50*41 draws is made
+    ((1, 5, 4), 1, "random", 40, 7, "30a537558786b302f05733069e7d6e00657d61e7887cb1ff92fe53e4cd8647d6", 7021),
+    ((2, 2, 6), 2, "exhaustive", 0, 0, "edd52231b987b8ef63be8c89a833a6cf5fa201d6c12fecf2e268c2db6b434a66", 0),
+    ((2, 3, 4), 1, "exhaustive", 0, 0, "c9c84692856925a62b3341a33ddb4e5bed84134910e1aff09aea3ca154d5e1e8", 0),
+    ((1, 3, 6), 2, "exhaustive", 0, 0, "74ebe96c260b7179ce872187a187d49e6a2f2693ae0383b9add072a009a46a90", 0),
+]
+
+
+class CountingRandom(random.Random):
+    """The seeded generator, counting its calls; getrandbits is overridden too,
+    so that randrange and choice keep drawing through it as before."""
+
+    calls = 0
+
+    def random(self):
+        CountingRandom.calls += 1
+        return super().random()
+
+    def getrandbits(self, k):
+        CountingRandom.calls += 1
+        return super().getrandbits(k)
+
+
+def test_scan_candidates_pinned(monkeypatch):
+    monkeypatch.setattr(orders.random, "Random", CountingRandom)
+    for ring, deg_max, mode, count, seed, digest, calls in PINNED_CANDIDATES:
+        CountingRandom.calls = 0
+        cands = scan_candidates(RingSpec(*ring), deg_max, mode, count, seed)
+        text = json.dumps([c.to_str() for c in cands])
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (ring, mode, count)
+        assert CountingRandom.calls == calls, (ring, mode, count)
+
+
+ICL_IDEALS = [(2, 0, "T1^2 + T2^3"), (2, 0, "T1^2 - T2^3; T1*T2^2"), (2, 0, "T1*T2"), (2, 0, "0"),
+              (3, 0, "T1^2 + T2^2 + T3^2"), (2, 2, "T1^2 + T2^3"), (2, 3, "T1*T2 - T2^3")]
+
+
+@settings(max_examples=60, deadline=None)
+@given(ideal=st.sampled_from(ICL_IDEALS), deg_max=st.sampled_from([1, 2]), extra=st.integers(0, 3),
+       a=st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5, 3), Fraction(7, 4),
+                          Fraction(11, 8), Fraction(9, 5), Fraction(13, 4)]),
+       exhaustive=st.booleans(), count=st.integers(0, 12), seed=st.integers(0, 50))
+def test_icl_scan_matches_fraction_definition(ideal, deg_max, extra, a, exhaustive, count, seed):
+    # b_min and its attaining pairs from nu(g*h) - a*(nu(g) + nu(h)) in Fractions,
+    # over the scanned pairs in scan order, then stable-sorted simplest first
+    num_vars, char, text = ideal
+    R = RingSpec(num_vars, char, 2 * deg_max + extra)
+    I = IdealSpec.of(R, [parse_poly(t, R) for t in text.split(";")])
+    mode = "exhaustive" if exhaustive and char and deg_max == 1 else "random"
+    rep = icl_scan(I, deg_max, a=a, mode=mode, count=count, seed=seed, budget=10**6)
+    cands = scan_candidates(R, deg_max, mode, count, seed, 10**6)
+    oracle = NuOracle(I)
+    nus = [oracle.nu(g) for g in cands]
+    diffs = []
+    for i in range(len(cands)):
+        for j in range(i, len(cands)):
+            if nus[i].exact and nus[j].exact:
+                ngh = oracle.nu(cands[i] * cands[j])
+                if ngh.exact:
+                    row = (cands[i], cands[j], nus[i], nus[j], ngh)
+                    diffs.append((Fraction(ngh.value) - a * (nus[i].value + nus[j].value), row))
+    if rep.violations:
+        assert rep.b_min is None and rep.attaining_pairs == []
+        return
+    b_min = max([Fraction(0)] + [d for d, _ in diffs])
+    assert rep.b_min == b_min and isinstance(rep.b_min, Fraction)
+
+    def simplest(row):
+        g, h = row[0], row[1]
+        return (len(g.terms) + len(h.terms), g.max_degree() + h.max_degree(), g.to_str(), h.to_str())
+
+    attaining = sorted((row for d, row in diffs if d == b_min), key=simplest)[:8]
+    assert rep.attaining_pairs == attaining
