@@ -13,11 +13,12 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
+from operator import add
 from typing import Optional
 
 from .errors import BudgetError, PrecondError
 from .series import ExtOrder, RingSpec, TruncatedSeries, fp_space_size, fp_vectors, monomials_up_to
-from .subspace import IdealSpec, distance_order, member, span_ideal
+from .subspace import IdealSpec, coord_index, distance_order, member, span_ideal
 
 
 class NuOracle:
@@ -116,7 +117,9 @@ def scan_candidates(
     """Deterministic candidate pool: the distinct nonzero series of one stream of
     draws, in order.  Exhaustive (finite field, space within budget): every field
     vector on the monomials of degree <= deg_max.  Random: every monomial of degree
-    1..deg_max, then at most 50*(count+1) seeded random series, up to count new."""
+    1..deg_max, then at most 50*(count+1) seeded random series, up to count new.
+    Either pool is refused before the first draw when it may exceed the budget:
+    p^e > budget, or count > budget."""
     supp = list(monomials_up_to(ring.num_vars, deg_max))
     out = []
     if mode == "exhaustive":
@@ -127,6 +130,8 @@ def scan_candidates(
             raise BudgetError(f"exhaustive candidate space has size {size} > budget {budget}")
         stream = fp_vectors(supp, ring.char)
     elif mode == "random":
+        if count > budget:
+            raise BudgetError(f"random candidate count {count} > budget {budget}")
         monos = [m for m in supp if sum(m) >= 1]
 
         def draws():  # the stop test comes before each draw, so no draw is wasted
@@ -150,17 +155,45 @@ def scan_candidates(
     return out
 
 
+def _by_degree(s: TruncatedSeries) -> list:
+    """The terms of s as lists of (monomial, coefficient), one list per degree 0..deg(s)."""
+    layers = [[] for _ in range(s.max_degree() + 1)]
+    for mono, c in s.terms.items():
+        layers[sum(mono)].append((mono, c))
+    return layers
+
+
+def _product_parts(G: list, H: list, rank: dict):
+    """The degree-d parts of g*h, d = 0, 1, ..., as sparse columns with unreduced
+    scalars: sum over a of g_a * h_(d-a), from the layers of _by_degree.  Lazy:
+    Subspace.remainder_order reads no part past the order or past D."""
+    for d in range(len(G) + len(H) - 1):
+        part = {}
+        for a in range(max(0, d - len(H) + 1), min(d + 1, len(G))):
+            for m1, c1 in G[a]:
+                for m2, c2 in H[d - a]:
+                    col = rank[tuple(map(add, m1, m2))]
+                    part[col] = part.get(col, 0) + c1 * c2
+        yield part
+
+
 def _scan_pairs(I, deg_max, mode, count, seed, budget):
     """One pass over the candidate pairs with exact orders: (oracle, rows, pair
-    count), one row (g, h, nu_g, nu_h, nu_gh, g*h) per pair.  The product is
-    kept only where nu_gh is inexact, the one case that looks at it again."""
+    count), one row (g, h, nu_g, nu_h, nu_gh, g*h) per pair.
+
+    nu_gh is read degree by degree (Subspace.remainder_order), so g*h is built
+    only up to its order.  The full product is formed only where nu_gh is
+    inexact, the one case that looks at it again."""
     if deg_max < 1:
         raise PrecondError("deg_max must be >= 1: the candidates have degree 1..deg_max")
-    if 2 * deg_max > I.ring.trunc:
+    ring = I.ring
+    if 2 * deg_max > ring.trunc:
         raise PrecondError("need 2*deg_max <= trunc so products keep meaningful orders")
-    cands = scan_candidates(I.ring, deg_max, mode, count, seed, budget)
+    cands = scan_candidates(ring, deg_max, mode, count, seed, budget)
     oracle = NuOracle(I)
     nus = [oracle.nu(g) for g in cands]
+    layers = [_by_degree(g) for g in cands]
+    rank = coord_index(ring.num_vars, ring.trunc)[1][0]
     rows = []
     npairs = 0
     for i in range(len(cands)):
@@ -172,9 +205,9 @@ def _scan_pairs(I, deg_max, mode, count, seed, budget):
             npairs += 1
             if npairs > budget:
                 raise BudgetError(f"pair budget {budget} exhausted after {npairs} pairs")
-            gh = cands[i] * cands[j]
-            ngh = oracle.nu(gh)
-            rows.append((cands[i], cands[j], nus[i], nus[j], ngh, None if ngh.exact else gh))
+            ngh = oracle.span.remainder_order(_product_parts(layers[i], layers[j], rank))
+            gh = None if ngh.exact else cands[i] * cands[j]
+            rows.append((cands[i], cands[j], nus[i], nus[j], ngh, gh))
     return oracle, rows, npairs
 
 

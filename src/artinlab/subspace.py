@@ -11,6 +11,13 @@ queries without further elimination (the truncated standard-basis normal
 form for a local degree ordering): the remainder of x modulo U has order
 max{n : x in U + m^n}, and U cap m^i is spanned by the basis rows whose
 pivot has degree >= i.
+
+That order is read degree by degree (Subspace.remainder_order), stopping at
+the first degree that survives: a basis row has no entry before its pivot
+and is zero in every other pivot column, so degree d of the remainder
+depends only on degrees <= d of x and on the rows with pivots in those
+degrees.  A caller that builds x one degree at a time, such as the product
+g*h of an ICL scan, never builds the degrees past its order.
 """
 
 from __future__ import annotations
@@ -165,6 +172,40 @@ class Subspace:
             if c:
                 sub_multiple(v, rows[i], c, p)
         return v
+
+    def remainder_order(self, parts) -> ExtOrder:
+        """Order of the remainder of a vector modulo this subspace, fed by degree.
+
+        parts yields the vector's degree-0, degree-1, ... entries as sparse
+        column dicts (scalars need not be reduced; missing trailing degrees are
+        empty), and is read only up to the order.  At each degree d the new
+        entries are added and the rows with pivots of degree d subtracted; a
+        row has no entry before its pivot and is zero in every other pivot
+        column, so what is left in degree d lies in non-pivot columns and is
+        already degree d of the full remainder.  The first degree with an entry
+        left is the order; none up to D gives the at-least marker.
+        """
+        ring = self.ring
+        D, p = ring.trunc, ring.char
+        starts = coord_index(ring.num_vars, D, self.arity)[2]
+        pivots, rows = self.pivots, self.rows
+        parts = iter(parts)
+        v = {}
+        for d in range(D + 1):
+            new = next(parts, None)
+            if new:
+                sub_multiple(v, new, -1, p)
+            if not v:
+                continue
+            lo = bisect.bisect_left(pivots, starts[d])
+            end = starts[d + 1]
+            for i in range(lo, bisect.bisect_left(pivots, end, lo)):
+                c = v.get(pivots[i])
+                if c:
+                    sub_multiple(v, rows[i], c, p)
+            if v and min(v) < end:
+                return ExtOrder.of(d)
+        return ExtOrder.at_least(D + 1)
 
     def insert(self, vec: dict) -> bool:
         """Add a vector; returns True when the dimension grew."""
@@ -326,17 +367,17 @@ def subspace_intersect(U: Subspace, V: Subspace) -> Subspace:
     return inter
 
 
-def _vec_of(xs, U: Subspace) -> dict:
+def _series_of(xs, U: Subspace) -> tuple:
     if isinstance(xs, TruncatedSeries):
         xs = (xs,)
-    if len(xs) != U.arity:
+    if len(xs) != U.arity or any(s.ring != U.ring for s in xs):
         raise PrecondError("incompatible rings")
-    return series_to_vec(xs, U.ring)
+    return xs
 
 
 def member(xs, U: Subspace) -> bool:
     """Membership of a series (or vector of series) in the subspace."""
-    return U.contains_vec(_vec_of(xs, U))
+    return U.contains_vec(series_to_vec(_series_of(xs, U), U.ring))
 
 
 def distance_order(xs, U: Subspace) -> ExtOrder:
@@ -344,14 +385,16 @@ def distance_order(xs, U: Subspace) -> ExtOrder:
 
     Reducing any w in m^n only subtracts rows whose pivot, and so every entry,
     has degree >= n; hence the remainder has order >= n iff x is in U + m^n.
-    A zero remainder gives the at-least marker.
+    A zero remainder gives the at-least marker.  The remainder is never built
+    past its order: x is handed to U.remainder_order one degree at a time.
     """
-    rem = U.reduce(_vec_of(xs, U))
-    D = U.ring.trunc
-    if not rem:
-        return ExtOrder.at_least(D + 1)
-    starts = coord_index(U.ring.num_vars, D, U.arity)[2]
-    return ExtOrder.of(bisect.bisect_right(starts, min(rem)) - 1)
+    ring = U.ring
+    _, ranks, _ = coord_index(ring.num_vars, ring.trunc, U.arity)
+    parts = [{} for _ in range(ring.trunc + 1)]
+    for s, rank in zip(_series_of(xs, U), ranks):
+        for mono, c in s.terms.items():
+            parts[sum(mono)][rank[mono]] = c
+    return U.remainder_order(parts)
 
 
 def solve_linear(columns, target: dict, ring: RingSpec):

@@ -194,6 +194,12 @@ def test_exit_code_budget():
           "--deg-max", "20", "--mode", "exhaustive"), "candidate space has size 3^53130 > budget"),
         (("beta-lb", "--vars", "T1,T2,T3", "--char", "2", "--trunc", "50", "--system", "X1",
           "--unknowns", "X1", "--i", "0", "--budget", "5"), "raw state space has size 2^23426"),
+        # a random pool is refused on its count before the first draw, not after
+        # building 10^6 candidates or spinning through 50*(count+1) draws
+        (("valcheck", "--vars", "T1,T2", "--trunc", "8", "--ideal", "T1", "--deg-max", "3",
+          "--count", "1000000", "--budget", "1000"), "random candidate count 1000000 > budget 1000"),
+        (("icl-scan", "--vars", "T1", "--char", "2", "--trunc", "2", "--deg-max", "1", "--ideal", "0",
+          "--count", "100000000", "--a", "1"), "random candidate count 100000000 > budget 200000"),
     ):
         proc = run_cli(*argv, expect=3, timeout=2)
         assert message in proc.stderr and "Traceback" not in proc.stderr
@@ -379,6 +385,18 @@ PINNED_OUTPUTS = [
     (("solve-linreg", "--vars", "T1,T2,T3", "--trunc", "8", "--gens", "T1;T2^2;T3^2",
       "--x", "T2^2;-T1+T1^5;T1^3", "--i", "2"),
      "7d77f8b768daa453040c58e6a81c51087780b985d3bea9041dd05287acb7feff"),
+    # the degree-fed order of g*h: an F_p envelope with one skipped (inexact) pair,
+    # a three-variable valuation over Q, and 36 violations, each certified on the
+    # full product by sound membership
+    (("icl-scan", "--vars", "T1,T2", "--char", "32003", "--trunc", "8", "--ideal", "T1^2 + T2^3",
+      "--deg-max", "3", "--seed", "5"),
+     "f265d116304a994f5a80d4f3a661d7bfa74cece2e0c13b750667347bc01c88c8"),
+    (("valcheck", "--vars", "T1,T2,T3", "--trunc", "8", "--ideal", "T1^2 + T2^2 + T3^2",
+      "--deg-max", "3", "--seed", "5"),
+     "e908448bd3f04696ca3eed7548e9c0e348d60cec88ecff78d4c18fe1af4fd017"),
+    (("icl-scan", "--vars", "T1,T2", "--char", "2", "--trunc", "6", "--ideal", "T1*T2",
+      "--deg-max", "2", "--mode", "exhaustive", "--a", "1"),
+     "85460cd6ad29e860ef7b3e33a6770880bb90889151c33faa12b91137b32334a8"),
 ]
 
 

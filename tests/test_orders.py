@@ -18,8 +18,16 @@ from artinlab.orders import (
     scan_candidates,
     valuation_check,
 )
-from artinlab.series import ExtOrder, RingSpec
-from artinlab.subspace import IdealSpec
+from artinlab.series import ExtOrder, RingSpec, TruncatedSeries, monomials_up_to
+from artinlab.subspace import (
+    IdealSpec,
+    ModuleSpec,
+    coord_index,
+    distance_order,
+    series_to_vec,
+    span_ideal,
+    span_module,
+)
 from artinlab.parsing import parse_poly
 
 
@@ -250,6 +258,101 @@ def test_scan_candidates_pinned(monkeypatch):
         assert CountingRandom.calls == calls, (ring, mode, count)
 
 
+def reduce_order(xs, U):
+    """The order read off the full remainder of Subspace.reduce: the least degree
+    of a column left in it, D+1 (at least) when nothing is left.  Shares no code
+    with the degree-fed Subspace.remainder_order."""
+    if isinstance(xs, TruncatedSeries):
+        xs = (xs,)
+    rem = U.reduce(series_to_vec(xs, U.ring))
+    if not rem:
+        return ExtOrder.at_least(U.ring.trunc + 1)
+    cols = coord_index(U.ring.num_vars, U.ring.trunc, U.arity)[0]
+    return ExtOrder.of(min(sum(cols[k][1]) for k in rem))
+
+
+def degree_fed_product_order(g, h, U):
+    """nu(g*h) as the pair scan reads it: the degree-d parts of g*h, fed lazily."""
+    rank = coord_index(U.ring.num_vars, U.ring.trunc)[1][0]
+    return U.remainder_order(orders._product_parts(orders._by_degree(g), orders._by_degree(h), rank))
+
+
+SCALARS = {0: [1, -1, 2, -3, Fraction(1, 2), Fraction(-3, 2)], 2: [1], 3: [1, 2], 32003: [1, 2, 16001, 32002]}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_degree_fed_order_matches_full_remainder(data):
+    char = data.draw(st.sampled_from(sorted(SCALARS)))
+    R = RingSpec(data.draw(st.integers(1, 3)), char, data.draw(st.integers(2, 6)))
+    arity = data.draw(st.sampled_from([1, 1, 2]))
+    monos = list(monomials_up_to(R.num_vars, R.trunc))
+
+    def series(support):
+        return st.dictionaries(st.sampled_from(support), st.sampled_from(SCALARS[char]),
+                               max_size=4).map(lambda t: TruncatedSeries(R, t))
+
+    # generators inside m, so that the quotient is not zero; x and the factors may be units
+    gens = data.draw(st.lists(st.tuples(*[series(monos[1:])] * arity), max_size=3))
+    U = span_module(ModuleSpec(R, arity, tuple(gens)))
+    zero = TruncatedSeries.zero(R)
+    unit = TruncatedSeries.constant(R, SCALARS[char][-1])
+    xs = data.draw(st.tuples(*[series(monos)] * arity))
+    for x in (xs, (zero,) * arity, (unit,) * arity):
+        assert distance_order(x if arity > 1 else x[0], U) == reduce_order(x, U), x
+    if arity > 1:
+        return
+    top = TruncatedSeries.monomial(R, (R.trunc,) + (0,) * (R.num_vars - 1))
+    g, h = data.draw(series(monos)), data.draw(series(monos))
+    # top * (anything in m) truncates to 0; unit * unit has order 0 outside the ideal
+    for a, b in ((g, h), (h, g), (g, g), (unit, h), (unit, unit), (zero, g), (top, g), (top, top)):
+        assert degree_fed_product_order(a, b, U) == reduce_order(a * b, U), (a, b)
+
+
+def test_scans_form_full_products_only_for_inexact_pairs(monkeypatch):
+    # (ring, ideal, deg_max, mode, scan): the F_32003 cusp has one skipped pair and
+    # T1*T2 over F_2 has 36 violations, each certified on its full product
+    cases = [(RingSpec(2, 32003, 8), "T1^2 + T2^3", 3, "random", icl_envelope),
+             (RingSpec(2, 2, 6), "T1*T2", 2, "exhaustive", icl_envelope),
+             (RingSpec(2, 0, 8), "T1*T2", 3, "random", valuation_check),
+             (RingSpec(3, 0, 8), "T1^2 + T2^2 + T3^2", 3, "random", valuation_check)]
+    expected = []
+    for R, text, deg_max, mode, _ in cases:
+        I = IdealSpec.of(R, [parse_poly(text, R)])
+        U = span_ideal(I)
+        cands = scan_candidates(R, deg_max, mode, 40, 5)
+        live = [k for k, g in enumerate(cands) if reduce_order(g, U).exact]
+        pairs = [(i, j) for i in live for j in live if i <= j]
+        inexact = [(i, j) for i, j in pairs if not reduce_order(cands[i] * cands[j], U).exact]
+        expected.append((len(pairs), inexact))
+    assert [(n, len(x)) for n, x in expected] == [(1225, 1), (1953, 36), (990, 60), (1770, 0)]
+
+    pools = []  # every candidate list stays alive, so no other object takes its ids
+    position = {}  # id -> index of each candidate of the running scan
+    products = []
+    real_candidates, real_mul = orders.scan_candidates, TruncatedSeries.__mul__
+
+    def candidates(*args):
+        pools.append(real_candidates(*args))
+        position.clear()
+        position.update((id(c), k) for k, c in enumerate(pools[-1]))
+        return pools[-1]
+
+    def mul(a, b):
+        if id(a) in position and id(b) in position:
+            products.append((position[id(a)], position[id(b)]))
+        return real_mul(a, b)
+
+    monkeypatch.setattr(orders, "scan_candidates", candidates)
+    monkeypatch.setattr(TruncatedSeries, "__mul__", mul)
+    for (R, text, deg_max, mode, scan), (npairs, inexact) in zip(cases, expected):
+        products.clear()
+        rep = scan(IdealSpec.of(R, [parse_poly(text, R)]), deg_max, mode=mode, seed=5)
+        rep = rep[0] if isinstance(rep, list) else rep
+        assert rep.pair_count == npairs
+        assert products == inexact, (text, len(products), len(inexact))
+
+
 ICL_IDEALS = [(2, 0, "T1^2 + T2^3"), (2, 0, "T1^2 - T2^3; T1*T2^2"), (2, 0, "T1*T2"), (2, 0, "0"),
               (3, 0, "T1^2 + T2^2 + T3^2"), (2, 2, "T1^2 + T2^3"), (2, 3, "T1*T2 - T2^3")]
 
@@ -268,13 +371,13 @@ def test_icl_scan_matches_fraction_definition(ideal, deg_max, extra, a, exhausti
     mode = "exhaustive" if exhaustive and char and deg_max == 1 else "random"
     rep = icl_scan(I, deg_max, a=a, mode=mode, count=count, seed=seed, budget=10**6)
     cands = scan_candidates(R, deg_max, mode, count, seed, 10**6)
-    oracle = NuOracle(I)
-    nus = [oracle.nu(g) for g in cands]
+    U = span_ideal(I)
+    nus = [reduce_order(g, U) for g in cands]
     diffs = []
     for i in range(len(cands)):
         for j in range(i, len(cands)):
             if nus[i].exact and nus[j].exact:
-                ngh = oracle.nu(cands[i] * cands[j])
+                ngh = reduce_order(cands[i] * cands[j], U)
                 if ngh.exact:
                     row = (cands[i], cands[j], nus[i], nus[j], ngh)
                     diffs.append((Fraction(ngh.value) - a * (nus[i].value + nus[j].value), row))
