@@ -10,10 +10,7 @@ from .subspace import (
     distance_order,
     member,
     span_ideal,
-    span_m_power,
     span_module,
-    subspace_intersect,
-    subspace_sum,
 )
 from .orders import (
     IclReport,

@@ -433,14 +433,19 @@ def stable_ar_scan(
     ceil(a*nu(x)) + b, so every check reads the Artin-Rees profile of (x)+I:
     it holds iff i <= prof[exponent], with the span of (x)+I grown from I's by
     the multiples of x (the echelon form is canonical).  Scans every feasible i
-    in the certified range, then grid-searches the smallest passing (a, b) over
-    the standard slopes.
+    in the certified range.
+
+    All checks of x hold iff the offset is at least i0_x = max_e (e - prof[e]),
+    the Artin-Rees index of (x)+I: the rows e < offset need nothing, as
+    e - prof[e] <= e.  So the smallest passing b at each standard slope a is
+    max(0, max_x (i0_x - ceil(a*nu(x)))), or None past the cap.
     """
     a = Fraction(a)
     ring = I.ring
     D = ring.trunc
     span_I = span_ideal(I)
-    data = []  # (x, nu(x), profile of (x)+I)
+    checks = []  # (x, i, nu_x, exponent, holds)
+    indices = []  # (nu(x), Artin-Rees index of (x)+I)
     skipped = []
     for x in xs:
         nu_x = distance_order(x, span_I)
@@ -455,30 +460,23 @@ def stable_ar_scan(
             for vec in multiples((x,), d, ring):
                 span.insert(vec)
         aug = ModuleSpec(ring, 1, tuple((g,) for g in I.generators) + ((x,),))
-        data.append((x, nu_x.value, _ar_profile(aug, span)[0]))
-
-    def run(a_val, b_val):
-        rows = []
-        for x, nu_v, prof in data:
-            offset = ceil(a_val * nu_v) + b_val
-            for i in range(len(prof) - offset):
-                exponent = i + offset
-                rows.append((x, i, ExtOrder.of(nu_v), exponent, i <= prof[exponent]))
-        return rows, all(row[-1] for row in rows)
-
-    checks, all_hold = run(a, b)
+        prof = _ar_profile(aug, span)[0]
+        for i in range(len(prof) - offset):
+            exponent = i + offset
+            checks.append((x, i, nu_x, exponent, i <= prof[exponent]))
+        indices.append((nu_x.value, max(e - j for e, j in enumerate(prof))))
     cap = grid_b_max if grid_b_max is not None else D
-    grid = [
-        (a_val, next((b_val for b_val in range(cap + 1) if run(a_val, b_val)[1]), None))
-        for a_val in (Fraction(1), Fraction(3, 2), Fraction(2))
-    ]
+    grid = []
+    for a_val in (Fraction(1), Fraction(3, 2), Fraction(2)):
+        b_min = max([0] + [i0 - ceil(a_val * nu_v) for nu_v, i0 in indices])
+        grid.append((a_val, b_min if b_min <= cap else None))
     minimal = next((point for point in grid if point[1] is not None), None)
     return StableArReport(
         ideal=I,
         a=a,
         b=b,
         checks=checks,
-        all_hold=all_hold,
+        all_hold=all(check[-1] for check in checks),
         skipped=skipped,
         grid=grid,
         minimal_pass=minimal,

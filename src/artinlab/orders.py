@@ -31,8 +31,6 @@ class NuOracle:
         self._sound = None
 
     def nu(self, x: TruncatedSeries) -> ExtOrder:
-        if x.ring != self.ring:
-            raise PrecondError("incompatible rings")
         return distance_order(x, self.span)
 
     def sound_member(self, x: TruncatedSeries) -> bool:
@@ -117,7 +115,8 @@ def scan_candidates(
     """Deterministic candidate pool: the distinct nonzero series of one stream of
     draws, in order.  Exhaustive (finite field, space within budget): every field
     vector on the monomials of degree <= deg_max.  Random: every monomial of degree
-    1..deg_max, then at most 50*(count+1) seeded random series, up to count new.
+    1..deg_max, then at most 50*(count+1) seeded random series, up to count new,
+    stopping early once no series is left that a draw could give.
     Either pool is refused before the first draw when it may exceed the budget:
     p^e > budget, or count > budget."""
     supp = list(monomials_up_to(ring.num_vars, deg_max))
@@ -133,11 +132,15 @@ def scan_candidates(
         if count > budget:
             raise BudgetError(f"random candidate count {count} > budget {budget}")
         monos = [m for m in supp if sum(m) >= 1]
+        # a draw leaves each monomial out or gives it one of p - 1 residues (six
+        # integers over Q), so the stream holds at most p^e - 1 (7^e - 1) series
+        size = fp_space_size(ring.char or 7, len(supp), len(monos) + count)
+        full = len(monos) + count if size is None else size - 1
 
         def draws():  # the stop test comes before each draw, so no draw is wasted
             rng = random.Random(seed)
             for _ in range(50 * (count + 1)):
-                if len(out) == len(monos) + count:
+                if len(out) == full:
                     return
                 yield {m: rng.randrange(1, ring.char) if ring.char else rng.choice([-3, -2, -1, 1, 2, 3])
                        for m in supp if rng.random() < 0.35}

@@ -55,7 +55,7 @@ class _Parser:
         self.k = 0
         self.names = {nm: idx for idx, nm in enumerate(names)}
         self.unknowns = {nm: idx for idx, nm in enumerate(unknowns)}
-        self.n_unknowns = max(1, len(unknowns)) if unknowns else 0
+        self.n_unknowns = max(1, len(self.unknowns))
 
     def peek(self):
         return self.tokens[self.k]
@@ -71,8 +71,7 @@ class _Parser:
             raise ParseError(f"expected {op!r} at position {pos}")
 
     def _const(self, value) -> PolyInX:
-        nx = max(1, len(self.unknowns))
-        return PolyInX.from_series(TruncatedSeries.constant(self.ring, value), nx)
+        return PolyInX.from_series(TruncatedSeries.constant(self.ring, value), self.n_unknowns)
 
     def parse(self) -> PolyInX:
         node = self.expr()
@@ -139,12 +138,11 @@ class _Parser:
             return self._const(val)
         if kind == "name":
             if val in self.names:
-                nx = max(1, len(self.unknowns))
                 return PolyInX.from_series(
-                    TruncatedSeries.variable(self.ring, self.names[val]), nx
+                    TruncatedSeries.variable(self.ring, self.names[val]), self.n_unknowns
                 )
             if val in self.unknowns:
-                return PolyInX.unknown(self.ring, max(1, len(self.unknowns)), self.unknowns[val])
+                return PolyInX.unknown(self.ring, self.n_unknowns, self.unknowns[val])
             raise ParseError(f"unknown variable {val!r} at position {pos}")
         if kind == "op" and val == "(":
             node = self.expr()

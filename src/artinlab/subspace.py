@@ -2,9 +2,8 @@
 
 At truncation order D every A-submodule of A^p becomes a finite-dimensional
 subspace of the coefficient space, indexed degree-major: by total degree,
-then component, then graded-lex.  All set queries (membership, sum,
-intersection) reduce to exact reduced row echelon computations, which are
-canonical: equal subspaces have identical bases.
+then component, then graded-lex.  Membership reduces to an exact reduced row
+echelon computation, which is canonical: equal subspaces have identical bases.
 
 Because lower degrees come first, the echelon basis also answers filtration
 queries without further elimination (the truncated standard-basis normal
@@ -151,26 +150,32 @@ class Subspace:
     def dim(self) -> int:
         return len(self.rows)
 
-    def reduce(self, vec: dict) -> dict:
-        """Canonical remainder of vec modulo this subspace (non-destructive).
+    def _eliminate(self, v: dict, cols) -> None:
+        """Clear from v, in place and in ascending order, the pivot columns among
+        cols, the columns of the entries the caller just added to v.
 
-        Only the pivot columns in vec's own support are eliminated: a row is
-        zero in every other pivot column, so subtracting it creates none.
+        Before those entries v held no pivot column: a row is zero in every
+        other pivot column, so subtracting it creates none, and the pivots the
+        entries brought are the only ones to clear.
         """
-        v = dict(vec)
         pivots, rows = self.pivots, self.rows
         n = len(pivots)
         own = []
-        for col in v:
+        for col in cols:
             i = bisect.bisect_left(pivots, col)
             if i < n and pivots[i] == col:
                 own.append(i)
         own.sort()  # ascending pivots, the order a full sweep would take
         p = self.ring.char
         for i in own:
-            c = v[pivots[i]]
+            c = v.get(pivots[i])
             if c:
                 sub_multiple(v, rows[i], c, p)
+
+    def reduce(self, vec: dict) -> dict:
+        """Canonical remainder of vec modulo this subspace (non-destructive)."""
+        v = dict(vec)
+        self._eliminate(v, vec)
         return v
 
     def remainder_order(self, parts) -> ExtOrder:
@@ -179,31 +184,23 @@ class Subspace:
         parts yields the vector's degree-0, degree-1, ... entries as sparse
         column dicts (scalars need not be reduced; missing trailing degrees are
         empty), and is read only up to the order.  At each degree d the new
-        entries are added and the rows with pivots of degree d subtracted; a
-        row has no entry before its pivot and is zero in every other pivot
-        column, so what is left in degree d lies in non-pivot columns and is
-        already degree d of the full remainder.  The first degree with an entry
-        left is the order; none up to D gives the at-least marker.
+        entries are added and their pivot columns cleared (_eliminate); a row
+        has no entry before its pivot, so what is left in degree d lies in
+        non-pivot columns and is already degree d of the full remainder.  The
+        first degree with an entry left is the order; none up to D gives the
+        at-least marker.
         """
         ring = self.ring
         D, p = ring.trunc, ring.char
         starts = coord_index(ring.num_vars, D, self.arity)[2]
-        pivots, rows = self.pivots, self.rows
         parts = iter(parts)
         v = {}
         for d in range(D + 1):
             new = next(parts, None)
             if new:
                 sub_multiple(v, new, -1, p)
-            if not v:
-                continue
-            lo = bisect.bisect_left(pivots, starts[d])
-            end = starts[d + 1]
-            for i in range(lo, bisect.bisect_left(pivots, end, lo)):
-                c = v.get(pivots[i])
-                if c:
-                    sub_multiple(v, rows[i], c, p)
-            if v and min(v) < end:
+                self._eliminate(v, new)
+            if v and min(v) < starts[d + 1]:
                 return ExtOrder.of(d)
         return ExtOrder.at_least(D + 1)
 
@@ -234,24 +231,11 @@ class Subspace:
         """Position of the first basis row whose pivot has degree >= i: the rows
         from there on are the canonical basis of this subspace cap m^i, as every
         entry of a row lies at or after its pivot, hence in degree >= i."""
-        starts = _degree_starts(self.ring, i, self.arity)
+        ring = self.ring
+        if not 0 <= i <= ring.trunc + 1:
+            raise PrecondError(f"m-power exponent {i} out of range 0..{ring.trunc + 1}")
+        starts = coord_index(ring.num_vars, ring.trunc, self.arity)[2]
         return bisect.bisect_left(self.pivots, starts[i])
-
-    def cap_m_power(self, i: int) -> "Subspace":
-        """This subspace cap m^i, as a new Subspace (see cap_start)."""
-        k = self.cap_start(i)
-        out = Subspace(self.ring, self.arity)
-        out.rows = [dict(r) for r in self.rows[k:]]
-        out.pivots = self.pivots[k:]
-        return out
-
-    def contains(self, other: "Subspace") -> bool:
-        self._check(other)
-        return all(self.contains_vec(row) for row in other.rows)
-
-    def _check(self, other: "Subspace"):
-        if self.ring != other.ring or self.arity != other.arity:
-            raise PrecondError("incompatible rings")
 
     def canonical(self) -> tuple:
         return tuple(tuple(sorted(r.items())) for r in self.rows)
@@ -293,17 +277,12 @@ def multiples(gen, d: int, ring: RingSpec, sound: bool = False):
         yield series_to_vec([mono * g for g in gen], ring)
 
 
-def span_module(
-    M: ModuleSpec,
-    min_mult_degree: int = 0,
-    sound: bool = False,
-) -> Subspace:
-    """Span of {u * g : g generator, u monomial with deg(u) >= min_mult_degree}.
+def span_module(M: ModuleSpec, sound: bool = False) -> Subspace:
+    """Span of {u * g : g generator, u monomial}, the module M itself.
 
-    min_mult_degree = j realizes the module m^j * M.  With sound=True the
-    multiplier degree is additionally capped at D - deg(g) (see multiples);
-    membership in the sound span certifies membership in the untruncated
-    module.
+    With sound=True the multiplier degree is capped at D - deg(g) (see
+    multiples); membership in the sound span certifies membership in the
+    untruncated module.
     """
     ring = M.ring
     U = Subspace(ring, M.arity)
@@ -313,58 +292,14 @@ def span_module(
     # 3*T1^5) over Q at D = 14 take 4x the eliminations and 36x the Fraction
     # entries, and its ar-index 6x the time.
     for gen in M.generators:
-        for d in range(min_mult_degree, ring.trunc + 1):
+        for d in range(ring.trunc + 1):
             for vec in multiples(gen, d, ring, sound):
                 U.insert(vec)
     return U
 
 
-def span_ideal(I: IdealSpec, min_mult_degree: int = 0, sound: bool = False) -> Subspace:
-    return span_module(I.as_module(), min_mult_degree, sound)
-
-
-def _degree_starts(ring: RingSpec, i: int, arity: int) -> tuple:
-    if not 0 <= i <= ring.trunc + 1:
-        raise PrecondError(f"m-power exponent {i} out of range 0..{ring.trunc + 1}")
-    return coord_index(ring.num_vars, ring.trunc, arity)[2]
-
-
-def span_m_power(ring: RingSpec, i: int, arity: int = 1) -> Subspace:
-    """Direct sum of m^i over all components; i = D+1 gives the zero subspace."""
-    starts = _degree_starts(ring, i, arity)
-    U = Subspace(ring, arity)
-    U.pivots = list(range(starts[i], starts[-1]))
-    U.rows = [{k: ring.s_one} for k in U.pivots]
-    return U
-
-
-def subspace_sum(U: Subspace, V: Subspace) -> Subspace:
-    U._check(V)
-    out = U.copy()
-    for row in V.rows:
-        out.insert(row)
-    return out
-
-
-def subspace_intersect(U: Subspace, V: Subspace) -> Subspace:
-    """Exact intersection via echelon on doubled coordinates."""
-    U._check(V)
-    n = len(coord_index(U.ring.num_vars, U.ring.trunc, U.arity)[0])
-    work = Subspace(U.ring, U.arity)  # columns 0..2n-1, arity only nominal
-    for row in U.rows:
-        double = dict(row)
-        for col, c in row.items():
-            double[col + n] = c
-        work.insert(double)
-    inter = Subspace(U.ring, U.arity)
-    for row in V.rows:
-        rem = work.reduce(dict(row))
-        if not rem:
-            continue
-        if all(col >= n for col in rem):
-            inter.insert({col - n: c for col, c in rem.items()})
-        work.insert(rem)
-    return inter
+def span_ideal(I: IdealSpec, sound: bool = False) -> Subspace:
+    return span_module(I.as_module(), sound)
 
 
 def _series_of(xs, U: Subspace) -> tuple:

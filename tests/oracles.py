@@ -1,15 +1,22 @@
 """Independent naive oracles used to cross-check the production code paths.
 
-Everything here is deliberately dense and recomputed from scratch: plain
+The oracles are deliberately dense and recomputed from scratch: plain
 Gaussian elimination over lists, rank-based membership, full enumeration.
 No sparse echelon forms, no caching, no code shared with the package
 internals beyond the series type itself.
+
+The last section is different: set operations on the package's sparse
+echelon form (sums, intersections, m^i, the graded spans m^j * M, inclusion
+of subspaces).  The program reads U cap m^i off the pivots and never needs
+the others, so they live here, as the long-way references its tests compare
+against.
 """
 
 from fractions import Fraction
 
+from artinlab.errors import PrecondError
 from artinlab.series import TruncatedSeries, monomials_up_to
-from artinlab.subspace import IdealSpec, as_module
+from artinlab.subspace import Subspace, as_module, coord_index, multiples
 
 
 def dense_coords(xs, ring):
@@ -91,18 +98,19 @@ def naive_member(x_vec, basis_rows, ring):
     return dense_rank(basis_rows, ring) == dense_rank(basis_rows + [x_vec], ring)
 
 
-def naive_nu(I: IdealSpec, x, sweep_from=0):
-    """Membership sweep: largest n with x in span(I) + m^n, scanned upward."""
-    ring = I.ring
-    M = I.as_module()
+def naive_nu(I, x, sweep_from=0):
+    """Membership sweep: largest n with x in span(I) + m^n, scanned upward.
+    I may also be a module, and x then a tuple of series, one per component."""
+    M = as_module(I)
+    ring = M.ring
     base = module_vectors(M)
-    xv = dense_coords([x], ring)
+    xv = dense_coords(x if isinstance(x, tuple) else [x], ring)
     D = ring.trunc
-    if naive_member(xv, base + m_power_vectors(ring, D + 1), ring):
-        return D + 1  # member of the ideal itself
+    if naive_member(xv, base + m_power_vectors(ring, D + 1, M.arity), ring):
+        return D + 1  # member of the module itself
     best = 0
     for n in range(sweep_from, D + 1):
-        if naive_member(xv, base + m_power_vectors(ring, n), ring):
+        if naive_member(xv, base + m_power_vectors(ring, n, M.arity), ring):
             best = n
         else:
             break
@@ -215,3 +223,79 @@ def naive_beta(system, i):
         if o.exact and trunc_key(xs) not in solutions:
             best = max(best, o.value)
     return best
+
+
+# ---------------------------------------------------------------------------
+# Sparse set operations on the package's echelon form
+# ---------------------------------------------------------------------------
+
+def _check(U: Subspace, V: Subspace):
+    if U.ring != V.ring or U.arity != V.arity:
+        raise PrecondError("incompatible rings")
+
+
+def span_m_power(ring, i, arity=1) -> Subspace:
+    """Direct sum of m^i over all components; i = D+1 gives the zero subspace."""
+    if not 0 <= i <= ring.trunc + 1:
+        raise PrecondError(f"m-power exponent {i} out of range 0..{ring.trunc + 1}")
+    starts = coord_index(ring.num_vars, ring.trunc, arity)[2]
+    U = Subspace(ring, arity)
+    U.pivots = list(range(starts[i], starts[-1]))
+    U.rows = [{k: ring.s_one} for k in U.pivots]
+    return U
+
+
+def graded_span(M, j) -> Subspace:
+    """m^j * M: the span of u * g over the generators g and the monomials u of degree >= j."""
+    M = as_module(M)
+    ring = M.ring
+    U = Subspace(ring, M.arity)
+    for gen in M.generators:
+        for d in range(j, ring.trunc + 1):
+            for vec in multiples(gen, d, ring):
+                U.insert(vec)
+    return U
+
+
+def cap_m_power(U: Subspace, i) -> Subspace:
+    """U cap m^i, as a new Subspace: the rows from U.cap_start(i) on."""
+    k = U.cap_start(i)
+    out = Subspace(U.ring, U.arity)
+    out.rows = [dict(r) for r in U.rows[k:]]
+    out.pivots = U.pivots[k:]
+    return out
+
+
+def contains(U: Subspace, V: Subspace) -> bool:
+    """V inside U."""
+    _check(U, V)
+    return all(U.contains_vec(row) for row in V.rows)
+
+
+def subspace_sum(U: Subspace, V: Subspace) -> Subspace:
+    _check(U, V)
+    out = U.copy()
+    for row in V.rows:
+        out.insert(row)
+    return out
+
+
+def subspace_intersect(U: Subspace, V: Subspace) -> Subspace:
+    """Exact intersection via echelon on doubled coordinates."""
+    _check(U, V)
+    n = len(coord_index(U.ring.num_vars, U.ring.trunc, U.arity)[0])
+    work = Subspace(U.ring, U.arity)  # columns 0..2n-1, arity only nominal
+    for row in U.rows:
+        double = dict(row)
+        for col, c in row.items():
+            double[col + n] = c
+        work.insert(double)
+    inter = Subspace(U.ring, U.arity)
+    for row in V.rows:
+        rem = work.reduce(dict(row))
+        if not rem:
+            continue
+        if all(col >= n for col in rem):
+            inter.insert({col - n: c for col, c in rem.items()})
+        work.insert(rem)
+    return inter

@@ -48,7 +48,8 @@ def test_criterion_2_irreducibility_certificates():
 
 
 def test_criterion_3_intersection_indices():
-    from artinlab.subspace import span_m_power, span_module, subspace_intersect
+    from artinlab.subspace import span_module
+    from oracles import contains, graded_span, span_m_power, subspace_intersect
 
     t0 = time.perf_counter()
     R = RingSpec(2, 0, 8)
@@ -69,10 +70,8 @@ def test_criterion_3_intersection_indices():
         U = span_module(M)
         for i in range(res.certified_up_to + 1):
             inter = subspace_intersect(U, span_m_power(R, i, M.arity))
-            assert span_module(M, min_mult_degree=max(i - expected, 0)).contains(inter)
-            if expected >= 1 and not span_module(
-                M, min_mult_degree=max(i - expected + 1, 0)
-            ).contains(inter):
+            assert contains(graded_span(M, max(i - expected, 0)), inter)
+            if expected >= 1 and not contains(graded_span(M, max(i - expected + 1, 0)), inter):
                 tight_seen = True
         assert tight_seen == (expected >= 1)
     _report(3, "i0 = 1, 2, 1 at D = 8, confirmed by the definition sweep", t0, 5.0)

@@ -12,12 +12,11 @@ from artinlab.subspace import (
     IdealSpec,
     ModuleSpec,
     member,
-    span_m_power,
     span_module,
-    subspace_intersect,
     vec_to_series,
 )
 from artinlab.parsing import parse_poly
+from oracles import cap_m_power, contains, graded_span, span_m_power, subspace_intersect
 
 F7 = RingSpec(2, 7, 5)
 
@@ -74,7 +73,7 @@ def test_tight_witness_is_genuine():
         )
         assert inter_ok
         # ... but not in m^(i - i0 + 1) * M, so index i0 - 1 fails at i
-        too_deep = span_module(M, min_mult_degree=i - res.i0 + 1)
+        too_deep = graded_span(M, i - res.i0 + 1)
         assert not member(elem, too_deep)
 
 
@@ -86,7 +85,7 @@ def test_inclusion_holds_at_reported_index():
     U = span_module(M)
     for i in range(res.certified_up_to + 1):
         inter = subspace_intersect(U, span_m_power(R, i, M.arity))
-        assert span_module(M, min_mult_degree=max(i - res.i0, 0)).contains(inter)
+        assert contains(graded_span(M, max(i - res.i0, 0)), inter)
 
 
 def test_index_generator_invariant():
@@ -168,8 +167,8 @@ def test_stable_scan_inclusion_matches_direct_check():
                     for i, (xx, ii, nu_x, exponent, holds) in enumerate(rows):
                         assert ii == i and exponent == i + ceil(a * nu_x.value) + b
                         lhs = subspace_intersect(span_module(aug), span_m_power(R, exponent))
-                        rhs = span_module(aug, min_mult_degree=i)
-                        assert holds == rhs.contains(lhs)
+                        rhs = graded_span(aug, i)
+                        assert holds == contains(rhs, lhs)
 
 
 def reference_deficits(M, cert):
@@ -177,10 +176,10 @@ def reference_deficits(M, cert):
     U = span_module(M)
     out = []
     for i in range(cert + 1):
-        inter = U.cap_m_power(i)
+        inter = cap_m_power(U, i)
         j_ok = 0
         for j in range(i, -1, -1):
-            if span_module(M, min_mult_degree=j).contains(inter):
+            if contains(graded_span(M, j), inter):
                 j_ok = j
                 break
         out.append((i, j_ok))
@@ -219,10 +218,10 @@ def test_profile_matches_per_degree_definition(M):
     i, elem = res.tight_witness
     assert i == min(i for i, j in res.deficits if i - j == res.i0)
     assert member(elem, span_module(M)) and member(elem, span_m_power(R, i, arity))
-    assert not member(elem, span_module(M, min_mult_degree=i - res.i0 + 1))
+    assert not member(elem, graded_span(M, i - res.i0 + 1))
     # the first basis row of U cap m^i outside m^(prof[i]+1) * M, from a span of its own
-    bad = span_module(res.module, min_mult_degree=res.deficits[i][1] + 1)
-    row = next(r for r in span_module(res.module).cap_m_power(i).rows if not bad.contains_vec(r))
+    bad = graded_span(res.module, res.deficits[i][1] + 1)
+    row = next(r for r in cap_m_power(span_module(res.module), i).rows if not bad.contains_vec(r))
     assert elem == vec_to_series(row, R, arity)
 
 
@@ -237,3 +236,22 @@ def test_stable_scan_grows_the_span_of_each_x(data):
     xs = data.draw(st.lists(series, min_size=1, max_size=3))
     a = data.draw(st.sampled_from([1, Fraction(3, 2), 2, Fraction(5, 3)]))
     checked_scan(I, xs, a=a, b=data.draw(st.integers(0, 2)), grid_b_max=3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_stable_scan_grid_is_the_least_passing_b(data):
+    # the grid's b at each slope, read off the Artin-Rees indices, is the least b
+    # in 0..cap at which every check of the scan at that slope holds
+    R = RingSpec(2, data.draw(st.sampled_from([0, 3, 7])), data.draw(st.integers(4, 7)))
+    series = st.dictionaries(st.sampled_from(monomials_up_to(2, 3)), st.sampled_from(COEFFS),
+                             max_size=3).map(lambda d: TruncatedSeries(R, d))
+    I = IdealSpec.of(R, data.draw(st.lists(series, max_size=2)))
+    xs = data.draw(st.lists(series, min_size=1, max_size=3))
+    grid_b_max = data.draw(st.sampled_from([None, 0, 1, 2, 5]))
+    cap = R.trunc if grid_b_max is None else grid_b_max
+    grid = stable_ar_scan(I, xs, grid_b_max=grid_b_max).grid
+    assert [a for a, _ in grid] == [1, Fraction(3, 2), 2]
+    for a, b_min in grid:
+        passing = (b for b in range(cap + 1) if stable_ar_scan(I, xs, a=a, b=b).all_hold)
+        assert b_min == next(passing, None), (a, b_min)

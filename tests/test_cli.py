@@ -209,6 +209,16 @@ def test_exit_code_budget():
     assert json.loads(proc.stdout)["result"]["state_space_size"] == "2^135751"
 
 
+def test_random_scan_stops_when_the_finite_space_runs_out():
+    # on 1 and T1 a draw can give 3 nonzero series over F_2 and 48 over Q (each
+    # coefficient absent or one of six integers): the random stream ends once it
+    # has them all, not after 50*(count+1) draws
+    for char, series in (("2", 3), ("0", 48)):
+        proc = run_cli("icl-scan", "--vars", "T1", "--char", char, "--trunc", "2", "--deg-max", "1",
+                       "--ideal", "0", "--count", "200000", "--a", "1", timeout=2)
+        assert json.loads(proc.stdout)["result"]["pairs_scanned"] == series * (series + 1) // 2
+
+
 def test_beta_lb_depth_gate():
     # _walk recurses once per slot: a search deeper than the recursion limit
     # allows is refused before any node, not ended by a RecursionError

