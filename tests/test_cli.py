@@ -9,7 +9,7 @@ import sys
 
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from artinlab.cli import build_parser, main
+from artinlab.cli import COMMANDS, build_parser, main
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
@@ -443,6 +443,56 @@ def test_pinned_output_bytes_under_optimize():
     result = json.loads(proc.stdout)
     assert result["optimize"] == 1
     assert result["digests"] == [[0, digest] for _, digest in PINNED_OUTPUTS]
+
+
+def invocation_record(argv) -> list:
+    """[exit code, sha256 of stdout, sha256 of stderr] of one in-process invocation."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # help, usage and parse errors leave this way
+            code = exc.code
+    return [code] + [hashlib.sha256(s.getvalue().encode()).hexdigest() for s in (out, err)]
+
+
+# a well-formed invocation of each command, and a typed flag to give a bad value
+WELL_FORMED = {name: next(argv for argv, _ in PINNED_OUTPUTS if argv[0] == name) for name in COMMANDS}
+TYPED_FLAG = {"irr-check": "--p", "bound": "--i", "cross-check": "--iI"}
+# every way an argument list reaches argparse's help, usage or error text: per
+# command its help, a missing required flag (the bare command), a flag it does
+# not declare, a stray positional, a bad typed value and a bad choice; then an
+# abbreviated flag, no command, top-level help and an unknown command
+PARSE_PATHS = [
+    argv
+    for name, ok in WELL_FORMED.items()
+    for argv in (
+        (name, "-h"),
+        (name,),
+        (*ok, "--zz", "1"),
+        (*ok, "stray"),
+        (*ok, TYPED_FLAG.get(name, "--trunc"), "x"),
+        (*ok, "--format", "xml"),
+    )
+] + [
+    ("ar-index", "--tru", "5"),
+    ("ar-index", "--tru", "5", "--ideal", "T1"),
+    (),
+    ("-h",),
+    ("frobnicate", "--trunc", "4"),
+]
+# [argv, exit code, sha256 of stdout, sha256 of stderr] per parse path, at 80
+# columns: argparse wraps usage and help to the terminal width
+PARSE_PATH_RECORDS = os.path.join(os.path.dirname(__file__), "parse_paths.json")
+
+
+def test_parse_path_bytes(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with open(PARSE_PATH_RECORDS) as fh:
+        pinned = json.load(fh)
+    assert [argv for argv, *_ in pinned] == [list(argv) for argv in PARSE_PATHS]
+    for argv, *record in pinned:
+        assert invocation_record(argv) == record, argv
 
 
 SUBPARSERS = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
