@@ -325,14 +325,33 @@ def _cross_check(args, s):
                 "note": rep.note}, table=(POINT, rep.rows))
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="artin-lab", description=__doc__)
-    sub = ap.add_subparsers(dest="command", required=True)
-    for name, cmd in COMMANDS.items():
-        p = sub.add_parser(name, help=cmd.summary)
+def build_parser(name: Optional[str] = None) -> argparse.ArgumentParser:
+    """The full parser, one subparser per command; or, given a command name, that
+    command's parser alone, under the prog and flags its subparser has."""
+    if name is None:
+        top = argparse.ArgumentParser(prog="artin-lab", description=__doc__)
+        sub = top.add_subparsers(dest="command", required=True)
+        parsers = {n: sub.add_parser(n, help=cmd.summary) for n, cmd in COMMANDS.items()}
+    else:
+        top = argparse.ArgumentParser(prog=f"artin-lab {name}")
+        parsers = {name: top}
+    for n, p in parsers.items():
+        cmd = COMMANDS[n]
         for flag, keywords in (RING_FLAGS if cmd.ring else ()) + COMMON_FLAGS + cmd.flags:
             p.add_argument(flag, **keywords)
-    return ap
+    return top
+
+
+def parse(argv) -> argparse.Namespace:
+    """The namespace of one argument list, from the invoked command's parser alone
+    when that parser takes every argument. Any other list ends in help or an
+    error, and the full parser reads it again, so what it prints is the full CLI's."""
+    if argv and argv[0] in COMMANDS:
+        args, rest = build_parser(argv[0]).parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return build_parser().parse_args(argv)
 
 
 def _setup(args, cmd: Command) -> Setup:
@@ -348,7 +367,7 @@ def _setup(args, cmd: Command) -> Setup:
 def run_command(argv) -> tuple:
     """Execute one CLI invocation, given its argument list or the namespace parsed
     from it; returns (report dict, csv table or None)."""
-    args = argv if isinstance(argv, argparse.Namespace) else build_parser().parse_args(argv)
+    args = argv if isinstance(argv, argparse.Namespace) else parse(argv)
     cmd = COMMANDS[args.command]
     s = _setup(args, cmd)
     out = cmd.run(args, s)
@@ -378,7 +397,7 @@ def _emit(report, table, fmt, out_path):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(sys.argv[1:] if argv is None else argv)
+    args = parse(sys.argv[1:] if argv is None else argv)
     try:
         report, table = run_command(args)
     except BudgetError as exc:

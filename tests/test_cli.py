@@ -1,4 +1,3 @@
-import argparse
 import contextlib
 import hashlib
 import io
@@ -9,7 +8,7 @@ import sys
 
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from artinlab.cli import COMMANDS, build_parser, main
+from artinlab.cli import COMMANDS, build_parser, main, parse
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
@@ -495,12 +494,9 @@ def test_parse_path_bytes(monkeypatch):
         assert invocation_record(argv) == record, argv
 
 
-SUBPARSERS = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
-
-
 def test_every_subcommand_is_pinned():
     pinned = {argv[0] for argv, _ in PINNED_OUTPUTS}
-    assert set(SUBPARSERS) <= pinned, sorted(set(SUBPARSERS) - pinned)
+    assert set(COMMANDS) <= pinned, sorted(set(COMMANDS) - pinned)
 
 
 # values per flag, small enough to keep every run short: mostly well-formed
@@ -522,15 +518,23 @@ VALUES = {
 }
 
 
+# each command's flags, read off its own parser
+ACTIONS = {name: build_parser(name)._actions for name in COMMANDS}
+FLAGS = {name: {a.option_strings[0] for a in actions if a.option_strings} for name, actions in ACTIONS.items()}
+# per command the flags it does not declare: other commands' flags and one no command has
+UNDECLARED = {name: sorted(set().union(*FLAGS.values()) - flags) + ["--zz"] for name, flags in FLAGS.items()}
+
+
 @st.composite
 def cli_argv(draw):
-    """A subcommand with a random subset of the flags its subparser declares.
+    """A subcommand with a random subset of the flags its parser declares, and
+    now and then a flag it does not declare or a stray positional at the end.
 
     --budget is always set where the command takes one, so no default budget (up
     to 10^7) is spent; --out is never drawn, so nothing is written."""
-    name = draw(st.sampled_from(sorted(SUBPARSERS)))
+    name = draw(st.sampled_from(sorted(COMMANDS)))
     argv = [name]
-    for action in SUBPARSERS[name]._actions:
+    for action in ACTIONS[name]:
         flag = action.option_strings[0] if action.option_strings else None
         if flag in (None, "-h", "--out"):
             continue
@@ -549,6 +553,11 @@ def cli_argv(draw):
             argv += [flag, draw(RATIONALS)]
         else:
             argv += [flag, draw(POLYS)]
+    tail = draw(st.integers(0, 9))
+    if tail == 8:
+        argv += [draw(st.sampled_from(UNDECLARED[name])), "3"]
+    elif tail == 9:
+        argv.append("stray")
     return argv
 
 
@@ -564,3 +573,30 @@ def test_random_argv_never_crashes(argv):
             code = exc.code
     assert code in (0, 2, 3), (argv, code, err.getvalue())
     assert (code == 0) == (out.getvalue() != "" and err.getvalue() == ""), argv
+
+
+def parse_outcome(parse_fn, argv):
+    """The namespace a parse gives, or the code it exits with; and what it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parse_fn(argv)
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(cli_argv())
+@example([])
+@example(["-h"])
+@example(["frobnicate", "--trunc", "4"])
+@example(["ord", "-h"])
+@example(["ord", "--zz", "-h"])
+@example(["ar-index", "--tru", "5"])
+@example(["ord", "stray", "--x", "T1"])
+def test_parse_matches_the_full_parser(argv):
+    # a command's own parser reads what the full parser reads; all else, help
+    # aside, falls back to the full parser and its usage and error text
+    full = parse_outcome(lambda a: build_parser().parse_args(a), argv)
+    assert parse_outcome(parse, argv) == full, argv
