@@ -77,12 +77,6 @@ class RingSpec:
             return v % self.char
         raise PrecondError(f"bad scalar {v!r} for characteristic {self.char}")
 
-    def s_add(self, a, b):
-        return demote(a + b) if self.char == 0 else (a + b) % self.char
-
-    def s_sub(self, a, b):
-        return demote(a - b) if self.char == 0 else (a - b) % self.char
-
     def s_mul(self, a, b):
         return demote(a * b) if self.char == 0 else (a * b) % self.char
 
@@ -95,10 +89,6 @@ class RingSpec:
         if self.char == 0:
             return demote(Fraction(1, a))  # never 1 / a: that is a float for an int
         return pow(a, self.char - 2, self.char)
-
-    @property
-    def s_one(self):
-        return 1
 
 
 def demote(s):

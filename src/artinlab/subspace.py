@@ -146,10 +146,6 @@ class Subspace:
         out.pivots = list(self.pivots)
         return out
 
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
     def _eliminate(self, v: dict, cols) -> None:
         """Clear from v, in place and in ascending order, the pivot columns among
         cols, the columns of the entries the caller just added to v.
@@ -236,24 +232,6 @@ class Subspace:
             raise PrecondError(f"m-power exponent {i} out of range 0..{ring.trunc + 1}")
         starts = coord_index(ring.num_vars, ring.trunc, self.arity)[2]
         return bisect.bisect_left(self.pivots, starts[i])
-
-    def canonical(self) -> tuple:
-        return tuple(tuple(sorted(r.items())) for r in self.rows)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Subspace)
-            and self.ring == other.ring
-            and self.arity == other.arity
-            and self.canonical() == other.canonical()
-        )
-
-    def __hash__(self):
-        return hash((self.ring, self.arity, self.canonical()))
-
-    def __repr__(self):
-        return f"<Subspace dim={self.dim} arity={self.arity}>"
-
 
 
 def multiples(gen, d: int, ring: RingSpec, sound: bool = False):

@@ -7,7 +7,7 @@ internals beyond the series type itself.
 
 The last section is different: set operations on the package's sparse
 echelon form (sums, intersections, m^i, the graded spans m^j * M, inclusion
-of subspaces).  The program reads U cap m^i off the pivots and never needs
+and equality of subspaces).  The program reads U cap m^i off the pivots and never needs
 the others, so they live here, as the long-way references its tests compare
 against.
 """
@@ -51,7 +51,7 @@ def dense_rank(rows, ring):
         for k in range(len(rows)):
             if k != r and rows[k][col] != 0:
                 c = rows[k][col]
-                rows[k] = [ring.s_sub(a, ring.s_mul(c, b)) for a, b in zip(rows[k], rows[r])]
+                rows[k] = [ring.s_from(a - ring.s_mul(c, b)) for a, b in zip(rows[k], rows[r])]
         r += 1
         col += 1
         rank += 1
@@ -80,7 +80,7 @@ def m_power_vectors(ring, i, arity=1):
     monos = monomials_up_to(ring.num_vars, ring.trunc)
     width = len(monos)
     out = []
-    one = ring.s_one
+    one = ring.s_from(1)
     zero = ring.s_from(0)
     for comp in range(arity):
         for idx, m in enumerate(monos):
@@ -147,12 +147,12 @@ def naive_intersection_basis(rows_a, rows_b, ring):
         for k in range(len(rows)):
             if k != r and rows[k][col] != 0:
                 c = rows[k][col]
-                rows[k] = [ring.s_sub(a, ring.s_mul(c, b)) for a, b in zip(rows[k], rows[r])]
+                rows[k] = [ring.s_from(a - ring.s_mul(c, b)) for a, b in zip(rows[k], rows[r])]
         pivots[col] = r
         r += 1
     basis = []
     zero = ring.s_from(0)
-    one = ring.s_one
+    one = ring.s_from(1)
     for free in range(ncols):
         if free in pivots:
             continue
@@ -163,7 +163,7 @@ def naive_intersection_basis(rows_a, rows_b, ring):
         vec = [zero] * width
         for k in range(na):
             if sol[k] != 0:
-                vec = [ring.s_add(v, ring.s_mul(sol[k], rows_a[k][j])) for j, v in enumerate(vec)]
+                vec = [ring.s_from(v + ring.s_mul(sol[k], rows_a[k][j])) for j, v in enumerate(vec)]
         if any(v != 0 for v in vec):
             basis.append(vec)
     return basis
@@ -241,7 +241,7 @@ def span_m_power(ring, i, arity=1) -> Subspace:
     starts = coord_index(ring.num_vars, ring.trunc, arity)[2]
     U = Subspace(ring, arity)
     U.pivots = list(range(starts[i], starts[-1]))
-    U.rows = [{k: ring.s_one} for k in U.pivots]
+    U.rows = [{k: 1} for k in U.pivots]
     return U
 
 
@@ -264,6 +264,13 @@ def cap_m_power(U: Subspace, i) -> Subspace:
     out.rows = [dict(r) for r in U.rows[k:]]
     out.pivots = U.pivots[k:]
     return out
+
+
+def same_subspace(U: Subspace, V: Subspace) -> bool:
+    """U = V: a reduced echelon form is canonical, so equal subspaces of one
+    ring and arity have the same pivots and the same rows."""
+    _check(U, V)
+    return U.pivots == V.pivots and U.rows == V.rows
 
 
 def contains(U: Subspace, V: Subspace) -> bool:

@@ -19,7 +19,15 @@ from artinlab.subspace import (
     span_module,
     vec_to_series,
 )
-from oracles import cap_m_power, contains, graded_span, span_m_power, subspace_intersect, subspace_sum
+from oracles import (
+    cap_m_power,
+    contains,
+    graded_span,
+    same_subspace,
+    span_m_power,
+    subspace_intersect,
+    subspace_sum,
+)
 
 
 def ring(n=2, char=0, D=4):
@@ -33,9 +41,9 @@ def var(R, i):
 def test_span_ideal_monomial_counts():
     R = ring(D=2)
     U = span_ideal(IdealSpec.of(R, [var(R, 0)]))
-    assert U.dim == 3  # T1, T1^2, T1*T2
+    assert len(U.rows) == 3  # T1, T1^2, T1*T2
     R1 = ring(D=1)
-    assert span_ideal(IdealSpec.of(R1, [var(R1, 0), var(R1, 1)])).dim == 2
+    assert len(span_ideal(IdealSpec.of(R1, [var(R1, 0), var(R1, 1)])).rows) == 2
 
 
 def test_span_ideal_rank_matches_dense_oracle():
@@ -44,26 +52,26 @@ def test_span_ideal_rank_matches_dense_oracle():
     I = IdealSpec.of(R, [f])
     U = span_ideal(I)
     rows = oracles.module_vectors(I.as_module())
-    assert U.dim == oracles.dense_rank(rows, R)
+    assert len(U.rows) == oracles.dense_rank(rows, R)
 
 
 def test_span_module_dims():
     R = ring(D=1)
     z = TruncatedSeries.zero(R)
     M = ModuleSpec(R, 2, ((var(R, 0), z), (z, var(R, 1))))
-    assert span_module(M).dim == 2
+    assert len(span_module(M).rows) == 2
     M2 = ModuleSpec(R, 2, ((var(R, 0), var(R, 0)),))
-    assert span_module(M2).dim == 1
+    assert len(span_module(M2).rows) == 1
     M3 = ModuleSpec(R, 2, ((var(R, 0), z), (var(R, 1), z), (z, var(R, 0)), (z, var(R, 1))))
-    assert span_module(M3).dim == 4  # all of m*A^2 at D=1
+    assert len(span_module(M3).rows) == 4  # all of m*A^2 at D=1
 
 
 def test_span_m_power():
     R = ring(D=3)
     full = span_m_power(R, 0)
-    assert full.dim == len(monomials_up_to(2, 3))
-    assert span_m_power(R, R.trunc + 1).dim == 0
-    assert span_m_power(R, 2).dim == 7  # degree-2 and degree-3 monomials
+    assert len(full.rows) == len(monomials_up_to(2, 3))
+    assert len(span_m_power(R, R.trunc + 1).rows) == 0
+    assert len(span_m_power(R, 2).rows) == 7  # degree-2 and degree-3 monomials
     with pytest.raises(PrecondError):
         span_m_power(R, 9)
     with pytest.raises(PrecondError):
@@ -76,9 +84,9 @@ def test_sum_intersect_dimension_formula_examples():
     V = span_m_power(R, 2)
     s = subspace_sum(I, V)
     x = subspace_intersect(I, V)
-    assert s.dim + x.dim == I.dim + V.dim
-    assert subspace_sum(I, I) == I
-    assert subspace_intersect(I, I) == I
+    assert len(s.rows) + len(x.rows) == len(I.rows) + len(V.rows)
+    assert same_subspace(subspace_sum(I, I), I)
+    assert same_subspace(subspace_intersect(I, I), I)
 
 
 def test_intersection_is_scaled_ideal():
@@ -87,8 +95,8 @@ def test_intersection_is_scaled_ideal():
     I = IdealSpec.of(R, [var(R, 0)])
     inter = subspace_intersect(span_ideal(I), span_m_power(R, 2))
     scaled = graded_span(I, 1)
-    assert inter == scaled
-    assert inter.dim == 5
+    assert same_subspace(inter, scaled)
+    assert len(inter.rows) == 5
 
 
 def test_canonical_form_generator_invariance():
@@ -98,8 +106,7 @@ def test_canonical_form_generator_invariance():
     g1, g2 = t1**2 - t2**3, t1 * t2
     I = IdealSpec.of(R, [g1, g2])
     J = IdealSpec.of(R, [g1 + t2 * g2, g2, g1.scale(3)])
-    assert span_ideal(I).canonical() == span_ideal(J).canonical()
-    assert span_ideal(I) == span_ideal(J)
+    assert same_subspace(span_ideal(I), span_ideal(J))
 
 
 def test_member_and_distance_order():
@@ -212,7 +219,7 @@ def dense_to_vec(vec, R, arity):
 
 def assert_matches_dense_intersection(inter, rows_u, rows_v, R, arity):
     dense = oracles.naive_intersection_basis(rows_u, rows_v, R)
-    assert inter.dim == oracles.dense_rank(dense, R) if dense else inter.dim == 0
+    assert len(inter.rows) == oracles.dense_rank(dense, R) if dense else len(inter.rows) == 0
     # mutual containment of the two computed intersections
     for vec in dense:
         assert inter.contains_vec(dense_to_vec(vec, R, arity))
@@ -240,7 +247,7 @@ def test_intersection_equals_dense_kernel_oracle():
         rows_u = oracles.module_vectors(M)
         for i in range(R.trunc + 2):
             inter = cap_m_power(U, i)
-            assert inter == subspace_intersect(U, span_m_power(R, i, M.arity))
+            assert same_subspace(inter, subspace_intersect(U, span_m_power(R, i, M.arity)))
             rows_v = oracles.m_power_vectors(R, i, M.arity)
             assert_matches_dense_intersection(inter, rows_u, rows_v, R, M.arity)
 
@@ -260,14 +267,14 @@ def test_dimension_formula_random(data):
     V = span_ideal(IdealSpec.of(R, gens_v))
     s = subspace_sum(U, V)
     x = subspace_intersect(U, V)
-    assert s.dim + x.dim == U.dim + V.dim
+    assert len(s.rows) + len(x.rows) == len(U.rows) + len(V.rows)
     for row in x.rows:
         assert U.contains_vec(row) and V.contains_vec(row)
     assert contains(s, U) and contains(s, V)
     M = ModuleSpec(R, 2, tuple(zip(gens_u, gens_v)) + tuple((g, g * g) for g in gens_u))
     for W, arity in ((U, 1), (V, 1), (span_module(M), 2)):
         for i in range(R.trunc + 2):
-            assert cap_m_power(W, i) == subspace_intersect(W, span_m_power(R, i, arity))
+            assert same_subspace(cap_m_power(W, i), subspace_intersect(W, span_m_power(R, i, arity)))
 
 
 def assert_canonical_scalars(values, R):
@@ -308,7 +315,7 @@ def test_scalar_representation_random(data):
         assert row[p] == 1
         assert_canonical_scalars(row.values(), R)
     dense = [oracles.dense_coords(v, R) for v in vecs]
-    assert U.dim == oracles.dense_rank(dense, R)
+    assert len(U.rows) == oracles.dense_rank(dense, R)
     rem = U.reduce(series_to_vec(x, R))
     assert_canonical_scalars(rem.values(), R)
     # the remainder is the canonical one: no pivot column, and x - rem lies in U
