@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 from .errors import BudgetError, PrecondError
 from .series import (ExtOrder, TruncatedSeries, _raw, fp_space_size, fp_vectors, monomials_of_degree,
-                     monomials_up_to)
+                     monomials_up_to, power)
 from .subspace import (
     IdealSpec,
     ModuleSpec,
@@ -510,10 +510,15 @@ class _BetaSearch:
     that cannot influence the residual at all are frozen to zero, which
     collapses classes that are equivalent by translation.
 
-    The residual is kept incrementally: a new layer of x_j changes it by
+    A node pays only for what its layer changes.  The residual changes by
     coeff * (x_j'^a - x_j^a) * prod_{u != j} x_u^(alpha_u) over the system
-    terms that contain x_j, read off per-unknown power lists (x_u^1 .. x_u^k,
-    k the largest exponent of x_u in the system) that the undo frames restore.
+    terms that contain x_j; for a = 1 that is coeff * layer, a shift of the
+    layer when coeff is one monomial.  The powers x_u^k are kept at the
+    exponents k of x_u in the system.  Each residual's order is kept beside
+    it and rescanned only where it was not below the least degree the layer
+    can reach.  The undo frames restore all of it.  Slots are degree-major,
+    so a class modulo m^(i+1) is the layers of the first `boundary` frames:
+    its key is read off the path once and kept until an undo goes above it.
 
     Every pass is one depth-first _walk with its own visit.  Pass 1 records
     the classes modulo m^(i+1) that hold an exact solution; pass 2 takes the
@@ -546,8 +551,9 @@ class _BetaSearch:
             raise BudgetError(f"search depth {len(self.slots)} slots > {limit - _STACK_MARGIN}: the "
                               f"recursion limit {limit} less {_STACK_MARGIN} frames for the callers")
         self.boundary = (i + 1) * n
-        # per unknown j, the system terms containing it:
-        # (equation, coefficient, its order, alpha_j, ((u, alpha_u) for the other unknowns))
+        # per unknown j, the system terms containing it: (equation, coefficient, its
+        # order, alpha_j, ((u, alpha_u) for the other unknowns), (u, c) when the
+        # coefficient is the one monomial c*T^u, else None)
         self.terms_by_unknown = []
         for j in range(n):
             lst = []
@@ -555,7 +561,8 @@ class _BetaSearch:
                 for alpha, coeff in poly.terms.items():
                     if alpha[j] >= 1 and not coeff.is_zero:
                         others = tuple((u, a) for u, a in enumerate(alpha) if a and u != j)
-                        lst.append((pidx, coeff, coeff.order().value, alpha[j], others))
+                        mono = next(iter(coeff.terms.items())) if len(coeff.terms) == 1 else None
+                        lst.append((pidx, coeff, coeff.order().value, alpha[j], others, mono))
             self.terms_by_unknown.append(lst)
         self.space = (ring.char, n * len(monomials_up_to(ring.num_vars, D)))  # raw space F_p^e
         self.nodes = 0
@@ -564,113 +571,110 @@ class _BetaSearch:
         # mutable search state
         self.xs = [TruncatedSeries.zero(ring) for _ in range(n)]
         self.res = [poly.eval(self.xs) for poly in self.system]
-        # pows[u][k] = xs[u]^k for 1 <= k <= the largest exponent of x_u (index 0 unused)
-        top = [max((t[3] for t in self.terms_by_unknown[u]), default=0) for u in range(n)]
-        self.pows = [[None] + [self.xs[u]] * top[u] for u in range(n)]
-        self.fno = [None] * n
-        self.next_layer = [0] * n
+        self.ords = [r.order().value for r in self.res]  # D + 1 for a zero residual
+        # pows[u][k] = xs[u]^k for each exponent k of x_u in the system
+        self.pows = [{t[3]: self.xs[u] for t in self.terms_by_unknown[u]} for u in range(n)]
+        # lb[u]: the order of x_u once it is nonzero, before that its next layer's
+        # degree; a lower bound for the order of every completion of x_u
+        self.lb = [0] * n
         self._frames = []
+        self._key = None
 
     # -- bookkeeping -------------------------------------------------------
-    def _lb(self, u: int) -> int:
-        return self.fno[u] if self.fno[u] is not None else self.next_layer[u]
-
     def _slot_min_degree(self, j: int, d: int) -> int:
         best = self.D + 1
-        lb = self._lb
-        for _, _, cord, aj, others in self.terms_by_unknown[j]:
-            s = cord + d + (aj - 1) * lb(j)
+        lb = self.lb
+        for _, _, cord, aj, others, _ in self.terms_by_unknown[j]:
+            s = cord + d + (aj - 1) * lb[j]
             for u, a in others:
-                s += a * lb(u)
+                s += a * lb[u]
             if s < best:
                 best = s
         return best
 
-    def _assign(self, j: int, d: int, layer_terms: dict):
-        old_x = self.xs[j]
+    def _assign(self, j: int, d: int, layer: dict, floor: int = 0):
+        """Give x_j the layer of degree d; floor is _slot_min_degree(j, d) from
+        before the assignment, the least degree the change can reach."""
         old_pows = self.pows[j]
-        self._frames.append((j, old_x, old_pows, self.res, self.fno[j]))
-        self.next_layer[j] = d + 1
-        if not layer_terms:
+        old_x = self.xs[j]
+        self._frames.append((j, old_x, old_pows, self.res, self.ords, self.lb[j], layer))
+        if old_x.is_zero:
+            self.lb[j] = d if layer else d + 1
+        if not layer:
             return
-        merged = dict(old_x.terms)
-        merged.update(layer_terms)
-        new_x = _raw(self.ring, merged)
-        new_pows = [None, new_x]
-        for _ in range(2, len(old_pows)):
-            new_pows.append(new_pows[-1] * new_x)
+        ring = self.ring
+        new_x = _raw(ring, {**old_x.terms, **layer})
+        new_pows = {k: power(new_x, k, None) for k in old_pows}  # k >= 1: no `one` needed
+        step = _raw(ring, layer)
         pows = self.pows
-        new_res = list(self.res)
-        for pidx, coeff, _, aj, others in self.terms_by_unknown[j]:
-            diff = new_pows[aj] - old_pows[aj]
-            if diff.is_zero:
-                continue
-            term = coeff * diff
+        res, ords = list(self.res), list(self.ords)
+        for pidx, coeff, _, aj, others, mono in self.terms_by_unknown[j]:
+            if aj > 1:
+                term = coeff * (new_pows[aj] - old_pows[aj])
+            else:  # the layer's monomials are new to x_j: x_j' - x_j is the layer
+                term = step.shift(*mono) if mono else coeff * step
             for u, a in others:
                 if term.is_zero:
                     break
                 term = term * pows[u][a]
             if not term.is_zero:
-                new_res[pidx] = new_res[pidx] + term
+                res[pidx] = res[pidx] + term
+                if ords[pidx] >= floor:  # below floor the term cannot touch the order
+                    ords[pidx] = res[pidx].order().value
         self.xs[j] = new_x
         pows[j] = new_pows
-        self.res = new_res
-        if self.fno[j] is None:
-            self.fno[j] = d
+        self.res, self.ords = res, ords
 
     def _undo(self):
-        j, old_x, old_pows, old_res, old_fno = self._frames.pop()
-        self.xs[j] = old_x
-        self.pows[j] = old_pows
-        self.res = old_res
-        self.fno[j] = old_fno
-        self.next_layer[j] -= 1
+        j, self.xs[j], self.pows[j], self.res, self.ords, self.lb[j], _ = self._frames.pop()
+        if len(self._frames) < self.boundary:
+            self._key = None
 
     def _advance_auto(self, slot_idx: int) -> tuple:
+        """Freeze to zero the slots that cannot reach the residual; returns the next
+        slot, the frames pushed and that slot's floor (D + 1 past the last slot)."""
         frames = 0
         while slot_idx < len(self.slots):
             d, j = self.slots[slot_idx]
-            if self._slot_min_degree(j, d) <= self.D:
-                break
+            floor = self._slot_min_degree(j, d)
+            if floor <= self.D:
+                return slot_idx, frames, floor
             self._assign(j, d, {})
             frames += 1
             slot_idx += 1
-        return slot_idx, frames
+        return slot_idx, frames, self.D + 1
 
-    def _finality(self, slot_idx: int) -> int:
-        """Least residual degree any remaining slot can still change.
+    def _finality(self, slot_idx: int, floor: int) -> int:
+        """Least residual degree any remaining slot can still change; floor is the
+        first remaining slot's _slot_min_degree.
 
         _slot_min_degree(j, d) is nondecreasing in d and the slots are
         degree-major, so each unknown's first remaining slot, among the next
         n slots, carries its minimum over all of its remaining ones.
         """
-        best = self.D + 1
-        for d, j in self.slots[slot_idx:slot_idx + self.n]:
-            best = min(best, self._slot_min_degree(j, d))
+        best = floor
+        for d, j in self.slots[slot_idx + 1:slot_idx + self.n]:
+            s = self._slot_min_degree(j, d)
+            if s < best:
+                best = s
         return best
 
-    def _fixed_order(self, slot_idx: int) -> Optional[int]:
+    def _fixed_order(self, slot_idx: int, floor: int) -> Optional[int]:
         """Least order of a residual term that no remaining slot can change, or None."""
-        bound = self._finality(slot_idx)
-        out = None
-        for r in self.res:
-            o = r.order()
-            if o.exact and o.value < bound and (out is None or o.value < out):
-                out = o.value
-        return out
+        o = min(self.ords)
+        return o if o < floor and o < self._finality(slot_idx, floor) else None
 
     def _class_key(self):
-        i = self.i
-        return tuple(
-            tuple(sorted((m, c) for m, c in self.xs[j].terms.items() if sum(m) <= i))
-            for j in range(self.n)
-        )
+        """The layers of degree <= i, read off the first `boundary` frames (slot_idx >= boundary)."""
+        if self._key is None:
+            self._key = tuple(tuple(f[6].items()) for f in self._frames[:self.boundary])
+        return self._key
 
     # -- the one depth-first walk ---------------------------------------------
     def _walk(self, slot_idx: int, visit, stop_from: int) -> bool:
         """Depth-first from slot_idx, counting every node against the budget.
 
-        Past the slots frozen to zero, visit(slot_idx) ends the node with a
+        Past the slots frozen to zero, visit(slot_idx, floor) ends the node with a
         verdict, or returns None to try each value of the next layer.  A True
         verdict returns through the layers of degree >= stop_from, skipping
         their remaining values, and stops at the first shallower layer, which
@@ -682,14 +686,14 @@ class _BetaSearch:
                 f"enumeration budget {self.budget} exhausted after {self.nodes} nodes; "
                 "raw state space has size %d^%d" % self.space
             )
-        slot_idx, frames = self._advance_auto(slot_idx)
+        slot_idx, frames, floor = self._advance_auto(slot_idx)
         try:
-            verdict = visit(slot_idx)
+            verdict = visit(slot_idx, floor)
             if verdict is not None:
                 return verdict
             d, j = self.slots[slot_idx]
             for layer in fp_vectors(monomials_of_degree(self.ring.num_vars, d), self.ring.char):
-                self._assign(j, d, layer)
+                self._assign(j, d, layer, floor)
                 found = self._walk(slot_idx + 1, visit, stop_from)
                 self._undo()
                 if found and d >= stop_from:
@@ -701,8 +705,8 @@ class _BetaSearch:
 
     # pass 1: record every class containing an exact solution; one solution
     # decides all layers past i, so the walk stops there at the first one
-    def _solution_visit(self, slot_idx: int):
-        if self._fixed_order(slot_idx) is not None:
+    def _solution_visit(self, slot_idx: int, floor: int):
+        if self._fixed_order(slot_idx, floor) is not None:
             return False
         if slot_idx == len(self.slots):
             self.solset.add(self._class_key())
@@ -710,10 +714,10 @@ class _BetaSearch:
         return None
 
     # pass 2: max residual order over classes with no nearby solution
-    def _beta_visit(self, slot_idx: int):
+    def _beta_visit(self, slot_idx: int, floor: int):
         if slot_idx >= self.boundary and self._class_key() in self.solset:
             return False
-        e = self._fixed_order(slot_idx)
+        e = self._fixed_order(slot_idx, floor)
         if e is not None:
             if e > self.best and self._walk(slot_idx, self._witness_visit, 0):
                 self.best = e
@@ -723,7 +727,7 @@ class _BetaSearch:
         return None
 
     # does some completion of the class layers escape every solution class?
-    def _witness_visit(self, slot_idx: int):
+    def _witness_visit(self, slot_idx: int, floor: int):
         if slot_idx >= self.boundary:
             return self._class_key() not in self.solset
         return None

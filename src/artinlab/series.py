@@ -307,6 +307,14 @@ class TruncatedSeries:
                     out.pop(m, None)
         return _raw(self.ring, out)
 
+    def shift(self, u: Monomial, c=1) -> "TruncatedSeries":
+        """c * T^u * self for a nonzero normalised scalar c: each exponent moved by u
+        and the terms past D dropped, with no product."""
+        r = self.ring
+        room = r.trunc - sum(u)
+        return _raw(r, {tuple(map(add, m, u)): v if c == 1 else r.s_mul(v, c)
+                        for m, v in self.terms.items() if sum(m) <= room})
+
     def scale(self, c) -> "TruncatedSeries":
         r = self.ring
         c = r.s_from(c)
@@ -392,11 +400,14 @@ class TruncatedSeries:
         return self.to_str()
 
 
+_set_ring, _set_terms = TruncatedSeries.ring.__set__, TruncatedSeries.terms.__set__
+
+
 def _raw(ring: RingSpec, clean_terms: dict) -> TruncatedSeries:
-    # internal fast path: terms already normalized
-    s = TruncatedSeries.__new__(TruncatedSeries)
-    object.__setattr__(s, "ring", ring)
-    object.__setattr__(s, "terms", clean_terms)
+    # internal fast path: terms already normalized; the slot setters skip __setattr__
+    s = object.__new__(TruncatedSeries)
+    _set_ring(s, ring)
+    _set_terms(s, clean_terms)
     return s
 
 

@@ -251,8 +251,7 @@ def multiples(gen, d: int, ring: RingSpec, sound: bool = False):
     if d > cap:
         return
     for u in monomials_of_degree(ring.num_vars, d):
-        mono = TruncatedSeries.monomial(ring, u)
-        yield series_to_vec([mono * g for g in gen], ring)
+        yield series_to_vec([g.shift(u) for g in gen], ring)
 
 
 def span_module(M: ModuleSpec, sound: bool = False) -> Subspace:

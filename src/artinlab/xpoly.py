@@ -92,7 +92,7 @@ class PolyInX:
         for exps, coeff in self.terms.items():
             term = coeff
             for x, e in zip(xs, exps):
-                for _ in range(e):
-                    term = term * x
+                if e:
+                    term = term * x**e  # square-and-multiply: a huge e costs log2(e) products
             total = total + term
         return total

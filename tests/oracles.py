@@ -13,9 +13,10 @@ tests compare against.
 """
 
 from fractions import Fraction
+from operator import add
 
 from artinlab.errors import PrecondError
-from artinlab.series import TruncatedSeries, monomials_up_to
+from artinlab.series import TruncatedSeries, fp_vectors, monomials_of_degree, monomials_up_to
 from artinlab.subspace import Subspace, as_module, coord_index, multiples
 
 
@@ -223,6 +224,52 @@ def naive_beta(system, i):
         if o.exact and trunc_key(xs) not in solutions:
             best = max(best, o.value)
     return best
+
+
+def naive_factorization_scan(target, i, p):
+    """_factorization_scan the long way, with no size gate: at each depth every y
+    layer is multiplied by x_1 and compared with what the product still needs.
+    Returns (size of the space, count, first pair found)."""
+    layer_monos = {d: monomials_of_degree(3, d) for d in range(1, i + 1)}
+    target = {m: c % p for m, c in target.items() if c % p}
+
+    def add_product(out, xu, yv, sign=1):
+        for m1, c1 in xu.items():
+            for m2, c2 in yv.items():
+                m = tuple(map(add, m1, m2))
+                s = (out.get(m, 0) + sign * c1 * c2) % p
+                if s:
+                    out[m] = s
+                else:
+                    out.pop(m, None)
+
+    found = 0
+    first = None
+
+    def dfs(depth, xl, yl):
+        nonlocal found, first
+        if depth == i:
+            found += 1
+            if first is None:
+                first = (dict(xl), dict(yl))
+            return
+        want = {m: c for m, c in target.items() if sum(m) == depth + 1}
+        for xlayer in fp_vectors(layer_monos[depth], p):
+            xl[depth] = xlayer
+            need = dict(want)
+            for u in range(2, depth + 1):
+                add_product(need, xl[u], yl[depth + 1 - u], -1)
+            for ylayer in fp_vectors(layer_monos[depth], p):
+                yl[depth] = ylayer
+                got = {}
+                add_product(got, xl[1], ylayer)
+                if got == need:
+                    dfs(depth + 1, xl, yl)
+            yl.pop(depth, None)
+        xl.pop(depth, None)
+
+    dfs(1, {}, {})
+    return p ** (2 * sum(len(layer_monos[d]) for d in range(1, i))), found, first
 
 
 # ---------------------------------------------------------------------------

@@ -116,15 +116,36 @@ class CheckedSearch(_BetaSearch):
 
     checked = 0
 
+    def __init__(self, *args):
+        super().__init__(*args)
+        # the class key read off the path against the sorted layers of degree <= i:
+        # a map each way, so both keys split the nodes into the same classes
+        self.path_to_layers, self.layers_to_path = {}, {}
+
     def _advance_auto(self, slot_idx):
-        slot_idx, frames = super()._advance_auto(slot_idx)
+        slot_idx, frames, floor = super()._advance_auto(slot_idx)
         for poly, r in zip(self.system, self.res):
             assert r == poly.eval(self.xs)
-        for x, pows in zip(self.xs, self.pows):
-            assert all(pows[k] == x**k for k in range(1, len(pows)))
-        assert self._finality(slot_idx) == self.full_scan_finality(slot_idx)
+        assert self.ords == [r.order().value for r in self.res]
+        for j, (x, pows) in enumerate(zip(self.xs, self.pows)):
+            assert set(pows) == {alpha[j] for poly in self.system for alpha in poly.terms if alpha[j]}
+            assert all(v == x**k for k, v in pows.items())
+        for u, x in enumerate(self.xs):
+            assert self.lb[u] == (x.order().value if x.terms else sum(f[0] == u for f in self._frames))
+        if slot_idx < len(self.slots):
+            d, j = self.slots[slot_idx]
+            assert floor == self._slot_min_degree(j, d) <= self.D
+        else:
+            assert floor == self.D + 1
+        assert self._finality(slot_idx, floor) == self.full_scan_finality(slot_idx)
+        if slot_idx >= self.boundary:
+            layers = tuple(tuple(sorted((m, c) for m, c in x.terms.items() if sum(m) <= self.i))
+                           for x in self.xs)
+            path = self._class_key()
+            assert self.path_to_layers.setdefault(path, layers) == layers
+            assert self.layers_to_path.setdefault(layers, path) == path
         self.checked += 1
-        return slot_idx, frames
+        return slot_idx, frames, floor
 
     def full_scan_finality(self, slot_idx):
         # least degree of a residual term that an assignment to any remaining slot
@@ -134,7 +155,7 @@ class CheckedSearch(_BetaSearch):
             for poly in self.system:
                 for alpha, coeff in poly.terms.items():
                     if alpha[j]:
-                        lbs = sum((a - (u == j)) * self._lb(u) for u, a in enumerate(alpha))
+                        lbs = sum((a - (u == j)) * self.lb[u] for u, a in enumerate(alpha))
                         best = min(best, coeff.order().value + d + lbs)
         return best
 
@@ -169,3 +190,17 @@ def test_incremental_state_matches_definitions():
             assert search.checked == search.nodes > 0, (text, i)
             assert got == beta_lower_bound_bruteforce(sys_, i), (text, i)
             assert (got.value, got.explored_nodes, got.solvable_classes) == pinned[i], (text, i)
+
+
+def test_search_benchmark_systems_pinned():
+    # (value, explored_nodes, solvable_classes) of the beta-lb systems of the search
+    # benchmark at its sizes: every node of both passes, so a cheaper node cannot
+    # come from visiting fewer
+    for char, trunc, text, i, pinned in [
+        (2, 6, "T1*X1 + T2*X2", 3, (4, 4951, 64)),
+        (3, 5, "T1*X1 + T2*X2", 2, (3, 4851, 27)),
+        (2, 5, "X1*X2 - T1*T2", 2, (3, 2897, 72)),
+        (2, 5, "X1^2 + T1*X2", 2, (4, 4759, 8)),
+    ]:
+        got = beta_lower_bound_bruteforce(system(text, RingSpec(2, char, trunc), ["X1", "X2"]), i)
+        assert (got.value, got.explored_nodes, got.solvable_classes) == pinned, (char, trunc, text)

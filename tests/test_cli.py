@@ -229,6 +229,14 @@ def test_beta_lb_depth_gate():
     assert (rep["beta_lower_bound"], rep["explored_nodes"]) == (1, 506)
 
 
+def test_beta_lb_huge_exponent():
+    # powers of an unknown are kept only at the exponents of the system and taken by
+    # square-and-multiply, so a huge exponent costs about log2 of it, not itself
+    proc = run_cli("beta-lb", "--vars", "T1", "--char", "2", "--trunc", "3", "--system", "X1^99999999999",
+                   "--unknowns", "X1", "--i", "0", timeout=2)
+    assert json.loads(proc.stdout)["result"]["explored_nodes"] == 7
+
+
 def test_parse_error_exit_code():
     proc = run_cli(
         "ord", "--vars", "T1,T2", "--trunc", "4", "--x", "T9 + 1", expect=2

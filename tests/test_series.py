@@ -170,3 +170,27 @@ def test_polyinx_power_is_repeated_product(data):
         for _ in range(e):
             want = want * base
         assert (base**e).terms == want.terms
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(RINGS).flatmap(lambda R: st.tuples(
+    series_strategy(R), st.sampled_from(monomials_up_to(R.num_vars, R.trunc + 1)), st.integers(1, 4))))
+def test_shift_is_the_monomial_product(data):
+    # u runs one degree past D, where every shift truncates to 0
+    a, u, c = data
+    assert a.shift(u, c) == TruncatedSeries.monomial(a.ring, u, c) * a
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(RINGS).flatmap(lambda R: st.tuples(
+    xpoly_strategy(R), series_strategy(R), series_strategy(R))))
+def test_polyinx_eval_is_repeated_product(data):
+    p, x1, x2 = data
+    want = TruncatedSeries.zero(p.ring)
+    for (e1, e2), coeff in p.terms.items():
+        term = coeff
+        for x, e in ((x1, e1), (x2, e2)):
+            for _ in range(e):
+                term = term * x
+        want = want + term
+    assert p.eval([x1, x2]) == want

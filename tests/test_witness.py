@@ -1,5 +1,7 @@
 import pytest
 
+import oracles
+
 from artinlab.errors import BudgetError, PrecondError
 from artinlab.series import ExtOrder, RingSpec, TruncatedSeries
 from artinlab.witness import (
@@ -113,6 +115,25 @@ def test_scan_counts_deeper_factorizations():
         x, y = (TruncatedSeries(R, {m: c for layer in f.values() for m, c in layer.items()})
                 for f in ce)
         assert x * y == TruncatedSeries(R, target)
+
+
+def test_scan_matches_the_naive_loop():
+    # the y layers looked up by x_1 * y give the size, the count and the first pair
+    # of the loop that multiplies every y layer by x_1 (tests/oracles.py)
+    from artinlab.witness import _factorization_scan
+
+    for target, i, p, count in [
+        ({(1, 1, 0): 1}, 3, 3, 108),
+        ({(1, 1, 0): 1, (0, 0, 2): -1}, 2, 2, 0),
+        ({(1, 1, 0): 1, (0, 0, 2): -1}, 2, 3, 0),
+        ({(1, 1, 0): 1, (0, 0, 3): -1}, 3, 2, 0),
+        ({(1, 1, 0): 1, (1, 0, 2): 1}, 3, 2, 16),  # T1 * (T2 + T3^2)
+        ({(2, 0, 0): 1, (1, 1, 0): 1, (1, 0, 1): 1, (0, 1, 1): 1}, 3, 2, 16),  # (T1 + T2)(T1 + T3)
+        ({(2, 0, 0): 1, (0, 1, 1): 1}, 3, 2, 0),  # T1^2 + T2*T3, a cone
+    ]:
+        got = _factorization_scan(target, i, p, 10**9)
+        assert got == oracles.naive_factorization_scan(target, i, p), (target, i, p)
+        assert got[1] == count and (got[2] is None) == (count == 0), (target, i, p)
 
 
 def test_certificate_needs_prime_field():
