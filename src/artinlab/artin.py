@@ -13,6 +13,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil
+from operator import add
 from typing import Optional, Sequence
 
 from .errors import BudgetError, PrecondError
@@ -510,19 +511,30 @@ class _BetaSearch:
     that cannot influence the residual at all are frozen to zero, which
     collapses classes that are equivalent by translation.
 
-    A node pays only for what its layer changes.  The residual changes by
-    coeff * (x_j'^a - x_j^a) * prod_{u != j} x_u^(alpha_u) over the system
-    terms that contain x_j; for a = 1 that is coeff * layer, a shift of the
-    layer when coeff is one monomial.  The powers x_u^k are kept at the
-    exponents k of x_u in the system.  Each residual's order is kept beside
-    it and rescanned only where it was not below the least degree the layer
-    can reach.  The undo frames restore all of it.  Slots are degree-major,
-    so a class modulo m^(i+1) is the layers of the first `boundary` frames:
-    its key is read off the path once and kept until an undo goes above it.
+    A node pays only for the degrees its layer changes.  Each residual is a
+    list of D + 1 dicts, one per homogeneous degree; an assignment copies the
+    list and the dicts of the degrees it writes, and the undo frame keeps the
+    old list.  A residual's order is its first nonempty degree: after a write
+    it is found by walking up the empty degrees from the lower of the old
+    order and the least degree written, never by rescanning terms.
 
-    Every pass is one depth-first _walk with its own visit.  Pass 1 records
-    the classes modulo m^(i+1) that hold an exact solution; pass 2 takes the
-    largest residual order outside them, each confirmed by a witness walk.
+    The residual changes by coeff * (x_j'^a - x_j^a) * prod_{u != j} x_u^(alpha_u)
+    over the system terms that contain x_j.  A term c*T^u*x_j, linear in x_j,
+    with one monomial as coefficient and no other unknown, sends the layer of
+    degree d to degree d + |u|: for each slot, the first time it gets a
+    nonzero layer, that degree and the map m -> m + u over the degree-d
+    monomials are computed once (or the term is left out when d + |u| > D),
+    and a node adds c * layer through the map in one loop.  Every other term
+    (a power of x_j, a product with another unknown, a coefficient with several
+    monomials) is formed as a series and its terms are added to their degrees;
+    the powers x_u^k it needs are kept at the exponents k of x_u in the system.
+
+    Slots are degree-major, so a class modulo m^(i+1) is the layers of the
+    first `boundary` frames: its key is read off the path once and kept until
+    an undo goes above it.  Every pass is one depth-first _walk with its own
+    visit.  Pass 1 records the classes modulo m^(i+1) that hold an exact
+    solution; pass 2 takes the largest residual order outside them, each
+    confirmed by a witness walk.
     """
 
     def __init__(self, system: Sequence[PolyInX], i: int, budget: int):
@@ -551,29 +563,43 @@ class _BetaSearch:
             raise BudgetError(f"search depth {len(self.slots)} slots > {limit - _STACK_MARGIN}: the "
                               f"recursion limit {limit} less {_STACK_MARGIN} frames for the callers")
         self.boundary = (i + 1) * n
-        # per unknown j, the system terms containing it: (equation, coefficient, its
-        # order, alpha_j, ((u, alpha_u) for the other unknowns), (u, c) when the
-        # coefficient is the one monomial c*T^u, else None)
-        self.terms_by_unknown = []
+        # per unknown j, the system terms containing it, each as (its coefficient's
+        # order, alpha_j, ((u, alpha_u) for the other unknowns)); the terms c*T^u*x_j
+        # as (equation, u, c); every other term as (equation, coefficient, alpha_j,
+        # others, (u, c) when the coefficient is the one monomial c*T^u, else None)
+        self.terms_by_unknown, self.linear, self.general = [], [], []
         for j in range(n):
-            lst = []
+            reach, linear, general = [], [], []
             for pidx, poly in enumerate(self.system):
                 for alpha, coeff in poly.terms.items():
                     if alpha[j] >= 1 and not coeff.is_zero:
                         others = tuple((u, a) for u, a in enumerate(alpha) if a and u != j)
                         mono = next(iter(coeff.terms.items())) if len(coeff.terms) == 1 else None
-                        lst.append((pidx, coeff, coeff.order().value, alpha[j], others, mono))
-            self.terms_by_unknown.append(lst)
+                        reach.append((coeff.order().value, alpha[j], others))
+                        if alpha[j] == 1 and mono and not others:
+                            linear.append((pidx, *mono))
+                        else:
+                            general.append((pidx, coeff, alpha[j], others, mono))
+            self.terms_by_unknown.append(reach)
+            self.linear.append(linear)
+            self.general.append(general)
+        self.shifts = [None] * len(self.slots)  # per slot, built by _slot_shifts
         self.space = (ring.char, n * len(monomials_up_to(ring.num_vars, D)))  # raw space F_p^e
         self.nodes = 0
         self.solset = set()
         self.best = -1
         # mutable search state
         self.xs = [TruncatedSeries.zero(ring) for _ in range(n)]
-        self.res = [poly.eval(self.xs) for poly in self.system]
-        self.ords = [r.order().value for r in self.res]  # D + 1 for a zero residual
+        self.res = []  # per equation, its residual as D + 1 dicts, one per degree
+        for poly in self.system:
+            parts = [{} for _ in range(D + 1)]
+            for m, c in poly.eval(self.xs).terms.items():
+                parts[sum(m)][m] = c
+            self.res.append(parts)
+        # each residual's first nonempty degree, D + 1 for a zero residual
+        self.ords = [next((e for e, part in enumerate(r) if part), D + 1) for r in self.res]
         # pows[u][k] = xs[u]^k for each exponent k of x_u in the system
-        self.pows = [{t[3]: self.xs[u] for t in self.terms_by_unknown[u]} for u in range(n)]
+        self.pows = [{t[1]: self.xs[u] for t in self.terms_by_unknown[u]} for u in range(n)]
         # lb[u]: the order of x_u once it is nonzero, before that its next layer's
         # degree; a lower bound for the order of every completion of x_u
         self.lb = [0] * n
@@ -584,7 +610,7 @@ class _BetaSearch:
     def _slot_min_degree(self, j: int, d: int) -> int:
         best = self.D + 1
         lb = self.lb
-        for _, _, cord, aj, others, _ in self.terms_by_unknown[j]:
+        for cord, aj, others in self.terms_by_unknown[j]:
             s = cord + d + (aj - 1) * lb[j]
             for u, a in others:
                 s += a * lb[u]
@@ -592,9 +618,21 @@ class _BetaSearch:
                 best = s
         return best
 
-    def _assign(self, j: int, d: int, layer: dict, floor: int = 0):
-        """Give x_j the layer of degree d; floor is _slot_min_degree(j, d) from
-        before the assignment, the least degree the change can reach."""
+    def _slot_shifts(self, slot_idx: int) -> list:
+        """(equation, degree d + |u|, c, map m -> m + u over the degree-d monomials)
+        for each term c*T^u*x_j of the slot's unknown that stays within D."""
+        d, j = self.slots[slot_idx]
+        monos = monomials_of_degree(self.ring.num_vars, d)
+        plan = self.shifts[slot_idx] = []
+        for pidx, u, c in self.linear[j]:
+            e = d + sum(u)
+            if e <= self.D:
+                plan.append((pidx, e, c, {m: tuple(map(add, m, u)) for m in monos}))
+        return plan
+
+    def _assign(self, slot_idx: int, layer: dict):
+        """Give the slot's unknown x_j its layer of degree d."""
+        d, j = self.slots[slot_idx]
         old_pows = self.pows[j]
         old_x = self.xs[j]
         self._frames.append((j, old_x, old_pows, self.res, self.ords, self.lb[j], layer))
@@ -602,27 +640,71 @@ class _BetaSearch:
             self.lb[j] = d if layer else d + 1
         if not layer:
             return
-        ring = self.ring
+        ring, D = self.ring, self.D
+        p = ring.char
         new_x = _raw(ring, {**old_x.terms, **layer})
         new_pows = {k: power(new_x, k, None) for k in old_pows}  # k >= 1: no `one` needed
-        step = _raw(ring, layer)
-        pows = self.pows
-        res, ords = list(self.res), list(self.ords)
-        for pidx, coeff, _, aj, others, mono in self.terms_by_unknown[j]:
-            if aj > 1:
-                term = coeff * (new_pows[aj] - old_pows[aj])
-            else:  # the layer's monomials are new to x_j: x_j' - x_j is the layer
-                term = step.shift(*mono) if mono else coeff * step
-            for u, a in others:
+        res = list(self.res)
+        low = {}  # equation -> least degree written; its list of degrees is a fresh copy
+        shifts = self.shifts[slot_idx]
+        if shifts is None:
+            shifts = self._slot_shifts(slot_idx)
+        # one term c*T^u*x_j per equation at most: alpha = e_j has one coefficient
+        for pidx, e, c, shifted in shifts:
+            r = res[pidx] = list(res[pidx])
+            low[pidx] = e
+            part = r[e] = dict(r[e])
+            for m, v in layer.items():
+                k = shifted[m]
+                s = (part.get(k, 0) + c * v) % p
+                if s:
+                    part[k] = s
+                else:
+                    del part[k]
+        if self.general[j]:
+            step = _raw(ring, layer)
+            pows = self.pows
+            for pidx, coeff, aj, others, mono in self.general[j]:
+                if aj > 1:
+                    term = coeff * (new_pows[aj] - old_pows[aj])
+                else:  # the layer's monomials are new to x_j: x_j' - x_j is the layer
+                    term = step.shift(*mono) if mono else coeff * step
+                for u, a in others:
+                    if term.is_zero:
+                        break
+                    term = term * pows[u][a]
                 if term.is_zero:
-                    break
-                term = term * pows[u][a]
-            if not term.is_zero:
-                res[pidx] = res[pidx] + term
-                if ords[pidx] >= floor:  # below floor the term cannot touch the order
-                    ords[pidx] = res[pidx].order().value
+                    continue
+                if pidx in low:
+                    r, lo = res[pidx], low[pidx]
+                else:
+                    r, lo = list(res[pidx]), D + 1
+                    res[pidx] = r
+                fresh = {}  # degree -> its dict, copied for this term
+                for m, v in term.terms.items():
+                    e = sum(m)
+                    part = fresh.get(e)
+                    if part is None:
+                        part = fresh[e] = r[e] = dict(r[e])
+                        if e < lo:
+                            lo = e
+                    s = (part.get(m, 0) + v) % p
+                    if s:
+                        part[m] = s
+                    else:
+                        del part[m]
+                low[pidx] = lo
+        # below the lower of the old order and the least degree written, every
+        # degree is still empty: the order is the first nonempty one from there
+        ords = list(self.ords)
+        for pidx, lo in low.items():
+            r = res[pidx]
+            o = min(ords[pidx], lo)
+            while o <= D and not r[o]:
+                o += 1
+            ords[pidx] = o
         self.xs[j] = new_x
-        pows[j] = new_pows
+        self.pows[j] = new_pows
         self.res, self.ords = res, ords
 
     def _undo(self):
@@ -639,7 +721,7 @@ class _BetaSearch:
             floor = self._slot_min_degree(j, d)
             if floor <= self.D:
                 return slot_idx, frames, floor
-            self._assign(j, d, {})
+            self._assign(slot_idx, {})
             frames += 1
             slot_idx += 1
         return slot_idx, frames, self.D + 1
@@ -693,7 +775,7 @@ class _BetaSearch:
                 return verdict
             d, j = self.slots[slot_idx]
             for layer in fp_vectors(monomials_of_degree(self.ring.num_vars, d), self.ring.char):
-                self._assign(j, d, layer, floor)
+                self._assign(slot_idx, layer)
                 found = self._walk(slot_idx + 1, visit, stop_from)
                 self._undo()
                 if found and d >= stop_from:

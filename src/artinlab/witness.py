@@ -94,10 +94,11 @@ def _factorization_scan(target: dict, i: int, p: int, budget: int):
     lands beyond degree i, so the space is F_p^e with e = 2 * sum of the layer
     dimensions.  The scan walks the layers in lockstep and rejects as soon as
     a homogeneous component of the product disagrees, which covers the full
-    space while visiting only a fraction of it.  Past depth 1, x_1 is fixed:
-    each depth's y layers are grouped once per x_1 by x_1 * y, in enumeration
-    order, and the layers that give the product what it still needs are looked
-    up, not multiplied out one by one.
+    space while visiting only a fraction of it.  At depth 1 each y_1 is tried
+    once per x_1, so x_1 * y_1 is compared with the target directly.  Deeper,
+    x_1 is fixed: each depth's y layers are grouped once per x_1 by x_1 * y, in
+    enumeration order, and the layers that give the product what it still
+    needs are looked up, not multiplied out one by one.
     """
     e = 2 * sum(comb(d + 2, 2) for d in range(1, i))
     # a p >= 2 meets the size gate first: trial division of a p too large to search is slow
@@ -119,6 +120,11 @@ def _factorization_scan(target: dict, i: int, p: int, budget: int):
                 else:
                     out.pop(m, None)
 
+    def product(xu, yv):
+        out = {}
+        add_product(out, xu, yv)
+        return out
+
     found = 0
     counterexample = None
     tables = {}  # depth -> the y layers grouped by x_1 * y, for the current x_1
@@ -135,19 +141,22 @@ def _factorization_scan(target: dict, i: int, p: int, budget: int):
         for xlayer in fp_vectors(layer_monos[depth], p):
             xl[depth] = xlayer
             if depth == 1:
-                tables.clear()  # a new x_1: every table is stale
-            if depth not in tables:
-                table = tables[depth] = {}
-                for ylayer in fp_vectors(layer_monos[depth], p):
-                    got = {}
-                    add_product(got, xl[1], ylayer)
-                    table.setdefault(frozenset(got.items()), []).append(ylayer)
-            # degree depth+1 of x*y is sum_{u=1..depth} x_u * y_(depth+1-u); only its
-            # u = 1 term involves the new y layer, so the rest is taken off `want` once
-            need = dict(want)
-            for u in range(2, depth + 1):
-                add_product(need, xl[u], yl[depth + 1 - u], -1)
-            for ylayer in tables[depth].get(frozenset(need.items()), ()):
+                # a new x_1: every table is stale, and x_1 * y_1 is compared with the
+                # target directly, as each y_1 is tried once
+                tables.clear()
+                fits = [ylayer for ylayer in fp_vectors(layer_monos[1], p) if product(xlayer, ylayer) == want]
+            else:
+                if depth not in tables:
+                    table = tables[depth] = {}
+                    for ylayer in fp_vectors(layer_monos[depth], p):
+                        table.setdefault(frozenset(product(xl[1], ylayer).items()), []).append(ylayer)
+                # degree depth+1 of x*y is sum_{u=1..depth} x_u * y_(depth+1-u); only its
+                # u = 1 term involves the new y layer, so the rest is taken off `want` once
+                need = dict(want)
+                for u in range(2, depth + 1):
+                    add_product(need, xl[u], yl[depth + 1 - u], -1)
+                fits = tables[depth].get(frozenset(need.items()), ())
+            for ylayer in fits:
                 yl[depth] = ylayer
                 dfs(depth + 1, xl, yl)
             yl.pop(depth, None)

@@ -1,11 +1,12 @@
 import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from artinlab.artin import _STACK_MARGIN, _BetaSearch, beta_lower_bound_bruteforce
 from artinlab.errors import BudgetError, PrecondError
-from artinlab.series import RingSpec
+from artinlab.series import RingSpec, TruncatedSeries
 from artinlab.parsing import parse_expr
 
 
@@ -124,9 +125,14 @@ class CheckedSearch(_BetaSearch):
 
     def _advance_auto(self, slot_idx):
         slot_idx, frames, floor = super()._advance_auto(slot_idx)
-        for poly, r in zip(self.system, self.res):
-            assert r == poly.eval(self.xs)
-        assert self.ords == [r.order().value for r in self.res]
+        for poly, r, o in zip(self.system, self.res, self.ords):
+            # the residual by degree: flattened it is the evaluation, each degree's
+            # dict holds that degree's nonzero terms, and the order is the first
+            # nonempty degree
+            assert len(r) == self.D + 1
+            assert {m: c for part in r for m, c in part.items()} == poly.eval(self.xs).terms
+            assert all(sum(m) == e and c for e, part in enumerate(r) for m, c in part.items())
+            assert o == next((e for e, part in enumerate(r) if part), self.D + 1)
         for j, (x, pows) in enumerate(zip(self.xs, self.pows)):
             assert set(pows) == {alpha[j] for poly in self.system for alpha in poly.terms if alpha[j]}
             assert all(v == x**k for k, v in pows.items())
@@ -146,6 +152,34 @@ class CheckedSearch(_BetaSearch):
             assert self.layers_to_path.setdefault(layers, path) == path
         self.checked += 1
         return slot_idx, frames, floor
+
+    def _assign(self, slot_idx, layer):
+        # before the search reads it: the slot's plan moves the layer as
+        # TruncatedSeries.shift does, for each term c*T^u*x_j of each equation,
+        # and holds no term the shift drops past D
+        if layer:
+            d, j = self.slots[slot_idx]
+            plan = self.shifts[slot_idx]
+            if plan is None:
+                plan = self._slot_shifts(slot_idx)
+            p = self.ring.char
+            moved = {pidx: (e, {shifted[m]: c * v % p for m, v in layer.items()})
+                     for pidx, e, c, shifted in plan}
+            assert len(moved) == len(plan)
+            unit = tuple(int(u == j) for u in range(self.n))
+            for pidx, poly in enumerate(self.system):
+                coeff = poly.terms.get(unit)
+                if coeff is None or len(coeff.terms) != 1:
+                    assert pidx not in moved
+                    continue
+                ((u, c),) = coeff.terms.items()
+                want = TruncatedSeries(self.ring, layer).shift(u, c)
+                if want.is_zero:
+                    assert pidx not in moved
+                else:
+                    e, terms = moved[pidx]
+                    assert terms == want.terms and {sum(m) for m in terms} == {e}
+        super()._assign(slot_idx, layer)
 
     def full_scan_finality(self, slot_idx):
         # least degree of a residual term that an assignment to any remaining slot
@@ -204,3 +238,38 @@ def test_search_benchmark_systems_pinned():
     ]:
         got = beta_lower_bound_bruteforce(system(text, RingSpec(2, char, trunc), ["X1", "X2"]), i)
         assert (got.value, got.explored_nodes, got.solvable_classes) == pinned, (char, trunc, text)
+
+
+@st.composite
+def small_systems(draw):
+    """A system over F_2 or F_3 with N = 1-2, D = 2 and 1-2 unknowns, mixing the terms
+    the search steps through a slot's shift map and those it forms as series."""
+    p, N, n = draw(st.sampled_from([(p, N, n) for p in (2, 3) for N in (1, 2) for n in (1, 2)
+                                    if p ** (n * (N + 1) * (N + 2) // 2) <= 4096]))  # naive_beta's space
+    T = ["T1", "T2"][:N]
+    X = ["X1", "X2"][:n]
+    mono = st.lists(st.sampled_from(T), max_size=2).map(lambda f: "*".join(f) or "1")
+    x = st.sampled_from(X)
+    pieces = [
+        st.tuples(st.integers(1, p - 1), mono, x).map(lambda t: "%d*%s*%s" % t),  # c*T^u*X
+        x.map(lambda v: "(%s)*%s" % ("T1 + T2" if N == 2 else "1 + T1", v)),  # several monomials
+        x.map(lambda v: "X1*X2" if n == 2 else v + "^2"),
+        x.map(lambda v: v + "^2"),
+        st.tuples(st.integers(1, p - 1), mono).map(lambda t: "%d*%s" % t),  # a constant
+        x.map(lambda v: "T1^2*" + v),  # a shift past D from degree 1 on
+    ]
+    eqs = draw(st.lists(st.lists(st.one_of(pieces), min_size=1, max_size=3), min_size=1, max_size=2))
+    ring = RingSpec(N, p, 2)
+    return [parse_expr(" + ".join(eq), ring, unknowns=X) for eq in eqs], draw(st.integers(0, 2))
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_systems())
+@example((system("X1; T1*X1", RingSpec(1, 2, 2), ["X1"]), 2))  # live at degree D, shifted past it
+def test_random_small_systems_agree(case):
+    sys_, i = case
+    search = CheckedSearch(sys_, i, 2_000_000)
+    got = search.run()
+    assert search.checked == search.nodes > 0
+    assert got == beta_lower_bound_bruteforce(sys_, i)
+    assert got.value == oracles.naive_beta(sys_, i)

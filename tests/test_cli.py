@@ -229,6 +229,18 @@ def test_beta_lb_depth_gate():
     assert (rep["beta_lower_bound"], rep["explored_nodes"]) == (1, 506)
 
 
+def test_beta_lb_width_guard():
+    # a slot's shift map is built once, over its degree-d monomials: no per-slot
+    # work that grows with p^dim_d, so a wide ring answers, or is refused by its
+    # budget, in well under the timeout
+    proc = run_cli("beta-lb", "--vars", "T1,T2,T3", "--char", "2", "--trunc", "12", "--system", "T1*X1",
+                   "--unknowns", "X1", "--i", "0", "--budget", "50", timeout=2)
+    assert json.loads(proc.stdout)["result"]["explored_nodes"] == 18
+    proc = run_cli("beta-lb", "--vars", "T1,T2,T3,T4", "--char", "2", "--trunc", "30", "--system",
+                   "T1*X1 + T2*X2", "--unknowns", "X1,X2", "--i", "2", "--budget", "1000", expect=3, timeout=2)
+    assert "budget 1000 exhausted after 1001 nodes" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_beta_lb_huge_exponent():
     # powers of an unknown are kept only at the exponents of the system and taken by
     # square-and-multiply, so a huge exponent costs about log2 of it, not itself
