@@ -13,7 +13,6 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from operator import add
 from typing import Optional
 
 from .errors import BudgetError, PrecondError
@@ -158,35 +157,57 @@ def scan_candidates(
     return out
 
 
-def _by_degree(s: TruncatedSeries) -> list:
-    """The terms of s as lists of (monomial, coefficient), one list per degree 0..deg(s)."""
+def _by_degree(s: TruncatedSeries, key: dict) -> list:
+    """The terms of s as lists of (key[monomial], coefficient), one list per
+    degree 0..deg(s)."""
     layers = [[] for _ in range(s.max_degree() + 1)]
     for mono, c in s.terms.items():
-        layers[sum(mono)].append((mono, c))
+        layers[sum(mono)].append((key[mono], c))
     return layers
 
 
 def _product_parts(G: list, H: list, rank: dict):
     """The degree-d parts of g*h, d = 0, 1, ..., as sparse columns with unreduced
-    scalars: sum over a of g_a * h_(d-a), from the layers of _by_degree.  Lazy:
-    Subspace.remainder_order reads no part past the order or past D."""
+    scalars: sum over a of g_a * h_(d-a), from the layers of _by_degree, whose
+    keys add to the key of the product monomial that rank maps to its column.
+    Lazy: Subspace.remainder_order reads no part past the order or past D."""
     for d in range(len(G) + len(H) - 1):
         part = {}
         for a in range(max(0, d - len(H) + 1), min(d + 1, len(G))):
-            for m1, c1 in G[a]:
-                for m2, c2 in H[d - a]:
-                    col = rank[tuple(map(add, m1, m2))]
+            for k1, c1 in G[a]:
+                for k2, c2 in H[d - a]:
+                    col = rank[k1 + k2]
                     part[col] = part.get(col, 0) + c1 * c2
         yield part
+
+
+def _scan_keys(ring: RingSpec) -> tuple:
+    """(key, rank): key maps a monomial of degree <= D to its exponents read as
+    digits in base D+1, and rank maps that int to the monomial's column."""
+    base = ring.trunc + 1
+    key, rank = {}, {}
+    for col, (_, mono) in enumerate(coord_index(ring.num_vars, ring.trunc)[0]):
+        k = 0
+        for e in reversed(mono):
+            k = k * base + e
+        key[mono] = k
+        rank[k] = col
+    return key, rank
 
 
 def _scan_pairs(I, deg_max, mode, count, seed, budget):
     """One pass over the candidate pairs with exact orders: (oracle, rows, pair
     count), one row (g, h, nu_g, nu_h, nu_gh, g*h) per pair.
 
-    nu_gh is read degree by degree (Subspace.remainder_order), so g*h is built
-    only up to its order.  The full product is formed only where nu_gh is
-    inexact, the one case that looks at it again."""
+    A factor with a nonzero constant term is a unit of A_D, and I + m^n is an
+    ideal, so g*h lies in I + m^n iff the other factor does: nu_gh is read off
+    the other factor's order, with no product.  Every other nu_gh is read
+    degree by degree (Subspace.remainder_order), so g*h is built only up to
+    its order, with monomials as ints in base D+1: each exponent of g*h is at
+    most 2*deg_max <= D, so adding two keys never carries and gives the key of
+    the product monomial.  The full product is formed only where nu_gh is
+    inexact, the one case that looks at it again.  A scan with more pairs
+    than the budget is refused before its first pair."""
     if deg_max < 1:
         raise PrecondError("deg_max must be >= 1: the candidates have degree 1..deg_max")
     ring = I.ring
@@ -194,23 +215,26 @@ def _scan_pairs(I, deg_max, mode, count, seed, budget):
         raise PrecondError("need 2*deg_max <= trunc so products keep meaningful orders")
     cands = scan_candidates(ring, deg_max, mode, count, seed, budget)
     oracle = NuOracle(I)
-    nus = [oracle.nu(g) for g in cands]
-    layers = [_by_degree(g) for g in cands]
-    rank = coord_index(ring.num_vars, ring.trunc)[1][0]
+    live = [(g, v) for g, v in zip(cands, map(oracle.nu, cands)) if v.exact]
+    npairs = len(live) * (len(live) + 1) // 2
+    if npairs > budget:
+        raise BudgetError(f"pair scan has {npairs} pairs > budget {budget}")
+    key, rank = _scan_keys(ring)
+    one = (0,) * ring.num_vars
+    units = [one in g.terms for g, _ in live]
+    layers = [_by_degree(g, key) for g, _ in live]
+    remainder_order = oracle.span.remainder_order
     rows = []
-    npairs = 0
-    for i in range(len(cands)):
-        if not nus[i].exact:
-            continue
-        for j in range(i, len(cands)):
-            if not nus[j].exact:
-                continue
-            npairs += 1
-            if npairs > budget:
-                raise BudgetError(f"pair budget {budget} exhausted after {npairs} pairs")
-            ngh = oracle.span.remainder_order(_product_parts(layers[i], layers[j], rank))
-            gh = None if ngh.exact else cands[i] * cands[j]
-            rows.append((cands[i], cands[j], nus[i], nus[j], ngh, gh))
+    for i, (g, ng) in enumerate(live):
+        for j in range(i, len(live)):
+            h, nh = live[j]
+            if units[i]:
+                rows.append((g, h, ng, nh, nh, None))
+            elif units[j]:
+                rows.append((g, h, ng, nh, ng, None))
+            else:
+                ngh = remainder_order(_product_parts(layers[i], layers[j], rank))
+                rows.append((g, h, ng, nh, ngh, None if ngh.exact else g * h))
     return oracle, rows, npairs
 
 

@@ -17,6 +17,11 @@ and is zero in every other pivot column, so degree d of the remainder
 depends only on degrees <= d of x and on the rows with pivots in those
 degrees.  A caller that builds x one degree at a time, such as the product
 g*h of an ICL scan, never builds the degrees past its order.
+
+Pivots are found through an index from pivot column to basis row, so a
+reduction looks up only the columns its vector holds.  The order in which
+those pivots are cleared does not matter: a basis row is zero in every other
+pivot column, so subtracting it changes no other pivot entry of the vector.
 """
 
 from __future__ import annotations
@@ -129,44 +134,45 @@ class Subspace:
 
     Rows are sparse dicts column -> scalar; pivots are strictly increasing and
     normalized to 1, and each pivot column is eliminated from every other row.
-    Two equal subspaces therefore carry identical representations.
+    Two equal subspaces therefore carry identical representations.  row_of
+    maps each pivot column to its row (the same dict object as in rows), so
+    that elimination finds a pivot by one lookup; insert and copy keep it.
     """
 
-    __slots__ = ("ring", "arity", "rows", "pivots")
+    __slots__ = ("ring", "arity", "rows", "pivots", "row_of")
 
     def __init__(self, ring: RingSpec, arity: int = 1):
         self.ring = ring
         self.arity = arity
         self.rows = []
         self.pivots = []
+        self.row_of = {}
 
     def copy(self) -> "Subspace":
         out = Subspace(self.ring, self.arity)
         out.rows = [dict(r) for r in self.rows]
         out.pivots = list(self.pivots)
+        out.row_of = dict(zip(out.pivots, out.rows))
         return out
 
     def _eliminate(self, v: dict, cols) -> None:
-        """Clear from v, in place and in ascending order, the pivot columns among
-        cols, the columns of the entries the caller just added to v.
+        """Clear from v, in place, the pivot columns among cols, the columns of
+        the entries the caller just added to v.
 
         Before those entries v held no pivot column: a row is zero in every
-        other pivot column, so subtracting it creates none, and the pivots the
-        entries brought are the only ones to clear.
+        other pivot column, so subtracting it creates none and changes no
+        other pivot entry.  The pivots the entries brought are thus the only
+        ones to clear, and the order in which they are cleared does not
+        change the result.
         """
-        pivots, rows = self.pivots, self.rows
-        n = len(pivots)
-        own = []
-        for col in cols:
-            i = bisect.bisect_left(pivots, col)
-            if i < n and pivots[i] == col:
-                own.append(i)
-        own.sort()  # ascending pivots, the order a full sweep would take
+        row_of = self.row_of
         p = self.ring.char
-        for i in own:
-            c = v.get(pivots[i])
-            if c:
-                sub_multiple(v, rows[i], c, p)
+        for col in cols:
+            row = row_of.get(col)
+            if row is not None:
+                c = v.get(col)
+                if c:
+                    sub_multiple(v, row, c, p)
 
     def reduce(self, vec: dict) -> dict:
         """Canonical remainder of vec modulo this subspace (non-destructive)."""
@@ -218,6 +224,7 @@ class Subspace:
                 sub_multiple(other, row, c, p)
         self.pivots.insert(pos, piv)
         self.rows.insert(pos, row)
+        self.row_of[piv] = row
         return True
 
     def contains_vec(self, vec: dict) -> bool:

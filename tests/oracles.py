@@ -289,6 +289,7 @@ def span_m_power(ring, i, arity=1) -> Subspace:
     U = Subspace(ring, arity)
     U.pivots = list(range(starts[i], starts[-1]))
     U.rows = [{k: 1} for k in U.pivots]
+    U.row_of = dict(zip(U.pivots, U.rows))
     return U
 
 
@@ -310,6 +311,7 @@ def cap_m_power(U: Subspace, i) -> Subspace:
     out = Subspace(U.ring, U.arity)
     out.rows = [dict(r) for r in U.rows[k:]]
     out.pivots = U.pivots[k:]
+    out.row_of = dict(zip(out.pivots, out.rows))
     return out
 
 

@@ -218,6 +218,19 @@ def test_random_scan_stops_when_the_finite_space_runs_out():
         assert json.loads(proc.stdout)["result"]["pairs_scanned"] == series * (series + 1) // 2
 
 
+def test_pair_scan_refused_before_its_first_pair():
+    # the pair count k*(k+1)/2 is known once the k candidates with exact nu are:
+    # a scan past its budget exits 3 there, not after budget pairs of echelon work
+    for argv, message in (
+        (("valcheck", "--vars", "T1,T2", "--char", "2", "--trunc", "8", "--ideal", "T1*T2", "--deg-max", "3",
+          "--mode", "exhaustive"), "pair scan has 516636 pairs > budget 200000"),
+        (("icl-scan", "--vars", "T1,T2,T3", "--char", "2", "--trunc", "8", "--ideal", "T1^2+T2^2+T3^2",
+          "--deg-max", "2", "--mode", "exhaustive"), "pair scan has 522753 pairs > budget 200000"),
+    ):
+        proc = run_cli(*argv, expect=3, timeout=2)
+        assert message in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_beta_lb_depth_gate():
     # _walk recurses once per slot: a search deeper than the recursion limit
     # allows is refused before any node, not ended by a RecursionError

@@ -22,6 +22,7 @@ from artinlab.series import ExtOrder, RingSpec, TruncatedSeries, monomials_up_to
 from artinlab.subspace import (
     IdealSpec,
     ModuleSpec,
+    Subspace,
     coord_index,
     distance_order,
     series_to_vec,
@@ -280,9 +281,12 @@ def dense_order(xs, M):
 
 
 def degree_fed_product_order(g, h, U):
-    """nu(g*h) as the pair scan reads it: the degree-d parts of g*h, fed lazily."""
-    rank = coord_index(U.ring.num_vars, U.ring.trunc)[1][0]
-    return U.remainder_order(orders._product_parts(orders._by_degree(g), orders._by_degree(h), rank))
+    """nu(g*h) as the pair scan reads it: the degree-d parts of g*h, fed lazily.
+    The factors may reach degree D here: remainder_order reads no part past D,
+    and a monomial of degree <= D has no exponent past D, so its int key is
+    still the carry-free sum of the factors' keys."""
+    key, rank = orders._scan_keys(U.ring)
+    return U.remainder_order(orders._product_parts(orders._by_degree(g, key), orders._by_degree(h, key), rank))
 
 
 SCALARS = {0: [1, -1, 2, -3, Fraction(1, 2), Fraction(-3, 2)], 2: [1], 3: [1, 2], 32003: [1, 2, 16001, 32002]}
@@ -364,6 +368,50 @@ def test_scans_form_full_products_only_for_inexact_pairs(monkeypatch):
         rep = rep[0] if isinstance(rep, list) else rep
         assert rep.pair_count == npairs
         assert products == inexact, (text, len(products), len(inexact))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_scan_rows_match_dense_oracle(data):
+    # every row's nu(g*h) against the dense rank sweep; a pair with a unit factor
+    # (nonzero constant term) is read off the other factor, with no remainder_order
+    char = data.draw(st.sampled_from(sorted(SCALARS)))
+    num_vars = data.draw(st.integers(1, 3))
+    trunc = data.draw(st.integers(2, {1: 6, 2: 4, 3: 3}[num_vars]))
+    R = RingSpec(num_vars, char, trunc)
+    deg_max = data.draw(st.integers(1, trunc // 2))
+    exhaustive = char == 2 and len(monomials_up_to(num_vars, deg_max)) <= 4
+    mode = "exhaustive" if exhaustive and data.draw(st.booleans()) else "random"
+    count, seed = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 50))
+    monos = list(monomials_up_to(num_vars, trunc))[1:]
+    gens = data.draw(st.lists(st.dictionaries(st.sampled_from(monos), st.sampled_from(SCALARS[char]),
+                                              min_size=1, max_size=3), max_size=2))
+    I = IdealSpec.of(R, [TruncatedSeries(R, t) for t in gens])
+    calls = []
+    real = Subspace.remainder_order
+
+    def counted(self, parts):
+        calls.append(1)
+        return real(self, parts)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Subspace, "remainder_order", counted)
+        _, rows, npairs = orders._scan_pairs(I, deg_max, mode, count, seed, 10**6)
+    cands = scan_candidates(R, deg_max, mode, count, seed, 10**6)
+    live = [g for g in cands if dense_order(g, I).exact]
+    assert npairs == len(rows) == len(live) * (len(live) + 1) // 2
+    assert [(g, h) for g, h, *_ in rows] == [(g, h) for i, g in enumerate(live) for h in live[i:]]
+    products = {}
+    for g, h, ng, nh, ngh, gh in rows:
+        assert (ng, nh) == (dense_order(g, I), dense_order(h, I))
+        key = tuple((g * h).sorted_terms())
+        if key not in products:
+            products[key] = dense_order(g * h, I)
+        assert ngh == products[key], (g, h)
+        assert gh == (None if ngh.exact else g * h)
+    # one call per candidate's own nu, then one per pair with no unit factor
+    units = sum(1 for g, h, *_ in rows if g.order().value == 0 or h.order().value == 0)
+    assert len(calls) == len(cands) + npairs - units
 
 
 ICL_IDEALS = [(2, 0, "T1^2 + T2^3"), (2, 0, "T1^2 - T2^3; T1*T2^2"), (2, 0, "T1*T2"), (2, 0, "0"),

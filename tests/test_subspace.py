@@ -322,3 +322,43 @@ def test_scalar_representation_random(data):
     assert not set(rem) & set(U.pivots)
     diff = [xs - rs for xs, rs in zip(x, vec_to_series(rem, R, arity))]
     assert oracles.naive_member(oracles.dense_coords(diff, R), dense, R)
+
+
+def assert_pivot_index(U):
+    # row_of maps each pivot column to its row, the very dict held in rows
+    assert U.row_of == dict(zip(U.pivots, U.rows))
+    assert all(U.row_of[p] is row for p, row in zip(U.pivots, U.rows))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_pivot_index_follows_inserts_and_copies(data):
+    char = data.draw(st.sampled_from([0, 2, 3, 32003]))
+    R = RingSpec(data.draw(st.integers(1, 3)), char, data.draw(st.integers(1, 4)))
+    arity = data.draw(st.sampled_from([1, 2]))
+    monos = list(monomials_up_to(R.num_vars, R.trunc))
+    mk = st.dictionaries(st.sampled_from(monos), st.sampled_from(SCALARS if char == 0 else [1, -1, 2, 3]),
+                         max_size=3).map(lambda d: TruncatedSeries(R, d))
+    U = Subspace(R, arity)
+    for v in data.draw(st.lists(st.tuples(*[mk] * arity), max_size=8)):
+        U.insert(series_to_vec(v, R))
+        assert_pivot_index(U)
+    V = U.copy()
+    assert_pivot_index(V)
+    assert all(a is not b for a, b in zip(U.rows, V.rows))
+    # the copy grows on its own; each unit vector back-eliminates its column
+    # from every older row that holds it, in place, so the index must still
+    # hold those rows themselves
+    before = {p: dict(row) for p, row in U.row_of.items()}
+    for comp in range(arity):
+        for x in monos:
+            unit = [TruncatedSeries.zero(R)] * arity
+            unit[comp] = TruncatedSeries.monomial(R, x)
+            V.insert(series_to_vec(unit, R))
+            assert_pivot_index(V)
+    assert V.rows == [{k: 1} for k in range(len(monos) * arity)]
+    assert_pivot_index(U)
+    assert U.row_of == before
+    for i in range(R.trunc + 2):
+        assert_pivot_index(cap_m_power(U, i))
+        assert_pivot_index(span_m_power(R, i, arity))
