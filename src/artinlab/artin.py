@@ -148,6 +148,27 @@ class SolveCertificate:
     regularity: str = "verified-monomial"
 
 
+def _residual(f: Sequence[TruncatedSeries], x: Sequence[TruncatedSeries]) -> TruncatedSeries:
+    """f_1*x_1 + ... + f_n*x_n."""
+    r = TruncatedSeries.zero(f[0].ring)
+    for g, xj in zip(f, x):
+        r = r + g * xj
+    return r
+
+
+def _certificate(f, x, xbar, i: int, needs, regularity: str) -> SolveCertificate:
+    """The certificate of a solver's output xbar for the input x: xbar must be an
+    exact solution with each xbar_j - x_j of order >= min(needs[j], D + 1)."""
+    check = _residual(f, xbar)
+    if not check.is_zero:
+        raise PrecondError("correction output failed to be an exact solution")
+    D = f[0].ring.trunc
+    proximity = [(xb - xj).order() for xb, xj in zip(xbar, x)]
+    if any(pr < ExtOrder.of(min(need, D + 1)) for pr, need in zip(proximity, needs)):
+        raise PrecondError("proximity guarantee violated")
+    return SolveCertificate(tuple(x), tuple(xbar), i, proximity, check.order(), regularity)
+
+
 def _monomial_disjoint_initials(f: Sequence[TruncatedSeries]) -> bool:
     used = set()
     for g in f:
@@ -207,10 +228,7 @@ def solve_linear_regular(
             "pass assume_regular to assert it"
         )
 
-    residual = TruncatedSeries.zero(ring)
-    for g, xi in zip(f, x):
-        residual = residual + g * xi
-    if residual.order() <= ExtOrder.of(i + en):
+    if _residual(f, x).order() <= ExtOrder.of(i + en):
         raise PrecondError("approximation level insufficient")
 
     phi = [g.initial_form() for g in f]
@@ -238,24 +256,7 @@ def solve_linear_regular(
             cur[k] = cur[k] + f[j] * z
 
     xbar = [xj - cj for xj, cj in zip(x, cur)]
-    check = TruncatedSeries.zero(ring)
-    for g, xb in zip(f, xbar):
-        check = check + g * xb
-    if not check.is_zero:
-        raise PrecondError("antisymmetric output failed to be an exact solution")
-    proximity = [(xb - xi).order() for xb, xi in zip(xbar, x)]
-    for j, pr in enumerate(proximity):
-        need = i + en - e[j] + 1
-        if pr < ExtOrder.of(min(need, D + 1)):
-            raise PrecondError("proximity guarantee violated")
-    return SolveCertificate(
-        input=tuple(x),
-        output=tuple(xbar),
-        level_i=i,
-        proximity=proximity,
-        residual_order=check.order(),
-        regularity=regularity,
-    )
+    return _certificate(f, x, xbar, i, [i + en - ej + 1 for ej in e], regularity)
 
 
 def _antisymmetric_step(ring, phi, e, cur, mu, live):
@@ -365,8 +366,7 @@ def solve_fx_hy(
     bound = i + max(k, nu_h + 1)
     if bound > D:
         raise PrecondError(f"bound exponent {bound} exceeds certified range (trunc {D})")
-    residual = f * x + h * y
-    if residual.order() <= ExtOrder.of(bound):
+    if _residual((f, h), (x, y)).order() <= ExtOrder.of(bound):
         raise PrecondError("approximation level insufficient")
 
     xw = x + a * y
@@ -389,20 +389,7 @@ def solve_fx_hy(
         z = z + z0
     ybar = -(f * z)
     xbar = h1 * z - a * ybar
-    check = f * xbar + h * ybar
-    if not check.is_zero:
-        raise PrecondError("koszul output failed to be an exact solution")
-    prox = [(xbar - x).order(), (ybar - y).order()]
-    if any(p < ExtOrder.of(min(i + 1, D + 1)) for p in prox):
-        raise PrecondError("proximity guarantee violated")
-    return SolveCertificate(
-        input=(x, y),
-        output=(xbar, ybar),
-        level_i=i,
-        proximity=prox,
-        residual_order=check.order(),
-        regularity="shape-verified",
-    )
+    return _certificate((f, h), (x, y), (xbar, ybar), i, (i + 1, i + 1), "shape-verified")
 
 
 # ---------------------------------------------------------------------------
@@ -526,8 +513,11 @@ class _BetaSearch:
     monomials are computed once (or the term is left out when d + |u| > D),
     and a node adds c * layer through the map in one loop.  Every other term
     (a power of x_j, a product with another unknown, a coefficient with several
-    monomials) is formed as a series and its terms are added to their degrees;
-    the powers x_u^k it needs are kept at the exponents k of x_u in the system.
+    monomials) is formed as a series, coeff * layer when it is linear in x_j,
+    and its terms are added to their degrees.  Only an unknown in such a term
+    is kept as a series: pows[u] holds x_u^k at k = 1 and at each exponent k of
+    x_u in the system, and is empty for every other unknown.  Every slot before
+    a slot of degree d is assigned, so x_j is still zero there iff lb[j] == d.
 
     Slots are degree-major, so a class modulo m^(i+1) is the layers of the
     first `boundary` frames: its key is read off the path once and kept until
@@ -565,8 +555,7 @@ class _BetaSearch:
         self.boundary = (i + 1) * n
         # per unknown j, the system terms containing it, each as (its coefficient's
         # order, alpha_j, ((u, alpha_u) for the other unknowns)); the terms c*T^u*x_j
-        # as (equation, u, c); every other term as (equation, coefficient, alpha_j,
-        # others, (u, c) when the coefficient is the one monomial c*T^u, else None)
+        # as (equation, u, c); every other term as (equation, coefficient, alpha_j, others)
         self.terms_by_unknown, self.linear, self.general = [], [], []
         for j in range(n):
             reach, linear, general = [], [], []
@@ -579,7 +568,7 @@ class _BetaSearch:
                         if alpha[j] == 1 and mono and not others:
                             linear.append((pidx, *mono))
                         else:
-                            general.append((pidx, coeff, alpha[j], others, mono))
+                            general.append((pidx, coeff, alpha[j], others))
             self.terms_by_unknown.append(reach)
             self.linear.append(linear)
             self.general.append(general)
@@ -588,18 +577,22 @@ class _BetaSearch:
         self.nodes = 0
         self.solset = set()
         self.best = -1
-        # mutable search state
-        self.xs = [TruncatedSeries.zero(ring) for _ in range(n)]
+        # mutable search state, from x = 0
         self.res = []  # per equation, its residual as D + 1 dicts, one per degree
         for poly in self.system:
             parts = [{} for _ in range(D + 1)]
-            for m, c in poly.eval(self.xs).terms.items():
-                parts[sum(m)][m] = c
+            const = poly.terms.get((0,) * n)  # the X-free term: the residual at x = 0
+            if const is not None:
+                for m, c in const.terms.items():
+                    parts[sum(m)][m] = c
             self.res.append(parts)
         # each residual's first nonempty degree, D + 1 for a zero residual
         self.ords = [next((e for e, part in enumerate(r) if part), D + 1) for r in self.res]
-        # pows[u][k] = xs[u]^k for each exponent k of x_u in the system
-        self.pows = [{t[1]: self.xs[u] for t in self.terms_by_unknown[u]} for u in range(n)]
+        # pows[u][k] = x_u^k for k = 1 and each exponent k of x_u in the system,
+        # kept only for an unknown that a general term reads
+        zero = TruncatedSeries.zero(ring)
+        self.pows = [dict.fromkeys({1, *(t[1] for t in self.terms_by_unknown[u])}, zero)
+                     if self.general[u] else {} for u in range(n)]
         # lb[u]: the order of x_u once it is nonzero, before that its next layer's
         # degree; a lower bound for the order of every completion of x_u
         self.lb = [0] * n
@@ -634,16 +627,13 @@ class _BetaSearch:
         """Give the slot's unknown x_j its layer of degree d."""
         d, j = self.slots[slot_idx]
         old_pows = self.pows[j]
-        old_x = self.xs[j]
-        self._frames.append((j, old_x, old_pows, self.res, self.ords, self.lb[j], layer))
-        if old_x.is_zero:
-            self.lb[j] = d if layer else d + 1
+        self._frames.append((j, old_pows, self.res, self.ords, self.lb[j], layer))
         if not layer:
+            if self.lb[j] == d:  # x_j is still zero
+                self.lb[j] = d + 1
             return
         ring, D = self.ring, self.D
         p = ring.char
-        new_x = _raw(ring, {**old_x.terms, **layer})
-        new_pows = {k: power(new_x, k, None) for k in old_pows}  # k >= 1: no `one` needed
         res = list(self.res)
         low = {}  # equation -> least degree written; its list of degrees is a fresh copy
         shifts = self.shifts[slot_idx]
@@ -661,14 +651,16 @@ class _BetaSearch:
                     part[k] = s
                 else:
                     del part[k]
-        if self.general[j]:
+        if old_pows:
             step = _raw(ring, layer)
+            new_x = _raw(ring, {**old_pows[1].terms, **layer})
+            new_pows = self.pows[j] = {k: power(new_x, k, None) for k in old_pows}  # k >= 1: no `one` needed
             pows = self.pows
-            for pidx, coeff, aj, others, mono in self.general[j]:
+            for pidx, coeff, aj, others in self.general[j]:
                 if aj > 1:
                     term = coeff * (new_pows[aj] - old_pows[aj])
                 else:  # the layer's monomials are new to x_j: x_j' - x_j is the layer
-                    term = step.shift(*mono) if mono else coeff * step
+                    term = coeff * step
                 for u, a in others:
                     if term.is_zero:
                         break
@@ -703,12 +695,10 @@ class _BetaSearch:
             while o <= D and not r[o]:
                 o += 1
             ords[pidx] = o
-        self.xs[j] = new_x
-        self.pows[j] = new_pows
         self.res, self.ords = res, ords
 
     def _undo(self):
-        j, self.xs[j], self.pows[j], self.res, self.ords, self.lb[j], _ = self._frames.pop()
+        j, self.pows[j], self.res, self.ords, self.lb[j], _ = self._frames.pop()
         if len(self._frames) < self.boundary:
             self._key = None
 
@@ -749,7 +739,7 @@ class _BetaSearch:
     def _class_key(self):
         """The layers of degree <= i, read off the first `boundary` frames (slot_idx >= boundary)."""
         if self._key is None:
-            self._key = tuple(tuple(f[6].items()) for f in self._frames[:self.boundary])
+            self._key = tuple(tuple(f[5].items()) for f in self._frames[:self.boundary])
         return self._key
 
     # -- the one depth-first walk ---------------------------------------------

@@ -307,13 +307,11 @@ class TruncatedSeries:
                     out.pop(m, None)
         return _raw(self.ring, out)
 
-    def shift(self, u: Monomial, c=1) -> "TruncatedSeries":
-        """c * T^u * self for a nonzero normalised scalar c: each exponent moved by u
-        and the terms past D dropped, with no product."""
+    def shift(self, u: Monomial) -> "TruncatedSeries":
+        """T^u * self: each exponent moved by u and the terms past D dropped, with no product."""
         r = self.ring
         room = r.trunc - sum(u)
-        return _raw(r, {tuple(map(add, m, u)): v if c == 1 else r.s_mul(v, c)
-                        for m, v in self.terms.items() if sum(m) <= room})
+        return _raw(r, {tuple(map(add, m, u)): v for m, v in self.terms.items() if sum(m) <= room})
 
     def scale(self, c) -> "TruncatedSeries":
         r = self.ring

@@ -63,7 +63,7 @@ def monomial_witness_family(i: int, ring: RingSpec) -> WitnessFamily:
     residual = x1 * x2 - x3 * x4
     expected = mono(0, 0, i * i)
     if residual != expected:
-        raise AssertionError("witness residual is not T3^(i^2); arithmetic bug")
+        raise PrecondError("witness self-check failed: the residual is not T3^(i^2)")
     note = None
     if ring.char:
         dead = [k for k in range(1, i) if comb(i, k) % ring.char == 0]

@@ -125,18 +125,23 @@ class CheckedSearch(_BetaSearch):
 
     def _advance_auto(self, slot_idx):
         slot_idx, frames, floor = super()._advance_auto(slot_idx)
+        # each x_u is the sum of its layers on the path
+        xs = [TruncatedSeries(self.ring, {m: c for f in self._frames if f[0] == u for m, c in f[-1].items()})
+              for u in range(self.n)]
         for poly, r, o in zip(self.system, self.res, self.ords):
             # the residual by degree: flattened it is the evaluation, each degree's
             # dict holds that degree's nonzero terms, and the order is the first
             # nonempty degree
             assert len(r) == self.D + 1
-            assert {m: c for part in r for m, c in part.items()} == poly.eval(self.xs).terms
+            assert {m: c for part in r for m, c in part.items()} == poly.eval(xs).terms
             assert all(sum(m) == e and c for e, part in enumerate(r) for m, c in part.items())
             assert o == next((e for e, part in enumerate(r) if part), self.D + 1)
-        for j, (x, pows) in enumerate(zip(self.xs, self.pows)):
-            assert set(pows) == {alpha[j] for poly in self.system for alpha in poly.terms if alpha[j]}
+        for j, (x, pows) in enumerate(zip(xs, self.pows)):
+            # powers only for an unknown a general term reads: x_j itself and its exponents
+            exps = {alpha[j] for poly in self.system for alpha in poly.terms if alpha[j]}
+            assert set(pows) == ({1} | exps if self.general[j] else set())
             assert all(v == x**k for k, v in pows.items())
-        for u, x in enumerate(self.xs):
+        for u, x in enumerate(xs):
             assert self.lb[u] == (x.order().value if x.terms else sum(f[0] == u for f in self._frames))
         if slot_idx < len(self.slots):
             d, j = self.slots[slot_idx]
@@ -146,7 +151,7 @@ class CheckedSearch(_BetaSearch):
         assert self._finality(slot_idx, floor) == self.full_scan_finality(slot_idx)
         if slot_idx >= self.boundary:
             layers = tuple(tuple(sorted((m, c) for m, c in x.terms.items() if sum(m) <= self.i))
-                           for x in self.xs)
+                           for x in xs)
             path = self._class_key()
             assert self.path_to_layers.setdefault(path, layers) == layers
             assert self.layers_to_path.setdefault(layers, path) == path
@@ -154,9 +159,9 @@ class CheckedSearch(_BetaSearch):
         return slot_idx, frames, floor
 
     def _assign(self, slot_idx, layer):
-        # before the search reads it: the slot's plan moves the layer as
-        # TruncatedSeries.shift does, for each term c*T^u*x_j of each equation,
-        # and holds no term the shift drops past D
+        # before the search reads it: the slot's plan moves the layer as the
+        # product c*T^u * layer, for each term c*T^u*x_j of each equation, and
+        # holds no term the product drops past D
         if layer:
             d, j = self.slots[slot_idx]
             plan = self.shifts[slot_idx]
@@ -173,7 +178,7 @@ class CheckedSearch(_BetaSearch):
                     assert pidx not in moved
                     continue
                 ((u, c),) = coeff.terms.items()
-                want = TruncatedSeries(self.ring, layer).shift(u, c)
+                want = TruncatedSeries.monomial(self.ring, u, c) * TruncatedSeries(self.ring, layer)
                 if want.is_zero:
                     assert pidx not in moved
                 else:

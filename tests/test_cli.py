@@ -103,6 +103,29 @@ def test_beta_lb_cli():
     assert rep["result"]["beta_lower_bound"] == 3
 
 
+def test_beta_lb_of_linear_system_is_level_plus_ar_index():
+    # on f.X = 0 the Artin function is i -> i + i0, with i0 the Artin-Rees index
+    # of the ideal (f): both commands, in process, must agree on each case
+    def result(*argv):
+        code, out, err = captured(main, list(argv))
+        assert code == 0, err
+        return json.loads(out)["result"]
+
+    for char, gens, text, unknowns, i0, levels in [
+        ("2", "T1^2;T2^3", "T1^2*X1 + T2^3*X2", "X1,X2", 3, [(6, 1), (7, 2)]),
+        ("2", "T1^2 + T2^3", "(T1^2 + T2^3)*X1", "X1", 2, [(6, 1), (7, 2)]),  # two-monomial coefficient
+        ("2", "T1*T2", "T1*T2*X1", "X1", 2, [(7, 2)]),
+        ("3", "T1^2;T2^3", "T1^2*X1 + T2^3*X2", "X1,X2", 3, [(6, 1)]),
+        ("3", "T1^2 + T2^3", "(T1^2 + T2^3)*X1", "X1", 2, [(6, 1)]),
+        ("3", "T1*T2", "T1*T2*X1", "X1", 2, [(6, 1)]),
+    ]:
+        assert result("ar-index", "--vars", "T1,T2", "--char", char, "--trunc", "8", "--ideal", gens)["i0"] == i0
+        for D, i in levels:
+            beta = result("beta-lb", "--vars", "T1,T2", "--char", char, "--trunc", str(D),
+                          "--system", text, "--unknowns", unknowns, "--i", str(i))["beta_lower_bound"]
+            assert beta == i + i0, (char, text, D, i)
+
+
 def test_irr_check_cli():
     out = run_cli("irr-check", "--i", "2", "--p", "3")
     rep = json.loads(out.stdout)

@@ -1,0 +1,24 @@
+import ast
+import glob
+import os
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "artinlab")
+
+
+def test_no_assert_in_src():
+    # a check that guards a certificate must raise a real error: an assert
+    # vanishes under python -O, and an AssertionError escapes the CLI's
+    # handlers as a traceback
+    files = sorted(glob.glob(os.path.join(SRC, "*.py")))
+    assert files
+    found = []
+    for path in files:
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            exc = node.exc if isinstance(node, ast.Raise) else None
+            if isinstance(exc, ast.Call):
+                exc = exc.func
+            if isinstance(node, ast.Assert) or (isinstance(exc, ast.Name) and exc.id == "AssertionError"):
+                found.append("%s:%d" % (os.path.basename(path), node.lineno))
+    assert not found, found

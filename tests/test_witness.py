@@ -2,6 +2,8 @@ import pytest
 
 import oracles
 
+from artinlab import witness
+from artinlab.cli import main
 from artinlab.errors import BudgetError, PrecondError
 from artinlab.series import ExtOrder, RingSpec, TruncatedSeries
 from artinlab.witness import (
@@ -59,6 +61,16 @@ def test_family_preconditions():
         monomial_witness_family(3, RingSpec(3, 0, 8))
     with pytest.raises(PrecondError, match="3 variables"):
         monomial_witness_family(2, RingSpec(2, 0, 9))
+
+
+def test_family_self_check_raises_precond_error(monkeypatch, capsys):
+    # a wrong cofactor must end in PrecondError (CLI exit 2), never in an
+    # AssertionError that prints a traceback and vanishes under python -O
+    monkeypatch.setattr(witness, "comb", lambda n, k: 0)
+    with pytest.raises(PrecondError, match="self-check"):
+        monomial_witness_family(2, RingSpec(3, 0, 4))
+    assert main(["witness", "--i", "2", "--trunc", "4"]) == 2
+    assert "self-check" in capsys.readouterr().err
 
 
 def test_family_char_note():
