@@ -462,6 +462,12 @@ PINNED_OUTPUTS = [
     (("icl-scan", "--vars", "T1,T2", "--char", "2", "--trunc", "6", "--ideal", "T1*T2",
       "--deg-max", "2", "--mode", "exhaustive", "--a", "1"),
      "85460cd6ad29e860ef7b3e33a6770880bb90889151c33faa12b91137b32334a8"),
+    # a three-generator correction whose linear solves have free unknowns: the
+    # output depends on which unknowns the solver sets to zero
+    (("solve-linreg", "--vars", "T1,T2,T3", "--trunc", "8", "--gens",
+      "T1 - T1*T3;T2 + T2*T3;T3 - T3^2", "--x",
+      "T2*T3 + T2*T3^3;-T1*T3 + T1*T3^3;2*T1*T2*T3", "--i", "3"),
+     "ac17914af238981c6b093559977fe3e0444221a53d07be4612ce6fa0f911bad4"),
 ]
 
 
