@@ -22,6 +22,8 @@ Pivots are found through an index from pivot column to basis row, so a
 reduction looks up only the columns its vector holds.  The order in which
 those pivots are cleared does not matter: a basis row is zero in every other
 pivot column, so subtracting it changes no other pivot entry of the vector.
+
+A linear solve is a reduction on the graph of the map (solve_linear).
 """
 
 from __future__ import annotations
@@ -319,23 +321,20 @@ def distance_order(xs, U: Subspace) -> ExtOrder:
 def solve_linear(columns, target: dict, ring: RingSpec):
     """One exact x with sum_k x[k] * columns[k] = target, or None if there is none.
 
-    columns[k] is the image of unknown k, a sparse dict like target.  Each
-    coordinate's equation is inserted as an augmented row with the target in
-    column len(columns), so the system is inconsistent exactly when that
-    column becomes a pivot.  Free unknowns are set to zero, so the answer is
-    deterministic.
+    columns[k] is the image of unknown k, a sparse dict like target.  The rows
+    (columns[k] | e_k) span the graph of the map, its R image columns first and
+    unknown k at column R + n-1-k.  Reducing (target | 0) leaves an image column
+    iff there is no solution, else (0 | -x) with x zero at the free unknowns,
+    which are the kernel's pivots taken from the right.
     """
-    n = len(columns)
-    equations = {}
-    for k, col in enumerate([*columns, target]):
-        for r, c in col.items():
-            equations.setdefault(r, {})[k] = ring.s_from(c)
-    S = Subspace(ring)
-    for row in equations.values():
-        S.insert({k: c for k, c in row.items() if c != 0})
-        if S.pivots and S.pivots[-1] == n:
-            return None
-    solution = [ring.s_from(0)] * n
-    for p, row in zip(S.pivots, S.rows):
-        solution[p] = row.get(n, solution[p])
-    return solution
+    *images, target = [{r: s for r, c in col.items() if (s := ring.s_from(c)) != 0}
+                       for col in (*columns, target)]
+    R = 1 + max((r for col in (*images, target) for r in col), default=-1)
+    coords = range(R + len(images) - 1, R - 1, -1)
+    graph = Subspace(ring)
+    for image, c in zip(images, coords):
+        graph.insert({**image, c: 1})
+    rem = graph.reduce(target)
+    if rem and min(rem) < R:
+        return None
+    return [ring.s_neg(rem.get(c, 0)) for c in coords]

@@ -9,7 +9,8 @@ The last section is different: set operations on the package's sparse
 echelon form (sums, intersections, m^i, the graded spans m^j * M, inclusion
 and equality of subspaces).  The program reads U cap m^i off the pivots and
 never needs the others, so they live here, as the long-way references its
-tests compare against.
+tests compare against.  So does the per-coordinate linear solve that
+solve_linear replaced by a reduction on the graph of the map.
 """
 
 from fractions import Fraction
@@ -355,3 +356,26 @@ def subspace_intersect(U: Subspace, V: Subspace) -> Subspace:
             inter.insert({col - n: c for col, c in rem.items()})
         work.insert(rem)
     return inter
+
+
+def transposed_solve(columns, target: dict, ring):
+    """The per-coordinate construction of solve_linear, kept as its reference.
+
+    Each coordinate's equation is inserted as an augmented row with the target
+    in column len(columns), so the system is inconsistent exactly when that
+    column becomes a pivot.  Free unknowns are set to zero.
+    """
+    n = len(columns)
+    equations = {}
+    for k, col in enumerate([*columns, target]):
+        for r, c in col.items():
+            equations.setdefault(r, {})[k] = ring.s_from(c)
+    S = Subspace(ring)
+    for row in equations.values():
+        S.insert({k: c for k, c in row.items() if c != 0})
+        if S.pivots and S.pivots[-1] == n:
+            return None
+    solution = [ring.s_from(0)] * n
+    for p, row in zip(S.pivots, S.rows):
+        solution[p] = row.get(n, solution[p])
+    return solution

@@ -186,25 +186,29 @@ def test_solve_linear_matches_dense_rank():
     assert solve_linear([{0: 0}, {}], {0: 0}, R) == [0, 0]
     assert solve_linear([{0: 0}], {0: 1}, R) is None
     assert solve_linear([{0: 2}], {0: 1}, RingSpec(1, 5, 3)) == [3]
-    # random systems: consistent iff rank [A] == rank [A | b], and a returned
-    # solution satisfies every row
-    R = RingSpec(1, 7, 3)
+    # random systems over Q and F_2..F_7, explicit zero entries included:
+    # consistent iff rank [A] == rank [A | b], a returned solution satisfies
+    # every row, and the answer equals the per-coordinate reference exactly
+    # (the same free unknowns set to zero)
     rng = random.Random(5)
-    for _ in range(60):
-        n = rng.randint(1, 5)
-        eqs = [
-            ({k: rng.randrange(7) for k in rng.sample(range(n), rng.randint(0, n))}, rng.randrange(7))
-            for _ in range(rng.randint(1, 6))
-        ]
-        dense = [[coeffs.get(k, 0) for k in range(n)] for coeffs, _ in eqs]
-        augmented = [row + [rhs] for row, (_, rhs) in zip(dense, eqs)]
-        cols = [{r: coeffs[k] for r, (coeffs, _) in enumerate(eqs) if k in coeffs} for k in range(n)]
-        sol = solve_linear(cols, {r: rhs for r, (_, rhs) in enumerate(eqs)}, R)
-        consistent = oracles.dense_rank(dense, R) == oracles.dense_rank(augmented, R)
-        assert (sol is not None) == consistent
-        if sol is not None:
-            for row, (_, rhs) in zip(dense, eqs):
-                assert sum(a * x for a, x in zip(row, sol)) % 7 == rhs
+    for char in (0, 2, 3, 5, 7):
+        R = RingSpec(1, char, 3)
+        values = [0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 4)] if char == 0 else range(char)
+        for _ in range(60):
+            n = rng.randint(1, 5)
+            eqs = [({k: rng.choice(values) for k in rng.sample(range(n), rng.randint(0, n))},
+                    rng.choice(values)) for _ in range(rng.randint(1, 6))]
+            dense = [[coeffs.get(k, 0) for k in range(n)] for coeffs, _ in eqs]
+            augmented = [row + [rhs] for row, (_, rhs) in zip(dense, eqs)]
+            cols = [{r: coeffs[k] for r, (coeffs, _) in enumerate(eqs) if k in coeffs} for k in range(n)]
+            target = {r: rhs for r, (_, rhs) in enumerate(eqs)}
+            sol = solve_linear(cols, target, R)
+            assert sol == oracles.transposed_solve(cols, target, R), (char, cols, target)
+            consistent = oracles.dense_rank(dense, R) == oracles.dense_rank(augmented, R)
+            assert (sol is not None) == consistent
+            if sol is not None:
+                for row, (_, rhs) in zip(dense, eqs):
+                    assert R.s_from(sum(a * x for a, x in zip(row, sol)) - rhs) == 0
 
 
 def dense_to_vec(vec, R, arity):
