@@ -196,8 +196,8 @@ def _scan_keys(ring: RingSpec) -> tuple:
 
 
 def _scan_pairs(I, deg_max, mode, count, seed, budget):
-    """One pass over the candidate pairs with exact orders: (oracle, rows, pair
-    count), one row (g, h, nu_g, nu_h, nu_gh, g*h) per pair.
+    """One lazy pass over the candidate pairs with exact orders: (oracle, rows,
+    pair count), rows yielding (g, h, nu_g, nu_h, nu_gh, g*h) per pair.
 
     A factor with a nonzero constant term is a unit of A_D, and I + m^n is an
     ideal, so g*h lies in I + m^n iff the other factor does: nu_gh is read off
@@ -223,19 +223,19 @@ def _scan_pairs(I, deg_max, mode, count, seed, budget):
     one = (0,) * ring.num_vars
     units = [one in g.terms for g, _ in live]
     layers = [_by_degree(g, key) for g, _ in live]
-    remainder_order = oracle.span.remainder_order
-    rows = []
-    for i, (g, ng) in enumerate(live):
-        for j in range(i, len(live)):
-            h, nh = live[j]
-            if units[i]:
-                rows.append((g, h, ng, nh, nh, None))
-            elif units[j]:
-                rows.append((g, h, ng, nh, ng, None))
-            else:
-                ngh = remainder_order(_product_parts(layers[i], layers[j], rank))
-                rows.append((g, h, ng, nh, ngh, None if ngh.exact else g * h))
-    return oracle, rows, npairs
+
+    def rows():
+        for i, (g, ng) in enumerate(live):
+            for j in range(i, len(live)):
+                h, nh = live[j]
+                if units[i]:
+                    yield g, h, ng, nh, nh, None
+                elif units[j]:
+                    yield g, h, ng, nh, ng, None
+                else:
+                    ngh = oracle.span.remainder_order(_product_parts(layers[i], layers[j], rank))
+                    yield g, h, ng, nh, ngh, None if ngh.exact else g * h
+    return oracle, rows(), npairs
 
 
 def _icl_reports(I, deg_max, slopes, mode, count, seed, budget) -> list:
@@ -245,6 +245,7 @@ def _icl_reports(I, deg_max, slopes, mode, count, seed, budget) -> list:
     the additive constant b and the pairs attaining it do.
     """
     oracle, rows, npairs = _scan_pairs(I, deg_max, mode, count, seed, budget)
+    rows = list(rows)
     violations = []
     skipped = []
     for g, h, ng, nh, ngh, gh in rows:

@@ -205,6 +205,33 @@ def test_valuation_check_cases():
     assert valuation_check(zero, 3, seed=0, count=20).is_valuation
 
 
+def test_valuation_check_stops_at_its_first_counterexample():
+    # on T1*T2 the pair (T1, T2) is a counterexample near the start of the scan:
+    # the check returns there, with the report of the full scan, and computes no
+    # order of a later pair (one remainder_order per candidate, then one per
+    # pair with no unit factor up to the counterexample)
+    R = RingSpec(2, 0, 8)
+    I = IdealSpec.of(R, [parse_poly("T1*T2", R)])
+    _, rows, npairs = orders._scan_pairs(I, 3, "random", 40, 5, 10**6)
+    rows = list(rows)
+    stop = next(n for n, (g, h, ng, nh, ngh, _) in enumerate(rows)
+                if (ngh.value != ng.value + nh.value if ngh.exact else ng.value + nh.value <= R.trunc))
+    scanned = sum(1 for g, h, *_ in rows[:stop + 1] if g.order().value and h.order().value)
+    ncands = len(scan_candidates(R, 3, "random", 40, 5))
+    calls = []
+    real = Subspace.remainder_order
+
+    def counted(self, parts):
+        calls.append(1)
+        return real(self, parts)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Subspace, "remainder_order", counted)
+        rep = valuation_check(I, 3, count=40, seed=5)
+    assert len(calls) == ncands + scanned < npairs == 990
+    assert rep == orders.ValuationReport(False, rows[stop][:5], 3, npairs, 5)
+
+
 def test_scan_candidates_deterministic():
     R = RingSpec(2, 0, 8)
     a = scan_candidates(R, 2, "random", count=10, seed=3)
@@ -334,15 +361,25 @@ def test_scans_form_full_products_only_for_inexact_pairs(monkeypatch):
              (RingSpec(2, 0, 8), "T1*T2", 3, "random", valuation_check),
              (RingSpec(3, 0, 8), "T1^2 + T2^2 + T3^2", 3, "random", valuation_check)]
     expected = []
-    for R, text, deg_max, mode, _ in cases:
+    for R, text, deg_max, mode, scan in cases:
         I = IdealSpec.of(R, [parse_poly(text, R)])
         U = span_ideal(I)
         cands = scan_candidates(R, deg_max, mode, 40, 5)
-        live = [k for k, g in enumerate(cands) if reduce_order(g, U).exact]
+        nus = [reduce_order(g, U) for g in cands]
+        live = [k for k, v in enumerate(nus) if v.exact]
         pairs = [(i, j) for i in live for j in live if i <= j]
-        inexact = [(i, j) for i, j in pairs if not reduce_order(cands[i] * cands[j], U).exact]
-        expected.append((len(pairs), inexact))
-    assert [(n, len(x)) for n, x in expected] == [(1225, 1), (1953, 36), (990, 60), (1770, 0)]
+        inexact, stop = [], None
+        for i, j in pairs:
+            ngh, total = reduce_order(cands[i] * cands[j], U), nus[i].value + nus[j].value
+            if not ngh.exact:
+                inexact.append((i, j))
+            if stop is None and (ngh.value != total if ngh.exact else total <= R.trunc):
+                stop = len(inexact)
+        expected.append((len(pairs), inexact, stop if scan is valuation_check else None))
+    assert [(n, len(x)) for n, x, _ in expected] == [(1225, 1), (1953, 36), (990, 60), (1770, 0)]
+    # valuation_check stops at its first counterexample, so on T1*T2 it forms
+    # only the products of the inexact pairs up to that one
+    assert [stop for *_, stop in expected] == [None, None, 1, None]
 
     pools = []  # every candidate list stays alive, so no other object takes its ids
     position = {}  # id -> index of each candidate of the running scan
@@ -362,12 +399,12 @@ def test_scans_form_full_products_only_for_inexact_pairs(monkeypatch):
 
     monkeypatch.setattr(orders, "scan_candidates", candidates)
     monkeypatch.setattr(TruncatedSeries, "__mul__", mul)
-    for (R, text, deg_max, mode, scan), (npairs, inexact) in zip(cases, expected):
+    for (R, text, deg_max, mode, scan), (npairs, inexact, stop) in zip(cases, expected):
         products.clear()
         rep = scan(IdealSpec.of(R, [parse_poly(text, R)]), deg_max, mode=mode, seed=5)
         rep = rep[0] if isinstance(rep, list) else rep
         assert rep.pair_count == npairs
-        assert products == inexact, (text, len(products), len(inexact))
+        assert products == inexact[:stop], (text, len(products), len(inexact))
 
 
 @settings(max_examples=40, deadline=None)
@@ -397,6 +434,7 @@ def test_scan_rows_match_dense_oracle(data):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Subspace, "remainder_order", counted)
         _, rows, npairs = orders._scan_pairs(I, deg_max, mode, count, seed, 10**6)
+        rows = list(rows)
     cands = scan_candidates(R, deg_max, mode, count, seed, 10**6)
     live = [g for g in cands if dense_order(g, I).exact]
     assert npairs == len(rows) == len(live) * (len(live) + 1) // 2
