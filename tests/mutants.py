@@ -1,0 +1,96 @@
+"""Registered mutants: small breaking edits of src/artinlab that the tests must kill.
+
+Each mutant names a file (relative to the repository root), the exact text it
+replaces, the replacement and the pytest node ids of the tests that must kill
+it.  The old text occurs exactly once in its file; tests/test_source.py checks
+that in tier-1, so a refactor that moves guarded code has to re-anchor its
+mutants.  scripts/mutants.py applies each mutant to a temporary copy of the
+repository, runs its tests and lists any survivor.  Retire a mutant only when
+the code it breaks is gone.
+"""
+
+from typing import NamedTuple
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    old: str
+    new: str
+    tests: tuple
+
+
+ARTIN = "src/artinlab/artin.py"
+ORDERS = "src/artinlab/orders.py"
+SUBSPACE = "src/artinlab/subspace.py"
+WITNESS = "src/artinlab/witness.py"
+
+CHECKED_SEARCH = ("tests/test_beta.py::test_incremental_state_matches_definitions",)
+SCAN_ROWS = ("tests/test_orders.py::test_scan_rows_match_dense_oracle",)
+SOLVE = ("tests/test_subspace.py::test_solve_linear_matches_dense_rank",)
+
+MUTANTS = [
+    # _BetaSearch: the class key read off the path
+    Mutant("key kept after an undo above the boundary", ARTIN,
+           "if len(self._frames) < self.boundary:\n            self._key = None",
+           "if len(self._frames) < self.boundary:\n            pass",
+           CHECKED_SEARCH),
+    Mutant("key built from boundary - 1 frames", ARTIN,
+           "self._frames[:self.boundary]", "self._frames[:self.boundary - 1]",
+           CHECKED_SEARCH),
+    # _BetaSearch: residual degrees and their orders
+    Mutant("residual orders never updated", ARTIN,
+           "self.res, self.ords = res, ords", "self.res = res",
+           CHECKED_SEARCH),
+    Mutant("order walk starts one past the least degree written", ARTIN,
+           "o = min(ords[pidx], lo)", "o = min(ords[pidx], lo + 1)",
+           CHECKED_SEARCH),
+    Mutant("order walk stops one degree early", ARTIN,
+           "while o <= D and not r[o]:", "while o < D and not r[o]:",
+           CHECKED_SEARCH),
+    Mutant("degree dict shared between frames", ARTIN,
+           "part = r[e] = dict(r[e])", "part = r[e]",
+           CHECKED_SEARCH),
+    Mutant("slot plan keeps a term at degree D + 1", ARTIN,
+           "            if e <= self.D:\n                plan.append(",
+           "            if e <= self.D + 1:\n                plan.append(",
+           ("tests/test_beta.py::test_random_small_systems_agree",)),
+    # _BetaSearch: the state its terms read
+    Mutant("powers kept for every unknown", ARTIN,
+           "if self.general[u] else {} for u in range(n)]", "if True else {} for u in range(n)]",
+           CHECKED_SEARCH),
+    Mutant("an empty layer always moves lb[j] past its degree", ARTIN,
+           "if self.lb[j] == d:  # x_j is still zero", "if True:",
+           CHECKED_SEARCH),
+    Mutant("general linear term without its coefficient", ARTIN,
+           "term = coeff * step", "term = step",
+           ("tests/test_beta.py::test_random_small_systems_agree",
+            "tests/test_cli.py::test_beta_lb_of_linear_system_is_level_plus_ar_index")),
+    # _factorization_scan
+    Mutant("y tables kept across values of x_1", WITNESS,
+           "                tables.clear()\n", "",
+           ("tests/test_witness.py::test_scan_matches_the_naive_loop",)),
+    # Subspace pivot index
+    Mutant("copy indexes the original's rows", SUBSPACE,
+           "out.row_of = dict(zip(out.pivots, out.rows))", "out.row_of = dict(zip(out.pivots, self.rows))",
+           ("tests/test_subspace.py::test_pivot_index_follows_inserts_and_copies",)),
+    # scan pairs
+    Mutant("unit pair reads its own order", ORDERS,
+           "if units[i]:\n                    yield g, h, ng, nh, nh, None",
+           "if units[i]:\n                    yield g, h, ng, nh, ng, None",
+           SCAN_ROWS),
+    Mutant("no unit shortcut", ORDERS,
+           "units = [one in g.terms for g, _ in live]", "units = [False for g, _ in live]",
+           SCAN_ROWS),
+    Mutant("rows listed in full before the caller reads them", ORDERS,
+           "return oracle, rows(), npairs", "return oracle, list(rows()), npairs",
+           ("tests/test_orders.py::test_valuation_check_stops_at_its_first_counterexample",
+            "tests/test_orders.py::test_scans_form_full_products_only_for_inexact_pairs")),
+    # solve_linear on the graph of the map
+    Mutant("unknowns in natural order", SUBSPACE,
+           "coords = range(R + len(images) - 1, R - 1, -1)", "coords = range(R, R + len(images))",
+           SOLVE + ("tests/test_cli.py::test_pinned_output_bytes",)),
+    Mutant("last unknown's column read as an image column", SUBSPACE,
+           "if rem and min(rem) < R:", "if rem and min(rem) <= R:",
+           SOLVE),
+]

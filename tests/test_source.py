@@ -22,3 +22,14 @@ def test_no_assert_in_src():
             if isinstance(node, ast.Assert) or (isinstance(exc, ast.Name) and exc.id == "AssertionError"):
                 found.append("%s:%d" % (os.path.basename(path), node.lineno))
     assert not found, found
+
+
+def test_mutant_anchors_occur_once():
+    # each registered mutant's old text occurs exactly once in its file, so that
+    # a refactor of guarded code has to re-anchor the mutants it moves
+    from mutants import MUTANTS
+
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    for m in MUTANTS:
+        with open(os.path.join(root, m.path), encoding="utf-8") as fh:
+            assert fh.read().count(m.old) == 1, m.name
