@@ -17,6 +17,7 @@ from operator import add
 from typing import Optional, Sequence
 
 from .errors import BudgetError, PrecondError
+from .orders import SLOPE_GRID
 from .series import (ExtOrder, TruncatedSeries, _raw, fp_space_size, fp_vectors, monomials_of_degree,
                      monomials_up_to, power)
 from .subspace import (
@@ -455,7 +456,7 @@ def stable_ar_scan(
         indices.append((nu_x.value, max(e - j for e, j in enumerate(prof))))
     cap = grid_b_max if grid_b_max is not None else D
     grid = []
-    for a_val in (Fraction(1), Fraction(3, 2), Fraction(2)):
+    for a_val in SLOPE_GRID:
         b_min = max([0] + [i0 - ceil(a_val * nu_v) for nu_v, i0 in indices])
         grid.append((a_val, b_min if b_min <= cap else None))
     minimal = next((point for point in grid if point[1] is not None), None)

@@ -19,6 +19,9 @@ from .errors import BudgetError, PrecondError
 from .series import ExtOrder, RingSpec, TruncatedSeries, fp_space_size, fp_vectors, monomials_up_to
 from .subspace import IdealSpec, coord_index, distance_order, member, span_ideal
 
+# the slopes a of the paper's grid, shared by the ICL envelope and stable-ar
+SLOPE_GRID = (Fraction(1), Fraction(3, 2), Fraction(2))
+
 
 class NuOracle:
     """Per-ideal cache answering nu queries and sound membership checks."""
@@ -327,8 +330,7 @@ def icl_envelope(
     budget: int = 200_000,
 ) -> list:
     """Lower envelope of (a, b_min) over the standard slope grid, from one scan."""
-    slopes = (Fraction(1), Fraction(3, 2), Fraction(2))
-    return _icl_reports(I, deg_max, slopes, mode, count, seed, budget)
+    return _icl_reports(I, deg_max, SLOPE_GRID, mode, count, seed, budget)
 
 
 @dataclass

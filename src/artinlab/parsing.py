@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from .errors import PrecondError
 from .series import RingSpec, TruncatedSeries, default_names
@@ -54,8 +54,8 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.k = 0
         self.names = {nm: idx for idx, nm in enumerate(names)}
-        self.unknowns = {nm: idx for idx, nm in enumerate(unknowns)}
-        self.n_unknowns = max(1, len(self.unknowns))
+        self.unknowns = {nm: idx for idx, nm in enumerate(unknowns or ())}
+        self.n_unknowns = None if unknowns is None else max(1, len(self.unknowns))
 
     def peek(self):
         return self.tokens[self.k]
@@ -70,17 +70,17 @@ class _Parser:
         if kind != "op" or val != op:
             raise ParseError(f"expected {op!r} at position {pos}")
 
-    def _const(self, value) -> PolyInX:
-        return PolyInX.from_series(TruncatedSeries.constant(self.ring, value), self.n_unknowns)
+    def _lift(self, s: TruncatedSeries):
+        return s if self.n_unknowns is None else PolyInX.from_series(s, self.n_unknowns)
 
-    def parse(self) -> PolyInX:
+    def parse(self):
         node = self.expr()
         kind, val, pos = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected token {val!r} at position {pos}")
         return node
 
-    def expr(self) -> PolyInX:
+    def expr(self):
         node = self.term()
         while True:
             kind, val, pos = self.peek()
@@ -91,7 +91,7 @@ class _Parser:
             else:
                 return node
 
-    def term(self) -> PolyInX:
+    def term(self):
         node = self.factor()
         while True:
             kind, val, pos = self.peek()
@@ -101,7 +101,7 @@ class _Parser:
             else:
                 return node
 
-    def factor(self) -> PolyInX:
+    def factor(self):
         sign = 1
         while True:
             kind, val, pos = self.peek()
@@ -114,7 +114,7 @@ class _Parser:
         node = self.power()
         return node if sign == 1 else -node
 
-    def power(self) -> PolyInX:
+    def power(self):
         base = self.atom()
         kind, val, pos = self.peek()
         if kind == "op" and val == "^":
@@ -125,7 +125,7 @@ class _Parser:
             return base**ev
         return base
 
-    def atom(self) -> PolyInX:
+    def atom(self):
         kind, val, pos = self.take()
         if kind == "int":
             nkind, nval, npos = self.peek()
@@ -134,13 +134,11 @@ class _Parser:
                 dkind, dval, dpos = self.take()
                 if dkind != "int" or dval == 0:
                     raise ParseError(f"expected a nonzero integer denominator at position {dpos}")
-                return self._const(Fraction(val, dval))
-            return self._const(val)
+                val = Fraction(val, dval)
+            return self._lift(TruncatedSeries.constant(self.ring, val))
         if kind == "name":
             if val in self.names:
-                return PolyInX.from_series(
-                    TruncatedSeries.variable(self.ring, self.names[val]), self.n_unknowns
-                )
+                return self._lift(TruncatedSeries.variable(self.ring, self.names[val]))
             if val in self.unknowns:
                 return PolyInX.unknown(self.ring, self.n_unknowns, self.unknowns[val])
             raise ParseError(f"unknown variable {val!r} at position {pos}")
@@ -155,18 +153,20 @@ def parse_expr(
     text: str,
     ring: RingSpec,
     names: Optional[Sequence[str]] = None,
-    unknowns: Sequence[str] = (),
-) -> PolyInX:
+    unknowns: Optional[Sequence[str]] = None,
+) -> Union[TruncatedSeries, PolyInX]:
+    """A plain series when unknowns is None, else (even for no unknowns) a PolyInX in
+    max(1, len(unknowns)) unknowns, its series atoms lifted as they are read."""
     if names is None:
         names = default_names(ring.num_vars)
     if len(names) != ring.num_vars:
         raise PrecondError("variable name list does not match the ring arity")
-    clash = set(names) & set(unknowns)
+    clash = set(names) & set(unknowns or ())
     if clash:
         raise PrecondError(f"names {sorted(clash)} are both variables and unknowns")
-    return _Parser(text, ring, names, list(unknowns)).parse()
+    return _Parser(text, ring, names, unknowns).parse()
 
 
 def parse_poly(text: str, ring: RingSpec, names: Optional[Sequence[str]] = None) -> TruncatedSeries:
     """Parse a plain series (no unknowns), reduced modulo m^(D+1)."""
-    return parse_expr(text, ring, names, ()).constant_series()
+    return parse_expr(text, ring, names)

@@ -307,12 +307,6 @@ class TruncatedSeries:
                     out.pop(m, None)
         return _raw(self.ring, out)
 
-    def shift(self, u: Monomial) -> "TruncatedSeries":
-        """T^u * self: each exponent moved by u and the terms past D dropped, with no product."""
-        r = self.ring
-        room = r.trunc - sum(u)
-        return _raw(r, {tuple(map(add, m, u)): v for m, v in self.terms.items() if sum(m) <= room})
-
     def scale(self, c) -> "TruncatedSeries":
         r = self.ring
         c = r.s_from(c)

@@ -31,6 +31,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add
 from typing import Sequence
 
 from .errors import PrecondError
@@ -244,7 +245,8 @@ class Subspace:
 
 
 def multiples(gen, d: int, ring: RingSpec, sound: bool = False):
-    """The vectors u * gen, one per monomial u of degree d, as sparse columns.
+    """The vectors u * gen, one per monomial u of degree d, as sparse columns: each
+    term of gen that the shift by u keeps, moved straight to its column.
 
     Nothing past the multiplier cap: D - ord(gen), beyond which every product
     truncates to 0, or with sound=True D - deg(gen), so that every product is
@@ -259,8 +261,10 @@ def multiples(gen, d: int, ring: RingSpec, sound: bool = False):
         cap = ring.trunc - min(g.order().value for g in live)
     if d > cap:
         return
+    ranks = coord_index(ring.num_vars, ring.trunc, len(gen))[1]
+    kept = [(rank, m, c) for g, rank in zip(gen, ranks) for m, c in g.terms.items() if sum(m) + d <= ring.trunc]
     for u in monomials_of_degree(ring.num_vars, d):
-        yield series_to_vec([g.shift(u) for g in gen], ring)
+        yield {rank[tuple(map(add, m, u))]: c for rank, m, c in kept}
 
 
 def span_module(M: ModuleSpec, sound: bool = False) -> Subspace:

@@ -74,17 +74,6 @@ class PolyInX:
     def __pow__(self, e: int):
         return power(self, e, PolyInX.from_series(TruncatedSeries.one(self.ring), self.n_unknowns))
 
-    @property
-    def is_constant(self) -> bool:
-        return all(all(x == 0 for x in e) for e in self.terms)
-
-    def constant_series(self) -> TruncatedSeries:
-        if not self.is_constant:
-            raise PrecondError("polynomial involves unknowns where a plain series was expected")
-        if not self.terms:
-            return TruncatedSeries.zero(self.ring)
-        return next(iter(self.terms.values()))
-
     def eval(self, xs: Sequence[TruncatedSeries]) -> TruncatedSeries:
         if len(xs) != self.n_unknowns:
             raise PrecondError("wrong number of unknowns in evaluation")

@@ -22,10 +22,13 @@ class Mutant(NamedTuple):
 
 ARTIN = "src/artinlab/artin.py"
 ORDERS = "src/artinlab/orders.py"
+PARSING = "src/artinlab/parsing.py"
 SUBSPACE = "src/artinlab/subspace.py"
 WITNESS = "src/artinlab/witness.py"
 
 CHECKED_SEARCH = ("tests/test_beta.py::test_incremental_state_matches_definitions",)
+MULTIPLES = ("tests/test_subspace.py::test_multiples_are_the_monomial_products",)
+PLAIN_PARSE = ("tests/test_parsing.py::test_plain_series_parse_as_the_constant_term_of_a_system",)
 SCAN_ROWS = ("tests/test_orders.py::test_scan_rows_match_dense_oracle",)
 SOLVE = ("tests/test_subspace.py::test_solve_linear_matches_dense_rank",)
 
@@ -74,6 +77,20 @@ MUTANTS = [
     Mutant("copy indexes the original's rows", SUBSPACE,
            "out.row_of = dict(zip(out.pivots, out.rows))", "out.row_of = dict(zip(out.pivots, self.rows))",
            ("tests/test_subspace.py::test_pivot_index_follows_inserts_and_copies",)),
+    # multiples: generator terms straight to their columns
+    Mutant("multiples drop the terms that land on degree D", SUBSPACE,
+           "if sum(m) + d <= ring.trunc]", "if sum(m) + d < ring.trunc]",
+           MULTIPLES),
+    Mutant("multiples put each component in the other's columns", SUBSPACE,
+           "for g, rank in zip(gen, ranks)", "for g, rank in zip(gen, ranks[::-1])",
+           MULTIPLES),
+    # parsing: series atoms, lifted only for a system
+    Mutant("a system with no unknowns parses as a plain series", PARSING,
+           "None if unknowns is None else", "None if not unknowns else",
+           PLAIN_PARSE + ("tests/test_cli.py::test_beta_lb_with_no_unknowns",)),
+    Mutant("system atoms left as plain series", PARSING,
+           "return s if self.n_unknowns is None else", "return s if True else",
+           PLAIN_PARSE + ("tests/test_parsing.py::test_unknowns_build_systems",)),
     # scan pairs
     Mutant("unit pair reads its own order", ORDERS,
            "if units[i]:\n                    yield g, h, ng, nh, nh, None",

@@ -5,10 +5,13 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
+from math import ceil
 
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from artinlab.cli import COMMANDS, build_parser, main, parse
+from artinlab.cli import COMMANDS, build_parser, main, parse, run_command
+from artinlab.series import RingSpec, TruncatedSeries, monomials_up_to
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
@@ -103,6 +106,14 @@ def test_beta_lb_cli():
     assert rep["result"]["beta_lower_bound"] == 3
 
 
+def test_beta_lb_with_no_unknowns():
+    # an empty --unknowns still makes a system, in one unknown X1 that no term reads
+    result = run_command(["beta-lb", "--vars", "T1", "--char", "2", "--trunc", "3", "--system", "T1",
+                          "--unknowns", "", "--i", "0"])[0]["result"]
+    assert result == {"beta_lower_bound": 1, "i": 0, "explored_nodes": 3, "state_space_size": "16",
+                      "solvable_classes": 0}
+
+
 def test_beta_lb_of_linear_system_is_level_plus_ar_index():
     # on f.X = 0 the Artin function is i -> i + i0, with i0 the Artin-Rees index
     # of the ideal (f): both commands, in process, must agree on each case
@@ -124,6 +135,52 @@ def test_beta_lb_of_linear_system_is_level_plus_ar_index():
             beta = result("beta-lb", "--vars", "T1,T2", "--char", char, "--trunc", str(D),
                           "--system", text, "--unknowns", unknowns, "--i", str(i))["beta_lower_bound"]
             assert beta == i + i0, (char, text, D, i)
+
+
+@st.composite
+def stable_ar_draws(draw):
+    """Over F_2 or F_3 in T1, T2 at D <= 8: generators of I with terms of degree
+    2..4 and translates x with terms of degree 1..2, at most three terms each, so
+    that few x lie in I and b_min is often positive."""
+    R = RingSpec(2, draw(st.sampled_from([2, 3])), draw(st.integers(2, 8)))
+
+    def series(lo, hi):
+        monos = [m for m in monomials_up_to(2, min(hi, R.trunc)) if sum(m) >= lo]
+        terms = st.dictionaries(st.sampled_from(monos), st.integers(1, R.char - 1), min_size=1, max_size=3)
+        return st.lists(terms.map(lambda d: TruncatedSeries(R, d)), min_size=1, max_size=2)
+
+    return R, draw(series(2, 4)), draw(series(1, 2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(stable_ar_draws())
+def test_stable_ar_grid_is_the_artin_rees_index_of_each_translate(draw):
+    # the stable Artin-Rees lemma: at each slope a of the grid, b_min(a) =
+    # max(0, max_x (i0_x - ceil(a*nu(x)))) over the x of decidable order, with
+    # i0_x from ar-index on (x)+I and nu(x) from nu
+    R, gens, xs = draw
+    ring = ["--vars", "T1,T2", "--char", str(R.char), "--trunc", str(R.trunc)]
+
+    def result(*argv):
+        return run_command([*argv, *ring])[0]["result"]
+
+    ideal = ";".join(g.to_str() for g in gens)
+    offsets = []  # (nu(x), i0_x)
+    for x in xs:
+        nu = result("nu", "--ideal=" + ideal, "--x=" + x.to_str())["nu"]
+        if isinstance(nu, str):  # ">=D+1": stable-ar skips x
+            continue
+        ar = result("ar-index", "--ideal=" + ideal + ";" + x.to_str())
+        # stable-ar takes (x)+I's generators as given, ar-index drops the redundant
+        # ones first; where that lifts its certified range, the two may differ
+        if ar["certified_up_to"] != R.trunc - max(g.max_degree() for g in gens + [x]):
+            return
+        offsets.append((nu, ar["i0"]))
+    stable = result("stable-ar", "--ideal=" + ideal, "--xs=" + ";".join(x.to_str() for x in xs))
+    for point in stable["grid"]:
+        if point["b_min"] is not None:
+            a = Fraction(point["a"])
+            assert point["b_min"] == max([0] + [i0 - ceil(a * nu) for nu, i0 in offsets]), (draw, point)
 
 
 def test_irr_check_cli():

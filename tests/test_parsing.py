@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from artinlab.errors import PrecondError
 from artinlab.parsing import ParseError, parse_expr, parse_poly
 from artinlab.series import RingSpec, TruncatedSeries, monomials_up_to
 
@@ -92,3 +93,39 @@ def series_strategy(ring):
 def test_print_parse_round_trip(data):
     R, s = data
     assert parse_poly(s.to_str(), R) == s
+
+
+def expression_strategy():
+    """Expression strings over T1..T3: integers, p/q (zero and non-invertible
+    denominators included), + - * ^, parentheses and unary minus; one in four
+    loses its last character, so malformed text is drawn too."""
+    atoms = st.one_of(
+        st.sampled_from(["T1", "T2", "T3"]),
+        st.integers(0, 12).map(str),
+        st.tuples(st.integers(0, 9), st.integers(0, 9)).map(lambda pq: "%d/%d" % pq),
+    )
+    text = st.recursive(atoms, lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from([" + ", " - ", "*"]), inner).map("".join),
+        st.tuples(inner, st.integers(0, 4)).map(lambda t: "(%s)^%d" % t),
+        st.tuples(atoms, st.integers(0, 4)).map(lambda t: "%s^%d" % t),
+        inner.map(lambda e: "(%s)" % e),
+        inner.map(lambda e: "-" + e),
+    ), max_leaves=8)
+    return st.tuples(text, st.integers(0, 3)).map(lambda t: t[0][:-1] if t[1] == 0 and len(t[0]) > 1 else t[0])
+
+
+def outcome(parse):
+    try:
+        return parse()
+    except PrecondError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([RingSpec(3, 0, 4), RingSpec(3, 3, 4), RingSpec(3, 3, 2)]), expression_strategy())
+def test_plain_series_parse_as_the_constant_term_of_a_system(R, text):
+    # a system with no unknowns is a polynomial in one unknown X1; its constant
+    # term is the series, and both routes fail alike on bad text
+    plain = outcome(lambda: parse_poly(text, R))
+    system = outcome(lambda: parse_expr(text, R, unknowns=[]).terms.get((0,), TruncatedSeries.zero(R)))
+    assert plain == system, text

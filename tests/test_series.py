@@ -172,15 +172,6 @@ def test_polyinx_power_is_repeated_product(data):
         assert (base**e).terms == want.terms
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from(RINGS).flatmap(lambda R: st.tuples(
-    series_strategy(R), st.sampled_from(monomials_up_to(R.num_vars, R.trunc + 1)))))
-def test_shift_is_the_monomial_product(data):
-    # u runs one degree past D, where every shift truncates to 0
-    a, u = data
-    assert a.shift(u) == TruncatedSeries.monomial(a.ring, u) * a
-
-
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(RINGS).flatmap(lambda R: st.tuples(
     xpoly_strategy(R), series_strategy(R), series_strategy(R))))

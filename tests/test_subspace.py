@@ -6,13 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from artinlab.errors import PrecondError
-from artinlab.series import ExtOrder, RingSpec, TruncatedSeries, monomials_up_to
+from artinlab.series import ExtOrder, RingSpec, TruncatedSeries, monomials_of_degree, monomials_up_to
 from artinlab.subspace import (
     IdealSpec,
     ModuleSpec,
     Subspace,
     distance_order,
     member,
+    multiples,
     series_to_vec,
     solve_linear,
     span_ideal,
@@ -326,6 +327,30 @@ def test_scalar_representation_random(data):
     assert not set(rem) & set(U.pivots)
     diff = [xs - rs for xs, rs in zip(x, vec_to_series(rem, R, arity))]
     assert oracles.naive_member(oracles.dense_coords(diff, R), dense, R)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_multiples_are_the_monomial_products(data):
+    R = RingSpec(data.draw(st.integers(1, 3)), data.draw(st.sampled_from([0, 5])), data.draw(st.integers(1, 4)))
+    monos = list(monomials_up_to(R.num_vars, R.trunc))
+    mk = st.dictionaries(st.sampled_from(monos), st.sampled_from(SCALARS if R.char == 0 else [1, 2, 3, 4]),
+                         max_size=4).map(lambda d: TruncatedSeries(R, d))
+    gen = data.draw(st.tuples(*[mk] * data.draw(st.sampled_from([1, 2]))))  # zero components allowed
+    live = [g for g in gen if not g.is_zero]
+    for sound in (False, True):
+        # d runs one degree past D; past the cap (D - ord(gen), or D - deg(gen) when
+        # sound) no vector at all, not even a zero one
+        if not live:
+            cap = -1
+        elif sound:
+            cap = R.trunc - max(g.max_degree() for g in live)
+        else:
+            cap = R.trunc - min(g.order().value for g in live)
+        for d in range(R.trunc + 2):
+            products = [[TruncatedSeries.monomial(R, u) * g for g in gen] for u in monomials_of_degree(R.num_vars, d)]
+            want = [] if d > cap else [series_to_vec(p, R) for p in products]
+            assert list(multiples(gen, d, R, sound)) == want, (gen, d, sound)
 
 
 def assert_pivot_index(U):
