@@ -23,6 +23,12 @@ reduction looks up only the columns its vector holds.  The order in which
 those pivots are cleared does not matter: a basis row is zero in every other
 pivot column, so subtracting it changes no other pivot entry of the vector.
 
+A second index, from each non-pivot column to the rows holding an entry
+there, lets an insert back-eliminate its new pivot column from exactly the
+rows that hold it, not probe every row above it.  A pivot column needs no
+such entry: no other row holds it.  The order of back-elimination does not
+matter either: the new row is fixed, and each row is updated on its own.
+
 A linear solve is a reduction on the graph of the map (solve_linear).
 """
 
@@ -139,24 +145,34 @@ class Subspace:
     normalized to 1, and each pivot column is eliminated from every other row.
     Two equal subspaces therefore carry identical representations.  row_of
     maps each pivot column to its row (the same dict object as in rows), so
-    that elimination finds a pivot by one lookup; insert and copy keep it.
+    that elimination finds a pivot by one lookup.
+
+    holders is the other half of the index: for each non-pivot column k, the
+    set of pivots of the rows with an entry at k (a set may be left empty).
+    A pivot column needs no entry, as no other row holds it; when a column
+    becomes a pivot, its set names exactly the rows that insert must
+    back-eliminate.  insert keeps both maps.
+
+    The constructor takes the rows of an echelon form built by hand, already
+    canonical, as its own and derives both maps from them.
     """
 
-    __slots__ = ("ring", "arity", "rows", "pivots", "row_of")
+    __slots__ = ("ring", "arity", "rows", "pivots", "row_of", "holders")
 
-    def __init__(self, ring: RingSpec, arity: int = 1):
+    def __init__(self, ring: RingSpec, arity: int = 1, pivots: Sequence[int] = (), rows: Sequence[dict] = ()):
         self.ring = ring
         self.arity = arity
-        self.rows = []
-        self.pivots = []
-        self.row_of = {}
+        self.pivots = list(pivots)
+        self.rows = list(rows)
+        self.row_of = dict(zip(self.pivots, self.rows))
+        self.holders = {}
+        for piv, row in zip(self.pivots, self.rows):
+            for k in row:
+                if k != piv:
+                    self.holders.setdefault(k, set()).add(piv)
 
     def copy(self) -> "Subspace":
-        out = Subspace(self.ring, self.arity)
-        out.rows = [dict(r) for r in self.rows]
-        out.pivots = list(self.pivots)
-        out.row_of = dict(zip(out.pivots, out.rows))
-        return out
+        return Subspace(self.ring, self.arity, self.pivots, [dict(r) for r in self.rows])
 
     def _eliminate(self, v: dict, cols) -> None:
         """Clear from v, in place, the pivot columns among cols, the columns of
@@ -210,24 +226,40 @@ class Subspace:
         return ExtOrder.at_least(D + 1)
 
     def insert(self, vec: dict) -> bool:
-        """Add a vector; returns True when the dimension grew."""
+        """Add a vector of canonical scalars; returns True when the dimension grew.
+
+        The new row is the remainder scaled to 1 at its pivot piv.  Its other
+        columns are non-pivot ones, so it is back-eliminated from exactly the
+        rows that holders lists at piv, each in place and on its own: the
+        order does not matter.  Such a row gains or loses entries only at the
+        new row's columns, and holders follows it there.
+        """
         rem = self.reduce(vec)
         if not rem:
             return False
         p = self.ring.char
         piv = min(rem)
-        row = {}
-        sub_multiple(row, rem, -self.ring.s_inv(rem[piv]), p)  # row = rem / rem[piv]
+        if rem[piv] == 1:
+            row = rem
+        else:
+            row = {}
+            sub_multiple(row, rem, -self.ring.s_inv(rem[piv]), p)  # row = rem / rem[piv]
+        holders, row_of = self.holders, self.row_of
+        for q in holders.pop(piv, ()):
+            other = row_of[q]
+            sub_multiple(other, row, other[piv], p)
+            for k in row:
+                if k in other:
+                    holders.setdefault(k, set()).add(q)
+                elif k != piv:
+                    holders[k].discard(q)
+        for k in row:
+            if k != piv:
+                holders.setdefault(k, set()).add(piv)
         pos = bisect.bisect_left(self.pivots, piv)
-        # back-eliminate the new pivot column; a row with a later pivot has no
-        # entry before it, so only the rows above pos can carry one
-        for other in self.rows[:pos]:
-            c = other.get(piv)
-            if c:
-                sub_multiple(other, row, c, p)
         self.pivots.insert(pos, piv)
         self.rows.insert(pos, row)
-        self.row_of[piv] = row
+        row_of[piv] = row
         return True
 
     def contains_vec(self, vec: dict) -> bool:

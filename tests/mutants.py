@@ -27,6 +27,8 @@ SUBSPACE = "src/artinlab/subspace.py"
 WITNESS = "src/artinlab/witness.py"
 
 CHECKED_SEARCH = ("tests/test_beta.py::test_incremental_state_matches_definitions",)
+DENSE_RREF = ("tests/test_subspace.py::test_insert_keeps_the_dense_rref",)
+PIVOT_INDEX = ("tests/test_subspace.py::test_pivot_index_follows_inserts_and_copies",)
 MULTIPLES = ("tests/test_subspace.py::test_multiples_are_the_monomial_products",)
 PLAIN_PARSE = ("tests/test_parsing.py::test_plain_series_parse_as_the_constant_term_of_a_system",)
 SCAN_ROWS = ("tests/test_orders.py::test_scan_rows_match_dense_oracle",)
@@ -73,10 +75,30 @@ MUTANTS = [
     Mutant("y tables kept across values of x_1", WITNESS,
            "                tables.clear()\n", "",
            ("tests/test_witness.py::test_scan_matches_the_naive_loop",)),
-    # Subspace pivot index
-    Mutant("copy indexes the original's rows", SUBSPACE,
-           "out.row_of = dict(zip(out.pivots, out.rows))", "out.row_of = dict(zip(out.pivots, self.rows))",
-           ("tests/test_subspace.py::test_pivot_index_follows_inserts_and_copies",)),
+    # Subspace pivot index and column index
+    Mutant("constructor indexes copies of its rows", SUBSPACE,
+           "self.row_of = dict(zip(self.pivots, self.rows))",
+           "self.row_of = dict(zip(self.pivots, map(dict, self.rows)))",
+           PIVOT_INDEX),
+    Mutant("constructor indexes pivot columns", SUBSPACE,
+           "                if k != piv:\n                    self.holders", "                if True:\n                    self.holders",
+           PIVOT_INDEX),
+    Mutant("new pivot's column left in the index", SUBSPACE,
+           "holders.pop(piv, ())", "holders.get(piv, ())",
+           PIVOT_INDEX + DENSE_RREF),
+    Mutant("cancelled entry left in the index", SUBSPACE,
+           "holders[k].discard(q)", "pass",
+           PIVOT_INDEX + DENSE_RREF),
+    Mutant("gained entry not indexed", SUBSPACE,
+           "holders.setdefault(k, set()).add(q)", "pass",
+           PIVOT_INDEX + DENSE_RREF),
+    Mutant("new row's columns not indexed", SUBSPACE,
+           "            if k != piv:\n                holders.setdefault(k, set()).add(piv)",
+           "            if False:\n                holders.setdefault(k, set()).add(piv)",
+           PIVOT_INDEX + DENSE_RREF),
+    Mutant("remainder kept as the row whatever its pivot entry", SUBSPACE,
+           "if rem[piv] == 1:", "if True:",
+           DENSE_RREF),
     # multiples: generator terms straight to their columns
     Mutant("multiples drop the terms that land on degree D", SUBSPACE,
            "if sum(m) + d <= ring.trunc]", "if sum(m) + d < ring.trunc]",

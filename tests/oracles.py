@@ -32,9 +32,10 @@ def dense_coords(xs, ring):
     return vec
 
 
-def dense_rank(rows, ring):
+def dense_rref(rows, ring):
+    """The nonzero rows of the reduced row echelon form of rows, by Gauss-Jordan:
+    pivots left to right, each scaled to 1 and cleared from every other row."""
     rows = [list(r) for r in rows]
-    rank = 0
     ncols = len(rows[0]) if rows else 0
     col = 0
     r = 0
@@ -56,8 +57,11 @@ def dense_rank(rows, ring):
                 rows[k] = [ring.s_from(a - ring.s_mul(c, b)) for a, b in zip(rows[k], rows[r])]
         r += 1
         col += 1
-        rank += 1
-    return rank
+    return rows[:r]
+
+
+def dense_rank(rows, ring):
+    return len(dense_rref(rows, ring))
 
 
 def module_vectors(M, min_mult=0):
@@ -287,11 +291,8 @@ def span_m_power(ring, i, arity=1) -> Subspace:
     if not 0 <= i <= ring.trunc + 1:
         raise PrecondError(f"m-power exponent {i} out of range 0..{ring.trunc + 1}")
     starts = coord_index(ring.num_vars, ring.trunc, arity)[2]
-    U = Subspace(ring, arity)
-    U.pivots = list(range(starts[i], starts[-1]))
-    U.rows = [{k: 1} for k in U.pivots]
-    U.row_of = dict(zip(U.pivots, U.rows))
-    return U
+    pivots = range(starts[i], starts[-1])
+    return Subspace(ring, arity, pivots, [{k: 1} for k in pivots])
 
 
 def graded_span(M, j) -> Subspace:
@@ -309,11 +310,7 @@ def graded_span(M, j) -> Subspace:
 def cap_m_power(U: Subspace, i) -> Subspace:
     """U cap m^i, as a new Subspace: the rows from U.cap_start(i) on."""
     k = U.cap_start(i)
-    out = Subspace(U.ring, U.arity)
-    out.rows = [dict(r) for r in U.rows[k:]]
-    out.pivots = U.pivots[k:]
-    out.row_of = dict(zip(out.pivots, out.rows))
-    return out
+    return Subspace(U.ring, U.arity, U.pivots[k:], [dict(r) for r in U.rows[k:]])
 
 
 def same_subspace(U: Subspace, V: Subspace) -> bool:

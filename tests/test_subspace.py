@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from artinlab.errors import PrecondError
@@ -11,6 +11,7 @@ from artinlab.subspace import (
     IdealSpec,
     ModuleSpec,
     Subspace,
+    coord_index,
     distance_order,
     member,
     multiples,
@@ -357,6 +358,15 @@ def assert_pivot_index(U):
     # row_of maps each pivot column to its row, the very dict held in rows
     assert U.row_of == dict(zip(U.pivots, U.rows))
     assert all(U.row_of[p] is row for p, row in zip(U.pivots, U.rows))
+    # holders maps each non-pivot column to the pivots of the rows holding it
+    # (an emptied set may stay), and indexes no pivot column
+    want = {}
+    for p, row in zip(U.pivots, U.rows):
+        for k in row:
+            if k != p:
+                want.setdefault(k, set()).add(p)
+    assert {k: s for k, s in U.holders.items() if s} == want
+    assert not U.holders.keys() & set(U.pivots)
 
 
 @settings(max_examples=40, deadline=None)
@@ -375,6 +385,7 @@ def test_pivot_index_follows_inserts_and_copies(data):
     V = U.copy()
     assert_pivot_index(V)
     assert all(a is not b for a, b in zip(U.rows, V.rows))
+    assert not {id(s) for s in U.holders.values()} & {id(s) for s in V.holders.values()}
     # the copy grows on its own; each unit vector back-eliminates its column
     # from every older row that holds it, in place, so the index must still
     # hold those rows themselves
@@ -391,3 +402,41 @@ def test_pivot_index_follows_inserts_and_copies(data):
     for i in range(R.trunc + 2):
         assert_pivot_index(cap_m_power(U, i))
         assert_pivot_index(span_m_power(R, i, arity))
+
+
+def echelon_draws(char, arity):
+    """A ring of characteristic char and sparse vectors over its columns: few
+    columns and small scalars, so that new pivots often land above old rows and
+    back-elimination often cancels or creates an entry."""
+    R = RingSpec(2, char, 2)
+    ncols = len(coord_index(R.num_vars, R.trunc, arity)[0])
+    if char == 0:
+        scalars = st.sampled_from(SCALARS)
+    else:
+        scalars = st.one_of(st.sampled_from(sorted({1, 2 % char or 1, char - 1})), st.integers(1, char - 1))
+    vecs = st.lists(st.dictionaries(st.integers(0, ncols - 1), scalars, max_size=4), max_size=10)
+    return st.tuples(st.just(R), st.just(ncols), vecs)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.tuples(st.sampled_from([0, 2, 3, 32003]), st.sampled_from([1, 2])).flatmap(lambda ca: echelon_draws(*ca)))
+# back-elimination at column 3 cancels the first row's entry at 4, then creates one
+@example((RingSpec(2, 0, 2), 6, [{0: 1, 3: 1, 4: 1}, {3: 1, 4: 1}, {1: 1, 3: 1}, {3: 1, 5: 2}]))
+# each new pivot lands above the rows already there
+@example((RingSpec(2, 3, 2), 12, [{5: 1, 9: 2}, {4: 2, 5: 1}, {1: 1, 4: 1, 9: 1}, {0: 2, 1: 1, 11: 1}]))
+def test_insert_keeps_the_dense_rref(case):
+    # after every insert the rows and pivots are those of a dense Gauss-Jordan
+    # reduction of the vectors inserted so far, in canonical scalars, and the
+    # column index matches the rows
+    R, ncols, vecs = case
+    U = Subspace(R)
+    dense = []
+    for vec in vecs:
+        U.insert(vec)
+        dense.append([vec.get(k, 0) for k in range(ncols)])
+        want = oracles.dense_rref(dense, R)
+        assert [[row.get(k, 0) for k in range(ncols)] for row in U.rows] == want
+        assert U.pivots == [next(k for k, c in enumerate(row) if c) for row in want]
+        for row in U.rows:
+            assert_canonical_scalars(row.values(), R)
+        assert_pivot_index(U)
