@@ -55,11 +55,17 @@ def _prune_redundant_generators(M: ModuleSpec) -> tuple:
 
     Redundant generators do not change the module, so they must not shrink
     the certified range; keep lowest-degree generators first and drop any
-    vector the kept ones already span.
+    vector the kept ones already span.  Among generators of one degree the
+    given order rules.  It decides which of them are kept, but not the
+    largest kept degree, which sets the range: a generator of degree d is
+    kept iff the lower-degree generators do not span every generator of
+    degree d.  The profile and the witness are read off canonical spans, so
+    the order changes no output, only the cost: over Q, growing the span from
+    a generator whose pivot coefficient is not 1 can fill it with fractions.
     """
     order = sorted(
         (vec for vec in M.generators if not all(g.is_zero for g in vec)),
-        key=lambda vec: (max(g.max_degree() for g in vec if not g.is_zero), tuple(g.to_str() for g in vec)),
+        key=lambda vec: max(g.max_degree() for g in vec if not g.is_zero),
     )
     ring = M.ring
     kept = []
@@ -420,9 +426,9 @@ def stable_ar_scan(
 
     This is the Artin-Rees statement for the module (x)+I at the offset
     ceil(a*nu(x)) + b, so every check reads the Artin-Rees profile of (x)+I:
-    it holds iff i <= prof[exponent], with the span of (x)+I grown from I's by
-    the multiples of x (the echelon form is canonical).  Scans every feasible i
-    in the certified range.
+    it holds iff i <= prof[exponent].  The profile comes from the generators
+    of (x)+I pruned as artin_rees_index prunes them, so both certify the same
+    range.  Scans every feasible i in that range.
 
     All checks of x hold iff the offset is at least i0_x = max_e (e - prof[e]),
     the Artin-Rees index of (x)+I: the rows e < offset need nothing, as
@@ -444,12 +450,8 @@ def stable_ar_scan(
         offset = ceil(a * nu_x.value) + b
         if offset < 0:
             raise PrecondError(f"offset ceil(a*nu(x)) + b = {offset} < 0 for x = {x.to_str()}")
-        span = span_I.copy()
-        for d in range(D + 1):
-            for vec in multiples((x,), d, ring):
-                span.insert(vec)
         aug = ModuleSpec(ring, 1, tuple((g,) for g in I.generators) + ((x,),))
-        prof = _ar_profile(aug, span)[0]
+        prof = _ar_profile(*_prune_redundant_generators(aug))[0]
         for i in range(len(prof) - offset):
             exponent = i + offset
             checks.append((x, i, nu_x, exponent, i <= prof[exponent]))

@@ -171,9 +171,6 @@ class Subspace:
                 if k != piv:
                     self.holders.setdefault(k, set()).add(piv)
 
-    def copy(self) -> "Subspace":
-        return Subspace(self.ring, self.arity, self.pivots, [dict(r) for r in self.rows])
-
     def _eliminate(self, v: dict, cols) -> None:
         """Clear from v, in place, the pivot columns among cols, the columns of
         the entries the caller just added to v.

@@ -6,8 +6,8 @@ No sparse echelon forms, no caching, no code shared with the package
 internals beyond the series type itself.
 
 The last section is different: set operations on the package's sparse
-echelon form (sums, intersections, m^i, the graded spans m^j * M, inclusion
-and equality of subspaces).  The program reads U cap m^i off the pivots and
+echelon form (copies, sums, intersections, m^i, the graded spans m^j * M,
+inclusion and equality of subspaces).  The program reads U cap m^i off the pivots and
 never needs the others, so they live here, as the long-way references its
 tests compare against.  So does the per-coordinate linear solve that
 solve_linear replaced by a reduction on the graph of the map.
@@ -313,6 +313,11 @@ def cap_m_power(U: Subspace, i) -> Subspace:
     return Subspace(U.ring, U.arity, U.pivots[k:], [dict(r) for r in U.rows[k:]])
 
 
+def copy(U: Subspace) -> Subspace:
+    """A copy of U that shares no row with it."""
+    return Subspace(U.ring, U.arity, U.pivots, [dict(r) for r in U.rows])
+
+
 def same_subspace(U: Subspace, V: Subspace) -> bool:
     """U = V: a reduced echelon form is canonical, so equal subspaces of one
     ring and arity have the same pivots and the same rows."""
@@ -328,7 +333,7 @@ def contains(U: Subspace, V: Subspace) -> bool:
 
 def subspace_sum(U: Subspace, V: Subspace) -> Subspace:
     _check(U, V)
-    out = U.copy()
+    out = copy(U)
     for row in V.rows:
         out.insert(row)
     return out

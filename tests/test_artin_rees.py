@@ -97,6 +97,25 @@ def test_index_generator_invariant():
     assert artin_rees_index(I).i0 == artin_rees_index(J).i0
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_index_ignores_the_order_of_the_generators(data):
+    # the pruning keeps generators of one degree in the given order, so the kept
+    # subset depends on it; the range, the profile and the witness must not
+    R = RingSpec(2, data.draw(st.sampled_from([0, 2, 3])), data.draw(st.integers(3, 6)))
+    monos = [m for m in monomials_up_to(2, 3) if sum(m) >= 1]
+    scalars = [1, 2, -1, Fraction(1, 2), 3] if R.char == 0 else list(range(1, R.char))
+    series = st.dictionaries(st.sampled_from(monos), st.sampled_from(scalars), min_size=1, max_size=3).map(
+        lambda d: TruncatedSeries(R, d))
+    gens = data.draw(st.lists(series, min_size=1, max_size=3))
+    # a multiple of a generator, often of the same degree as another one
+    gens.append(data.draw(series) * gens[0] + gens[-1])
+    want = artin_rees_index(IdealSpec.of(R, gens))
+    got = artin_rees_index(IdealSpec.of(R, data.draw(st.permutations(gens))))
+    assert (got.i0, got.certified_up_to, got.tight_witness, got.deficits) == \
+        (want.i0, want.certified_up_to, want.tight_witness, want.deficits)
+
+
 def test_certified_range_shrinks_with_generator_degree():
     # a generator of full degree leaves only i = 0 certified
     R = RingSpec(2, 0, 3)

@@ -170,17 +170,21 @@ def test_stable_ar_grid_is_the_artin_rees_index_of_each_translate(draw):
         nu = result("nu", "--ideal=" + ideal, "--x=" + x.to_str())["nu"]
         if isinstance(nu, str):  # ">=D+1": stable-ar skips x
             continue
-        ar = result("ar-index", "--ideal=" + ideal + ";" + x.to_str())
-        # stable-ar takes (x)+I's generators as given, ar-index drops the redundant
-        # ones first; where that lifts its certified range, the two may differ
-        if ar["certified_up_to"] != R.trunc - max(g.max_degree() for g in gens + [x]):
-            return
-        offsets.append((nu, ar["i0"]))
+        offsets.append((nu, result("ar-index", "--ideal=" + ideal + ";" + x.to_str())["i0"]))
     stable = result("stable-ar", "--ideal=" + ideal, "--xs=" + ";".join(x.to_str() for x in xs))
     for point in stable["grid"]:
         if point["b_min"] is not None:
             a = Fraction(point["a"])
             assert point["b_min"] == max([0] + [i0 - ceil(a * nu) for nu, i0 in offsets]), (draw, point)
+
+
+def test_stable_ar_checks_the_range_ar_index_certifies():
+    # T1^2 is redundant in (T1, T1^2): both commands drop it, so stable-ar checks
+    # exponents up to the range ar-index certifies, 8 - 1, not 8 - 2
+    ring = ["--vars", "T1,T2", "--trunc", "8"]
+    stable = run_command(["stable-ar", *ring, "--ideal", "T1^2", "--xs", "T1"])[0]["result"]
+    ar = run_command(["ar-index", *ring, "--ideal", "T1;T1^2"])[0]["result"]
+    assert max(check["exponent"] for check in stable["checks"]) == ar["certified_up_to"] == 7
 
 
 def test_irr_check_cli():

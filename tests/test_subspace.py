@@ -382,7 +382,7 @@ def test_pivot_index_follows_inserts_and_copies(data):
     for v in data.draw(st.lists(st.tuples(*[mk] * arity), max_size=8)):
         U.insert(series_to_vec(v, R))
         assert_pivot_index(U)
-    V = U.copy()
+    V = oracles.copy(U)
     assert_pivot_index(V)
     assert all(a is not b for a, b in zip(U.rows, V.rows))
     assert not {id(s) for s in U.holders.values()} & {id(s) for s in V.holders.values()}
