@@ -225,11 +225,11 @@ class Subspace:
     def insert(self, vec: dict) -> bool:
         """Add a vector of canonical scalars; returns True when the dimension grew.
 
-        The new row is the remainder scaled to 1 at its pivot piv.  Its other
-        columns are non-pivot ones, so it is back-eliminated from exactly the
-        rows that holders lists at piv, each in place and on its own: the
+        The new row is the remainder scaled to 1 at its pivot piv; its other
+        columns are non-pivot ones.  It is back-eliminated from exactly the
+        rows that holders lists at piv, each in place and on its own, so the
         order does not matter.  Such a row gains or loses entries only at the
-        new row's columns, and holders follows it there.
+        new row's columns, where holders follows it.
         """
         rem = self.reduce(vec)
         if not rem:

@@ -71,6 +71,11 @@ MUTANTS = [
            "term = coeff * step", "term = step",
            ("tests/test_beta.py::test_random_small_systems_agree",
             "tests/test_cli.py::test_beta_lb_of_linear_system_is_level_plus_ar_index")),
+    # stable_ar_scan: each translate pruned as artin_rees_index prunes it
+    Mutant("stable-ar profiles the unpruned translate", ARTIN,
+           "prof = _ar_profile(*_prune_redundant_generators(aug))[0]",
+           "prof = _ar_profile(aug, _prune_redundant_generators(aug)[1])[0]",
+           ("tests/test_cli.py::test_stable_ar_checks_the_range_ar_index_certifies",)),
     # _factorization_scan
     Mutant("y tables kept across values of x_1", WITNESS,
            "                tables.clear()\n", "",
