@@ -141,11 +141,12 @@ def vec_to_series(vec: dict, ring: RingSpec, arity: int) -> tuple:
 class Subspace:
     """Canonical reduced row echelon form over the coefficient field.
 
-    Rows are sparse dicts column -> scalar; pivots are strictly increasing and
-    normalized to 1, and each pivot column is eliminated from every other row.
-    Two equal subspaces therefore carry identical representations.  row_of
-    maps each pivot column to its row (the same dict object as in rows), so
-    that elimination finds a pivot by one lookup.
+    Rows are sparse dicts column -> scalar, each normalized to 1 at its pivot
+    column, which is eliminated from every other row.  Two equal subspaces
+    therefore carry identical representations.  row_of maps each pivot column
+    to its row, so that elimination finds a pivot by one lookup; pivots and
+    rows list them by increasing pivot, sorted on the first read after an
+    insert, so that an insert never shifts a list.
 
     holders is the other half of the index: for each non-pivot column k, the
     set of pivots of the rows with an entry at k (a set may be left empty).
@@ -157,19 +158,29 @@ class Subspace:
     canonical, as its own and derives both maps from them.
     """
 
-    __slots__ = ("ring", "arity", "rows", "pivots", "row_of", "holders")
+    __slots__ = ("ring", "arity", "row_of", "holders", "_pivots")
 
     def __init__(self, ring: RingSpec, arity: int = 1, pivots: Sequence[int] = (), rows: Sequence[dict] = ()):
         self.ring = ring
         self.arity = arity
-        self.pivots = list(pivots)
-        self.rows = list(rows)
-        self.row_of = dict(zip(self.pivots, self.rows))
+        self.row_of = dict(zip(pivots, rows))
         self.holders = {}
-        for piv, row in zip(self.pivots, self.rows):
+        self._pivots = None
+        for piv, row in self.row_of.items():
             for k in row:
                 if k != piv:
                     self.holders.setdefault(k, set()).add(piv)
+
+    @property
+    def pivots(self) -> list:
+        if self._pivots is None:
+            self._pivots = sorted(self.row_of)
+        return self._pivots
+
+    @property
+    def rows(self) -> list:
+        row_of = self.row_of
+        return [row_of[piv] for piv in self.pivots]
 
     def _eliminate(self, v: dict, cols) -> None:
         """Clear from v, in place, the pivot columns among cols, the columns of
@@ -253,10 +264,8 @@ class Subspace:
         for k in row:
             if k != piv:
                 holders.setdefault(k, set()).add(piv)
-        pos = bisect.bisect_left(self.pivots, piv)
-        self.pivots.insert(pos, piv)
-        self.rows.insert(pos, row)
         row_of[piv] = row
+        self._pivots = None
         return True
 
     def contains_vec(self, vec: dict) -> bool:

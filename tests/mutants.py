@@ -81,10 +81,9 @@ MUTANTS = [
            "                tables.clear()\n", "",
            ("tests/test_witness.py::test_scan_matches_the_naive_loop",)),
     # Subspace pivot index and column index
-    Mutant("constructor indexes copies of its rows", SUBSPACE,
-           "self.row_of = dict(zip(self.pivots, self.rows))",
-           "self.row_of = dict(zip(self.pivots, map(dict, self.rows)))",
-           PIVOT_INDEX),
+    Mutant("pivots not sorted again after an insert", SUBSPACE,
+           "        row_of[piv] = row\n        self._pivots = None", "        row_of[piv] = row",
+           PIVOT_INDEX + DENSE_RREF),
     Mutant("constructor indexes pivot columns", SUBSPACE,
            "                if k != piv:\n                    self.holders", "                if True:\n                    self.holders",
            PIVOT_INDEX),

@@ -355,8 +355,9 @@ def test_multiples_are_the_monomial_products(data):
 
 
 def assert_pivot_index(U):
-    # row_of maps each pivot column to its row, the very dict held in rows
-    assert U.row_of == dict(zip(U.pivots, U.rows))
+    # pivots lists the keys of row_of in increasing order, and rows their rows,
+    # the very dicts that row_of holds
+    assert U.pivots == sorted(U.row_of)
     assert all(U.row_of[p] is row for p, row in zip(U.pivots, U.rows))
     # holders maps each non-pivot column to the pivots of the rows holding it
     # (an emptied set may stay), and indexes no pivot column
