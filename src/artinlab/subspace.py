@@ -25,9 +25,9 @@ pivot column, so subtracting it changes no other pivot entry of the vector.
 
 A second index, from each non-pivot column to the rows holding an entry
 there, lets an insert back-eliminate its new pivot column from exactly the
-rows that hold it, not probe every row above it.  A pivot column needs no
-such entry: no other row holds it.  The order of back-elimination does not
-matter either: the new row is fixed, and each row is updated on its own.
+rows that hold it.  A pivot column needs no such entry: no other row holds
+it.  The order of back-elimination does not matter either: the new row is
+fixed, and each row is updated on its own.
 
 A linear solve is a reduction on the graph of the map (solve_linear).
 """

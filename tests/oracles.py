@@ -7,9 +7,9 @@ internals beyond the series type itself.
 
 The last section is different: set operations on the package's sparse
 echelon form (copies, sums, intersections, m^i, the graded spans m^j * M,
-inclusion and equality of subspaces).  The program reads U cap m^i off the pivots and
-never needs the others, so they live here, as the long-way references its
-tests compare against.  So does the per-coordinate linear solve that
+inclusion and equality of subspaces).  The program reads U cap m^i off the
+pivots and never needs the others, so they live here, as the long-way
+references its tests compare against.  So does the per-coordinate linear solve that
 solve_linear replaced by a reduction on the graph of the map.
 """
 

@@ -414,14 +414,15 @@ def echelon_draws(char, arity):
     if char == 0:
         scalars = st.sampled_from(SCALARS)
     else:
-        scalars = st.one_of(st.sampled_from(sorted({1, 2 % char or 1, char - 1})), st.integers(1, char - 1))
+        scalars = st.one_of(st.sampled_from(sorted({1, char - 1})), st.integers(1, char - 1))
     vecs = st.lists(st.dictionaries(st.integers(0, ncols - 1), scalars, max_size=4), max_size=10)
     return st.tuples(st.just(R), st.just(ncols), vecs)
 
 
 @settings(max_examples=120, deadline=None)
 @given(st.tuples(st.sampled_from([0, 2, 3, 32003]), st.sampled_from([1, 2])).flatmap(lambda ca: echelon_draws(*ca)))
-# back-elimination at column 3 cancels the first row's entry at 4, then creates one
+# back-elimination at column 3 cancels the first row's entry at 4; at column 4
+# it gives two rows an entry at 5
 @example((RingSpec(2, 0, 2), 6, [{0: 1, 3: 1, 4: 1}, {3: 1, 4: 1}, {1: 1, 3: 1}, {3: 1, 5: 2}]))
 # each new pivot lands above the rows already there
 @example((RingSpec(2, 3, 2), 12, [{5: 1, 9: 2}, {4: 2, 5: 1}, {1: 1, 4: 1, 9: 1}, {0: 2, 1: 1, 11: 1}]))
