@@ -160,20 +160,24 @@ def scan_candidates(
     return out
 
 
-def _by_degree(s: TruncatedSeries, key: dict) -> list:
-    """The terms of s as lists of (key[monomial], coefficient), one list per
-    degree 0..deg(s)."""
-    layers = [[] for _ in range(s.max_degree() + 1)]
+def _by_degree(s: TruncatedSeries, key: dict) -> tuple:
+    """(ord(s), layers): the terms of s as lists of (key[monomial], coefficient),
+    one list per degree ord(s)..deg(s).  No layer is kept below the order, where
+    every one would be empty (the zero series has no layer)."""
+    low = s.order().value
+    layers = [[] for _ in range(s.max_degree() + 1 - low)]
     for mono, c in s.terms.items():
-        layers[sum(mono)].append((key[mono], c))
-    return layers
+        layers[sum(mono) - low].append((key[mono], c))
+    return low, layers
 
 
 def _product_parts(G: list, H: list, rank: dict):
-    """The degree-d parts of g*h, d = 0, 1, ..., as sparse columns with unreduced
-    scalars: sum over a of g_a * h_(d-a), from the layers of _by_degree, whose
-    keys add to the key of the product monomial that rank maps to its column.
-    Lazy: Subspace.remainder_order reads no part past the order or past D."""
+    """The parts of g*h in degrees ord(g)+ord(h)+d, d = 0, 1, ..., as sparse
+    columns with unreduced scalars: sum over a of g_(ord(g)+a) * h_(ord(h)+d-a),
+    from the layers of _by_degree, whose keys add to the key of the product
+    monomial that rank maps to its column.  g*h has no term below
+    ord(g)+ord(h), so its reader starts there (Subspace.remainder_order with
+    that start).  Lazy: remainder_order reads no part past the order or past D."""
     for d in range(len(G) + len(H) - 1):
         part = {}
         for a in range(max(0, d - len(H) + 1), min(d + 1, len(G))):
@@ -206,11 +210,14 @@ def _scan_pairs(I, deg_max, mode, count, seed, budget):
     ideal, so g*h lies in I + m^n iff the other factor does: nu_gh is read off
     the other factor's order, with no product.  Every other nu_gh is read
     degree by degree (Subspace.remainder_order), so g*h is built only up to
-    its order, with monomials as ints in base D+1: each exponent of g*h is at
-    most 2*deg_max <= D, so adding two keys never carries and gives the key of
-    the product monomial.  The full product is formed only where nu_gh is
-    inexact, the one case that looks at it again.  A scan with more pairs
-    than the budget is refused before its first pair."""
+    its order.  The read starts at ord(g)+ord(h): g*h has no term below it, and
+    degree d of the remainder depends only on degrees <= d of g*h, so the
+    empty degrees before it are never built or read.  Monomials are ints in
+    base D+1: each exponent of g*h is at most 2*deg_max <= D, so adding two
+    keys never carries and gives the key of the product monomial.  The full
+    product is formed only where nu_gh is inexact, the one case that looks at
+    it again.  A scan with more pairs than the budget is refused before its
+    first pair."""
     if deg_max < 1:
         raise PrecondError("deg_max must be >= 1: the candidates have degree 1..deg_max")
     ring = I.ring
@@ -236,7 +243,8 @@ def _scan_pairs(I, deg_max, mode, count, seed, budget):
                 elif units[j]:
                     yield g, h, ng, nh, ng, None
                 else:
-                    ngh = oracle.span.remainder_order(_product_parts(layers[i], layers[j], rank))
+                    (oi, G), (oj, H) = layers[i], layers[j]
+                    ngh = oracle.span.remainder_order(_product_parts(G, H, rank), oi + oj)
                     yield g, h, ng, nh, ngh, None if ngh.exact else g * h
     return oracle, rows(), npairs
 

@@ -191,7 +191,11 @@ class ExtOrder:
     exact: bool = True
 
     @staticmethod
+    @lru_cache(maxsize=None, typed=True)
     def of(n: int) -> "ExtOrder":
+        """The exact order n, one shared object per n: an ExtOrder is frozen, so
+        sharing it is safe, and a pair scan reads thousands of them.  Typed, so
+        that 1 and True never share an object whose value prints otherwise."""
         return ExtOrder(n, True)
 
     @staticmethod

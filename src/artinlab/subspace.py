@@ -16,7 +16,11 @@ the first degree that survives: a basis row has no entry before its pivot
 and is zero in every other pivot column, so degree d of the remainder
 depends only on degrees <= d of x and on the rows with pivots in those
 degrees.  A caller that builds x one degree at a time, such as the product
-g*h of an ICL scan, never builds the degrees past its order.
+g*h of an ICL scan, never builds the degrees past its order.  Nor does it
+build the degrees before one below which x is known to be zero, such as
+ord(g)+ord(h) for g*h: the read starts there, as the remainder is zero below
+it too (every row cleared has its pivot, and so all its entries, at or after
+the lowest entry of x).
 
 Pivots are found through an index from pivot column to basis row, so a
 reduction looks up only the columns its vector holds.  The order in which
@@ -207,24 +211,27 @@ class Subspace:
         self._eliminate(v, vec)
         return v
 
-    def remainder_order(self, parts) -> ExtOrder:
+    def remainder_order(self, parts, start: int = 0) -> ExtOrder:
         """Order of the remainder of a vector modulo this subspace, fed by degree.
 
-        parts yields the vector's degree-0, degree-1, ... entries as sparse
-        column dicts (scalars need not be reduced; missing trailing degrees are
-        empty), and is read only up to the order.  At each degree d the new
-        entries are added and their pivot columns cleared (_eliminate); a row
-        has no entry before its pivot, so what is left in degree d lies in
-        non-pivot columns and is already degree d of the full remainder.  The
-        first degree with an entry left is the order; none up to D gives the
-        at-least marker.
+        The vector has no entry below degree start.  parts yields its
+        degree-start, degree-(start+1), ... entries as sparse column dicts
+        (scalars need not be reduced; missing trailing degrees are empty), and
+        is read only up to the order.  At each degree d the new entries are
+        added and their pivot columns cleared (_eliminate); a row has no entry
+        before its pivot, so what is left in degree d lies in non-pivot columns
+        and is already degree d of the full remainder.  Reading from start
+        skips no entry: the rows cleared have their pivots, and so all their
+        entries, at degree >= start, so the remainder is empty below start as
+        the vector is.  The first degree with an entry left is the order; none
+        up to D (or start > D) gives the at-least marker.
         """
         ring = self.ring
         D, p = ring.trunc, ring.char
         starts = coord_index(ring.num_vars, D, self.arity)[2]
         parts = iter(parts)
         v = {}
-        for d in range(D + 1):
+        for d in range(start, D + 1):
             new = next(parts, None)
             if new:
                 sub_multiple(v, new, -1, p)
@@ -318,9 +325,12 @@ def span_module(M: ModuleSpec, sound: bool = False) -> Subspace:
     # and reduce against few rows.  Interleaving the generators degree by
     # degree made the spans of (2*T1^2 - T2^3 - 2*T1^4, -T2^3 - 2*T1^2*T2^2 +
     # 3*T1^5) over Q at D = 14 take 4x the eliminations and 36x the Fraction
-    # entries, and its ar-index 6x the time.
+    # entries, and its ar-index 6x the time.  Within one generator, highest
+    # multiplier degree first, as _prune_redundant_generators grows its span:
+    # each new row is reduced against rows of higher pivot and seldom
+    # back-eliminated later.
     for gen in M.generators:
-        for d in range(ring.trunc + 1):
+        for d in range(ring.trunc, -1, -1):
             for vec in multiples(gen, d, ring, sound):
                 U.insert(vec)
     return U

@@ -31,6 +31,7 @@ DENSE_RREF = ("tests/test_subspace.py::test_insert_keeps_the_dense_rref",)
 PIVOT_INDEX = ("tests/test_subspace.py::test_pivot_index_follows_inserts_and_copies",)
 MULTIPLES = ("tests/test_subspace.py::test_multiples_are_the_monomial_products",)
 PLAIN_PARSE = ("tests/test_parsing.py::test_plain_series_parse_as_the_constant_term_of_a_system",)
+READ_START = ("tests/test_orders.py::test_remainder_order_reads_from_its_start",)
 SCAN_ROWS = ("tests/test_orders.py::test_scan_rows_match_dense_oracle",)
 SOLVE = ("tests/test_subspace.py::test_solve_linear_matches_dense_rank",)
 
@@ -125,6 +126,19 @@ MUTANTS = [
     Mutant("no unit shortcut", ORDERS,
            "units = [one in g.terms for g, _ in live]", "units = [False for g, _ in live]",
            SCAN_ROWS),
+    # scan pairs: the read of nu(g*h) starts at ord(g)+ord(h)
+    Mutant("pair read starts one degree late", ORDERS,
+           "rank), oi + oj)", "rank), oi + oj + 1)",
+           SCAN_ROWS),
+    Mutant("pair read starts at degree 0 while the layers start at the orders", ORDERS,
+           "rank), oi + oj)", "rank))",
+           SCAN_ROWS),
+    Mutant("layers kept from degree 0", ORDERS,
+           "low = s.order().value", "low = 0",
+           SCAN_ROWS),
+    Mutant("remainder_order ignores its start", SUBSPACE,
+           "for d in range(start, D + 1):", "for d in range(D + 1):",
+           READ_START + SCAN_ROWS),
     Mutant("rows listed in full before the caller reads them", ORDERS,
            "return oracle, rows(), npairs", "return oracle, list(rows()), npairs",
            ("tests/test_orders.py::test_valuation_check_stops_at_its_first_counterexample",

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from itertools import chain, repeat
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -221,9 +222,9 @@ def test_valuation_check_stops_at_its_first_counterexample():
     calls = []
     real = Subspace.remainder_order
 
-    def counted(self, parts):
+    def counted(self, parts, *args):
         calls.append(1)
-        return real(self, parts)
+        return real(self, parts, *args)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Subspace, "remainder_order", counted)
@@ -308,15 +309,26 @@ def dense_order(xs, M):
 
 
 def degree_fed_product_order(g, h, U):
-    """nu(g*h) as the pair scan reads it: the degree-d parts of g*h, fed lazily.
-    The factors may reach degree D here: remainder_order reads no part past D,
-    and a monomial of degree <= D has no exponent past D, so its int key is
-    still the carry-free sum of the factors' keys."""
+    """nu(g*h) as the pair scan reads it: the degree-d parts of g*h from
+    d = ord(g)+ord(h), fed lazily.  The factors may reach degree D here:
+    remainder_order reads no part past D (none at all when a factor is zero, as
+    the start is then past D), and a monomial of degree <= D has no exponent
+    past D, so its int key is still the carry-free sum of the factors' keys."""
     key, rank = orders._scan_keys(U.ring)
-    return U.remainder_order(orders._product_parts(orders._by_degree(g, key), orders._by_degree(h, key), rank))
+    (og, G), (oh, H) = orders._by_degree(g, key), orders._by_degree(h, key)
+    return U.remainder_order(orders._product_parts(G, H, rank), og + oh)
 
 
 SCALARS = {0: [1, -1, 2, -3, Fraction(1, 2), Fraction(-3, 2)], 2: [1], 3: [1, 2], 32003: [1, 2, 16001, 32002]}
+
+
+def sparse_series(R, support):
+    """Series of R with at most 4 terms on the monomials of support (zero if
+    there are none), their scalars drawn from SCALARS."""
+    if not support:
+        return st.just(TruncatedSeries.zero(R))
+    return st.dictionaries(st.sampled_from(support), st.sampled_from(SCALARS[R.char]),
+                           max_size=4).map(lambda t: TruncatedSeries(R, t))
 
 
 @settings(max_examples=150, deadline=None)
@@ -326,18 +338,13 @@ def test_degree_fed_order_matches_full_remainder(data):
     R = RingSpec(data.draw(st.integers(1, 3)), char, data.draw(st.integers(2, 6)))
     arity = data.draw(st.sampled_from([1, 1, 2]))
     monos = list(monomials_up_to(R.num_vars, R.trunc))
-
-    def series(support):
-        return st.dictionaries(st.sampled_from(support), st.sampled_from(SCALARS[char]),
-                               max_size=4).map(lambda t: TruncatedSeries(R, t))
-
     # generators inside m, so that the quotient is not zero; x and the factors may be units
-    gens = data.draw(st.lists(st.tuples(*[series(monos[1:])] * arity), max_size=3))
+    gens = data.draw(st.lists(st.tuples(*[sparse_series(R, monos[1:])] * arity), max_size=3))
     M = ModuleSpec(R, arity, tuple(gens))
     U = span_module(M)
     zero = TruncatedSeries.zero(R)
     unit = TruncatedSeries.constant(R, SCALARS[char][-1])
-    xs = data.draw(st.tuples(*[series(monos)] * arity))
+    xs = data.draw(st.tuples(*[sparse_series(R, monos)] * arity))
     for x in (xs, (zero,) * arity, (unit,) * arity):
         want = dense_order(x, M)
         assert distance_order(x if arity > 1 else x[0], U) == want, x
@@ -345,12 +352,45 @@ def test_degree_fed_order_matches_full_remainder(data):
     if arity > 1:
         return
     top = TruncatedSeries.monomial(R, (R.trunc,) + (0,) * (R.num_vars - 1))
-    g, h = data.draw(series(monos)), data.draw(series(monos))
+    g, h = data.draw(sparse_series(R, monos)), data.draw(sparse_series(R, monos))
     # top * (anything in m) truncates to 0; unit * unit has order 0 outside the ideal
     for a, b in ((g, h), (h, g), (g, g), (unit, h), (unit, unit), (zero, g), (top, g), (top, top)):
         want = dense_order(a * b, M)
         assert degree_fed_product_order(a, b, U) == want, (a, b)
         assert reduce_order(a * b, U) == want, (a, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_remainder_order_reads_from_its_start(data):
+    # a vector with no entry below degree start, fed from start, has the order
+    # of the full remainder, read off the same parts fed from degree 0 behind
+    # start empty ones; start > D leaves no part to read and gives >= D+1.  The
+    # parts run on as empty ones past D: the read takes one part per degree
+    # from start up to the order, or up to D when the order is >= D+1
+    char = data.draw(st.sampled_from(sorted(SCALARS)))
+    R = RingSpec(data.draw(st.integers(1, 3)), char, data.draw(st.integers(2, 6)))
+    D = R.trunc
+    arity = data.draw(st.sampled_from([1, 1, 2]))
+    start = data.draw(st.integers(0, D + 2))
+    monos = list(monomials_up_to(R.num_vars, D))
+    gens = data.draw(st.lists(st.tuples(*[sparse_series(R, monos[1:])] * arity), max_size=3))
+    U = span_module(ModuleSpec(R, arity, tuple(gens)))
+    xs = data.draw(st.tuples(*[sparse_series(R, [m for m in monos if sum(m) >= start])] * arity))
+    cols = coord_index(R.num_vars, D, arity)[0]
+    vec = series_to_vec(xs, R)
+    parts = [{k: c for k, c in vec.items() if sum(cols[k][1]) == d} for d in range(start, D + 1)]
+    reads = []
+
+    def fed(parts):
+        for part in chain(parts, repeat({})):
+            reads.append(1)
+            yield part
+
+    want = reduce_order(xs, U)
+    assert U.remainder_order(fed(parts), start) == want
+    assert len(reads) == max(0, (want.value if want.exact else D) + 1 - start)
+    assert U.remainder_order([{}] * start + parts) == want
 
 
 def test_scans_form_full_products_only_for_inexact_pairs(monkeypatch):
@@ -424,15 +464,21 @@ def test_scan_rows_match_dense_oracle(data):
     gens = data.draw(st.lists(st.dictionaries(st.sampled_from(monos), st.sampled_from(SCALARS[char]),
                                               min_size=1, max_size=3), max_size=2))
     I = IdealSpec.of(R, [TruncatedSeries(R, t) for t in gens])
-    calls = []
-    real = Subspace.remainder_order
+    calls, reads = [], []
+    real, real_parts = Subspace.remainder_order, orders._product_parts
 
-    def counted(self, parts):
+    def counted(self, parts, *args):
         calls.append(1)
-        return real(self, parts)
+        return real(self, parts, *args)
+
+    def counted_parts(*args):
+        for part in real_parts(*args):
+            reads.append(1)
+            yield part
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Subspace, "remainder_order", counted)
+        mp.setattr(orders, "_product_parts", counted_parts)
         _, rows, npairs = orders._scan_pairs(I, deg_max, mode, count, seed, 10**6)
         rows = list(rows)
     cands = scan_candidates(R, deg_max, mode, count, seed, 10**6)
@@ -450,6 +496,12 @@ def test_scan_rows_match_dense_oracle(data):
     # one call per candidate's own nu, then one per pair with no unit factor
     units = sum(1 for g, h, *_ in rows if g.order().value == 0 or h.order().value == 0)
     assert len(calls) == len(cands) + npairs - units
+    # each such pair reads the parts of g*h from degree ord(g)+ord(h) up to its
+    # order (up to D when inexact), and none past the degree of g*h
+    want = sum(min(ngh.value if ngh.exact else trunc, g.max_degree() + h.max_degree())
+               - g.order().value - h.order().value + 1
+               for g, h, ng, nh, ngh, _ in rows if g.order().value and h.order().value)
+    assert len(reads) == want
 
 
 ICL_IDEALS = [(2, 0, "T1^2 + T2^3"), (2, 0, "T1^2 - T2^3; T1*T2^2"), (2, 0, "T1*T2"), (2, 0, "0"),
