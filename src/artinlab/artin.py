@@ -280,8 +280,7 @@ def _antisymmetric_step(ring, phi, e, cur, mu, live):
     inconsistent.
     """
     zero = TruncatedSeries.zero(ring)
-    unknowns = []  # (k, j, monomial)
-    columns = []
+    pairs, gens, degrees = [], [], []
     for a in range(len(live)):
         for b in range(a + 1, len(live)):
             k, j = live[a], live[b]
@@ -291,17 +290,29 @@ def _antisymmetric_step(ring, phi, e, cur, mu, live):
             # the image degree mu - e_j is at most D, so the multiplier cap never binds
             gen = [zero] * len(live)
             gen[a], gen[b] = -phi[j], phi[k]
-            columns.extend(multiples(gen, dz, ring))
-            unknowns.extend((k, j, m) for m in monomials_of_degree(ring.num_vars, dz))
+            pairs.append((k, j))
+            gens.append(gen)
+            degrees.append(dz)
     target = series_to_vec([cur[j].homogeneous_part(mu - e[j]) for j in live], ring)
+    sol = _solve_homogeneous(gens, degrees, target, ring)
+    if sol is None:
+        return None
+    return {pair: TruncatedSeries(ring, z) for pair, z in zip(pairs, sol) if any(z.values())}
+
+
+def _solve_homogeneous(gens, degrees, target, ring):
+    """Multipliers u_g, homogeneous of degree degrees[g] within the multiplier cap, with
+    sum_g u_g * gens[g] = target: one dict monomial -> coefficient per generator, or None.
+    multiples gives one column per monomial, in monomials_of_degree order, and that
+    column order decides which solution solve_linear returns."""
+    columns = []
+    for gen, d in zip(gens, degrees):
+        columns.extend(multiples(gen, d, ring))
     sol = solve_linear(columns, target, ring)
     if sol is None:
         return None
-    terms = {}  # (k, j) -> coefficients of z(k,j)
-    for (k, j, m), c in zip(unknowns, sol):
-        if c != 0:
-            terms.setdefault((k, j), {})[m] = c
-    return {pair: TruncatedSeries(ring, z) for pair, z in terms.items()}
+    coeffs = iter(sol)
+    return [dict(zip(monomials_of_degree(ring.num_vars, d), coeffs)) for d in degrees]
 
 
 def reduce_mod_principal(h: TruncatedSeries, f: TruncatedSeries, k: int):
@@ -325,20 +336,6 @@ def reduce_mod_principal(h: TruncatedSeries, f: TruncatedSeries, k: int):
         a = a + u
         rest = rest - u * f
     return a, rest
-
-
-def _divide_homogeneous(xi: TruncatedSeries, phi: TruncatedSeries):
-    """z with phi * z = xi for homogeneous forms, or None when not divisible."""
-    ring = xi.ring
-    if xi.is_zero:
-        return TruncatedSeries.zero(ring)
-    dz = xi.order().value - phi.order().value
-    if dz < 0:
-        return None
-    sol = solve_linear(list(multiples((phi,), dz, ring)), series_to_vec([xi], ring), ring)
-    if sol is None:
-        return None
-    return TruncatedSeries(ring, dict(zip(monomials_of_degree(ring.num_vars, dz), sol)))
 
 
 def solve_fx_hy(
@@ -390,12 +387,15 @@ def solve_fx_hy(
         guard += 1
         if guard > D + 2:
             raise PrecondError("elimination did not converge; preconditions violated")
-        z0 = _divide_homogeneous(cur.initial_form(), in_h1)
-        if z0 is None:
+        dz = cur.order().value - nu_h
+        target_vec = series_to_vec([cur.initial_form()], ring)
+        sol = None if dz < 0 else _solve_homogeneous([(in_h1,)], [dz], target_vec, ring)
+        if sol is None:
             raise PrecondError(
                 "initial form of the X-coordinate is not divisible by the normal form of h; "
                 "shape or approximation preconditions violated"
             )
+        z0 = TruncatedSeries(ring, sol[0])
         cur = cur - h1 * z0
         z = z + z0
     ybar = -(f * z)
@@ -429,10 +429,9 @@ def stable_ar_scan(
     """Check ((x)+I) cap m^(i + a*nu(x) + b)  inside  ((x)+I) * m^i for each x.
 
     This is the Artin-Rees statement for the module (x)+I at the offset
-    ceil(a*nu(x)) + b, so every check reads the Artin-Rees profile of (x)+I:
-    it holds iff i <= prof[exponent].  The profile comes from the generators
-    of (x)+I pruned as artin_rees_index prunes them, so both certify the same
-    range.  Scans every feasible i in that range.
+    ceil(a*nu(x)) + b, so every check reads the Artin-Rees profile of (x)+I
+    that artin_rees_index computes: it holds iff i <= prof[exponent].  Both
+    commands certify the same range.  Scans every feasible i in that range.
 
     All checks of x hold iff the offset is at least i0_x = max_e (e - prof[e]),
     the Artin-Rees index of (x)+I: the rows e < offset need nothing, as
@@ -454,12 +453,9 @@ def stable_ar_scan(
         offset = ceil(a * nu_x.value) + b
         if offset < 0:
             raise PrecondError(f"offset ceil(a*nu(x)) + b = {offset} < 0 for x = {x.to_str()}")
-        aug = ModuleSpec(ring, 1, tuple((g,) for g in I.generators) + ((x,),))
-        prof = _ar_profile(*_prune_redundant_generators(aug))[0]
-        for i in range(len(prof) - offset):
-            exponent = i + offset
-            checks.append((x, i, nu_x, exponent, i <= prof[exponent]))
-        indices.append((nu_x.value, max(e - j for e, j in enumerate(prof))))
+        res = artin_rees_index(ModuleSpec(ring, 1, tuple((g,) for g in I.generators) + ((x,),)))
+        checks.extend((x, e - offset, nu_x, e, e - offset <= j) for e, j in res.deficits[offset:])
+        indices.append((nu_x.value, res.i0))
     cap = grid_b_max if grid_b_max is not None else D
     grid = []
     for a_val in SLOPE_GRID:

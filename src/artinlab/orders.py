@@ -9,6 +9,7 @@ the constants up to the scan degree, never beyond it.
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -252,17 +253,19 @@ def _scan_pairs(I, deg_max, mode, count, seed, budget):
 def _icl_reports(I, deg_max, slopes, mode, count, seed, budget) -> list:
     """One IclReport per slope, all read off a single pass over the pairs.
 
-    Which pairs are violations or skipped does not depend on the slope; only
-    the additive constant b and the pairs attaining it do.
+    Violations and skipped pairs do not depend on the slope.  An exact pair's
+    excess at a = p/q, q*nu(gh) - p*(nu(g) + nu(h)), depends only on its key
+    (nu(g) + nu(h), nu(gh)), so each slope reads b = max(0, largest excess)
+    off the keys, and its attaining pairs off the keys whose excess is b.
     """
     oracle, rows, npairs = _scan_pairs(I, deg_max, mode, count, seed, budget)
-    rows = list(rows)
+    filed = {}  # (nu(g) + nu(h), nu(gh)) -> the exact pairs with those orders
     violations = []
     skipped = []
     for g, h, ng, nh, ngh, gh in rows:
         if ngh.exact:
-            continue
-        if oracle.sound_member(gh):
+            filed.setdefault((ng.value + nh.value, ngh.value), []).append((g, h, ng, nh, ngh))
+        elif oracle.sound_member(gh):
             violations.append((g, h, ng, nh))
         else:
             skipped.append((g, h, ng, nh, ngh))
@@ -279,7 +282,7 @@ def _icl_reports(I, deg_max, slopes, mode, count, seed, budget) -> list:
         return shapes[key]
 
     def simplest(t):
-        # simplest witnesses first: fewest terms, then lowest degree, then text
+        # simplest witnesses first: fewest terms, then lowest degree, then text (never a tie)
         (ng, dg, tg), (nh, dh, th) = shape(t[0]), shape(t[1])
         return (ng + nh, dg + dh, tg, th)
 
@@ -290,19 +293,12 @@ def _icl_reports(I, deg_max, slopes, mode, count, seed, budget) -> list:
         if not violations:
             # ngh - a*(ng + nh) for a = p/q, scaled by q to stay an int
             p, q = a.numerator, a.denominator
-            best = 0
-            for g, h, ng, nh, ngh, _ in rows:
-                if not ngh.exact:
-                    continue
-                diff = q * ngh.value - p * (ng.value + nh.value)
-                if diff > best:
-                    best = diff
-                    attaining = [(g, h, ng, nh, ngh)]
-                elif diff == best:
-                    attaining.append((g, h, ng, nh, ngh))
+            excess = {(total, ngh): q * ngh - p * total for total, ngh in filed}
+            best = max([0, *excess.values()])
             b_best = Fraction(best, q)
-            attaining.sort(key=simplest)
-        reports.append(IclReport(I, a, b_best, attaining[:8], list(violations), deg_max, note,
+            attaining = heapq.nsmallest(
+                8, chain.from_iterable(filed[key] for key, e in excess.items() if e == best), key=simplest)
+        reports.append(IclReport(I, a, b_best, attaining, list(violations), deg_max, note,
                                  seed, mode, npairs, list(skipped)))
     return reports
 

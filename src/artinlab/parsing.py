@@ -146,6 +146,8 @@ class _Parser:
             node = self.expr()
             self.expect_op(")")
             return node
+        if kind == "end":
+            raise ParseError(f"unexpected end of input at position {pos}")
         raise ParseError(f"unexpected token {val!r} at position {pos}")
 
 

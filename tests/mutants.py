@@ -27,6 +27,8 @@ SUBSPACE = "src/artinlab/subspace.py"
 WITNESS = "src/artinlab/witness.py"
 
 CHECKED_SEARCH = ("tests/test_beta.py::test_incremental_state_matches_definitions",)
+HOMOGENEOUS = ("tests/test_solvers.py::test_linreg_random_suite", "tests/test_solvers.py::test_fxhy_random_suite")
+ICL_DEFINITION = ("tests/test_orders.py::test_icl_scan_matches_fraction_definition",)
 DENSE_RREF = ("tests/test_subspace.py::test_insert_keeps_the_dense_rref",)
 PIVOT_INDEX = ("tests/test_subspace.py::test_pivot_index_follows_inserts_and_copies",)
 MULTIPLES = ("tests/test_subspace.py::test_multiples_are_the_monomial_products",)
@@ -72,11 +74,16 @@ MUTANTS = [
            "term = coeff * step", "term = step",
            ("tests/test_beta.py::test_random_small_systems_agree",
             "tests/test_cli.py::test_beta_lb_of_linear_system_is_level_plus_ar_index")),
-    # stable_ar_scan: each translate pruned as artin_rees_index prunes it
-    Mutant("stable-ar profiles the unpruned translate", ARTIN,
-           "prof = _ar_profile(*_prune_redundant_generators(aug))[0]",
-           "prof = _ar_profile(aug, _prune_redundant_generators(aug)[1])[0]",
+    # artin_rees_index, which stable_ar_scan reads each translate (x)+I through
+    Mutant("ar-index profiles the unpruned module", ARTIN,
+           "M, U = _prune_redundant_generators(as_module(M))",
+           "M, U = as_module(M), _prune_redundant_generators(as_module(M))[1]",
            ("tests/test_cli.py::test_stable_ar_checks_the_range_ar_index_certifies",)),
+    # _solve_homogeneous: one column per monomial, read back in that order
+    Mutant("homogeneous solve reads its monomials in reverse", ARTIN,
+           "dict(zip(monomials_of_degree(ring.num_vars, d), coeffs))",
+           "dict(zip(monomials_of_degree(ring.num_vars, d)[::-1], coeffs))",
+           HOMOGENEOUS),
     # _factorization_scan
     Mutant("y tables kept across values of x_1", WITNESS,
            "                tables.clear()\n", "",
@@ -132,13 +139,26 @@ MUTANTS = [
            SCAN_ROWS),
     Mutant("pair read starts at degree 0 while the layers start at the orders", ORDERS,
            "rank), oi + oj)", "rank))",
-           SCAN_ROWS),
+           SCAN_ROWS + ("tests/test_orders.py::test_pair_read_takes_no_part_past_the_order",)),
     Mutant("layers kept from degree 0", ORDERS,
            "low = s.order().value", "low = 0",
            SCAN_ROWS),
     Mutant("remainder_order ignores its start", SUBSPACE,
            "for d in range(start, D + 1):", "for d in range(D + 1):",
            READ_START + SCAN_ROWS),
+    # the ICL envelope: exact pairs filed by (nu(g) + nu(h), nu(gh)), every slope read off the filing
+    Mutant("pairs filed by nu(gh) alone", ORDERS,
+           "filed.setdefault((ng.value + nh.value, ngh.value), [])", "filed.setdefault((0, ngh.value), [])",
+           ICL_DEFINITION),
+    Mutant("b without its floor at 0", ORDERS,
+           "best = max([0, *excess.values()])", "best = max(excess.values(), default=0)",
+           ICL_DEFINITION),
+    Mutant("every pair equally simple", ORDERS,
+           "return (ng + nh, dg + dh, tg, th)", "return 0",
+           ICL_DEFINITION),
+    Mutant("nine attaining pairs kept", ORDERS,
+           "8, chain.from_iterable(", "9, chain.from_iterable(",
+           ICL_DEFINITION),
     Mutant("rows listed in full before the caller reads them", ORDERS,
            "return oracle, rows(), npairs", "return oracle, list(rows()), npairs",
            ("tests/test_orders.py::test_valuation_check_stops_at_its_first_counterexample",

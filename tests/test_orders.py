@@ -11,6 +11,7 @@ import oracles
 from artinlab import orders
 from artinlab.errors import BudgetError, PrecondError
 from artinlab.orders import (
+    SLOPE_GRID,
     NuOracle,
     icl_envelope,
     icl_scan,
@@ -504,6 +505,26 @@ def test_scan_rows_match_dense_oracle(data):
     assert len(reads) == want
 
 
+def test_pair_read_takes_no_part_past_the_order(monkeypatch):
+    # (T1 + T1^2)^2 has order 2 modulo T1^5: its read takes the one part of
+    # degree ord(g)+ord(h) = 2, not the parts of degrees 3 and 4 behind it
+    R = RingSpec(1, 0, 5)
+    g = parse_poly("T1 + T1^2", R)
+    reads = []
+    real_parts = orders._product_parts
+
+    def counted_parts(*args):
+        for part in real_parts(*args):
+            reads.append(1)
+            yield part
+
+    monkeypatch.setattr(orders, "scan_candidates", lambda *args: [g])
+    monkeypatch.setattr(orders, "_product_parts", counted_parts)
+    _, rows, _ = orders._scan_pairs(IdealSpec.of(R, [parse_poly("T1^5", R)]), 2, "random", 0, 0, 10)
+    assert [ngh for *_, ngh, _ in rows] == [ExtOrder.of(2)]
+    assert len(reads) == 1
+
+
 ICL_IDEALS = [(2, 0, "T1^2 + T2^3"), (2, 0, "T1^2 - T2^3; T1*T2^2"), (2, 0, "T1*T2"), (2, 0, "0"),
               (3, 0, "T1^2 + T2^2 + T3^2"), (2, 2, "T1^2 + T2^3"), (2, 3, "T1*T2 - T2^3")]
 
@@ -515,32 +536,37 @@ ICL_IDEALS = [(2, 0, "T1^2 + T2^3"), (2, 0, "T1^2 - T2^3; T1*T2^2"), (2, 0, "T1*
        exhaustive=st.booleans(), count=st.integers(0, 12), seed=st.integers(0, 50))
 def test_icl_scan_matches_fraction_definition(ideal, deg_max, extra, a, exhaustive, count, seed):
     # b_min and its attaining pairs from nu(g*h) - a*(nu(g) + nu(h)) in Fractions,
-    # over the scanned pairs in scan order, then stable-sorted simplest first
+    # over the scanned pairs in scan order, then stable-sorted simplest first;
+    # the single-slope scan at a, and each report of the envelope at its slope
     num_vars, char, text = ideal
     R = RingSpec(num_vars, char, 2 * deg_max + extra)
     I = IdealSpec.of(R, [parse_poly(t, R) for t in text.split(";")])
     mode = "exhaustive" if exhaustive and char and deg_max == 1 else "random"
     rep = icl_scan(I, deg_max, a=a, mode=mode, count=count, seed=seed, budget=10**6)
+    envelope = icl_envelope(I, deg_max, mode=mode, count=count, seed=seed, budget=10**6)
+    assert [r.a for r in envelope] == list(SLOPE_GRID)
     cands = scan_candidates(R, deg_max, mode, count, seed, 10**6)
     U = span_ideal(I)
     nus = [reduce_order(g, U) for g in cands]
-    diffs = []
+    rows = []
     for i in range(len(cands)):
         for j in range(i, len(cands)):
             if nus[i].exact and nus[j].exact:
                 ngh = reduce_order(cands[i] * cands[j], U)
                 if ngh.exact:
-                    row = (cands[i], cands[j], nus[i], nus[j], ngh)
-                    diffs.append((Fraction(ngh.value) - a * (nus[i].value + nus[j].value), row))
-    if rep.violations:
-        assert rep.b_min is None and rep.attaining_pairs == []
-        return
-    b_min = max([Fraction(0)] + [d for d, _ in diffs])
-    assert rep.b_min == b_min and isinstance(rep.b_min, Fraction)
+                    rows.append((cands[i], cands[j], nus[i], nus[j], ngh))
 
     def simplest(row):
         g, h = row[0], row[1]
         return (len(g.terms) + len(h.terms), g.max_degree() + h.max_degree(), g.to_str(), h.to_str())
 
-    attaining = sorted((row for d, row in diffs if d == b_min), key=simplest)[:8]
-    assert rep.attaining_pairs == attaining
+    for report in [rep, *envelope]:
+        if report.violations:
+            assert report.b_min is None and report.attaining_pairs == []
+            continue
+        diffs = [(Fraction(ngh.value) - report.a * (ng.value + nh.value), (g, h, ng, nh, ngh))
+                 for g, h, ng, nh, ngh in rows]
+        b_min = max([Fraction(0)] + [d for d, _ in diffs])
+        assert report.b_min == b_min and isinstance(report.b_min, Fraction)
+        attaining = sorted((row for d, row in diffs if d == b_min), key=simplest)[:8]
+        assert report.attaining_pairs == attaining

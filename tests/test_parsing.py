@@ -63,7 +63,7 @@ def test_error_positions():
         parse_poly("Z1 + T1", R3)
     with pytest.raises(ParseError, match="exponent"):
         parse_poly("T1^-2", R3)
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="unexpected end of input at position 4"):
         parse_poly("T1 +", R3)
     with pytest.raises(ParseError):
         parse_poly("(T1", R3)
