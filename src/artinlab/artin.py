@@ -26,6 +26,7 @@ from .subspace import (
     Subspace,
     as_module,
     distance_order,
+    insert_multiples,
     multiples,
     series_to_vec,
     solve_linear,
@@ -74,13 +75,7 @@ def _prune_redundant_generators(M: ModuleSpec) -> tuple:
         if span.contains_vec(series_to_vec(vec, ring)):
             continue
         kept.append(vec)
-        # highest multiplier degree first, as _ar_profile grows its spans: each
-        # new row is reduced against rows of higher pivot and seldom
-        # back-eliminated later; lowest first, most rows are rewritten by the
-        # rows that follow (over Q, into chains of fractions)
-        for d in range(ring.trunc, -1, -1):
-            for row in multiples(vec, d, ring):
-                span.insert(row)
+        insert_multiples(span, vec)
     return ModuleSpec(ring, M.arity, tuple(kept)), span
 
 

@@ -65,14 +65,17 @@ def nu_bar_estimate(I: IdealSpec, x: TruncatedSeries, n_max: int) -> NuBarReport
     """max over 1 <= n <= n_max of nu(x^n)/n.
 
     Superadditivity of n -> nu(x^n) makes every sample point a certified
-    lower bound for the limit, so the max is one as well.
+    lower bound for the limit, so the max is one as well.  Past n = D+1, x^n
+    is 0 for a non-unit and a unit for a unit: no later sample can change it.
     """
     if x.is_zero:
         raise PrecondError("nu-bar estimate of zero undefined")
     if n_max < 1:
         raise PrecondError("n_max must be >= 1")
-    oracle = NuOracle(I)
     D = I.ring.trunc
+    if n_max > D + 1:
+        raise PrecondError("need n_max <= trunc + 1: no later sample can change the estimate")
+    oracle = NuOracle(I)
     samples = []
     flags = []
     best = Fraction(0)

@@ -33,7 +33,7 @@ rows that hold it.  A pivot column needs no such entry: no other row holds
 it.  The order of back-elimination does not matter either: the new row is
 fixed, and each row is updated on its own.
 
-A linear solve is a reduction on the graph of the map (solve_linear).
+A linear solve and a kernel are both reads of the graph of the map (LinearMap).
 """
 
 from __future__ import annotations
@@ -312,6 +312,15 @@ def multiples(gen, d: int, ring: RingSpec, sound: bool = False):
         yield {rank[tuple(map(add, m, u))]: c for rank, m, c in kept}
 
 
+def insert_multiples(U: Subspace, gen, sound: bool = False) -> None:
+    """Insert each u * gen into U (sound: see multiples), highest multiplier degree
+    first: a new row reduces against rows of higher pivot and is seldom rewritten
+    later.  Lowest first, most rows are rewritten (over Q, into chains of fractions)."""
+    for d in range(U.ring.trunc, -1, -1):
+        for vec in multiples(gen, d, U.ring, sound):
+            U.insert(vec)
+
+
 def span_module(M: ModuleSpec, sound: bool = False) -> Subspace:
     """Span of {u * g : g generator, u monomial}, the module M itself.
 
@@ -319,20 +328,14 @@ def span_module(M: ModuleSpec, sound: bool = False) -> Subspace:
     multiples); membership in the sound span certifies membership in the
     untruncated module.
     """
-    ring = M.ring
-    U = Subspace(ring, M.arity)
+    U = Subspace(M.ring, M.arity)
     # generator-major: the multiples of one generator are shifts of one vector
     # and reduce against few rows.  Interleaving the generators degree by
     # degree made the spans of (2*T1^2 - T2^3 - 2*T1^4, -T2^3 - 2*T1^2*T2^2 +
     # 3*T1^5) over Q at D = 14 take 4x the eliminations and 36x the Fraction
-    # entries, and its ar-index 6x the time.  Within one generator, highest
-    # multiplier degree first, as _prune_redundant_generators grows its span:
-    # each new row is reduced against rows of higher pivot and seldom
-    # back-eliminated later.
+    # entries, and its ar-index 6x the time.
     for gen in M.generators:
-        for d in range(ring.trunc, -1, -1):
-            for vec in multiples(gen, d, ring, sound):
-                U.insert(vec)
+        insert_multiples(U, gen, sound)
     return U
 
 
@@ -370,23 +373,42 @@ def distance_order(xs, U: Subspace) -> ExtOrder:
     return U.remainder_order(parts)
 
 
-def solve_linear(columns, target: dict, ring: RingSpec):
-    """One exact x with sum_k x[k] * columns[k] = target, or None if there is none.
+class LinearMap:
+    """x -> sum_k x[k] * columns[k] (columns[k] a sparse dict of rows), read off the
+    echelon form of its graph: rows (columns[k] | e_k), the R image columns first
+    (R: one past the last row an image reaches), unknown k at column R + n-1-k."""
 
-    columns[k] is the image of unknown k, a sparse dict like target.  The rows
-    (columns[k] | e_k) span the graph of the map, its R image columns first and
-    unknown k at column R + n-1-k.  Reducing (target | 0) leaves an image column
-    iff there is no solution, else (0 | -x) with x zero at the free unknowns,
-    which are the kernel's pivots taken from the right.
-    """
-    *images, target = [{r: s for r, c in col.items() if (s := ring.s_from(c)) != 0}
-                       for col in (*columns, target)]
-    R = 1 + max((r for col in (*images, target) for r in col), default=-1)
-    coords = range(R + len(images) - 1, R - 1, -1)
-    graph = Subspace(ring)
-    for image, c in zip(images, coords):
-        graph.insert({**image, c: 1})
-    rem = graph.reduce(target)
-    if rem and min(rem) < R:
-        return None
-    return [ring.s_neg(rem.get(c, 0)) for c in coords]
+    __slots__ = ("ring", "R", "coords", "graph")
+
+    def __init__(self, columns, ring: RingSpec):
+        images = [{r: s for r, c in col.items() if (s := ring.s_from(c)) != 0} for col in columns]
+        self.ring = ring
+        self.R = R = 1 + max((r for col in images for r in col), default=-1)
+        self.coords = range(R + len(images) - 1, R - 1, -1)
+        self.graph = Subspace(ring)
+        for image, c in zip(images, self.coords):
+            self.graph.insert({**image, c: 1})
+
+    def solve(self, target: dict):
+        """One exact x with sum_k x[k] * columns[k] = target, or None if there is none.
+        No image reaches a row at or past R.  Else reducing (target | 0) leaves an
+        image column iff there is no solution, or (0 | -x) with x zero at the free
+        unknowns, which are the kernel's pivots taken from the right."""
+        target = {r: s for r, c in target.items() if (s := self.ring.s_from(c)) != 0}
+        if target and max(target) >= self.R:
+            return None
+        rem = self.graph.reduce(target)
+        if rem and min(rem) < self.R:
+            return None
+        return [self.ring.s_neg(rem.get(c, 0)) for c in self.coords]
+
+    def kernel(self) -> list:
+        """A basis of the kernel, n - rank vectors: the graph rows with their pivot
+        past the image columns are the rows (0 | x) with x in the kernel."""
+        start = bisect.bisect_left(self.graph.pivots, self.R)
+        return [[row.get(c, 0) for c in self.coords] for row in self.graph.rows[start:]]
+
+
+def solve_linear(columns, target: dict, ring: RingSpec):
+    """One exact x with sum_k x[k] * columns[k] = target, or None (LinearMap.solve)."""
+    return LinearMap(columns, ring).solve(target)

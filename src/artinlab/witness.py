@@ -18,6 +18,7 @@ from typing import Optional
 from .errors import BudgetError, PrecondError
 from .series import (ExtOrder, RingSpec, TruncatedSeries, _is_prime, fp_space_size, fp_vectors,
                      monomials_of_degree)
+from .subspace import LinearMap
 
 
 @dataclass
@@ -92,13 +93,13 @@ def _factorization_scan(target: dict, i: int, p: int, budget: int):
     Non-units are determined modulo m^(i+1) by their homogeneous layers of
     degrees 1..i-1: anything deeper meets the other factor's order >= 1 and
     lands beyond degree i, so the space is F_p^e with e = 2 * sum of the layer
-    dimensions.  The scan walks the layers in lockstep and rejects as soon as
-    a homogeneous component of the product disagrees, which covers the full
-    space while visiting only a fraction of it.  At depth 1 each y_1 is tried
-    once per x_1, so x_1 * y_1 is compared with the target directly.  Deeper,
-    x_1 is fixed: each depth's y layers are grouped once per x_1 by x_1 * y, in
-    enumeration order, and the layers that give the product what it still
-    needs are looked up, not multiplied out one by one.
+    dimensions.  The scan walks the layers in lockstep, each depth one linear
+    solve (LinearMap) for the layers that give the product its next degree: at
+    depth 1, for each x_1, the y_1 with x_1*y_1 the degree-2 target; at depth
+    d >= 2, degree d+1 of x*y is x_1*y_d + y_1*x_d plus fixed terms, so the
+    (x_d, y_d) that fit are a particular solution plus the kernel's span.  As
+    coefficient lists, x_d then y_d, in increasing order they come in the order
+    of a loop over fp_vectors, so the first pair found is that loop's.
     """
     e = 2 * sum(comb(d + 2, 2) for d in range(1, i))
     # a p >= 2 meets the size gate first: trial division of a p too large to search is slow
@@ -106,7 +107,9 @@ def _factorization_scan(target: dict, i: int, p: int, budget: int):
         raise BudgetError(f"search space has size {p}^{e} > budget {budget}")
     if not _is_prime(p):
         raise PrecondError(f"p = {p} is not a prime; the certificate is over the field F_p")
+    ring = RingSpec(3, p, i)
     layer_monos = {d: monomials_of_degree(3, d) for d in range(1, i + 1)}
+    rows = {m: k for monos in layer_monos.values() for k, m in enumerate(monos)}  # row within its degree
     target = {m: c % p for m, c in target.items() if c % p}
 
     def add_product(out, xu, yv, sign=1):
@@ -120,49 +123,47 @@ def _factorization_scan(target: dict, i: int, p: int, budget: int):
                 else:
                     out.pop(m, None)
 
-    def product(xu, yv):
-        out = {}
-        add_product(out, xu, yv)
-        return out
+    def times(layer, d):
+        """The columns of u -> layer * u on the layers u of degree d, a linear layer."""
+        return [{rows[tuple(map(add, m, u))]: c for m, c in layer.items()} for u in layer_monos[d]]
 
-    found = 0
-    counterexample = None
-    tables = {}  # depth -> the y layers grouped by x_1 * y, for the current x_1
+    def fits(graph, need, d):
+        """The solutions of graph = need, a particular one plus the kernel's span, in
+        increasing order of their coefficient lists, each cut into layers of degree d."""
+        sol = graph.solve(need)
+        out = [] if sol is None else [sol]
+        for k in graph.kernel():
+            out = [[(a + c * b) % p for a, b in zip(v, k)] for v in out for c in range(p)]
+        monos = layer_monos[d]
+        return [[{m: c for m, c in zip(monos, v[j:]) if c} for j in range(0, len(v), len(monos))]
+                for v in sorted(out)]
 
-    def dfs(depth, xl, yl):
+    found, counterexample = 0, None
+
+    def dfs(xl, yl):
         nonlocal found, counterexample
-        # layers 1..depth-1 of both factors fixed; product checked through degree depth
+        # xl, yl: the layers of degrees 1..depth-1; product checked through degree depth
+        depth = len(xl) + 1
         if depth == i:
             found += 1
             if counterexample is None:
-                counterexample = (dict(xl), dict(yl))
+                counterexample = (dict(enumerate(xl, 1)), dict(enumerate(yl, 1)))
             return
-        want = {m: c for m, c in target.items() if sum(m) == depth + 1}
-        for xlayer in fp_vectors(layer_monos[depth], p):
-            xl[depth] = xlayer
-            if depth == 1:
-                # a new x_1: every table is stale, and x_1 * y_1 is compared with the
-                # target directly, as each y_1 is tried once
-                tables.clear()
-                fits = [ylayer for ylayer in fp_vectors(layer_monos[1], p) if product(xlayer, ylayer) == want]
-            else:
-                if depth not in tables:
-                    table = tables[depth] = {}
-                    for ylayer in fp_vectors(layer_monos[depth], p):
-                        table.setdefault(frozenset(product(xl[1], ylayer).items()), []).append(ylayer)
-                # degree depth+1 of x*y is sum_{u=1..depth} x_u * y_(depth+1-u); only its
-                # u = 1 term involves the new y layer, so the rest is taken off `want` once
-                need = dict(want)
-                for u in range(2, depth + 1):
-                    add_product(need, xl[u], yl[depth + 1 - u], -1)
-                fits = tables[depth].get(frozenset(need.items()), ())
-            for ylayer in fits:
-                yl[depth] = ylayer
-                dfs(depth + 1, xl, yl)
-            yl.pop(depth, None)
-        xl.pop(depth, None)
+        # degree depth+1 of x*y is sum_{u=1..depth} x_u * y_(depth+1-u); the terms
+        # u = 2..depth-1 are fixed, so they are taken off the target here
+        need = {m: c for m, c in target.items() if sum(m) == depth + 1}
+        for u in range(2, depth):
+            add_product(need, xl[u - 1], yl[depth - u], -1)
+        need = {rows[m]: c for m, c in need.items()}
+        if depth == 1:
+            pairs = ((x1, y1) for x1 in fp_vectors(layer_monos[1], p)
+                     for (y1,) in fits(LinearMap(times(x1, 1), ring), need, 1))
+        else:
+            pairs = fits(LinearMap(times(yl[0], depth) + times(xl[0], depth), ring), need, depth)
+        for x, y in pairs:
+            dfs(xl + [x], yl + [y])
 
-    dfs(1, {}, {})
+    dfs([], [])
     return size, found, counterexample
 
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from .errors import PrecondError
 from .series import RingSpec, TruncatedSeries, power
 
@@ -73,15 +71,3 @@ class PolyInX:
 
     def __pow__(self, e: int):
         return power(self, e, PolyInX.from_series(TruncatedSeries.one(self.ring), self.n_unknowns))
-
-    def eval(self, xs: Sequence[TruncatedSeries]) -> TruncatedSeries:
-        if len(xs) != self.n_unknowns:
-            raise PrecondError("wrong number of unknowns in evaluation")
-        total = TruncatedSeries.zero(self.ring)
-        for exps, coeff in self.terms.items():
-            term = coeff
-            for x, e in zip(xs, exps):
-                if e:
-                    term = term * x**e  # square-and-multiply: a huge e costs log2(e) products
-            total = total + term
-        return total

@@ -35,6 +35,8 @@ MULTIPLES = ("tests/test_subspace.py::test_multiples_are_the_monomial_products",
 PLAIN_PARSE = ("tests/test_parsing.py::test_plain_series_parse_as_the_constant_term_of_a_system",)
 READ_START = ("tests/test_orders.py::test_remainder_order_reads_from_its_start",)
 SCAN_ROWS = ("tests/test_orders.py::test_scan_rows_match_dense_oracle",)
+SCAN = ("tests/test_witness.py::test_scan_matches_the_naive_loop",
+        "tests/test_witness.py::test_scan_matches_the_naive_loop_on_random_targets")
 SOLVE = ("tests/test_subspace.py::test_solve_linear_matches_dense_rank",)
 
 MUTANTS = [
@@ -84,10 +86,13 @@ MUTANTS = [
            "dict(zip(monomials_of_degree(ring.num_vars, d), coeffs))",
            "dict(zip(monomials_of_degree(ring.num_vars, d)[::-1], coeffs))",
            HOMOGENEOUS),
-    # _factorization_scan
-    Mutant("y tables kept across values of x_1", WITNESS,
-           "                tables.clear()\n", "",
-           ("tests/test_witness.py::test_scan_matches_the_naive_loop",)),
+    # _factorization_scan: one linear map per depth
+    Mutant("scan solutions left unsorted", WITNESS,
+           "for v in sorted(out)]", "for v in out]",
+           SCAN),
+    Mutant("depth map built from x_1 on both sides", WITNESS,
+           "times(yl[0], depth) + times(xl[0], depth)", "times(xl[0], depth) + times(xl[0], depth)",
+           SCAN),
     # Subspace pivot index and column index
     Mutant("pivots not sorted again after an insert", SUBSPACE,
            "        row_of[piv] = row\n        self._pivots = None", "        row_of[piv] = row",
@@ -163,11 +168,20 @@ MUTANTS = [
            "return oracle, rows(), npairs", "return oracle, list(rows()), npairs",
            ("tests/test_orders.py::test_valuation_check_stops_at_its_first_counterexample",
             "tests/test_orders.py::test_scans_form_full_products_only_for_inexact_pairs")),
-    # solve_linear on the graph of the map
+    # LinearMap: solves and kernels read off the graph of the map
     Mutant("unknowns in natural order", SUBSPACE,
-           "coords = range(R + len(images) - 1, R - 1, -1)", "coords = range(R, R + len(images))",
+           "self.coords = range(R + len(images) - 1, R - 1, -1)", "self.coords = range(R, R + len(images))",
            SOLVE + ("tests/test_cli.py::test_pinned_output_bytes",)),
     Mutant("last unknown's column read as an image column", SUBSPACE,
-           "if rem and min(rem) < R:", "if rem and min(rem) <= R:",
+           "if rem and min(rem) < self.R:", "if rem and min(rem) <= self.R:",
            SOLVE),
+    Mutant("target row R read as the last unknown's column", SUBSPACE,
+           "if target and max(target) >= self.R:", "if target and max(target) > self.R:",
+           SOLVE),
+    Mutant("kernel read drops its last row", SUBSPACE,
+           "for row in self.graph.rows[start:]]", "for row in self.graph.rows[start:-1]]",
+           SOLVE + SCAN),
+    Mutant("kernel read starts at the last image column", SUBSPACE,
+           "bisect.bisect_left(self.graph.pivots, self.R)", "bisect.bisect_left(self.graph.pivots, self.R - 1)",
+           SOLVE + SCAN),
 ]

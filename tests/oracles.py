@@ -193,6 +193,20 @@ def naive_ar_index(M, certified_up_to):
     return worst
 
 
+def evaluate(poly, xs):
+    """The series poly(x_1, ..., x_n) of a PolyInX, one series per unknown."""
+    if len(xs) != poly.n_unknowns:
+        raise PrecondError("wrong number of unknowns in evaluation")
+    total = TruncatedSeries.zero(poly.ring)
+    for exps, coeff in poly.terms.items():
+        term = coeff
+        for x, e in zip(xs, exps):
+            if e:
+                term = term * x**e  # square-and-multiply: a huge e costs log2(e) products
+        total = total + term
+    return total
+
+
 def naive_beta(system, i):
     """Literal enumeration of the whole truncated space; tiny rings only."""
     import itertools
@@ -208,7 +222,7 @@ def naive_beta(system, i):
     def res_order(xs):
         worst = None
         for poly in system:
-            o = poly.eval(list(xs)).order()
+            o = evaluate(poly, xs).order()
             if worst is None or o < worst:
                 worst = o
         return worst

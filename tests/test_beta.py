@@ -133,7 +133,7 @@ class CheckedSearch(_BetaSearch):
             # dict holds that degree's nonzero terms, and the order is the first
             # nonempty degree
             assert len(r) == self.D + 1
-            assert {m: c for part in r for m, c in part.items()} == poly.eval(xs).terms
+            assert {m: c for part in r for m, c in part.items()} == oracles.evaluate(poly, xs).terms
             assert all(sum(m) == e and c for e, part in enumerate(r) for m, c in part.items())
             assert o == next((e for e, part in enumerate(r) if part), self.D + 1)
         for j, (x, pows) in enumerate(zip(xs, self.pows)):

@@ -86,6 +86,17 @@ def test_nubar_flags_and_csv():
     assert lines[1:] == ["1,1", "2,3", "3,4", "4,6"]
 
 
+def test_nubar_refuses_samples_past_the_truncation():
+    # past n = D+1, x^n is 0 for a non-unit and a unit for a unit, so no sample
+    # can change the estimate: n_max > D+1 exits 2 before the first product
+    job = ("nubar", "--vars", "T1,T2", "--trunc", "4", "--ideal", "T1", "--x", "T2")
+    proc = run_cli(*job, "--nmax", "100000000", expect=2, timeout=2)
+    assert "n_max <= trunc + 1" in proc.stderr
+    rep = json.loads(run_cli(*job, "--nmax", "5").stdout)["result"]
+    assert rep["estimate"] == 1
+    assert [s["n"] for s in rep["samples"]] == [1, 2, 3, 4, 5]
+
+
 def test_icl_scan_cli():
     out = run_cli(
         "icl-scan", "--vars", "T1,T2", "--trunc", "8", "--ideal", "T1^2 + T2^3",

@@ -9,6 +9,7 @@ from artinlab.errors import PrecondError
 from artinlab.series import ExtOrder, RingSpec, TruncatedSeries, monomials_of_degree, monomials_up_to
 from artinlab.subspace import (
     IdealSpec,
+    LinearMap,
     ModuleSpec,
     Subspace,
     coord_index,
@@ -188,12 +189,13 @@ def test_solve_linear_matches_dense_rank():
     assert solve_linear([{0: 0}, {}], {0: 0}, R) == [0, 0]
     assert solve_linear([{0: 0}], {0: 1}, R) is None
     assert solve_linear([{0: 2}], {0: 1}, RingSpec(1, 5, 3)) == [3]
-    # random systems over Q and F_2..F_7, explicit zero entries included:
+    # random systems over Q, F_2..F_7 and F_32003, explicit zero entries included:
     # consistent iff rank [A] == rank [A | b], a returned solution satisfies
     # every row, and the answer equals the per-coordinate reference exactly
-    # (the same free unknowns set to zero)
+    # (the same free unknowns set to zero).  The kernel read of the same graph
+    # gives n - rank [A] independent vectors, each mapping to 0.
     rng = random.Random(5)
-    for char in (0, 2, 3, 5, 7):
+    for char in (0, 2, 3, 5, 7, 32003):
         R = RingSpec(1, char, 3)
         values = [0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 4)] if char == 0 else range(char)
         for _ in range(60):
@@ -211,6 +213,11 @@ def test_solve_linear_matches_dense_rank():
             if sol is not None:
                 for row, (_, rhs) in zip(dense, eqs):
                     assert R.s_from(sum(a * x for a, x in zip(row, sol)) - rhs) == 0
+            kernel = LinearMap(cols, R).kernel()
+            assert len(kernel) == n - oracles.dense_rank(dense, R), (char, cols)
+            assert not kernel or oracles.dense_rank(kernel, R) == len(kernel)
+            for x in kernel:
+                assert all(R.s_from(sum(a * c for a, c in zip(row, x))) == 0 for row in dense)
 
 
 def dense_to_vec(vec, R, arity):

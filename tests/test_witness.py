@@ -1,11 +1,12 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 
 from artinlab import witness
 from artinlab.cli import main
 from artinlab.errors import BudgetError, PrecondError
-from artinlab.series import ExtOrder, RingSpec, TruncatedSeries
+from artinlab.series import ExtOrder, RingSpec, TruncatedSeries, monomials_of_degree
 from artinlab.witness import (
     irreducibility_exhaustive,
     lower_bound_certificate,
@@ -111,8 +112,8 @@ def test_scan_finds_factorizations_when_they_exist():
 
 
 def test_scan_counts_deeper_factorizations():
-    # i = 3 checks degree 3 with the x-layer part of the product held fixed across
-    # the y layers; the counts were taken from the full pairwise product
+    # i = 3 solves degree 3 for the pairs (x_2, y_2) as one linear map; the
+    # counts were taken from the full pairwise product
     from artinlab.witness import _factorization_scan
 
     for target, i, p, want in [
@@ -130,8 +131,8 @@ def test_scan_counts_deeper_factorizations():
 
 
 def test_scan_matches_the_naive_loop():
-    # the y layers looked up by x_1 * y give the size, the count and the first pair
-    # of the loop that multiplies every y layer by x_1 (tests/oracles.py)
+    # the layers solved for at each depth give the size, the count and the first
+    # pair of the loop that multiplies every y layer by x_1 (tests/oracles.py)
     from artinlab.witness import _factorization_scan
 
     for target, i, p, count in [
@@ -146,6 +147,39 @@ def test_scan_matches_the_naive_loop():
         got = _factorization_scan(target, i, p, 10**9)
         assert got == oracles.naive_factorization_scan(target, i, p), (target, i, p)
         assert got[1] == count and (got[2] is None) == (count == 0), (target, i, p)
+
+
+@st.composite
+def scan_targets(draw):
+    """A target, i and p: at i <= 3 over F_2 or i = 2 over F_3, with a quadratic part
+    that is a product of two linear forms, a square, any form or zero."""
+    i, p = draw(st.sampled_from([(2, 2), (3, 2), (2, 3)]))
+    coeff = st.integers(0, p - 1)
+    linear, quadratic = monomials_of_degree(3, 1), monomials_of_degree(3, 2)
+    kind = draw(st.sampled_from(["product", "square", "form", "zero"]))
+    target = {}
+    if kind in ("product", "square"):
+        a = draw(st.lists(coeff, min_size=3, max_size=3))
+        b = a if kind == "square" else draw(st.lists(coeff, min_size=3, max_size=3))
+        for m1, c1 in zip(linear, a):
+            for m2, c2 in zip(linear, b):
+                m = tuple(u + v for u, v in zip(m1, m2))
+                target[m] = (target.get(m, 0) + c1 * c2) % p
+    elif kind == "form":
+        target = dict(zip(quadratic, draw(st.lists(coeff, min_size=6, max_size=6))))
+    for d in range(3, i + 1):
+        target.update(draw(st.dictionaries(st.sampled_from(monomials_of_degree(3, d)), coeff, max_size=3)))
+    return target, i, p
+
+
+@settings(max_examples=100, deadline=None)
+@given(scan_targets())
+def test_scan_matches_the_naive_loop_on_random_targets(case):
+    # the same size, count and first pair as the naive loop (tests/oracles.py)
+    from artinlab.witness import _factorization_scan
+
+    target, i, p = case
+    assert _factorization_scan(target, i, p, 10**9) == oracles.naive_factorization_scan(target, i, p)
 
 
 def test_certificate_needs_prime_field():
