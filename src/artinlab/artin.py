@@ -474,7 +474,7 @@ def stable_ar_scan(
 # ---------------------------------------------------------------------------
 
 # frames the recursion limit must leave beside one _walk frame per slot: measured,
-# 37 below the search at the deepest caller in the tests and at most 6 inside it
+# 50 below the search at the deepest caller in the tests and at most 5 inside it
 _STACK_MARGIN = 100
 
 
@@ -518,11 +518,12 @@ class _BetaSearch:
     a slot of degree d is assigned, so x_j is still zero there iff lb[j] == d.
 
     Slots are degree-major, so a class modulo m^(i+1) is the layers of the
-    first `boundary` frames: its key is read off the path once and kept until
-    an undo goes above it.  Every pass is one depth-first _walk with its own
-    visit.  Pass 1 records the classes modulo m^(i+1) that hold an exact
-    solution; pass 2 takes the largest residual order outside them, each
-    confirmed by a witness walk.
+    first `boundary` frames, and one depth-first _walk enters each class once
+    and walks it in one stretch.  A node whose residual order e is fixed has
+    no exact solution below it.  Above the boundary every class below it is
+    made of its completions, none solvable, so e counts at once; past it, e is
+    held for the class, dropped at the class's first solution (where the walk
+    leaves the class) and counted when the undo leaves the class.
     """
 
     def __init__(self, system: Sequence[PolyInX], i: int, budget: int):
@@ -573,8 +574,9 @@ class _BetaSearch:
         self.shifts = [None] * len(self.slots)  # per slot, built by _slot_shifts
         self.space = (ring.char, n * len(monomials_up_to(ring.num_vars, D)))  # raw space F_p^e
         self.nodes = 0
-        self.solset = set()
+        self.solvable = 0  # classes modulo m^(i+1) that hold an exact solution
         self.best = -1
+        self.held = -1  # the largest fixed order met in the current class, past the boundary
         # mutable search state, from x = 0
         self.res = []  # per equation, its residual as D + 1 dicts, one per degree
         for poly in self.system:
@@ -595,7 +597,6 @@ class _BetaSearch:
         # degree; a lower bound for the order of every completion of x_u
         self.lb = [0] * n
         self._frames = []
-        self._key = None
 
     # -- bookkeeping -------------------------------------------------------
     def _slot_min_degree(self, j: int, d: int) -> int:
@@ -625,7 +626,7 @@ class _BetaSearch:
         """Give the slot's unknown x_j its layer of degree d."""
         d, j = self.slots[slot_idx]
         old_pows = self.pows[j]
-        self._frames.append((j, old_pows, self.res, self.ords, self.lb[j], layer))
+        self._frames.append((j, old_pows, self.res, self.ords, self.lb[j]))
         if not layer:
             if self.lb[j] == d:  # x_j is still zero
                 self.lb[j] = d + 1
@@ -696,9 +697,10 @@ class _BetaSearch:
         self.res, self.ords = res, ords
 
     def _undo(self):
-        j, self.pows[j], self.res, self.ords, self.lb[j], _ = self._frames.pop()
-        if len(self._frames) < self.boundary:
-            self._key = None
+        j, self.pows[j], self.res, self.ords, self.lb[j] = self._frames.pop()
+        if len(self._frames) < self.boundary:  # the walk leaves its class
+            self.best = max(self.best, self.held)
+            self.held = -1
 
     def _advance_auto(self, slot_idx: int) -> tuple:
         """Freeze to zero the slots that cannot reach the residual; returns the next
@@ -734,21 +736,14 @@ class _BetaSearch:
         o = min(self.ords)
         return o if o < floor and o < self._finality(slot_idx, floor) else None
 
-    def _class_key(self):
-        """The layers of degree <= i, read off the first `boundary` frames (slot_idx >= boundary)."""
-        if self._key is None:
-            self._key = tuple(tuple(f[5].items()) for f in self._frames[:self.boundary])
-        return self._key
-
     # -- the one depth-first walk ---------------------------------------------
-    def _walk(self, slot_idx: int, visit, stop_from: int) -> bool:
+    def _walk(self, slot_idx: int) -> bool:
         """Depth-first from slot_idx, counting every node against the budget.
 
-        Past the slots frozen to zero, visit(slot_idx, floor) ends the node with a
-        verdict, or returns None to try each value of the next layer.  A True
-        verdict returns through the layers of degree >= stop_from, skipping
-        their remaining values, and stops at the first shallower layer, which
-        goes on to its next value; the walk returns whether one got through.
+        Past the slots frozen to zero, _visit ends the node with a verdict, or
+        returns None to try each value of the next layer.  A True verdict, an
+        exact solution, returns through the layers of degree > i, skipping
+        their remaining values: the walk goes on at the next class.
         """
         self.nodes += 1
         if self.nodes > self.budget:
@@ -758,60 +753,44 @@ class _BetaSearch:
             )
         slot_idx, frames, floor = self._advance_auto(slot_idx)
         try:
-            verdict = visit(slot_idx, floor)
+            verdict = self._visit(slot_idx, floor)
             if verdict is not None:
                 return verdict
             d, j = self.slots[slot_idx]
             for layer in fp_vectors(monomials_of_degree(self.ring.num_vars, d), self.ring.char):
                 self._assign(slot_idx, layer)
-                found = self._walk(slot_idx + 1, visit, stop_from)
+                found = self._walk(slot_idx + 1)
                 self._undo()
-                if found and d >= stop_from:
+                if found and d > self.i:
                     return True
             return False
         finally:
             for _ in range(frames):
                 self._undo()
 
-    # pass 1: record every class containing an exact solution; one solution
-    # decides all layers past i, so the walk stops there at the first one
-    def _solution_visit(self, slot_idx: int, floor: int):
-        if self._fixed_order(slot_idx, floor) is not None:
+    def _visit(self, slot_idx: int, floor: int):
+        e = self._fixed_order(slot_idx, floor)
+        if e is not None:  # every completion has residual order e: no solution below
+            if slot_idx < self.boundary:
+                self.best = max(self.best, e)
+            else:
+                self.held = max(self.held, e)
             return False
-        if slot_idx == len(self.slots):
-            self.solset.add(self._class_key())
+        if slot_idx == len(self.slots):  # an exact solution: its class is solvable
+            self.solvable += 1
+            self.held = -1
             return True
         return None
 
-    # pass 2: max residual order over classes with no nearby solution
-    def _beta_visit(self, slot_idx: int, floor: int):
-        if slot_idx >= self.boundary and self._class_key() in self.solset:
-            return False
-        e = self._fixed_order(slot_idx, floor)
-        if e is not None:
-            if e > self.best and self._walk(slot_idx, self._witness_visit, 0):
-                self.best = e
-            return False
-        if slot_idx == len(self.slots):  # an exact solution: pass 1 recorded its class
-            return False
-        return None
-
-    # does some completion of the class layers escape every solution class?
-    def _witness_visit(self, slot_idx: int, floor: int):
-        if slot_idx >= self.boundary:
-            return self._class_key() not in self.solset
-        return None
-
     def run(self) -> BetaResult:
-        self._walk(0, self._solution_visit, self.i + 1)
-        self._walk(0, self._beta_visit, self.D + 1)
+        self._walk(0)
         size = fp_space_size(*self.space, 10**3000 - 1)  # decimal up to 3000 digits
         return BetaResult(
-            value=max(self.best, 0),
+            value=max(self.best, self.held, 0),  # with no unknown, the one class is never left
             level_i=self.i,
             explored_nodes=self.nodes,
             state_space_size="%d^%d" % self.space if size is None else str(size),
-            solvable_classes=len(self.solset),
+            solvable_classes=self.solvable,
         )
 
 

@@ -27,6 +27,7 @@ SUBSPACE = "src/artinlab/subspace.py"
 WITNESS = "src/artinlab/witness.py"
 
 CHECKED_SEARCH = ("tests/test_beta.py::test_incremental_state_matches_definitions",)
+BETA_PINNED = ("tests/test_beta.py::test_search_benchmark_systems_pinned",)
 HOMOGENEOUS = ("tests/test_solvers.py::test_linreg_random_suite", "tests/test_solvers.py::test_fxhy_random_suite")
 ICL_DEFINITION = ("tests/test_orders.py::test_icl_scan_matches_fraction_definition",)
 DENSE_RREF = ("tests/test_subspace.py::test_insert_keeps_the_dense_rref",)
@@ -40,14 +41,16 @@ SCAN = ("tests/test_witness.py::test_scan_matches_the_naive_loop",
 SOLVE = ("tests/test_subspace.py::test_solve_linear_matches_dense_rank",)
 
 MUTANTS = [
-    # _BetaSearch: the class key read off the path
-    Mutant("key kept after an undo above the boundary", ARTIN,
-           "if len(self._frames) < self.boundary:\n            self._key = None",
-           "if len(self._frames) < self.boundary:\n            pass",
-           CHECKED_SEARCH),
-    Mutant("key built from boundary - 1 frames", ARTIN,
-           "self._frames[:self.boundary]", "self._frames[:self.boundary - 1]",
-           CHECKED_SEARCH),
+    # _BetaSearch: one walk, each class walked in one stretch and left at its first solution
+    Mutant("held order not dropped at a solution", ARTIN,
+           "self.solvable += 1\n            self.held = -1", "self.solvable += 1",
+           CHECKED_SEARCH + BETA_PINNED),
+    Mutant("held order counted when the frames fall below boundary - 1", ARTIN,
+           "if len(self._frames) < self.boundary:", "if len(self._frames) < self.boundary - 1:",
+           CHECKED_SEARCH + BETA_PINNED),
+    Mutant("a solution returns through the layers of degree >= i", ARTIN,
+           "if found and d > self.i:", "if found and d >= self.i:",
+           CHECKED_SEARCH + BETA_PINNED),
     # _BetaSearch: residual degrees and their orders
     Mutant("residual orders never updated", ARTIN,
            "self.res, self.ords = res, ords", "self.res = res",

@@ -119,14 +119,15 @@ class CheckedSearch(_BetaSearch):
 
     def __init__(self, *args):
         super().__init__(*args)
-        # the class key read off the path against the sorted layers of degree <= i:
-        # a map each way, so both keys split the nodes into the same classes
-        self.path_to_layers, self.layers_to_path = {}, {}
+        self.path = []  # (unknown, layer) per frame
+        # the class the walk is in (its layers of degree <= i), every class it
+        # entered and every class in which it met an exact solution
+        self.current, self.entered, self.solved = None, set(), set()
 
     def _advance_auto(self, slot_idx):
         slot_idx, frames, floor = super()._advance_auto(slot_idx)
         # each x_u is the sum of its layers on the path
-        xs = [TruncatedSeries(self.ring, {m: c for f in self._frames if f[0] == u for m, c in f[-1].items()})
+        xs = [TruncatedSeries(self.ring, {m: c for u_, layer in self.path if u_ == u for m, c in layer.items()})
               for u in range(self.n)]
         for poly, r, o in zip(self.system, self.res, self.ords):
             # the residual by degree: flattened it is the evaluation, each degree's
@@ -142,7 +143,7 @@ class CheckedSearch(_BetaSearch):
             assert set(pows) == ({1} | exps if self.general[j] else set())
             assert all(v == x**k for k, v in pows.items())
         for u, x in enumerate(xs):
-            assert self.lb[u] == (x.order().value if x.terms else sum(f[0] == u for f in self._frames))
+            assert self.lb[u] == (x.order().value if x.terms else sum(u_ == u for u_, _ in self.path))
         if slot_idx < len(self.slots):
             d, j = self.slots[slot_idx]
             assert floor == self._slot_min_degree(j, d) <= self.D
@@ -150,13 +151,33 @@ class CheckedSearch(_BetaSearch):
             assert floor == self.D + 1
         assert self._finality(slot_idx, floor) == self.full_scan_finality(slot_idx)
         if slot_idx >= self.boundary:
+            # the walk enters each class once and stays in it until an undo leaves it
             layers = tuple(tuple(sorted((m, c) for m, c in x.terms.items() if sum(m) <= self.i))
                            for x in xs)
-            path = self._class_key()
-            assert self.path_to_layers.setdefault(path, layers) == layers
-            assert self.layers_to_path.setdefault(layers, path) == path
+            if self.current is None:
+                assert layers not in self.entered
+                self.entered.add(layers)
+                self.current = layers
+            assert self.current == layers
+            if slot_idx == len(self.slots) and min(self.ords) > self.D:
+                self.solved.add(layers)
+        else:
+            assert self.current is None and self.held == -1
         self.checked += 1
         return slot_idx, frames, floor
+
+    def _undo(self):
+        self.path.pop()
+        super()._undo()
+        if len(self._frames) < self.boundary:
+            self.current = None
+            assert self.held == -1
+
+    def run(self):
+        got = super().run()
+        # one solution counted per class that holds one
+        assert got.solvable_classes == len(self.solved)
+        return got
 
     def _assign(self, slot_idx, layer):
         # before the search reads it: the slot's plan moves the layer as the
@@ -184,6 +205,7 @@ class CheckedSearch(_BetaSearch):
                 else:
                     e, terms = moved[pidx]
                     assert terms == want.terms and {sum(m) for m in terms} == {e}
+        self.path.append((self.slots[slot_idx][1], layer))
         super()._assign(slot_idx, layer)
 
     def full_scan_finality(self, slot_idx):
