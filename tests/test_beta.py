@@ -223,25 +223,25 @@ class CheckedSearch(_BetaSearch):
 
 def test_incremental_state_matches_definitions():
     R, R2, R3 = RingSpec(1, 2, 2), RingSpec(2, 2, 2), RingSpec(1, 3, 2)
-    # (value, explored_nodes, solvable_classes) at i = 0 and i = 1: every pass
-    # of the search, so its node count and with it every budget error, is pinned
+    # (value, explored_nodes, solvable_classes) at i = 0 and i = 1: every node of
+    # the one walk, so its node count and with it every budget error, is pinned
     cases = [
         # the systems of test_matches_full_enumeration_oracle
-        (R, "T1*X1", ["X1"], [(1, 8, 1), (2, 11, 1)]),
-        (R, "X1*X1 - T1^2*X2", ["X1", "X2"], [(0, 15, 2), (2, 19, 2)]),
-        (R, "T1*X1 + T1^2", ["X1"], [(1, 9, 1), (2, 11, 1)]),
-        (R, "X1*X1 - T1", ["X1"], [(1, 7, 0), (1, 8, 0)]),
-        (R2, "T1*X1 + T2*X2", ["X1", "X2"], [(1, 17, 1), (2, 55, 2)]),
-        (R2, "T1*X1 + T2", ["X1"], [(1, 7, 0), (1, 8, 0)]),
-        (R2, "X1*X2 - T1*T2", ["X1", "X2"], [(0, 29, 3), (2, 110, 7)]),
-        (R3, "T1*X1 + T1*X2*X2", ["X1", "X2"], [(1, 32, 3), (2, 81, 7)]),
-        (R, "T1*X1; T1^2*X2", ["X1", "X2"], [(2, 16, 1), (2, 19, 1)]),
+        (R, "T1*X1", ["X1"], [(1, 4, 1), (2, 5, 1)]),
+        (R, "X1*X1 - T1^2*X2", ["X1", "X2"], [(0, 8, 2), (2, 9, 2)]),
+        (R, "T1*X1 + T1^2", ["X1"], [(1, 5, 1), (2, 5, 1)]),
+        (R, "X1*X1 - T1", ["X1"], [(1, 3, 0), (1, 3, 0)]),
+        (R2, "T1*X1 + T2*X2", ["X1", "X2"], [(1, 9, 1), (2, 27, 2)]),
+        (R2, "T1*X1 + T2", ["X1"], [(1, 3, 0), (1, 3, 0)]),
+        (R2, "X1*X2 - T1*T2", ["X1", "X2"], [(0, 21, 3), (2, 62, 7)]),
+        (R3, "T1*X1 + T1*X2*X2", ["X1", "X2"], [(1, 18, 3), (2, 40, 7)]),
+        (R, "T1*X1; T1^2*X2", ["X1", "X2"], [(2, 8, 1), (2, 9, 1)]),
         # the beta-lb systems of the search benchmark, at D = 3
-        (RingSpec(2, 2, 3), "T1*X1 + T2*X2", ["X1", "X2"], [(1, 19, 1), (2, 59, 2)]),
-        (RingSpec(2, 3, 3), "T1*X1 + T2*X2", ["X1", "X2"], [(1, 31, 1), (2, 213, 3)]),
-        (RingSpec(2, 2, 3), "X1*X2 - T1*T2", ["X1", "X2"], [(0, 34, 3), (2, 164, 10)]),
-        (RingSpec(2, 2, 3), "X1^2 + T1*X2", ["X1", "X2"], [(1, 14, 1), (2, 54, 2)]),
-        (RingSpec(2, 2, 3), "T1*X1", ["X1"], [(1, 9, 1), (2, 16, 1)]),
+        (RingSpec(2, 2, 3), "T1*X1 + T2*X2", ["X1", "X2"], [(1, 11, 1), (2, 31, 2)]),
+        (RingSpec(2, 3, 3), "T1*X1 + T2*X2", ["X1", "X2"], [(1, 17, 1), (2, 109, 3)]),
+        (RingSpec(2, 2, 3), "X1*X2 - T1*T2", ["X1", "X2"], [(0, 26, 3), (2, 111, 10)]),
+        (RingSpec(2, 2, 3), "X1^2 + T1*X2", ["X1", "X2"], [(1, 8, 1), (2, 28, 2)]),
+        (RingSpec(2, 2, 3), "T1*X1", ["X1"], [(1, 5, 1), (2, 8, 1)]),
     ]
     for ring, text, unknowns, pinned in cases:
         sys_ = system(text, ring, unknowns)
@@ -255,13 +255,13 @@ def test_incremental_state_matches_definitions():
 
 def test_search_benchmark_systems_pinned():
     # (value, explored_nodes, solvable_classes) of the beta-lb systems of the search
-    # benchmark at its sizes: every node of both passes, so a cheaper node cannot
+    # benchmark at its sizes: every node of the one walk, so a cheaper node cannot
     # come from visiting fewer
     for char, trunc, text, i, pinned in [
-        (2, 6, "T1*X1 + T2*X2", 3, (4, 4951, 64)),
-        (3, 5, "T1*X1 + T2*X2", 2, (3, 4851, 27)),
-        (2, 5, "X1*X2 - T1*T2", 2, (3, 2897, 72)),
-        (2, 5, "X1^2 + T1*X2", 2, (4, 4759, 8)),
+        (2, 6, "T1*X1 + T2*X2", 3, (4, 2603, 64)),
+        (3, 5, "T1*X1 + T2*X2", 2, (3, 2479, 27)),
+        (2, 5, "X1*X2 - T1*T2", 2, (3, 2345, 72)),
+        (2, 5, "X1^2 + T1*X2", 2, (4, 2412, 8)),
     ]:
         got = beta_lower_bound_bruteforce(system(text, RingSpec(2, char, trunc), ["X1", "X2"]), i)
         assert (got.value, got.explored_nodes, got.solvable_classes) == pinned, (char, trunc, text)

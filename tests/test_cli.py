@@ -121,7 +121,7 @@ def test_beta_lb_with_no_unknowns():
     # an empty --unknowns still makes a system, in one unknown X1 that no term reads
     result = run_command(["beta-lb", "--vars", "T1", "--char", "2", "--trunc", "3", "--system", "T1",
                           "--unknowns", "", "--i", "0"])[0]["result"]
-    assert result == {"beta_lower_bound": 1, "i": 0, "explored_nodes": 3, "state_space_size": "16",
+    assert result == {"beta_lower_bound": 1, "i": 0, "explored_nodes": 1, "state_space_size": "16",
                       "solvable_classes": 0}
 
 
@@ -303,6 +303,17 @@ def test_exit_code_budget():
     assert json.loads(proc.stdout)["result"]["state_space_size"] == "2^135751"
 
 
+def test_beta_lb_budget_counts_the_one_walk():
+    # the budget counts the nodes of the one search walk: this search needs 32,
+    # so it answers at a budget of 40 and is refused at 31, after 32 nodes
+    argv = ("beta-lb", "--vars", "T1,T2", "--char", "2", "--trunc", "5", "--system", "T1*X1",
+            "--unknowns", "X1", "--i", "3", "--budget")
+    rep = json.loads(run_cli(*argv, "40", timeout=10).stdout)["result"]
+    assert (rep["beta_lower_bound"], rep["explored_nodes"]) == (4, 32)
+    proc = run_cli(*argv, "31", expect=3, timeout=10)
+    assert "budget 31 exhausted after 32 nodes" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_random_scan_stops_when_the_finite_space_runs_out():
     # on 1 and T1 a draw can give 3 nonzero series over F_2 and 48 over Q (each
     # coefficient absent or one of six integers): the random stream ends once it
@@ -334,7 +345,7 @@ def test_beta_lb_depth_gate():
     proc = run_cli(*argv, "--trunc", "1200", expect=3, timeout=2)
     assert "search depth 1201 slots > 900" in proc.stderr
     rep = json.loads(run_cli(*argv, "--trunc", "500", timeout=10).stdout)["result"]
-    assert (rep["beta_lower_bound"], rep["explored_nodes"]) == (1, 506)
+    assert (rep["beta_lower_bound"], rep["explored_nodes"]) == (1, 502)
 
 
 def test_beta_lb_width_guard():
@@ -343,7 +354,7 @@ def test_beta_lb_width_guard():
     # budget, in well under the timeout
     proc = run_cli("beta-lb", "--vars", "T1,T2,T3", "--char", "2", "--trunc", "12", "--system", "T1*X1",
                    "--unknowns", "X1", "--i", "0", "--budget", "50", timeout=2)
-    assert json.loads(proc.stdout)["result"]["explored_nodes"] == 18
+    assert json.loads(proc.stdout)["result"]["explored_nodes"] == 14
     proc = run_cli("beta-lb", "--vars", "T1,T2,T3,T4", "--char", "2", "--trunc", "30", "--system",
                    "T1*X1 + T2*X2", "--unknowns", "X1,X2", "--i", "2", "--budget", "1000", expect=3, timeout=2)
     assert "budget 1000 exhausted after 1001 nodes" in proc.stderr and "Traceback" not in proc.stderr
@@ -354,7 +365,7 @@ def test_beta_lb_huge_exponent():
     # square-and-multiply, so a huge exponent costs about log2 of it, not itself
     proc = run_cli("beta-lb", "--vars", "T1", "--char", "2", "--trunc", "3", "--system", "X1^99999999999",
                    "--unknowns", "X1", "--i", "0", timeout=2)
-    assert json.loads(proc.stdout)["result"]["explored_nodes"] == 7
+    assert json.loads(proc.stdout)["result"]["explored_nodes"] == 3
 
 
 def test_parse_error_exit_code():
@@ -459,17 +470,17 @@ PINNED_OUTPUTS = [
      "096e9a97bf2cf24010c5ef1f2e99a158782a580993d2176c638e193d0321b36f"),
     (("beta-lb", "--vars", "T1,T2", "--char", "2", "--trunc", "5", "--system", "T1*X1",
       "--unknowns", "X1", "--i", "2"),
-     "0ea0b6cba15fbb93a7a15e03a08daa12f8e776d1199608f43652c88e20f837e9"),
+     "26fcbe723663af064e0d132d9be5cd2a13e0a23179b7824ccba0a2acada4e33c"),
     # an exponent 2 (the search's power lists), a cross term, and F_3
     (("beta-lb", "--vars", "T1,T2", "--char", "2", "--trunc", "4", "--system", "X1^2 + T1*X2",
       "--unknowns", "X1,X2", "--i", "2"),
-     "c2d5f4e2dbaf009a6fb1da6a51bd5b0420b8ae4042f0111d99a0310dcdda70f1"),
+     "96fe8fb67a7ab05bb4c3861941aa5509d1beea191981faea9b9bae7c779ca589"),
     (("beta-lb", "--vars", "T1,T2", "--char", "2", "--trunc", "4", "--system", "X1*X2 - T1*T2",
       "--unknowns", "X1,X2", "--i", "2"),
-     "4d7d03ec99c098214aa6773c8834faed640825c1efb238992b88d7cc0e24197d"),
+     "ebf5e972cabd8c720b57d0011f82c770404cda33073e574d0656198b6972050f"),
     (("beta-lb", "--vars", "T1,T2", "--char", "3", "--trunc", "4", "--system", "T1*X1 + T2*X2",
       "--unknowns", "X1,X2", "--i", "1"),
-     "b7d385408f2f040fc5e5c3775f9123c59d8ee857827a2b894a9ba4b4096e1555"),
+     "06c9505097d1dfba7c3a013f58e680a32726ca1b738a811f73a3ccf159aff39f"),
     (("witness", "--i", "3", "--trunc", "9"),
      "c2506e32f92138c2901bab71bfa1a6ac2f00881679dfda3b63429f0db4fbb3ef"),
     (("witness", "--i", "2", "--char", "2", "--trunc", "6"),
