@@ -139,6 +139,7 @@ def _factorization_scan(target: dict, i: int, p: int, budget: int):
                 for v in sorted(out)]
 
     found, counterexample = 0, None
+    maps = {}  # depth -> its map, which reads x_1 and y_1 only: cleared at each depth-1 pair
 
     def dfs(xl, yl):
         nonlocal found, counterexample
@@ -159,8 +160,12 @@ def _factorization_scan(target: dict, i: int, p: int, budget: int):
             pairs = ((x1, y1) for x1 in fp_vectors(layer_monos[1], p)
                      for (y1,) in fits(LinearMap(times(x1, 1), ring), need, 1))
         else:
-            pairs = fits(LinearMap(times(yl[0], depth) + times(xl[0], depth), ring), need, depth)
+            if depth not in maps:
+                maps[depth] = LinearMap(times(yl[0], depth) + times(xl[0], depth), ring)
+            pairs = fits(maps[depth], need, depth)
         for x, y in pairs:
+            if depth == 1:
+                maps.clear()
             dfs(xl + [x], yl + [y])
 
     dfs([], [])
