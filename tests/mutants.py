@@ -27,7 +27,7 @@ SUBSPACE = "src/artinlab/subspace.py"
 WITNESS = "src/artinlab/witness.py"
 
 CHECKED_SEARCH = ("tests/test_beta.py::test_incremental_state_matches_definitions",)
-BETA_PINNED = ("tests/test_beta.py::test_search_benchmark_systems_pinned",)
+BETA_PINNED = ("tests/test_beta.py::test_search_benchmark_systems_pinned", "tests/test_beta.py::test_search_at_d6_pinned")
 HOMOGENEOUS = ("tests/test_solvers.py::test_linreg_random_suite", "tests/test_solvers.py::test_fxhy_random_suite")
 ICL_DEFINITION = ("tests/test_orders.py::test_icl_scan_matches_fraction_definition",)
 DENSE_RREF = ("tests/test_subspace.py::test_insert_keeps_the_dense_rref",)

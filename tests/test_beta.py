@@ -1,4 +1,5 @@
 import sys
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -267,12 +268,25 @@ def test_search_benchmark_systems_pinned():
         assert (got.value, got.explored_nodes, got.solvable_classes) == pinned, (char, trunc, text)
 
 
+def test_search_at_d6_pinned():
+    # (value, solvable_classes) of two searches at D = 6, i = 3: tens of thousands
+    # of nodes, past the oracle's reach
+    for char, text, pinned in [
+        (3, "T1*X1 + T2*X2", (4, 729)),
+        (2, "X1*X2 - T1*T2", (4, 1088)),
+    ]:
+        got = beta_lower_bound_bruteforce(system(text, RingSpec(2, char, 6), ["X1", "X2"]), 3)
+        assert (got.value, got.solvable_classes) == pinned, (char, text)
+
+
 @st.composite
 def small_systems(draw):
-    """A system over F_2 or F_3 with N = 1-2, D = 2 and 1-2 unknowns, mixing the terms
-    the search steps through a slot's shift map and those it forms as series."""
-    p, N, n = draw(st.sampled_from([(p, N, n) for p in (2, 3) for N in (1, 2) for n in (1, 2)
-                                    if p ** (n * (N + 1) * (N + 2) // 2) <= 4096]))  # naive_beta's space
+    """A system over F_2 or F_3 with N = 1-2, D = 2 (or 3 when N = 1) and 1-2 unknowns,
+    mixing the terms the search steps through a slot's shift map and those it forms
+    as series."""
+    p, N, D, n = draw(st.sampled_from([(p, N, D, n) for p in (2, 3) for N in (1, 2) for D in (2, 3)
+                                       for n in (1, 2)
+                                       if p ** (n * comb(N + D, D)) <= 4096]))  # naive_beta's space
     T = ["T1", "T2"][:N]
     X = ["X1", "X2"][:n]
     mono = st.lists(st.sampled_from(T), max_size=2).map(lambda f: "*".join(f) or "1")
@@ -283,16 +297,18 @@ def small_systems(draw):
         x.map(lambda v: "X1*X2" if n == 2 else v + "^2"),
         x.map(lambda v: v + "^2"),
         st.tuples(st.integers(1, p - 1), mono).map(lambda t: "%d*%s" % t),  # a constant
-        x.map(lambda v: "T1^2*" + v),  # a shift past D from degree 1 on
+        x.map(lambda v: "T1^%d*%s" % (D, v)),  # a shift past D from degree 1 on
     ]
     eqs = draw(st.lists(st.lists(st.one_of(pieces), min_size=1, max_size=3), min_size=1, max_size=2))
-    ring = RingSpec(N, p, 2)
-    return [parse_expr(" + ".join(eq), ring, unknowns=X) for eq in eqs], draw(st.integers(0, 2))
+    ring = RingSpec(N, p, D)
+    return [parse_expr(" + ".join(eq), ring, unknowns=X) for eq in eqs], draw(st.integers(0, D))
 
 
 @settings(max_examples=25, deadline=None)
 @given(small_systems())
 @example((system("X1; T1*X1", RingSpec(1, 2, 2), ["X1"]), 2))  # live at degree D, shifted past it
+@example((system("T1 + T1^2*X1", RingSpec(1, 2, 3), ["X1"]), 1))  # order 1 fixed at the root
+@example((system("T1*X1 + X1^2", RingSpec(1, 3, 3), ["X1"]), 3))  # i = D: each class one point
 def test_random_small_systems_agree(case):
     sys_, i = case
     search = CheckedSearch(sys_, i, 2_000_000)
