@@ -143,6 +143,7 @@ def test_scan_matches_the_naive_loop():
         ({(1, 1, 0): 1, (1, 0, 2): 1}, 3, 2, 16),  # T1 * (T2 + T3^2)
         ({(2, 0, 0): 1, (1, 1, 0): 1, (1, 0, 1): 1, (0, 1, 1): 1}, 3, 2, 16),  # (T1 + T2)(T1 + T3)
         ({(2, 0, 0): 1, (0, 1, 1): 1}, 3, 2, 0),  # T1^2 + T2*T3, a cone
+        ({(2, 0, 1): 1}, 3, 2, 256),  # T1^2*T3: no quadratic part, so many pairs at each depth
     ]:
         got = _factorization_scan(target, i, p, 10**9)
         assert got == oracles.naive_factorization_scan(target, i, p), (target, i, p)
