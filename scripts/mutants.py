@@ -8,6 +8,7 @@ test there unmutated (they must pass), then applies each mutant in turn, runs
 its tests and restores the file.  A mutant is killed when at least one of its
 tests fails; each listed test is shown as failed or passed.  Bytecode caching
 is off, so an edit that keeps a file's size cannot be hidden by a stale .pyc.
+Hypothesis runs with a fixed seed, so each verdict repeats from run to run.
 Prints one line per mutant, then the survivors, and exits 1 if any mutant
 survived or could not be run.
 """
@@ -30,7 +31,8 @@ TIMEOUT = 900
 def pytest(work: str, tests) -> tuple:
     """(exit code, the failed test ids) of one pytest run on the copy; code None on a timeout."""
     env = dict(os.environ, PYTHONPATH=os.path.join(work, "src"), PYTHONDONTWRITEBYTECODE="1")
-    cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--tb=no", "-rf", *tests]
+    cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--tb=no", "-rf",
+           "--hypothesis-seed=0", *tests]
     try:
         proc = subprocess.run(cmd, cwd=work, env=env, capture_output=True, text=True, timeout=TIMEOUT)
     except subprocess.TimeoutExpired:

@@ -13,13 +13,12 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil
-from operator import add
 from typing import Optional, Sequence
 
 from .errors import BudgetError, PrecondError
 from .orders import SLOPE_GRID
-from .series import (ExtOrder, TruncatedSeries, _raw, fp_space_size, fp_vectors, monomials_of_degree,
-                     monomials_up_to, power)
+from .series import (ExtOrder, TruncatedSeries, _raw, fp_space_size, fp_vectors, monomial_keys,
+                     monomials_of_degree, monomials_up_to, power, sub_multiple)
 from .subspace import (
     IdealSpec,
     ModuleSpec,
@@ -473,6 +472,13 @@ def stable_ar_scan(
 # Brute-force approximation-function lower bound
 # ---------------------------------------------------------------------------
 
+def _graded(by_degree: dict, p: int) -> tuple:
+    """A graded series from {degree: {key: scalar}}: the scalars reduced mod p,
+    zeros dropped, the nonempty degrees in increasing order."""
+    out = ((e, [(k, r) for k, c in by_degree[e].items() if (r := c % p)]) for e in sorted(by_degree))
+    return tuple(t for t in out if t[1])
+
+
 # frames the recursion limit must leave beside one _walk frame per slot: measured,
 # 50 below the search at the deepest caller in the tests and at most 5 inside it
 _STACK_MARGIN = 100
@@ -496,6 +502,10 @@ class _BetaSearch:
     that cannot influence the residual at all are frozen to zero, which
     collapses classes that are equivalent by translation.
 
+    Monomials are int keys (series.monomial_keys), exponents as digits in base
+    D + 1.  No exponent of a monomial of degree <= D passes D, so the sum of two
+    keys is the key of their product, with no carry, whenever that has degree <= D.
+
     A node pays only for the degrees its layer changes.  Each residual is a
     list of D + 1 dicts, one per homogeneous degree; an assignment copies the
     list and the dicts of the degrees it writes, and the undo frame keeps the
@@ -507,15 +517,16 @@ class _BetaSearch:
     over the system terms that contain x_j.  A term c*T^u*x_j, linear in x_j,
     with one monomial as coefficient and no other unknown, sends the layer of
     degree d to degree d + |u|: for each slot, the first time it gets a
-    nonzero layer, that degree and the map m -> m + u over the degree-d
-    monomials are computed once (or the term is left out when d + |u| > D),
-    and a node adds c * layer through the map in one loop.  Every other term
-    (a power of x_j, a product with another unknown, a coefficient with several
-    monomials) is formed as a series, coeff * layer when it is linear in x_j,
-    and its terms are added to their degrees.  Only an unknown in such a term
-    is kept as a series: pows[u] holds x_u^k at k = 1 and at each exponent k of
-    x_u in the system, and is empty for every other unknown.  Every slot before
-    a slot of degree d is assigned, so x_j is still zero there iff lb[j] == d.
+    nonzero layer, that degree and key(u) are taken once (or the term is left
+    out when d + |u| > D), and a node adds c * layer at key + key(u) in one
+    loop.  Every other term (a power of x_j, a product with another unknown, a
+    coefficient with several monomials) is formed as a graded series, its
+    nonempty degrees in increasing order as (degree, [(key, c), ...]), by
+    _product, which stops at degree D; its degrees are added to the residual's.
+    Only an unknown in such a term is kept: pows[u] holds x_u^k, graded, at
+    k = 1 and at each exponent k of x_u in the system, and is empty for every
+    other unknown.  Every slot before a slot of degree d is assigned, so x_j is
+    still zero there iff lb[j] == d, and x_j' = x_j + layer appends one degree.
 
     Slots are degree-major, so a class modulo m^(i+1) is the layers of the
     first `boundary` frames, and one depth-first _walk enters each class once
@@ -545,6 +556,8 @@ class _BetaSearch:
         self.budget = budget
         D = ring.trunc
         self.D = D
+        self.keys = keys = monomial_keys(ring.num_vars, D)
+        self.layer_keys = [tuple(map(keys.get, monomials_of_degree(ring.num_vars, d))) for d in range(D + 1)]
         self.slots = [(d, j) for d in range(D + 1) for j in range(n)]
         # _walk recurses once per slot: refuse a depth the interpreter stack cannot hold
         limit = sys.getrecursionlimit()
@@ -554,8 +567,10 @@ class _BetaSearch:
         self.boundary = (i + 1) * n
         # per unknown j, the system terms containing it, each as (its coefficient's
         # order, alpha_j, ((u, alpha_u) for the other unknowns)); the terms c*T^u*x_j
-        # as (equation, u, c); every other term as (equation, coefficient, alpha_j, others)
+        # as (equation, u, c); every other term as (equation, graded coeff or None for 1,
+        # alpha_j, others)
         self.terms_by_unknown, self.linear, self.general = [], [], []
+        one = TruncatedSeries.one(ring)
         for j in range(n):
             reach, linear, general = [], [], []
             for pidx, poly in enumerate(self.system):
@@ -567,7 +582,10 @@ class _BetaSearch:
                         if alpha[j] == 1 and mono and not others:
                             linear.append((pidx, *mono))
                         else:
-                            general.append((pidx, coeff, alpha[j], others))
+                            by_degree = {e: {keys[m]: c for m, c in coeff.terms.items() if sum(m) == e}
+                                         for e in range(D + 1)}
+                            graded = None if coeff == one else _graded(by_degree, ring.char)  # 1: no product
+                            general.append((pidx, graded, alpha[j], others))
             self.terms_by_unknown.append(reach)
             self.linear.append(linear)
             self.general.append(general)
@@ -584,14 +602,13 @@ class _BetaSearch:
             const = poly.terms.get((0,) * n)  # the X-free term: the residual at x = 0
             if const is not None:
                 for m, c in const.terms.items():
-                    parts[sum(m)][m] = c
+                    parts[sum(m)][keys[m]] = c
             self.res.append(parts)
         # each residual's first nonempty degree, D + 1 for a zero residual
         self.ords = [next((e for e, part in enumerate(r) if part), D + 1) for r in self.res]
-        # pows[u][k] = x_u^k for k = 1 and each exponent k of x_u in the system,
-        # kept only for an unknown that a general term reads
-        zero = TruncatedSeries.zero(ring)
-        self.pows = [dict.fromkeys({1, *(t[1] for t in self.terms_by_unknown[u])}, zero)
+        # pows[u][k] = x_u^k, graded, for k = 1 and each exponent k of x_u in the
+        # system, kept only for an unknown that a general term reads
+        self.pows = [dict.fromkeys({1, *(t[1] for t in self.terms_by_unknown[u])}, ())
                      if self.general[u] else {} for u in range(n)]
         # lb[u]: the order of x_u once it is nonzero, before that its next layer's
         # degree; a lower bound for the order of every completion of x_u
@@ -611,16 +628,37 @@ class _BetaSearch:
         return best
 
     def _slot_shifts(self, slot_idx: int) -> list:
-        """(equation, degree d + |u|, c, map m -> m + u over the degree-d monomials)
-        for each term c*T^u*x_j of the slot's unknown that stays within D."""
+        """(equation, degree d + |u|, c, key(u)) for each term c*T^u*x_j of the
+        slot's unknown that stays within D."""
         d, j = self.slots[slot_idx]
-        monos = monomials_of_degree(self.ring.num_vars, d)
         plan = self.shifts[slot_idx] = []
         for pidx, u, c in self.linear[j]:
             e = d + sum(u)
             if e <= self.D:
-                plan.append((pidx, e, c, {m: tuple(map(add, m, u)) for m in monos}))
+                plan.append((pidx, e, c, self.keys[u]))
         return plan
+
+    def _product(self, a: tuple, b: tuple) -> tuple:
+        """a * b for two graded series, cut at degree D."""
+        D, out = self.D, {}
+        for da, ta in a:
+            for db, tb in b:
+                e = da + db
+                if e > D:
+                    break
+                part = out.setdefault(e, {})
+                for k1, c1 in ta:
+                    for k2, c2 in tb:
+                        k = k1 + k2
+                        part[k] = part.get(k, 0) + c1 * c2
+        return _graded(out, self.ring.char)
+
+    def _difference(self, a: tuple, b: tuple) -> tuple:
+        """a - b for two graded series."""
+        p, out = self.ring.char, {e: dict(ta) for e, ta in a}
+        for e, tb in b:
+            sub_multiple(out.setdefault(e, {}), dict(tb), 1, p)
+        return _graded(out, p)
 
     def _assign(self, slot_idx: int, layer: dict):
         """Give the slot's unknown x_j its layer of degree d."""
@@ -631,60 +669,52 @@ class _BetaSearch:
             if self.lb[j] == d:  # x_j is still zero
                 self.lb[j] = d + 1
             return
-        ring, D = self.ring, self.D
-        p = ring.char
+        D, p = self.D, self.ring.char
         res = list(self.res)
         low = {}  # equation -> least degree written; its list of degrees is a fresh copy
         shifts = self.shifts[slot_idx]
         if shifts is None:
             shifts = self._slot_shifts(slot_idx)
         # one term c*T^u*x_j per equation at most: alpha = e_j has one coefficient
-        for pidx, e, c, shifted in shifts:
+        for pidx, e, c, ku in shifts:
             r = res[pidx] = list(res[pidx])
             low[pidx] = e
             part = r[e] = dict(r[e])
-            for m, v in layer.items():
-                k = shifted[m]
+            for k, v in layer.items():
+                k += ku
                 s = (part.get(k, 0) + c * v) % p
                 if s:
                     part[k] = s
                 else:
                     del part[k]
         if old_pows:
-            step = _raw(ring, layer)
-            new_x = _raw(ring, {**old_pows[1].terms, **layer})
-            new_pows = self.pows[j] = {k: power(new_x, k, None) for k in old_pows}  # k >= 1: no `one` needed
+            step = ((d, tuple(layer.items())),)
+            new_x = old_pows[1] + step  # every degree of x_j is below d
+            product = self._product
+            new_pows = self.pows[j] = {k: power(new_x, k, None, product) for k in old_pows}  # k >= 1: no `one`
             pows = self.pows
             for pidx, coeff, aj, others in self.general[j]:
-                if aj > 1:
-                    term = coeff * (new_pows[aj] - old_pows[aj])
-                else:  # the layer's monomials are new to x_j: x_j' - x_j is the layer
-                    term = coeff * step
+                # x_j'^a - x_j^a; the layer's monomials are new to x_j, so x_j' - x_j is the layer
+                term = self._difference(new_pows[aj], old_pows[aj]) if aj > 1 else step
+                if coeff:
+                    term = product(coeff, term)
                 for u, a in others:
-                    if term.is_zero:
+                    if not term:
                         break
-                    term = term * pows[u][a]
-                if term.is_zero:
+                    term = product(term, pows[u][a])
+                if not term:
                     continue
-                if pidx in low:
-                    r, lo = res[pidx], low[pidx]
-                else:
-                    r, lo = list(res[pidx]), D + 1
-                    res[pidx] = r
-                fresh = {}  # degree -> its dict, copied for this term
-                for m, v in term.terms.items():
-                    e = sum(m)
-                    part = fresh.get(e)
-                    if part is None:
-                        part = fresh[e] = r[e] = dict(r[e])
-                        if e < lo:
-                            lo = e
-                    s = (part.get(m, 0) + v) % p
-                    if s:
-                        part[m] = s
-                    else:
-                        del part[m]
-                low[pidx] = lo
+                if pidx not in low:
+                    res[pidx] = list(res[pidx])
+                r, low[pidx] = res[pidx], min(low.get(pidx, D + 1), term[0][0])
+                for e, items in term:
+                    r[e] = part = dict(r[e])
+                    for k, v in items:
+                        s = (part.get(k, 0) + v) % p
+                        if s:
+                            part[k] = s
+                        else:
+                            del part[k]
         # below the lower of the old order and the least degree written, every
         # degree is still empty: the order is the first nonempty one from there
         ords = list(self.ords)
@@ -757,7 +787,7 @@ class _BetaSearch:
             if verdict is not None:
                 return verdict
             d, j = self.slots[slot_idx]
-            for layer in fp_vectors(monomials_of_degree(self.ring.num_vars, d), self.ring.char):
+            for layer in fp_vectors(self.layer_keys[d], self.ring.char):
                 self._assign(slot_idx, layer)
                 found = self._walk(slot_idx + 1)
                 self._undo()

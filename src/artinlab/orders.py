@@ -17,7 +17,8 @@ from itertools import chain
 from typing import Optional
 
 from .errors import BudgetError, PrecondError
-from .series import ExtOrder, RingSpec, TruncatedSeries, fp_space_size, fp_vectors, monomials_up_to
+from .series import (ExtOrder, RingSpec, TruncatedSeries, fp_space_size, fp_vectors, monomial_keys,
+                     monomials_up_to)
 from .subspace import IdealSpec, coord_index, distance_order, member, span_ideal
 
 # the slopes a of the paper's grid, shared by the ICL envelope and stable-ar
@@ -193,17 +194,10 @@ def _product_parts(G: list, H: list, rank: dict):
 
 
 def _scan_keys(ring: RingSpec) -> tuple:
-    """(key, rank): key maps a monomial of degree <= D to its exponents read as
-    digits in base D+1, and rank maps that int to the monomial's column."""
-    base = ring.trunc + 1
-    key, rank = {}, {}
-    for col, (_, mono) in enumerate(coord_index(ring.num_vars, ring.trunc)[0]):
-        k = 0
-        for e in reversed(mono):
-            k = k * base + e
-        key[mono] = k
-        rank[k] = col
-    return key, rank
+    """(key, rank): key is series.monomial_keys, and rank maps each key to its
+    monomial's column."""
+    key = monomial_keys(ring.num_vars, ring.trunc)
+    return key, {key[mono]: col for col, (_, mono) in enumerate(coord_index(ring.num_vars, ring.trunc)[0])}
 
 
 def _scan_pairs(I, deg_max, mode, count, seed, budget):

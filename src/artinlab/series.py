@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, total_ordering
 from itertools import product
-from operator import add, itemgetter
+from operator import add, itemgetter, mul
 from typing import Optional, Sequence
 
 from .errors import PrecondError
@@ -116,8 +116,9 @@ def sub_multiple(v: dict, row: dict, c, p: int) -> None:
             v.pop(k, None)
 
 
-def power(base, e: int, one):
-    """base**e by square-and-multiply, for any ring element type; `one` is base**0.
+def power(base, e: int, one, mul=mul):
+    """base**e by square-and-multiply, for any ring element type; `one` is base**0
+    and `mul` the ring's product.
 
     The result starts from base, not from one * base, and the base is squared
     only while exponent bits remain, so base**1 costs no product at all.
@@ -129,11 +130,11 @@ def power(base, e: int, one):
     result = None
     while True:
         if e & 1:
-            result = base if result is None else result * base
+            result = base if result is None else mul(result, base)
         e >>= 1
         if not e:
             return result
-        base = base * base
+        base = mul(base, base)
 
 
 def grlex_key(m: Monomial):
@@ -159,6 +160,21 @@ def monomials_up_to(num_vars: int, degree: int) -> tuple:
     for d in range(degree + 1):
         out.extend(monomials_of_degree(num_vars, d))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def monomial_keys(num_vars: int, trunc: int) -> dict:
+    """Each monomial of degree <= trunc as one int, its exponents as digits in base
+    trunc + 1, T1 the lowest (one dict per ring: read only).  Adding the keys of two
+    monomials whose product has degree <= trunc never carries: it gives the product's."""
+    base = trunc + 1
+    keys = {}
+    for mono in monomials_up_to(num_vars, trunc):
+        k = 0
+        for e in reversed(mono):
+            k = k * base + e
+        keys[mono] = k
+    return keys
 
 
 def fp_vectors(monos: Sequence[Monomial], p: int):

@@ -23,6 +23,7 @@ class Mutant(NamedTuple):
 ARTIN = "src/artinlab/artin.py"
 ORDERS = "src/artinlab/orders.py"
 PARSING = "src/artinlab/parsing.py"
+SERIES = "src/artinlab/series.py"
 SUBSPACE = "src/artinlab/subspace.py"
 WITNESS = "src/artinlab/witness.py"
 
@@ -64,6 +65,12 @@ MUTANTS = [
     Mutant("degree dict shared between frames", ARTIN,
            "part = r[e] = dict(r[e])", "part = r[e]",
            CHECKED_SEARCH),
+    Mutant("general term's degree dict shared between frames", ARTIN,
+           "r[e] = part = dict(r[e])", "r[e] = part = r[e]",
+           CHECKED_SEARCH),
+    Mutant("general term's least degree not written", ARTIN,
+           "min(low.get(pidx, D + 1), term[0][0])", "low.get(pidx, D + 1)",
+           CHECKED_SEARCH),
     Mutant("slot plan keeps a term at degree D + 1", ARTIN,
            "            if e <= self.D:\n                plan.append(",
            "            if e <= self.D + 1:\n                plan.append(",
@@ -75,10 +82,26 @@ MUTANTS = [
     Mutant("an empty layer always moves lb[j] past its degree", ARTIN,
            "if self.lb[j] == d:  # x_j is still zero", "if True:",
            CHECKED_SEARCH),
-    Mutant("general linear term without its coefficient", ARTIN,
-           "term = coeff * step", "term = step",
-           ("tests/test_beta.py::test_random_small_systems_agree",
+    Mutant("general term without its coefficient", ARTIN,
+           "term = product(coeff, term)", "term = term",
+           CHECKED_SEARCH + ("tests/test_beta.py::test_random_small_systems_agree",
             "tests/test_cli.py::test_beta_lb_of_linear_system_is_level_plus_ar_index")),
+    # _BetaSearch: monomials as int keys, general terms as graded products
+    # base D only merges T_k^D with T_(k+1), two monomials of different degrees, which
+    # neither the search's per-degree dicts nor the scan's reads ever meet: the test
+    # that kills it decodes the keys itself
+    Mutant("monomial keys in base D", SERIES,
+           "base = trunc + 1", "base = trunc",
+           CHECKED_SEARCH),
+    Mutant("graded product keeps degree D + 1", ARTIN,
+           "e = da + db\n                if e > D:", "e = da + db\n                if e > D + 1:",
+           CHECKED_SEARCH),
+    Mutant("power difference taken with the wrong sign", ARTIN,
+           "dict(tb), 1, p)", "dict(tb), -1, p)",
+           CHECKED_SEARCH),
+    Mutant("x_j' drops the degrees below the layer", ARTIN,
+           "new_x = old_pows[1] + step", "new_x = step",
+           CHECKED_SEARCH),
     # artin_rees_index, which stable_ar_scan reads each translate (x)+I through
     Mutant("ar-index profiles the unpruned module", ARTIN,
            "M, U = _prune_redundant_generators(as_module(M))",

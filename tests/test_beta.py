@@ -113,6 +113,30 @@ def test_deepest_search_fits_the_stack():
         beta_lower_bound_bruteforce(system("T1*X1", RingSpec(1, 2, depth), ["X1"]), 0)
 
 
+def monomial_of(key, ring):
+    """The monomial whose exponents are the digits of key in base D + 1, T1 the lowest."""
+    exps = []
+    for _ in range(ring.num_vars):
+        key, e = divmod(key, ring.trunc + 1)
+        exps.append(e)
+    assert key == 0
+    return tuple(exps)
+
+
+def graded_terms(g, ring):
+    """The terms of a graded series, checked to be one: its nonempty degrees in
+    increasing order, each holding nonzero scalars at keys of that degree."""
+    assert [e for e, _ in g] == sorted({e for e, _ in g})
+    terms = {}
+    for e, items in g:
+        assert items
+        for k, c in items:
+            m = monomial_of(k, ring)
+            assert sum(m) == e and 0 < c < ring.char and m not in terms
+            terms[m] = c
+    return terms
+
+
 class CheckedSearch(_BetaSearch):
     """The search with its incremental state checked against the definitions at every node."""
 
@@ -120,6 +144,12 @@ class CheckedSearch(_BetaSearch):
 
     def __init__(self, *args):
         super().__init__(*args)
+        # each general term holds its coefficient graded, or None for the coefficient 1
+        for j, general in enumerate(self.general):
+            for pidx, coeff, aj, others in general:
+                alpha = tuple(aj if u == j else dict(others).get(u, 0) for u in range(self.n))
+                got = {(0,) * self.ring.num_vars: 1} if coeff is None else graded_terms(coeff, self.ring)
+                assert got == self.system[pidx].terms[alpha].terms
         self.path = []  # (unknown, layer) per frame
         # the class the walk is in (its layers of degree <= i), every class it
         # entered and every class in which it met an exact solution
@@ -128,21 +158,24 @@ class CheckedSearch(_BetaSearch):
     def _advance_auto(self, slot_idx):
         slot_idx, frames, floor = super()._advance_auto(slot_idx)
         # each x_u is the sum of its layers on the path
-        xs = [TruncatedSeries(self.ring, {m: c for u_, layer in self.path if u_ == u for m, c in layer.items()})
-              for u in range(self.n)]
+        xs = [TruncatedSeries(self.ring, {monomial_of(k, self.ring): c for u_, layer in self.path if u_ == u
+                                          for k, c in layer.items()}) for u in range(self.n)]
         for poly, r, o in zip(self.system, self.res, self.ords):
             # the residual by degree: flattened it is the evaluation, each degree's
             # dict holds that degree's nonzero terms, and the order is the first
             # nonempty degree
             assert len(r) == self.D + 1
-            assert {m: c for part in r for m, c in part.items()} == oracles.evaluate(poly, xs).terms
-            assert all(sum(m) == e and c for e, part in enumerate(r) for m, c in part.items())
+            terms = {monomial_of(k, self.ring): c for part in r for k, c in part.items()}
+            assert terms == oracles.evaluate(poly, xs).terms
+            assert len(terms) == sum(map(len, r))
+            assert all(sum(monomial_of(k, self.ring)) == e and c
+                       for e, part in enumerate(r) for k, c in part.items())
             assert o == next((e for e, part in enumerate(r) if part), self.D + 1)
         for j, (x, pows) in enumerate(zip(xs, self.pows)):
             # powers only for an unknown a general term reads: x_j itself and its exponents
             exps = {alpha[j] for poly in self.system for alpha in poly.terms if alpha[j]}
             assert set(pows) == ({1} | exps if self.general[j] else set())
-            assert all(v == x**k for k, v in pows.items())
+            assert all(graded_terms(v, self.ring) == (x**k).terms for k, v in pows.items())
         for u, x in enumerate(xs):
             assert self.lb[u] == (x.order().value if x.terms else sum(u_ == u for u_, _ in self.path))
         if slot_idx < len(self.slots):
@@ -190,8 +223,8 @@ class CheckedSearch(_BetaSearch):
             if plan is None:
                 plan = self._slot_shifts(slot_idx)
             p = self.ring.char
-            moved = {pidx: (e, {shifted[m]: c * v % p for m, v in layer.items()})
-                     for pidx, e, c, shifted in plan}
+            moved = {pidx: (e, {monomial_of(k + ku, self.ring): c * v % p for k, v in layer.items()})
+                     for pidx, e, c, ku in plan}
             assert len(moved) == len(plan)
             unit = tuple(int(u == j) for u in range(self.n))
             for pidx, poly in enumerate(self.system):
@@ -200,7 +233,8 @@ class CheckedSearch(_BetaSearch):
                     assert pidx not in moved
                     continue
                 ((u, c),) = coeff.terms.items()
-                want = TruncatedSeries.monomial(self.ring, u, c) * TruncatedSeries(self.ring, layer)
+                want = TruncatedSeries.monomial(self.ring, u, c) * TruncatedSeries(
+                    self.ring, {monomial_of(k, self.ring): v for k, v in layer.items()})
                 if want.is_zero:
                     assert pidx not in moved
                 else:
@@ -243,6 +277,12 @@ def test_incremental_state_matches_definitions():
         (RingSpec(2, 2, 3), "X1*X2 - T1*T2", ["X1", "X2"], [(0, 26, 3), (2, 111, 10)]),
         (RingSpec(2, 2, 3), "X1^2 + T1*X2", ["X1", "X2"], [(1, 8, 1), (2, 28, 2)]),
         (RingSpec(2, 2, 3), "T1*X1", ["X1"], [(1, 5, 1), (2, 8, 1)]),
+        # T2^D holds the largest key, in the constant, a shift plan and the degree-D layers
+        (RingSpec(2, 2, 3), "T2^3*X1 + T2*X1*X2 - T2^3", ["X1", "X2"], [(1, 17, 3), (3, 53, 6)]),
+        # over F_3 a power's difference x_j'^a - x_j^a keeps its sign
+        (RingSpec(1, 3, 3), "(1 + 2*T1)*X1^3 + T1*X1 - T1^2", ["X1"], [(0, 9, 1), (2, 10, 1)]),
+        # three unknowns in one term, checked node by node
+        (RingSpec(1, 2, 3), "X1*X2*X3 + T1*X1 - T1^2", ["X1", "X2", "X3"], [(1, 55, 6), (2, 129, 18)]),
     ]
     for ring, text, unknowns, pinned in cases:
         sys_ = system(text, ring, unknowns)
