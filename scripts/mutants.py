@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
 """Run the registered mutants of tests/mutants.py and list the survivors.
 
-Usage: scripts/mutants.py
+Usage: scripts/mutants.py [NAME...]
 
-Copies src/ and tests/ to a temporary directory, first runs every registered
-test there unmutated (they must pass), then applies each mutant in turn, runs
+With NAME arguments, runs only the mutants whose names contain one of them as a
+substring, and exits 2 if some NAME matches no mutant; with none, runs them all.
+
+Copies src/ and tests/ to a temporary directory, first runs every test of the
+selected mutants there unmutated (they must pass), then applies each in turn, runs
 its tests and restores the file.  A mutant is killed when at least one of its
 tests fails; each listed test is shown as failed or passed.  Bytecode caching
 is off, so an edit that keeps a file's size cannot be hidden by a stale .pyc.
@@ -42,17 +45,23 @@ def pytest(work: str, tests) -> tuple:
 
 
 def main():
+    names = sys.argv[1:]
+    unmatched = [name for name in names if not any(name in m.name for m in MUTANTS)]
+    if unmatched:
+        print("no mutant name contains: " + ", ".join(map(repr, unmatched)), file=sys.stderr)
+        sys.exit(2)
+    mutants = [m for m in MUTANTS if not names or any(name in m.name for name in names)]
     start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="artinlab-mutants-") as work:
         ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
         for part in ("src", "tests"):
             shutil.copytree(os.path.join(ROOT, part), os.path.join(work, part), ignore=ignore)
-        everything = sorted({t for m in MUTANTS for t in m.tests})
+        everything = sorted({t for m in mutants for t in m.tests})
         code, failed = pytest(work, everything)
         if code != 0:
             sys.exit("the registered tests fail unmutated (exit %s): %s" % (code, " ".join(failed)))
         survivors, errors = [], []
-        for m in MUTANTS:
+        for m in mutants:
             path = os.path.join(work, m.path)
             with open(path, encoding="utf-8") as fh:
                 source = fh.read()
@@ -84,7 +93,7 @@ def main():
                 # a listed test that passed is one the register overstates
                 print("    %s: %s" % ("failed" if test in failed else "passed", test))
     print("%d mutants, %d survived, %d errors, %.0f s in all"
-          % (len(MUTANTS), len(survivors), len(errors), time.perf_counter() - start))
+          % (len(mutants), len(survivors), len(errors), time.perf_counter() - start))
     for name in survivors:
         print("survivor: " + name)
     sys.exit(1 if survivors or errors else 0)

@@ -475,13 +475,20 @@ def stable_ar_scan(
 def _graded(by_degree: dict, p: int) -> tuple:
     """A graded series from {degree: {key: scalar}}: the scalars reduced mod p,
     zeros dropped, the nonempty degrees in increasing order."""
-    out = ((e, [(k, r) for k, c in by_degree[e].items() if (r := c % p)]) for e in sorted(by_degree))
-    return tuple(t for t in out if t[1])
+    out = []
+    for e in sorted(by_degree):
+        terms = [(k, r) for k, c in by_degree[e].items() if (r := c % p)]
+        if terms:
+            out.append((e, terms))
+    return tuple(out)
 
 
 # frames the recursion limit must leave beside one _walk frame per slot: measured,
 # 50 below the search at the deepest caller in the tests and at most 5 inside it
 _STACK_MARGIN = 100
+
+# the most layers a degree's table holds (see _BetaSearch._layers)
+_TABLE_LAYERS = 4096
 
 
 @dataclass
@@ -527,6 +534,13 @@ class _BetaSearch:
     k = 1 and at each exponent k of x_u in the system, and is empty for every
     other unknown.  Every slot before a slot of degree d is assigned, so x_j is
     still zero there iff lb[j] == d, and x_j' = x_j + layer appends one degree.
+
+    A layer is a tuple of (key, c) pairs, read by _layers in fp_vectors order
+    from a table per degree, built once per search: the layers on the degree's
+    last s monomials, s the largest count with p^s <= 4096, so no table holds
+    more than 4096 layers.  The vectors on the first monomials stream from
+    fp_vectors and prefix them, so every node count is that of a walk over
+    fp_vectors itself.
 
     Slots are degree-major, so a class modulo m^(i+1) is the layers of the
     first `boundary` frames, and one depth-first _walk enters each class once
@@ -590,6 +604,7 @@ class _BetaSearch:
             self.linear.append(linear)
             self.general.append(general)
         self.shifts = [None] * len(self.slots)  # per slot, built by _slot_shifts
+        self.tables = [None] * (D + 1)  # per degree, built by _layers
         self.space = (ring.char, n * len(monomials_up_to(ring.num_vars, D)))  # raw space F_p^e
         self.nodes = 0
         self.solvable = 0  # classes modulo m^(i+1) that hold an exact solution
@@ -638,6 +653,26 @@ class _BetaSearch:
                 plan.append((pidx, e, c, self.keys[u]))
         return plan
 
+    def _layers(self, d: int):
+        """Every layer of degree d in fp_vectors order, each a tuple of (key, c) pairs.
+
+        The first read builds the degree's table: its head monomials, and every
+        layer on its tail, the last s monomials.  Each head vector from
+        fp_vectors prefixes every tail layer (an empty head gives the table's
+        own tuples)."""
+        table = self.tables[d]
+        if table is None:
+            keys, p, s = self.layer_keys[d], self.ring.char, 0
+            while s < len(keys) and p ** (s + 1) <= _TABLE_LAYERS:
+                s += 1
+            head_keys, tail_keys = keys[:len(keys) - s], keys[len(keys) - s:]
+            table = self.tables[d] = (head_keys, tuple(tuple(v.items()) for v in fp_vectors(tail_keys, p)))
+        head_keys, tails = table
+        for head in fp_vectors(head_keys, self.ring.char):
+            head = tuple(head.items())
+            for tail in tails:
+                yield head + tail
+
     def _product(self, a: tuple, b: tuple) -> tuple:
         """a * b for two graded series, cut at degree D."""
         D, out = self.D, {}
@@ -646,7 +681,9 @@ class _BetaSearch:
                 e = da + db
                 if e > D:
                     break
-                part = out.setdefault(e, {})
+                part = out.get(e)
+                if part is None:
+                    part = out[e] = {}
                 for k1, c1 in ta:
                     for k2, c2 in tb:
                         k = k1 + k2
@@ -660,7 +697,7 @@ class _BetaSearch:
             sub_multiple(out.setdefault(e, {}), dict(tb), 1, p)
         return _graded(out, p)
 
-    def _assign(self, slot_idx: int, layer: dict):
+    def _assign(self, slot_idx: int, layer: tuple):
         """Give the slot's unknown x_j its layer of degree d."""
         d, j = self.slots[slot_idx]
         old_pows = self.pows[j]
@@ -680,7 +717,7 @@ class _BetaSearch:
             r = res[pidx] = list(res[pidx])
             low[pidx] = e
             part = r[e] = dict(r[e])
-            for k, v in layer.items():
+            for k, v in layer:
                 k += ku
                 s = (part.get(k, 0) + c * v) % p
                 if s:
@@ -688,7 +725,7 @@ class _BetaSearch:
                 else:
                     del part[k]
         if old_pows:
-            step = ((d, tuple(layer.items())),)
+            step = ((d, layer),)
             new_x = old_pows[1] + step  # every degree of x_j is below d
             product = self._product
             new_pows = self.pows[j] = {k: power(new_x, k, None, product) for k in old_pows}  # k >= 1: no `one`
@@ -741,7 +778,7 @@ class _BetaSearch:
             floor = self._slot_min_degree(j, d)
             if floor <= self.D:
                 return slot_idx, frames, floor
-            self._assign(slot_idx, {})
+            self._assign(slot_idx, ())
             frames += 1
             slot_idx += 1
         return slot_idx, frames, self.D + 1
@@ -787,7 +824,7 @@ class _BetaSearch:
             if verdict is not None:
                 return verdict
             d, j = self.slots[slot_idx]
-            for layer in fp_vectors(self.layer_keys[d], self.ring.char):
+            for layer in self._layers(d):
                 self._assign(slot_idx, layer)
                 found = self._walk(slot_idx + 1)
                 self._undo()

@@ -28,6 +28,7 @@ SUBSPACE = "src/artinlab/subspace.py"
 WITNESS = "src/artinlab/witness.py"
 
 CHECKED_SEARCH = ("tests/test_beta.py::test_incremental_state_matches_definitions",)
+LAYER_STREAM = ("tests/test_beta.py::test_layer_streams_follow_fp_vectors",)
 BETA_PINNED = ("tests/test_beta.py::test_search_benchmark_systems_pinned", "tests/test_beta.py::test_search_at_d6_pinned")
 HOMOGENEOUS = ("tests/test_solvers.py::test_linreg_random_suite", "tests/test_solvers.py::test_fxhy_random_suite")
 ICL_DEFINITION = ("tests/test_orders.py::test_icl_scan_matches_fraction_definition",)
@@ -46,9 +47,11 @@ MUTANTS = [
     Mutant("held order not dropped at a solution", ARTIN,
            "self.solvable += 1\n            self.held = -1", "self.solvable += 1",
            CHECKED_SEARCH + BETA_PINNED),
+    # the pinned searches hold no unsolvable class of top order followed by a solvable
+    # one in the same last boundary slot, so the oracle test carries such a case
     Mutant("held order counted when the frames fall below boundary - 1", ARTIN,
            "if len(self._frames) < self.boundary:", "if len(self._frames) < self.boundary - 1:",
-           CHECKED_SEARCH + BETA_PINNED),
+           CHECKED_SEARCH + ("tests/test_beta.py::test_matches_full_enumeration_oracle",)),
     Mutant("a solution returns through the layers of degree >= i", ARTIN,
            "if found and d > self.i:", "if found and d >= self.i:",
            CHECKED_SEARCH + BETA_PINNED),
@@ -102,6 +105,16 @@ MUTANTS = [
     Mutant("x_j' drops the degrees below the layer", ARTIN,
            "new_x = old_pows[1] + step", "new_x = step",
            CHECKED_SEARCH),
+    # _BetaSearch: each degree's layers from its table, head + tail in fp_vectors order
+    Mutant("tail cut from the first monomials", ARTIN,
+           "keys[:len(keys) - s], keys[len(keys) - s:]", "keys[s:], keys[:s]",
+           LAYER_STREAM),
+    Mutant("head dropped", ARTIN,
+           "yield head + tail", "yield tail",
+           LAYER_STREAM),
+    Mutant("one degree's table reused for the next", ARTIN,
+           "table = self.tables[d]\n", "table = self.tables[d - 1] or self.tables[d]\n",
+           LAYER_STREAM + CHECKED_SEARCH),
     # artin_rees_index, which stable_ar_scan reads each translate (x)+I through
     Mutant("ar-index profiles the unpruned module", ARTIN,
            "M, U = _prune_redundant_generators(as_module(M))",

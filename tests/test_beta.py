@@ -1,4 +1,5 @@
 import sys
+from itertools import islice, zip_longest
 from math import comb
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 import oracles
 from artinlab.artin import _STACK_MARGIN, _BetaSearch, beta_lower_bound_bruteforce
 from artinlab.errors import BudgetError, PrecondError
-from artinlab.series import RingSpec, TruncatedSeries
+from artinlab.series import RingSpec, TruncatedSeries, fp_vectors
 from artinlab.parsing import parse_expr
 
 
@@ -45,6 +46,10 @@ def test_matches_full_enumeration_oracle():
         ("X1*X1 - T1^2*X2", ["X1", "X2"]),
         ("T1*X1 + T1^2", ["X1"]),
         ("X1*X1 - T1", ["X1"]),
+        # at i = 0 the class x = 0 mod m, residual order 1, is left for the
+        # solvable class x = 1 mod m in the same last boundary slot: its order
+        # still counts, beta = 1
+        ("X1^3 - X1^2 - T1", ["X1"]),
     ]:
         sys_ = system(text, R, unknowns)
         for i in range(2):
@@ -113,6 +118,27 @@ def test_deepest_search_fits_the_stack():
         beta_lower_bound_bruteforce(system("T1*X1", RingSpec(1, 2, depth), ["X1"]), 0)
 
 
+def test_layer_streams_follow_fp_vectors():
+    # each degree's layers, as (key, c) tuples, stream in fp_vectors order: with no
+    # head (N=2, D=6 over F_3, 3^7 layers at degree 6) and with one (N=3, degree 4:
+    # 15 monomials, a head of 3 over F_2, all 2^15 layers, and of 8 over F_3, the
+    # first 300,000 layers); no table holds more than 4096 layers, and a table
+    # beside a head is as large as that allows
+    for ring, degrees, count in [(RingSpec(2, 3, 6), range(7), None), (RingSpec(3, 2, 4), [4], None),
+                                 (RingSpec(3, 3, 4), [4], 300_000)]:
+        search = _BetaSearch(system("T1*X1", ring, ["X1"]), 0, 1)
+        for d in degrees:
+            keys = search.layer_keys[d]
+            n = 0
+            for got, want in zip_longest(islice(search._layers(d), count),
+                                         islice(fp_vectors(keys, ring.char), count)):
+                assert got == tuple(want.items()), (ring, d, n)
+                n += 1
+            assert n == (count or ring.char ** len(keys))
+        for head_keys, tails in filter(None, search.tables):
+            assert len(tails) <= 4096 and (not head_keys or len(tails) * ring.char > 4096)
+
+
 def monomial_of(key, ring):
     """The monomial whose exponents are the digits of key in base D + 1, T1 the lowest."""
     exps = []
@@ -159,7 +185,7 @@ class CheckedSearch(_BetaSearch):
         slot_idx, frames, floor = super()._advance_auto(slot_idx)
         # each x_u is the sum of its layers on the path
         xs = [TruncatedSeries(self.ring, {monomial_of(k, self.ring): c for u_, layer in self.path if u_ == u
-                                          for k, c in layer.items()}) for u in range(self.n)]
+                                          for k, c in layer}) for u in range(self.n)]
         for poly, r, o in zip(self.system, self.res, self.ords):
             # the residual by degree: flattened it is the evaluation, each degree's
             # dict holds that degree's nonzero terms, and the order is the first
@@ -214,16 +240,20 @@ class CheckedSearch(_BetaSearch):
         return got
 
     def _assign(self, slot_idx, layer):
+        # a layer is a tuple of (key, c) pairs: distinct monomials of the slot's
+        # degree with nonzero scalars
+        d, j = self.slots[slot_idx]
+        assert type(layer) is tuple and len({k for k, _ in layer}) == len(layer)
+        assert all(sum(monomial_of(k, self.ring)) == d and 0 < c < self.ring.char for k, c in layer)
         # before the search reads it: the slot's plan moves the layer as the
         # product c*T^u * layer, for each term c*T^u*x_j of each equation, and
         # holds no term the product drops past D
         if layer:
-            d, j = self.slots[slot_idx]
             plan = self.shifts[slot_idx]
             if plan is None:
                 plan = self._slot_shifts(slot_idx)
             p = self.ring.char
-            moved = {pidx: (e, {monomial_of(k + ku, self.ring): c * v % p for k, v in layer.items()})
+            moved = {pidx: (e, {monomial_of(k + ku, self.ring): c * v % p for k, v in layer})
                      for pidx, e, c, ku in plan}
             assert len(moved) == len(plan)
             unit = tuple(int(u == j) for u in range(self.n))
@@ -234,13 +264,13 @@ class CheckedSearch(_BetaSearch):
                     continue
                 ((u, c),) = coeff.terms.items()
                 want = TruncatedSeries.monomial(self.ring, u, c) * TruncatedSeries(
-                    self.ring, {monomial_of(k, self.ring): v for k, v in layer.items()})
+                    self.ring, {monomial_of(k, self.ring): v for k, v in layer})
                 if want.is_zero:
                     assert pidx not in moved
                 else:
                     e, terms = moved[pidx]
                     assert terms == want.terms and {sum(m) for m in terms} == {e}
-        self.path.append((self.slots[slot_idx][1], layer))
+        self.path.append((j, layer))
         super()._assign(slot_idx, layer)
 
     def full_scan_finality(self, slot_idx):

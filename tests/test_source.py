@@ -33,3 +33,15 @@ def test_mutant_anchors_occur_once():
     for m in MUTANTS:
         with open(os.path.join(root, m.path), encoding="utf-8") as fh:
             assert fh.read().count(m.old) == 1, m.name
+
+
+def test_mutant_runner_refuses_a_name_that_matches_no_mutant():
+    # scripts/mutants.py NAME... runs the mutants whose names contain a NAME; one
+    # that matches none exits 2 before any copy or test run
+    import subprocess
+    import sys
+
+    script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "mutants.py")
+    proc = subprocess.run([sys.executable, script, "head dropped", "no such mutant"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and "'no such mutant'" in proc.stderr and "'head dropped'" not in proc.stderr
