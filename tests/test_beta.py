@@ -132,7 +132,7 @@ def test_layer_streams_follow_fp_vectors():
             n = 0
             for got, want in zip_longest(islice(search._layers(d), count),
                                          islice(fp_vectors(keys, ring.char), count)):
-                assert got == tuple(want.items()), (ring, d, n)
+                assert want is not None and got == tuple(want.items()), (ring, d, n)
                 n += 1
             assert n == (count or ring.char ** len(keys))
         for head_keys, tails in filter(None, search.tables):
