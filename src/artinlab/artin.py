@@ -12,6 +12,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product as cartesian_product, repeat
 from math import ceil
 from typing import Optional, Sequence
 
@@ -487,9 +488,6 @@ def _graded(by_degree: dict, p: int) -> tuple:
 # 50 below the search at the deepest caller in the tests and at most 5 inside it
 _STACK_MARGIN = 100
 
-# the most layers a degree's table holds (see _BetaSearch._layers)
-_TABLE_LAYERS = 4096
-
 
 @dataclass
 class BetaResult:
@@ -535,12 +533,11 @@ class _BetaSearch:
     other unknown.  Every slot before a slot of degree d is assigned, so x_j is
     still zero there iff lb[j] == d, and x_j' = x_j + layer appends one degree.
 
-    A layer is a tuple of (key, c) pairs, read by _layers in fp_vectors order
-    from a table per degree, built once per search: the layers on the degree's
-    last s monomials, s the largest count with p^s <= 4096, so no table holds
-    more than 4096 layers.  The vectors on the first monomials stream from
-    fp_vectors and prefix them, so every node count is that of a walk over
-    fp_vectors itself.
+    A layer is a tuple of (key, c) pairs, read by _layers in fp_vectors order,
+    so every node count is that of a walk over fp_vectors itself.  A degree's
+    first read streams from fp_vectors; from its second, each layer is one pick
+    per key from the degree's choices, built then and kept for the search: a
+    few words per monomial, never one per layer.
 
     Slots are degree-major, so a class modulo m^(i+1) is the layers of the
     first `boundary` frames, and one depth-first _walk enters each class once
@@ -604,7 +601,7 @@ class _BetaSearch:
             self.linear.append(linear)
             self.general.append(general)
         self.shifts = [None] * len(self.slots)  # per slot, built by _slot_shifts
-        self.tables = [None] * (D + 1)  # per degree, built by _layers
+        self.choices = [None] * (D + 1)  # per degree: None unread, () read once, then built by _layers
         self.space = (ring.char, n * len(monomials_up_to(ring.num_vars, D)))  # raw space F_p^e
         self.nodes = 0
         self.solvable = 0  # classes modulo m^(i+1) that hold an exact solution
@@ -656,22 +653,19 @@ class _BetaSearch:
     def _layers(self, d: int):
         """Every layer of degree d in fp_vectors order, each a tuple of (key, c) pairs.
 
-        The first read builds the degree's table: its head monomials, and every
-        layer on its tail, the last s monomials.  Each head vector from
-        fp_vectors prefixes every tail layer (an empty head gives the table's
-        own tuples)."""
-        table = self.tables[d]
-        if table is None:
-            keys, p, s = self.layer_keys[d], self.ring.char, 0
-            while s < len(keys) and p ** (s + 1) <= _TABLE_LAYERS:
-                s += 1
-            head_keys, tail_keys = keys[:len(keys) - s], keys[len(keys) - s:]
-            table = self.tables[d] = (head_keys, tuple(tuple(v.items()) for v in fp_vectors(tail_keys, p)))
-        head_keys, tails = table
-        for head in fp_vectors(head_keys, self.ring.char):
-            head = tuple(head.items())
-            for tail in tails:
-                yield head + tail
+        The first read streams from fp_vectors, so a degree that the walk reads
+        once keeps nothing.  The second builds the degree's choices, kept for
+        the search: one (None, (k, 1), ..., (k, p - 1)) per key k.  A layer is
+        then one pick per key, the last key varying fastest, less the Nones."""
+        choices = self.choices[d]
+        if choices is None:
+            self.choices[d] = ()
+            return (tuple(v.items()) for v in fp_vectors(self.layer_keys[d], self.ring.char))
+        if not choices:
+            keys = self.layer_keys[d]
+            pairs = (zip(keys, repeat(c)) for c in range(1, self.ring.char))
+            choices = self.choices[d] = list(zip(repeat(None), *pairs))
+        return map(tuple, map(filter, repeat(None), cartesian_product(*choices)))
 
     def _product(self, a: tuple, b: tuple) -> tuple:
         """a * b for two graded series, cut at degree D."""

@@ -179,12 +179,7 @@ def monomial_keys(num_vars: int, trunc: int) -> dict:
 
 def fp_vectors(monos: Sequence[Monomial], p: int):
     """All p^len(monos) coefficient vectors over F_p on `monos`, each as the dict of
-    its nonzero entries, the last monomial varying fastest: one order for every search.
-
-    The beta search (artin._BetaSearch._layers) walks its layers in this order from a
-    table per degree: the layers on the degree's last s monomials, s the largest
-    count with p^s <= 4096, as tuples of (key, c) pairs, each prefixed by one vector
-    on the first monomials, which streams from here."""
+    its nonzero entries, the last monomial varying fastest: one order for every search."""
     for coeffs in product(range(p), repeat=len(monos)):
         yield {m: c for m, c in zip(monos, coeffs) if c}
 

@@ -29,6 +29,7 @@ WITNESS = "src/artinlab/witness.py"
 
 CHECKED_SEARCH = ("tests/test_beta.py::test_incremental_state_matches_definitions",)
 LAYER_STREAM = ("tests/test_beta.py::test_layer_streams_follow_fp_vectors",)
+LONG_WALK = ("tests/test_cli.py::test_beta_lb_long_walk_keeps_no_layers",)
 BETA_PINNED = ("tests/test_beta.py::test_search_benchmark_systems_pinned", "tests/test_beta.py::test_search_at_d6_pinned")
 HOMOGENEOUS = ("tests/test_solvers.py::test_linreg_random_suite", "tests/test_solvers.py::test_fxhy_random_suite")
 ICL_DEFINITION = ("tests/test_orders.py::test_icl_scan_matches_fraction_definition",)
@@ -105,15 +106,16 @@ MUTANTS = [
     Mutant("x_j' drops the degrees below the layer", ARTIN,
            "new_x = old_pows[1] + step", "new_x = step",
            CHECKED_SEARCH),
-    # _BetaSearch: each degree's layers from its table, head + tail in fp_vectors order
-    Mutant("tail cut from the first monomials", ARTIN,
-           "keys[:len(keys) - s], keys[len(keys) - s:]", "keys[s:], keys[:s]",
-           LAYER_STREAM),
-    Mutant("head dropped", ARTIN,
-           "yield head + tail", "yield tail",
-           LAYER_STREAM),
-    Mutant("one degree's table reused for the next", ARTIN,
-           "table = self.tables[d]\n", "table = self.tables[d - 1] or self.tables[d]\n",
+    # _BetaSearch._layers: the first read streams, later ones pick from the degree's choices
+    Mutant("layers picked with the first key varying fastest", ARTIN,
+           "cartesian_product(*choices)", "cartesian_product(*reversed(choices))",
+           LAYER_STREAM + ("tests/test_beta.py::test_search_benchmark_systems_pinned",)),
+    Mutant("a degree's choices built on its first read", ARTIN,
+           "        if choices is None:\n            self.choices[d] = ()\n",
+           "        if choices is None and False:\n            self.choices[d] = ()\n",
+           LAYER_STREAM + LONG_WALK),
+    Mutant("one degree's choices reused for the next", ARTIN,
+           "choices = self.choices[d]\n", "choices = self.choices[d - 1] or self.choices[d]\n",
            LAYER_STREAM + CHECKED_SEARCH),
     # artin_rees_index, which stable_ar_scan reads each translate (x)+I through
     Mutant("ar-index profiles the unpruned module", ARTIN,

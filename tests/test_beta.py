@@ -119,24 +119,23 @@ def test_deepest_search_fits_the_stack():
 
 
 def test_layer_streams_follow_fp_vectors():
-    # each degree's layers, as (key, c) tuples, stream in fp_vectors order: with no
-    # head (N=2, D=6 over F_3, 3^7 layers at degree 6) and with one (N=3, degree 4:
-    # 15 monomials, a head of 3 over F_2, all 2^15 layers, and of 8 over F_3, the
-    # first 300,000 layers); no table holds more than 4096 layers, and a table
-    # beside a head is as large as that allows
+    # each degree's layers, as (key, c) tuples, come in fp_vectors order on its first
+    # read, which streams and keeps nothing, and on its second, which builds the
+    # degree's choices, one per monomial (N=2, D=6 over F_3, every degree; N=3,
+    # degree 4, 15 monomials: all 2^15 layers over F_2, the first 300,000 over F_3)
     for ring, degrees, count in [(RingSpec(2, 3, 6), range(7), None), (RingSpec(3, 2, 4), [4], None),
                                  (RingSpec(3, 3, 4), [4], 300_000)]:
         search = _BetaSearch(system("T1*X1", ring, ["X1"]), 0, 1)
         for d in degrees:
             keys = search.layer_keys[d]
-            n = 0
-            for got, want in zip_longest(islice(search._layers(d), count),
-                                         islice(fp_vectors(keys, ring.char), count)):
-                assert want is not None and got == tuple(want.items()), (ring, d, n)
-                n += 1
-            assert n == (count or ring.char ** len(keys))
-        for head_keys, tails in filter(None, search.tables):
-            assert len(tails) <= 4096 and (not head_keys or len(tails) * ring.char > 4096)
+            for read, kept in enumerate([0, len(keys)]):
+                n = 0
+                for got, want in zip_longest(islice(search._layers(d), count),
+                                             islice(fp_vectors(keys, ring.char), count)):
+                    assert want is not None and got == tuple(want.items()), (ring, d, read, n)
+                    n += 1
+                assert n == (count or ring.char ** len(keys))
+                assert len(search.choices[d]) == kept, (ring, d, read)
 
 
 def monomial_of(key, ring):

@@ -360,6 +360,34 @@ def test_beta_lb_width_guard():
     assert "budget 1000 exhausted after 1001 nodes" in proc.stderr and "Traceback" not in proc.stderr
 
 
+def test_beta_lb_long_walk_keeps_no_layers():
+    # T1*X1 at i = 0 reads each of its D + 1 degrees about once: a long walk that
+    # answers well under the timeout and keeps no degree's layers.  In a fresh
+    # process the walk's peak stays under half of what the search holds once built
+    # (a fifth when written; choices built on a degree's first read took as much
+    # again, and a table of every layer of each degree 300 times as much at D = 60)
+    proc = run_cli("beta-lb", "--vars", "T1,T2", "--char", "2", "--trunc", "400", "--system", "T1*X1",
+                   "--unknowns", "X1", "--i", "0", timeout=10)
+    assert json.loads(proc.stdout)["result"]["explored_nodes"] == 402
+    code = (
+        "import tracemalloc\n"
+        "from artinlab.artin import _BetaSearch\n"
+        "from artinlab.parsing import parse_expr\n"
+        "from artinlab.series import RingSpec\n"
+        "ring = RingSpec(2, 2, 200)\n"
+        "tracemalloc.start()\n"
+        "search = _BetaSearch([parse_expr('T1*X1', ring, unknowns=['X1'])], 0, 10_000)\n"
+        "held = tracemalloc.get_traced_memory()[0]\n"
+        "tracemalloc.reset_peak()\n"
+        "assert search.run().explored_nodes == 202\n"
+        "print(held, tracemalloc.get_traced_memory()[1] - held)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=cli_env(), timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    held, walk = map(int, proc.stdout.split())
+    assert walk < held / 2, (held, walk)
+
+
 def test_beta_lb_huge_exponent():
     # powers of an unknown are kept only at the exponents of the system and taken by
     # square-and-multiply, so a huge exponent costs about log2 of it, not itself

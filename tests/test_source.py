@@ -42,6 +42,6 @@ def test_mutant_runner_refuses_a_name_that_matches_no_mutant():
     import sys
 
     script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "mutants.py")
-    proc = subprocess.run([sys.executable, script, "head dropped", "no such mutant"],
+    proc = subprocess.run([sys.executable, script, "reused for the next", "no such mutant"],
                           capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 2 and "'no such mutant'" in proc.stderr and "'head dropped'" not in proc.stderr
+    assert proc.returncode == 2 and "'no such mutant'" in proc.stderr and "'reused for the next'" not in proc.stderr
