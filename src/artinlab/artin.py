@@ -13,18 +13,19 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as cartesian_product, repeat
-from math import ceil
+from math import ceil, comb
 from typing import Optional, Sequence
 
 from .errors import BudgetError, PrecondError
 from .orders import SLOPE_GRID
-from .series import (ExtOrder, TruncatedSeries, _raw, fp_space_size, fp_vectors, monomial_keys,
-                     monomials_of_degree, monomials_up_to, power, sub_multiple)
+from .series import (ExtOrder, TruncatedSeries, _raw, fp_space_size, fp_vectors, monomials_of_degree, power,
+                     sub_multiple)
 from .subspace import (
     IdealSpec,
     ModuleSpec,
     Subspace,
     as_module,
+    coord_index,
     distance_order,
     insert_multiples,
     multiples,
@@ -507,9 +508,8 @@ class _BetaSearch:
     that cannot influence the residual at all are frozen to zero, which
     collapses classes that are equivalent by translation.
 
-    Monomials are int keys (series.monomial_keys), exponents as digits in base
-    D + 1.  No exponent of a monomial of degree <= D passes D, so the sum of two
-    keys is the key of their product, with no carry, whenever that has degree <= D.
+    Monomials are int keys, the labels of subspace.coord_index: the sum of two
+    keys is the key of their product whenever that has degree <= D.
 
     A node pays only for the degrees its layer changes.  Each residual is a
     list of D + 1 dicts, one per homogeneous degree; an assignment copies the
@@ -567,14 +567,15 @@ class _BetaSearch:
         self.budget = budget
         D = ring.trunc
         self.D = D
-        self.keys = keys = monomial_keys(ring.num_vars, D)
-        self.layer_keys = [tuple(map(keys.get, monomials_of_degree(ring.num_vars, d))) for d in range(D + 1)]
-        self.slots = [(d, j) for d in range(D + 1) for j in range(n)]
-        # _walk recurses once per slot: refuse a depth the interpreter stack cannot hold
+        # _walk recurses once per slot: refuse a depth the interpreter stack cannot
+        # hold, before anything is built per monomial
         limit = sys.getrecursionlimit()
-        if len(self.slots) > limit - _STACK_MARGIN:
-            raise BudgetError(f"search depth {len(self.slots)} slots > {limit - _STACK_MARGIN}: the "
+        if (D + 1) * n > limit - _STACK_MARGIN:
+            raise BudgetError(f"search depth {(D + 1) * n} slots > {limit - _STACK_MARGIN}: the "
                               f"recursion limit {limit} less {_STACK_MARGIN} frames for the callers")
+        self.slots = [(d, j) for d in range(D + 1) for j in range(n)]
+        self.keys = keys = coord_index(ring.num_vars, D)[0]
+        self.layer_keys = [tuple(map(keys.get, monomials_of_degree(ring.num_vars, d))) for d in range(D + 1)]
         self.boundary = (i + 1) * n
         # per unknown j, the system terms containing it, each as (its coefficient's
         # order, alpha_j, ((u, alpha_u) for the other unknowns)); the terms c*T^u*x_j
@@ -602,7 +603,7 @@ class _BetaSearch:
             self.general.append(general)
         self.shifts = [None] * len(self.slots)  # per slot, built by _slot_shifts
         self.choices = [None] * (D + 1)  # per degree: None unread, () read once, then built by _layers
-        self.space = (ring.char, n * len(monomials_up_to(ring.num_vars, D)))  # raw space F_p^e
+        self.space = (ring.char, n * comb(ring.num_vars + D, D))  # raw space F_p^e
         self.nodes = 0
         self.solvable = 0  # classes modulo m^(i+1) that hold an exact solution
         self.best = -1

@@ -17,8 +17,7 @@ from itertools import chain
 from typing import Optional
 
 from .errors import BudgetError, PrecondError
-from .series import (ExtOrder, RingSpec, TruncatedSeries, fp_space_size, fp_vectors, monomial_keys,
-                     monomials_up_to)
+from .series import ExtOrder, RingSpec, TruncatedSeries, fp_space_size, fp_vectors, monomials_up_to
 from .subspace import IdealSpec, coord_index, distance_order, member, span_ideal
 
 # the slopes a of the paper's grid, shared by the ICL envelope and stable-ar
@@ -165,39 +164,33 @@ def scan_candidates(
     return out
 
 
-def _by_degree(s: TruncatedSeries, key: dict) -> tuple:
-    """(ord(s), layers): the terms of s as lists of (key[monomial], coefficient),
-    one list per degree ord(s)..deg(s).  No layer is kept below the order, where
-    every one would be empty (the zero series has no layer)."""
+def _by_degree(s: TruncatedSeries, label: dict) -> tuple:
+    """(ord(s), layers): the terms of s as lists of (label, coefficient), one list
+    per degree ord(s)..deg(s), label the monomial index (coord_index).  No layer
+    is kept below the order, where every one would be empty (the zero series
+    has no layer)."""
     low = s.order().value
     layers = [[] for _ in range(s.max_degree() + 1 - low)]
     for mono, c in s.terms.items():
-        layers[sum(mono) - low].append((key[mono], c))
+        layers[sum(mono) - low].append((label[mono], c))
     return low, layers
 
 
-def _product_parts(G: list, H: list, rank: dict):
+def _product_parts(G: list, H: list):
     """The parts of g*h in degrees ord(g)+ord(h)+d, d = 0, 1, ..., as sparse
     columns with unreduced scalars: sum over a of g_(ord(g)+a) * h_(ord(h)+d-a),
-    from the layers of _by_degree, whose keys add to the key of the product
-    monomial that rank maps to its column.  g*h has no term below
-    ord(g)+ord(h), so its reader starts there (Subspace.remainder_order with
-    that start).  Lazy: remainder_order reads no part past the order or past D."""
+    from the layers of _by_degree, whose labels add to the product's column.
+    g*h has no term below ord(g)+ord(h), so its reader starts there
+    (Subspace.remainder_order with that start).  Lazy: remainder_order reads
+    no part past the order or past D."""
     for d in range(len(G) + len(H) - 1):
         part = {}
         for a in range(max(0, d - len(H) + 1), min(d + 1, len(G))):
             for k1, c1 in G[a]:
                 for k2, c2 in H[d - a]:
-                    col = rank[k1 + k2]
+                    col = k1 + k2
                     part[col] = part.get(col, 0) + c1 * c2
         yield part
-
-
-def _scan_keys(ring: RingSpec) -> tuple:
-    """(key, rank): key is series.monomial_keys, and rank maps each key to its
-    monomial's column."""
-    key = monomial_keys(ring.num_vars, ring.trunc)
-    return key, {key[mono]: col for col, (_, mono) in enumerate(coord_index(ring.num_vars, ring.trunc)[0])}
 
 
 def _scan_pairs(I, deg_max, mode, count, seed, budget):
@@ -210,9 +203,9 @@ def _scan_pairs(I, deg_max, mode, count, seed, budget):
     degree by degree (Subspace.remainder_order), so g*h is built only up to
     its order.  The read starts at ord(g)+ord(h): g*h has no term below it, and
     degree d of the remainder depends only on degrees <= d of g*h, so the
-    empty degrees before it are never built or read.  Monomials are ints in
-    base D+1: each exponent of g*h is at most 2*deg_max <= D, so adding two
-    keys never carries and gives the key of the product monomial.  The full
+    empty degrees before it are never built or read.  Monomials are labels of
+    coord_index: g*h has degree at most 2*deg_max <= D, so the sum of two
+    factors' labels is the product's column.  The full
     product is formed only where nu_gh is inexact, the one case that looks at
     it again.  A scan with more pairs than the budget is refused before its
     first pair."""
@@ -227,10 +220,10 @@ def _scan_pairs(I, deg_max, mode, count, seed, budget):
     npairs = len(live) * (len(live) + 1) // 2
     if npairs > budget:
         raise BudgetError(f"pair scan has {npairs} pairs > budget {budget}")
-    key, rank = _scan_keys(ring)
+    label = coord_index(ring.num_vars, ring.trunc)[0]
     one = (0,) * ring.num_vars
     units = [one in g.terms for g, _ in live]
-    layers = [_by_degree(g, key) for g, _ in live]
+    layers = [_by_degree(g, label) for g, _ in live]
 
     def rows():
         for i, (g, ng) in enumerate(live):
@@ -242,7 +235,7 @@ def _scan_pairs(I, deg_max, mode, count, seed, budget):
                     yield g, h, ng, nh, ng, None
                 else:
                     (oi, G), (oj, H) = layers[i], layers[j]
-                    ngh = oracle.span.remainder_order(_product_parts(G, H, rank), oi + oj)
+                    ngh = oracle.span.remainder_order(_product_parts(G, H), oi + oj)
                     yield g, h, ng, nh, ngh, None if ngh.exact else g * h
     return oracle, rows(), npairs
 

@@ -162,21 +162,6 @@ def monomials_up_to(num_vars: int, degree: int) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def monomial_keys(num_vars: int, trunc: int) -> dict:
-    """Each monomial of degree <= trunc as one int, its exponents as digits in base
-    trunc + 1, T1 the lowest (one dict per ring: read only).  Adding the keys of two
-    monomials whose product has degree <= trunc never carries: it gives the product's."""
-    base = trunc + 1
-    keys = {}
-    for mono in monomials_up_to(num_vars, trunc):
-        k = 0
-        for e in reversed(mono):
-            k = k * base + e
-        keys[mono] = k
-    return keys
-
-
 def fp_vectors(monos: Sequence[Monomial], p: int):
     """All p^len(monos) coefficient vectors over F_p on `monos`, each as the dict of
     its nonzero entries, the last monomial varying fastest: one order for every search."""

@@ -1,8 +1,8 @@
 """Ideals, submodules and powers of the maximal ideal as exact linear subspaces.
 
 At truncation order D every A-submodule of A^p becomes a finite-dimensional
-subspace of the coefficient space, indexed degree-major: by total degree,
-then component, then graded-lex.  Membership reduces to an exact reduced row
+subspace of the coefficient space, its columns the labels of coord_index: by
+total degree, then component, then graded-lex.  Membership reduces to an exact reduced row
 echelon computation, which is canonical: equal subspaces have identical bases.
 
 Because lower degrees come first, the echelon basis also answers filtration
@@ -41,7 +41,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add
+from operator import mul
 from typing import Sequence
 
 from .errors import PrecondError
@@ -104,41 +104,56 @@ def as_module(M) -> ModuleSpec:
 
 @lru_cache(maxsize=None)
 def coord_index(num_vars: int, trunc: int, arity: int = 1):
-    """Column layout of A^arity: by degree, then component, then graded-lex.
+    """The monomial index of A^arity: one int label per (component, monomial).
 
-    Returns (cols, ranks, starts): cols[k] is the (component, monomial) of
-    column k, ranks[comp] maps a monomial to its column, and starts[d] is the
-    first column of degree d, with starts[trunc + 1] the number of columns.
+    With B = trunc + 1, a monomial m = T1^e_1...TN^e_N of degree d has the
+    weight w(m) = d*B^(N-1) - sum_i e_i*B^(N-i) in 0..B^N - 1, and
+    label(comp, m) = d*arity*B^N + comp*B^N + w(m).  Two contracts:
+    - order: labels sort by degree, then component, then graded-lex, as no
+      exponent passes trunc, so the sum in w reads them as digits in base B,
+      and w falls as m rises in graded-lex order.  These are the echelon
+      columns: degree-major, the rows at or past starts[i] span U cap m^i.
+    - additivity: a label is linear in the exponents, so label(comp, m*u) =
+      label(comp, m) + label(0, u) when deg(m*u) <= trunc, and a shift by a
+      monomial is one int add.  A sum past degree trunc lands at or past
+      starts[trunc + 1], on no label, and is never read: each caller drops
+      such a product as truncated before it forms or reads it.
+
+    Returns (label, offsets, starts): label[m] = label(0, m), label(comp, m) =
+    label[m] + offsets[comp], and starts[d] = d*arity*B^N <= every label of
+    degree d, above those of lower degrees.  vec_to_series decodes a label by
+    divmod: no table maps labels back.
     """
-    cols, starts = [], []
-    for d in range(trunc + 1):
-        starts.append(len(cols))
-        for comp in range(arity):
-            cols.extend((comp, m) for m in monomials_of_degree(num_vars, d))
-    starts.append(len(cols))
-    ranks = tuple({} for _ in range(arity))
-    for k, (comp, m) in enumerate(cols):
-        ranks[comp][m] = k
-    return tuple(cols), ranks, tuple(starts)
+    B = trunc + 1
+    step = B**num_vars
+    weights = [arity * step + step // B - step // B**i for i in range(1, num_vars + 1)]
+    label = {m: sum(map(mul, m, weights))
+             for d in range(trunc + 1) for m in monomials_of_degree(num_vars, d)}
+    return label, tuple(comp * step for comp in range(arity)), tuple(d * arity * step for d in range(trunc + 2))
 
 
 def series_to_vec(xs: Sequence[TruncatedSeries], ring: RingSpec) -> dict:
-    _, ranks, _ = coord_index(ring.num_vars, ring.trunc, len(xs))
+    label, offsets, _ = coord_index(ring.num_vars, ring.trunc, len(xs))
     vec = {}
-    for s, rank in zip(xs, ranks):
+    for s, off in zip(xs, offsets):
         if s.ring != ring:
             raise PrecondError("incompatible rings")
         for mono, c in s.terms.items():
-            vec[rank[mono]] = c
+            vec[label[mono] + off] = c
     return vec
 
 
 def vec_to_series(vec: dict, ring: RingSpec, arity: int) -> tuple:
-    cols, _, _ = coord_index(ring.num_vars, ring.trunc, arity)
+    """The series of a vector, each label (coord_index) decoded by divmod."""
+    B = ring.trunc + 1
+    powers = [B**i for i in range(ring.num_vars - 1, -1, -1)]  # B^(N-i) for i = 1..N
+    step = B * powers[0]
     parts = [{} for _ in range(arity)]
-    for idx, c in vec.items():
-        comp, mono = cols[idx]
-        parts[comp][mono] = c
+    for k, c in vec.items():
+        d, k = divmod(k, arity * step)
+        comp, w = divmod(k, step)
+        digits = d * powers[0] - w  # sum_i e_i*B^(N-i)
+        parts[comp][tuple(digits // q % B for q in powers)] = c
     return tuple(_raw(ring, p) for p in parts)
 
 
@@ -157,23 +172,16 @@ class Subspace:
     A pivot column needs no entry, as no other row holds it; when a column
     becomes a pivot, its set names exactly the rows that insert must
     back-eliminate.  insert keeps both maps.
-
-    The constructor takes the rows of an echelon form built by hand, already
-    canonical, as its own and derives both maps from them.
     """
 
     __slots__ = ("ring", "arity", "row_of", "holders", "_pivots")
 
-    def __init__(self, ring: RingSpec, arity: int = 1, pivots: Sequence[int] = (), rows: Sequence[dict] = ()):
+    def __init__(self, ring: RingSpec, arity: int = 1):
         self.ring = ring
         self.arity = arity
-        self.row_of = dict(zip(pivots, rows))
+        self.row_of = {}
         self.holders = {}
         self._pivots = None
-        for piv, row in self.row_of.items():
-            for k in row:
-                if k != piv:
-                    self.holders.setdefault(k, set()).add(piv)
 
     @property
     def pivots(self) -> list:
@@ -291,7 +299,8 @@ class Subspace:
 
 def multiples(gen, d: int, ring: RingSpec, sound: bool = False):
     """The vectors u * gen, one per monomial u of degree d, as sparse columns: each
-    term of gen that the shift by u keeps, moved straight to its column.
+    term of gen that the shift by u keeps, moved to its column by adding the
+    label of u (coord_index).
 
     Nothing past the multiplier cap: D - ord(gen), beyond which every product
     truncates to 0, or with sound=True D - deg(gen), so that every product is
@@ -306,10 +315,12 @@ def multiples(gen, d: int, ring: RingSpec, sound: bool = False):
         cap = ring.trunc - min(g.order().value for g in live)
     if d > cap:
         return
-    ranks = coord_index(ring.num_vars, ring.trunc, len(gen))[1]
-    kept = [(rank, m, c) for g, rank in zip(gen, ranks) for m, c in g.terms.items() if sum(m) + d <= ring.trunc]
+    label, offsets, _ = coord_index(ring.num_vars, ring.trunc, len(gen))
+    kept = [(label[m] + off, c) for g, off in zip(gen, offsets) for m, c in g.terms.items()
+            if sum(m) + d <= ring.trunc]
     for u in monomials_of_degree(ring.num_vars, d):
-        yield {rank[tuple(map(add, m, u))]: c for rank, m, c in kept}
+        lu = label[u]
+        yield {k + lu: c for k, c in kept}
 
 
 def insert_multiples(U: Subspace, gen, sound: bool = False) -> None:
@@ -365,11 +376,11 @@ def distance_order(xs, U: Subspace) -> ExtOrder:
     past its order: x is handed to U.remainder_order one degree at a time.
     """
     ring = U.ring
-    _, ranks, _ = coord_index(ring.num_vars, ring.trunc, U.arity)
+    label, offsets, _ = coord_index(ring.num_vars, ring.trunc, U.arity)
     parts = [{} for _ in range(ring.trunc + 1)]
-    for s, rank in zip(_series_of(xs, U), ranks):
+    for s, off in zip(_series_of(xs, U), offsets):
         for mono, c in s.terms.items():
-            parts[sum(mono)][rank[mono]] = c
+            parts[sum(mono)][label[mono] + off] = c
     return U.remainder_order(parts)
 
 

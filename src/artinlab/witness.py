@@ -12,13 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb
-from operator import add
 from typing import Optional
 
 from .errors import BudgetError, PrecondError
 from .series import (ExtOrder, RingSpec, TruncatedSeries, _is_prime, fp_space_size, fp_vectors,
                      monomials_of_degree)
-from .subspace import LinearMap
+from .subspace import LinearMap, coord_index, vec_to_series
 
 
 @dataclass
@@ -100,6 +99,8 @@ def _factorization_scan(target: dict, i: int, p: int, budget: int):
     (x_d, y_d) that fit are a particular solution plus the kernel's span.  As
     coefficient lists, x_d then y_d, in increasing order they come in the order
     of a loop over fp_vectors, so the first pair found is that loop's.
+    Monomials are labels of subspace.coord_index, also the rows of each map: no
+    product has degree past i, so its label is the sum of its factors'.
     """
     e = 2 * sum(comb(d + 2, 2) for d in range(1, i))
     # a p >= 2 meets the size gate first: trial division of a p too large to search is slow
@@ -108,24 +109,24 @@ def _factorization_scan(target: dict, i: int, p: int, budget: int):
     if not _is_prime(p):
         raise PrecondError(f"p = {p} is not a prime; the certificate is over the field F_p")
     ring = RingSpec(3, p, i)
-    layer_monos = {d: monomials_of_degree(3, d) for d in range(1, i + 1)}
-    rows = {m: k for monos in layer_monos.values() for k, m in enumerate(monos)}  # row within its degree
-    target = {m: c % p for m, c in target.items() if c % p}
+    label, _, starts = coord_index(3, i)
+    layer_keys = {d: tuple(map(label.get, monomials_of_degree(3, d))) for d in range(1, i + 1)}
+    target = {label[m]: c % p for m, c in target.items() if c % p and sum(m) <= i}
 
     def add_product(out, xu, yv, sign=1):
         """out += sign * xu * yv for two homogeneous layers, in place over F_p."""
-        for m1, c1 in xu.items():
-            for m2, c2 in yv.items():
-                m = tuple(map(add, m1, m2))
-                s = (out.get(m, 0) + sign * c1 * c2) % p
+        for k1, c1 in xu.items():
+            for k2, c2 in yv.items():
+                k = k1 + k2
+                s = (out.get(k, 0) + sign * c1 * c2) % p
                 if s:
-                    out[m] = s
+                    out[k] = s
                 else:
-                    out.pop(m, None)
+                    out.pop(k, None)
 
     def times(layer, d):
         """The columns of u -> layer * u on the layers u of degree d, a linear layer."""
-        return [{rows[tuple(map(add, m, u))]: c for m, c in layer.items()} for u in layer_monos[d]]
+        return [{k + ku: c for k, c in layer.items()} for ku in layer_keys[d]]
 
     def fits(graph, need, d):
         """The solutions of graph = need, a particular one plus the kernel's span, in
@@ -134,8 +135,8 @@ def _factorization_scan(target: dict, i: int, p: int, budget: int):
         out = [] if sol is None else [sol]
         for k in graph.kernel():
             out = [[(a + c * b) % p for a, b in zip(v, k)] for v in out for c in range(p)]
-        monos = layer_monos[d]
-        return [[{m: c for m, c in zip(monos, v[j:]) if c} for j in range(0, len(v), len(monos))]
+        keys = layer_keys[d]
+        return [[{k: c for k, c in zip(keys, v[j:]) if c} for j in range(0, len(v), len(keys))]
                 for v in sorted(out)]
 
     found, counterexample = 0, None
@@ -148,16 +149,16 @@ def _factorization_scan(target: dict, i: int, p: int, budget: int):
         if depth == i:
             found += 1
             if counterexample is None:
-                counterexample = (dict(enumerate(xl, 1)), dict(enumerate(yl, 1)))
+                counterexample = tuple({d: vec_to_series(layer, ring, 1)[0].terms
+                                        for d, layer in enumerate(ls, 1)} for ls in (xl, yl))
             return
         # degree depth+1 of x*y is sum_{u=1..depth} x_u * y_(depth+1-u); the terms
         # u = 2..depth-1 are fixed, so they are taken off the target here
-        need = {m: c for m, c in target.items() if sum(m) == depth + 1}
+        need = {k: c for k, c in target.items() if starts[depth + 1] <= k < starts[depth + 2]}
         for u in range(2, depth):
             add_product(need, xl[u - 1], yl[depth - u], -1)
-        need = {rows[m]: c for m, c in need.items()}
         if depth == 1:
-            pairs = ((x1, y1) for x1 in fp_vectors(layer_monos[1], p)
+            pairs = ((x1, y1) for x1 in fp_vectors(layer_keys[1], p)
                      for (y1,) in fits(LinearMap(times(x1, 1), ring), need, 1))
         else:
             if depth not in maps:

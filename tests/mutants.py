@@ -23,7 +23,6 @@ class Mutant(NamedTuple):
 ARTIN = "src/artinlab/artin.py"
 ORDERS = "src/artinlab/orders.py"
 PARSING = "src/artinlab/parsing.py"
-SERIES = "src/artinlab/series.py"
 SUBSPACE = "src/artinlab/subspace.py"
 WITNESS = "src/artinlab/witness.py"
 
@@ -36,6 +35,7 @@ ICL_DEFINITION = ("tests/test_orders.py::test_icl_scan_matches_fraction_definiti
 DENSE_RREF = ("tests/test_subspace.py::test_insert_keeps_the_dense_rref",)
 PIVOT_INDEX = ("tests/test_subspace.py::test_pivot_index_follows_inserts_and_copies",)
 MULTIPLES = ("tests/test_subspace.py::test_multiples_are_the_monomial_products",)
+INDEX = ("tests/test_subspace.py::test_monomial_index_contract",)
 PLAIN_PARSE = ("tests/test_parsing.py::test_plain_series_parse_as_the_constant_term_of_a_system",)
 READ_START = ("tests/test_orders.py::test_remainder_order_reads_from_its_start",)
 SCAN_ROWS = ("tests/test_orders.py::test_scan_rows_match_dense_oracle",)
@@ -90,13 +90,7 @@ MUTANTS = [
            "term = product(coeff, term)", "term = term",
            CHECKED_SEARCH + ("tests/test_beta.py::test_random_small_systems_agree",
             "tests/test_cli.py::test_beta_lb_of_linear_system_is_level_plus_ar_index")),
-    # _BetaSearch: monomials as int keys, general terms as graded products
-    # base D only merges T_k^D with T_(k+1), two monomials of different degrees, which
-    # neither the search's per-degree dicts nor the scan's reads ever meet: the test
-    # that kills it decodes the keys itself
-    Mutant("monomial keys in base D", SERIES,
-           "base = trunc + 1", "base = trunc",
-           CHECKED_SEARCH),
+    # _BetaSearch: general terms as graded products
     Mutant("graded product keeps degree D + 1", ARTIN,
            "e = da + db\n                if e > D:", "e = da + db\n                if e > D + 1:",
            CHECKED_SEARCH),
@@ -138,9 +132,6 @@ MUTANTS = [
     Mutant("pivots not sorted again after an insert", SUBSPACE,
            "        row_of[piv] = row\n        self._pivots = None", "        row_of[piv] = row",
            PIVOT_INDEX + DENSE_RREF),
-    Mutant("constructor indexes pivot columns", SUBSPACE,
-           "                if k != piv:\n                    self.holders", "                if True:\n                    self.holders",
-           PIVOT_INDEX),
     Mutant("new pivot's column left in the index", SUBSPACE,
            "holders.pop(piv, ())", "holders.get(piv, ())",
            PIVOT_INDEX + DENSE_RREF),
@@ -157,12 +148,25 @@ MUTANTS = [
     Mutant("remainder kept as the row whatever its pivot entry", SUBSPACE,
            "if rem[piv] == 1:", "if True:",
            DENSE_RREF),
-    # multiples: generator terms straight to their columns
+    # the monomial index: labels that sort degree-major and add as monomials multiply
+    Mutant("index base B = trunc", SUBSPACE,
+           "    B = trunc + 1\n", "    B = trunc\n",
+           INDEX),
+    Mutant("component term dropped from a label", SUBSPACE,
+           "tuple(comp * step for comp in range(arity))", "tuple(0 for comp in range(arity))",
+           INDEX),
+    Mutant("label decoded with T1 the lowest digit", SUBSPACE,
+           "powers = [B**i for i in range(ring.num_vars - 1, -1, -1)]", "powers = [B**i for i in range(ring.num_vars)]",
+           INDEX),
+    # multiples: generator terms straight to their columns, shifted by one int add
+    Mutant("multiples shift by the arity-1 label of u", SUBSPACE,
+           "lu = label[u]", "lu = coord_index(ring.num_vars, ring.trunc)[0][u]",
+           INDEX),
     Mutant("multiples drop the terms that land on degree D", SUBSPACE,
            "if sum(m) + d <= ring.trunc]", "if sum(m) + d < ring.trunc]",
            MULTIPLES),
     Mutant("multiples put each component in the other's columns", SUBSPACE,
-           "for g, rank in zip(gen, ranks)", "for g, rank in zip(gen, ranks[::-1])",
+           "for g, off in zip(gen, offsets)", "for g, off in zip(gen, offsets[::-1])",
            MULTIPLES),
     # parsing: series atoms, lifted only for a system
     Mutant("a system with no unknowns parses as a plain series", PARSING,
@@ -181,10 +185,10 @@ MUTANTS = [
            SCAN_ROWS),
     # scan pairs: the read of nu(g*h) starts at ord(g)+ord(h)
     Mutant("pair read starts one degree late", ORDERS,
-           "rank), oi + oj)", "rank), oi + oj + 1)",
+           "_product_parts(G, H), oi + oj)", "_product_parts(G, H), oi + oj + 1)",
            SCAN_ROWS),
     Mutant("pair read starts at degree 0 while the layers start at the orders", ORDERS,
-           "rank), oi + oj)", "rank))",
+           "_product_parts(G, H), oi + oj)", "_product_parts(G, H))",
            SCAN_ROWS + ("tests/test_orders.py::test_pair_read_takes_no_part_past_the_order",)),
     Mutant("layers kept from degree 0", ORDERS,
            "low = s.order().value", "low = 0",

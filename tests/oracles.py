@@ -304,9 +304,18 @@ def span_m_power(ring, i, arity=1) -> Subspace:
     """Direct sum of m^i over all components; i = D+1 gives the zero subspace."""
     if not 0 <= i <= ring.trunc + 1:
         raise PrecondError(f"m-power exponent {i} out of range 0..{ring.trunc + 1}")
-    starts = coord_index(ring.num_vars, ring.trunc, arity)[2]
-    pivots = range(starts[i], starts[-1])
-    return Subspace(ring, arity, pivots, [{k: 1} for k in pivots])
+    label, offsets, _ = coord_index(ring.num_vars, ring.trunc, arity)
+    return from_rows(ring, arity, [{label[m] + off: 1} for m in label if sum(m) >= i for off in offsets])
+
+
+def from_rows(ring, arity, rows) -> Subspace:
+    """The subspace whose reduced echelon basis is rows, built by inserting them:
+    each reduces to a copy of itself and back-eliminates nothing, as a reduced
+    row is zero at every other row's pivot."""
+    U = Subspace(ring, arity)
+    for row in rows:
+        U.insert(row)
+    return U
 
 
 def graded_span(M, j) -> Subspace:
@@ -323,13 +332,12 @@ def graded_span(M, j) -> Subspace:
 
 def cap_m_power(U: Subspace, i) -> Subspace:
     """U cap m^i, as a new Subspace: the rows from U.cap_start(i) on."""
-    k = U.cap_start(i)
-    return Subspace(U.ring, U.arity, U.pivots[k:], [dict(r) for r in U.rows[k:]])
+    return from_rows(U.ring, U.arity, U.rows[U.cap_start(i):])
 
 
 def copy(U: Subspace) -> Subspace:
     """A copy of U that shares no row with it."""
-    return Subspace(U.ring, U.arity, U.pivots, [dict(r) for r in U.rows])
+    return from_rows(U.ring, U.arity, U.rows)
 
 
 def same_subspace(U: Subspace, V: Subspace) -> bool:
@@ -356,8 +364,8 @@ def subspace_sum(U: Subspace, V: Subspace) -> Subspace:
 def subspace_intersect(U: Subspace, V: Subspace) -> Subspace:
     """Exact intersection via echelon on doubled coordinates."""
     _check(U, V)
-    n = len(coord_index(U.ring.num_vars, U.ring.trunc, U.arity)[0])
-    work = Subspace(U.ring, U.arity)  # columns 0..2n-1, arity only nominal
+    n = coord_index(U.ring.num_vars, U.ring.trunc, U.arity)[2][-1]  # past every label
+    work = Subspace(U.ring, U.arity)  # columns below 2n, arity only nominal
     for row in U.rows:
         double = dict(row)
         for col, c in row.items():

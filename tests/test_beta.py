@@ -139,12 +139,16 @@ def test_layer_streams_follow_fp_vectors():
 
 
 def monomial_of(key, ring):
-    """The monomial whose exponents are the digits of key in base D + 1, T1 the lowest."""
+    """The monomial of a label of degree d: key = d*B^N + w with B = D + 1, and
+    d*B^(N-1) - w holds the exponents as digits in base B, T1 the highest."""
+    B, N = ring.trunc + 1, ring.num_vars
+    d, w = divmod(key, B**N)
+    digits = d * B ** (N - 1) - w
     exps = []
-    for _ in range(ring.num_vars):
-        key, e = divmod(key, ring.trunc + 1)
+    for k in range(N - 1, -1, -1):
+        e, digits = divmod(digits, B**k)
         exps.append(e)
-    assert key == 0
+    assert sum(exps) == d and all(0 <= e < B for e in exps)
     return tuple(exps)
 
 

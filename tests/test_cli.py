@@ -348,6 +348,30 @@ def test_beta_lb_depth_gate():
     assert (rep["beta_lower_bound"], rep["explored_nodes"]) == (1, 502)
 
 
+def test_beta_lb_depth_gate_builds_nothing_per_monomial():
+    # the depth gate reads only (D + 1) * n: in a fresh process the search over
+    # T1, T2 at D = 1200 (721,801 monomials) is refused before anything is built
+    # per monomial, at a peak far below one word per monomial
+    code = (
+        "import tracemalloc\n"
+        "from artinlab.artin import _BetaSearch\n"
+        "from artinlab.errors import BudgetError\n"
+        "from artinlab.parsing import parse_expr\n"
+        "from artinlab.series import RingSpec\n"
+        "system = [parse_expr('T1*X1', RingSpec(2, 2, 1200), unknowns=['X1'])]\n"
+        "tracemalloc.start()\n"
+        "try:\n"
+        "    _BetaSearch(system, 0, 2_000_000)\n"
+        "except BudgetError as exc:\n"
+        "    print(tracemalloc.get_traced_memory()[1], exc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=cli_env(), timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    peak, message = proc.stdout.split(" ", 1)
+    assert message.startswith("search depth 1201 slots > 900"), message
+    assert int(peak) < 5 * 2**20, peak
+
+
 def test_beta_lb_width_guard():
     # a slot's shift map is built once, over its degree-d monomials: no per-slot
     # work that grows with p^dim_d, so a wide ring answers, or is refused by its

@@ -1,3 +1,4 @@
+import bisect
 import hashlib
 import json
 import random
@@ -299,8 +300,12 @@ def reduce_order(xs, U):
     rem = U.reduce(series_to_vec(xs, U.ring))
     if not rem:
         return ExtOrder.at_least(U.ring.trunc + 1)
-    cols = coord_index(U.ring.num_vars, U.ring.trunc, U.arity)[0]
-    return ExtOrder.of(min(sum(cols[k][1]) for k in rem))
+    return ExtOrder.of(min(degree_of(k, U.ring, U.arity) for k in rem))
+
+
+def degree_of(label, R, arity):
+    """The degree d of a label, from starts[d] <= label < starts[d + 1]."""
+    return bisect.bisect_right(coord_index(R.num_vars, R.trunc, arity)[2], label) - 1
 
 
 def dense_order(xs, M):
@@ -313,11 +318,11 @@ def degree_fed_product_order(g, h, U):
     """nu(g*h) as the pair scan reads it: the degree-d parts of g*h from
     d = ord(g)+ord(h), fed lazily.  The factors may reach degree D here:
     remainder_order reads no part past D (none at all when a factor is zero, as
-    the start is then past D), and a monomial of degree <= D has no exponent
-    past D, so its int key is still the carry-free sum of the factors' keys."""
-    key, rank = orders._scan_keys(U.ring)
-    (og, G), (oh, H) = orders._by_degree(g, key), orders._by_degree(h, key)
-    return U.remainder_order(orders._product_parts(G, H, rank), og + oh)
+    the start is then past D), so every part it reads holds products of degree
+    <= D, whose labels are the sums of the factors' labels."""
+    label = coord_index(U.ring.num_vars, U.ring.trunc)[0]
+    (og, G), (oh, H) = orders._by_degree(g, label), orders._by_degree(h, label)
+    return U.remainder_order(orders._product_parts(G, H), og + oh)
 
 
 SCALARS = {0: [1, -1, 2, -3, Fraction(1, 2), Fraction(-3, 2)], 2: [1], 3: [1, 2], 32003: [1, 2, 16001, 32002]}
@@ -378,9 +383,8 @@ def test_remainder_order_reads_from_its_start(data):
     gens = data.draw(st.lists(st.tuples(*[sparse_series(R, monos[1:])] * arity), max_size=3))
     U = span_module(ModuleSpec(R, arity, tuple(gens)))
     xs = data.draw(st.tuples(*[sparse_series(R, [m for m in monos if sum(m) >= start])] * arity))
-    cols = coord_index(R.num_vars, D, arity)[0]
     vec = series_to_vec(xs, R)
-    parts = [{k: c for k, c in vec.items() if sum(cols[k][1]) == d} for d in range(start, D + 1)]
+    parts = [{k: c for k, c in vec.items() if degree_of(k, R, arity) == d} for d in range(start, D + 1)]
     reads = []
 
     def fed(parts):

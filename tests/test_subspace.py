@@ -337,6 +337,41 @@ def test_scalar_representation_random(data):
     assert oracles.naive_member(oracles.dense_coords(diff, R), dense, R)
 
 
+def test_monomial_index_contract():
+    # for N 1..4, D 1..8 and arity 1..3, against the positional layout written out
+    # here (degree, then component, then monomials_of_degree order): the labels
+    # sort as the layout does and are distinct; a shift by u adds the label of
+    # (0, u); starts[d] <= label < starts[d+1] at degree d; vec_to_series decodes
+    # every label and series_to_vec gives it back; multiples shift by the labels
+    # of the module's own arity
+    for N in range(1, 5):
+        for D in range(1, 9):
+            R = RingSpec(N, 2, D)
+            for arity in range(1, 4):
+                label, offsets, starts = coord_index(N, D, arity)
+                assert set(label) == set(monomials_up_to(N, D)) and len(offsets) == arity
+
+                def lab(comp, m):
+                    return label[m] + offsets[comp]
+
+                layout = [(comp, m) for d in range(D + 1) for comp in range(arity)
+                          for m in monomials_of_degree(N, d)]
+                labels = [lab(comp, m) for comp, m in layout]
+                assert labels == sorted(set(labels)), (N, D, arity)
+                zero = TruncatedSeries.zero(R)
+                for (comp, m), k in zip(layout, labels):
+                    assert starts[sum(m)] <= k < starts[sum(m) + 1], (N, D, arity, comp, m)
+                    xs = tuple(TruncatedSeries.monomial(R, m) if c == comp else zero for c in range(arity))
+                    assert vec_to_series({k: 1}, R, arity) == xs, (N, D, arity, k)
+                    assert series_to_vec(xs, R) == {k: 1}
+                    for u in monomials_up_to(N, D - sum(m)):
+                        assert lab(comp, tuple(a + b for a, b in zip(m, u))) == k + lab(0, u), (m, u)
+                ones = (TruncatedSeries.one(R),) * arity
+                for d in range(D + 1):
+                    want = [{lab(comp, u): 1 for comp in range(arity)} for u in monomials_of_degree(N, d)]
+                    assert list(multiples(ones, d, R)) == want, (N, D, arity, d)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_multiples_are_the_monomial_products(data):
@@ -404,7 +439,8 @@ def test_pivot_index_follows_inserts_and_copies(data):
             unit[comp] = TruncatedSeries.monomial(R, x)
             V.insert(series_to_vec(unit, R))
             assert_pivot_index(V)
-    assert V.rows == [{k: 1} for k in range(len(monos) * arity)]
+    label, offsets = coord_index(R.num_vars, R.trunc, arity)[:2]
+    assert V.rows == [{k: 1} for k in sorted(label[m] + off for m in monos for off in offsets)]
     assert_pivot_index(U)
     assert U.row_of == before
     for i in range(R.trunc + 2):
@@ -417,7 +453,7 @@ def echelon_draws(char, arity):
     columns and small scalars, so that new pivots often land above old rows and
     back-elimination often cancels or creates an entry."""
     R = RingSpec(2, char, 2)
-    ncols = len(coord_index(R.num_vars, R.trunc, arity)[0])
+    ncols = len(monomials_up_to(R.num_vars, R.trunc)) * arity
     if char == 0:
         scalars = st.sampled_from(SCALARS)
     else:
