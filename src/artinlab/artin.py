@@ -25,9 +25,11 @@ from .subspace import (
     ModuleSpec,
     Subspace,
     as_module,
-    coord_index,
     distance_order,
+    graded,
+    graded_product,
     insert_multiples,
+    labeller,
     multiples,
     series_to_vec,
     solve_linear,
@@ -474,12 +476,12 @@ def stable_ar_scan(
 # Brute-force approximation-function lower bound
 # ---------------------------------------------------------------------------
 
-def _graded(by_degree: dict, p: int) -> tuple:
-    """A graded series from {degree: {key: scalar}}: the scalars reduced mod p,
-    zeros dropped, the nonempty degrees in increasing order."""
+def _graded(parts, p: int) -> tuple:
+    """A graded series (subspace.graded) from (degree, {key: scalar}) pairs in
+    increasing degree: the scalars reduced mod p, zeros and empty degrees dropped."""
     out = []
-    for e in sorted(by_degree):
-        terms = [(k, r) for k, c in by_degree[e].items() if (r := c % p)]
+    for e, part in parts:
+        terms = [(k, r) for k, c in part.items() if (r := c % p)]
         if terms:
             out.append((e, terms))
     return tuple(out)
@@ -508,8 +510,9 @@ class _BetaSearch:
     that cannot influence the residual at all are frozen to zero, which
     collapses classes that are equivalent by translation.
 
-    Monomials are int keys, the labels of subspace.coord_index: the sum of two
-    keys is the key of their product whenever that has degree <= D.
+    Monomials are int keys, the labels of subspace.coord_index, computed by
+    subspace.labeller as the search reads them, with no table of the ring's: the
+    sum of two keys is the key of their product whenever that has degree <= D.
 
     A node pays only for the degrees its layer changes.  Each residual is a
     list of D + 1 dicts, one per homogeneous degree; an assignment copies the
@@ -525,9 +528,9 @@ class _BetaSearch:
     nonzero layer, that degree and key(u) are taken once (or the term is left
     out when d + |u| > D), and a node adds c * layer at key + key(u) in one
     loop.  Every other term (a power of x_j, a product with another unknown, a
-    coefficient with several monomials) is formed as a graded series, its
-    nonempty degrees in increasing order as (degree, [(key, c), ...]), by
-    _product, which stops at degree D; its degrees are added to the residual's.
+    coefficient with several monomials) is formed in graded form
+    (subspace.graded) by _product, the parts of subspace.graded_product at top
+    D reduced mod p; its degrees are added to the residual's.
     Only an unknown in such a term is kept: pows[u] holds x_u^k, graded, at
     k = 1 and at each exponent k of x_u in the system, and is empty for every
     other unknown.  Every slot before a slot of degree d is assigned, so x_j is
@@ -535,9 +538,9 @@ class _BetaSearch:
 
     A layer is a tuple of (key, c) pairs, read by _layers in fp_vectors order,
     so every node count is that of a walk over fp_vectors itself.  A degree's
-    first read streams from fp_vectors; from its second, each layer is one pick
-    per key from the degree's choices, built then and kept for the search: a
-    few words per monomial, never one per layer.
+    first read labels its monomials and streams from fp_vectors; from its
+    second, each layer is one pick per key from the degree's choices, built then
+    and kept for the search: a few words per monomial, never one per layer.
 
     Slots are degree-major, so a class modulo m^(i+1) is the layers of the
     first `boundary` frames, and one depth-first _walk enters each class once
@@ -574,8 +577,7 @@ class _BetaSearch:
             raise BudgetError(f"search depth {(D + 1) * n} slots > {limit - _STACK_MARGIN}: the "
                               f"recursion limit {limit} less {_STACK_MARGIN} frames for the callers")
         self.slots = [(d, j) for d in range(D + 1) for j in range(n)]
-        self.keys = keys = coord_index(ring.num_vars, D)[0]
-        self.layer_keys = [tuple(map(keys.get, monomials_of_degree(ring.num_vars, d))) for d in range(D + 1)]
+        self.label = label = labeller(ring.num_vars, D)
         self.boundary = (i + 1) * n
         # per unknown j, the system terms containing it, each as (its coefficient's
         # order, alpha_j, ((u, alpha_u) for the other unknowns)); the terms c*T^u*x_j
@@ -594,10 +596,8 @@ class _BetaSearch:
                         if alpha[j] == 1 and mono and not others:
                             linear.append((pidx, *mono))
                         else:
-                            by_degree = {e: {keys[m]: c for m, c in coeff.terms.items() if sum(m) == e}
-                                         for e in range(D + 1)}
-                            graded = None if coeff == one else _graded(by_degree, ring.char)  # 1: no product
-                            general.append((pidx, graded, alpha[j], others))
+                            form = None if coeff == one else graded(coeff, label)  # 1: no product
+                            general.append((pidx, form, alpha[j], others))
             self.terms_by_unknown.append(reach)
             self.linear.append(linear)
             self.general.append(general)
@@ -611,12 +611,8 @@ class _BetaSearch:
         # mutable search state, from x = 0
         self.res = []  # per equation, its residual as D + 1 dicts, one per degree
         for poly in self.system:
-            parts = [{} for _ in range(D + 1)]
-            const = poly.terms.get((0,) * n)  # the X-free term: the residual at x = 0
-            if const is not None:
-                for m, c in const.terms.items():
-                    parts[sum(m)][keys[m]] = c
-            self.res.append(parts)
+            const = dict(graded(poly.terms.get((0,) * n, TruncatedSeries.zero(ring)), label))  # the X-free term
+            self.res.append([dict(const.get(e, ())) for e in range(D + 1)])
         # each residual's first nonempty degree, D + 1 for a zero residual
         self.ords = [next((e for e, part in enumerate(r) if part), D + 1) for r in self.res]
         # pows[u][k] = x_u^k, graded, for k = 1 and each exponent k of x_u in the
@@ -648,7 +644,7 @@ class _BetaSearch:
         for pidx, u, c in self.linear[j]:
             e = d + sum(u)
             if e <= self.D:
-                plan.append((pidx, e, c, self.keys[u]))
+                plan.append((pidx, e, c, self.label(u)))
         return plan
 
     def _layers(self, d: int):
@@ -659,38 +655,25 @@ class _BetaSearch:
         the search: one (None, (k, 1), ..., (k, p - 1)) per key k.  A layer is
         then one pick per key, the last key varying fastest, less the Nones."""
         choices = self.choices[d]
-        if choices is None:
-            self.choices[d] = ()
-            return (tuple(v.items()) for v in fp_vectors(self.layer_keys[d], self.ring.char))
-        if not choices:
-            keys = self.layer_keys[d]
+        if not choices:  # the degree's keys, its monomials' labels in increasing order
+            keys = tuple(map(self.label, monomials_of_degree(self.ring.num_vars, d)))
+            if choices is None:
+                self.choices[d] = ()
+                return (tuple(v.items()) for v in fp_vectors(keys, self.ring.char))
             pairs = (zip(keys, repeat(c)) for c in range(1, self.ring.char))
             choices = self.choices[d] = list(zip(repeat(None), *pairs))
         return map(tuple, map(filter, repeat(None), cartesian_product(*choices)))
 
     def _product(self, a: tuple, b: tuple) -> tuple:
-        """a * b for two graded series, cut at degree D."""
-        D, out = self.D, {}
-        for da, ta in a:
-            for db, tb in b:
-                e = da + db
-                if e > D:
-                    break
-                part = out.get(e)
-                if part is None:
-                    part = out[e] = {}
-                for k1, c1 in ta:
-                    for k2, c2 in tb:
-                        k = k1 + k2
-                        part[k] = part.get(k, 0) + c1 * c2
-        return _graded(out, self.ring.char)
+        """a * b for two graded series, cut at degree D; a zero factor, (), is the product."""
+        return a and b and _graded(enumerate(graded_product(a, b, self.D), a[0][0] + b[0][0]), self.ring.char)
 
     def _difference(self, a: tuple, b: tuple) -> tuple:
         """a - b for two graded series."""
         p, out = self.ring.char, {e: dict(ta) for e, ta in a}
         for e, tb in b:
             sub_multiple(out.setdefault(e, {}), dict(tb), 1, p)
-        return _graded(out, p)
+        return _graded(sorted(out.items()), p)
 
     def _assign(self, slot_idx: int, layer: tuple):
         """Give the slot's unknown x_j its layer of degree d."""

@@ -390,8 +390,11 @@ def _emit(report, table, fmt, out_path):
         csv.writer(buf, lineterminator="\n").writerows([table[0], *table[1]])
         text = buf.getvalue()
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:  # a missing directory, a directory as the path, no permission
+            raise PrecondError(f"cannot write the report: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -399,14 +402,13 @@ def _emit(report, table, fmt, out_path):
 def main(argv=None) -> int:
     args = parse(sys.argv[1:] if argv is None else argv)
     try:
-        report, table = run_command(args)
+        _emit(*run_command(args), args.format, args.out)
     except BudgetError as exc:
         print(f"error: budget exhausted: {exc}", file=sys.stderr)
         return 3
     except PrecondError as exc:
         print(f"error: precondition violated: {exc}", file=sys.stderr)
         return 2
-    _emit(report, table, args.format, args.out)
     return 0
 
 

@@ -18,7 +18,7 @@ from typing import Optional
 
 from .errors import BudgetError, PrecondError
 from .series import ExtOrder, RingSpec, TruncatedSeries, fp_space_size, fp_vectors, monomials_up_to
-from .subspace import IdealSpec, coord_index, distance_order, member, span_ideal
+from .subspace import IdealSpec, distance_order, graded, graded_product, labeller, member, span_ideal
 
 # the slopes a of the paper's grid, shared by the ICL envelope and stable-ar
 SLOPE_GRID = (Fraction(1), Fraction(3, 2), Fraction(2))
@@ -164,35 +164,6 @@ def scan_candidates(
     return out
 
 
-def _by_degree(s: TruncatedSeries, label: dict) -> tuple:
-    """(ord(s), layers): the terms of s as lists of (label, coefficient), one list
-    per degree ord(s)..deg(s), label the monomial index (coord_index).  No layer
-    is kept below the order, where every one would be empty (the zero series
-    has no layer)."""
-    low = s.order().value
-    layers = [[] for _ in range(s.max_degree() + 1 - low)]
-    for mono, c in s.terms.items():
-        layers[sum(mono) - low].append((label[mono], c))
-    return low, layers
-
-
-def _product_parts(G: list, H: list):
-    """The parts of g*h in degrees ord(g)+ord(h)+d, d = 0, 1, ..., as sparse
-    columns with unreduced scalars: sum over a of g_(ord(g)+a) * h_(ord(h)+d-a),
-    from the layers of _by_degree, whose labels add to the product's column.
-    g*h has no term below ord(g)+ord(h), so its reader starts there
-    (Subspace.remainder_order with that start).  Lazy: remainder_order reads
-    no part past the order or past D."""
-    for d in range(len(G) + len(H) - 1):
-        part = {}
-        for a in range(max(0, d - len(H) + 1), min(d + 1, len(G))):
-            for k1, c1 in G[a]:
-                for k2, c2 in H[d - a]:
-                    col = k1 + k2
-                    part[col] = part.get(col, 0) + c1 * c2
-        yield part
-
-
 def _scan_pairs(I, deg_max, mode, count, seed, budget):
     """One lazy pass over the candidate pairs with exact orders: (oracle, rows,
     pair count), rows yielding (g, h, nu_g, nu_h, nu_gh, g*h) per pair.
@@ -200,15 +171,11 @@ def _scan_pairs(I, deg_max, mode, count, seed, budget):
     A factor with a nonzero constant term is a unit of A_D, and I + m^n is an
     ideal, so g*h lies in I + m^n iff the other factor does: nu_gh is read off
     the other factor's order, with no product.  Every other nu_gh is read
-    degree by degree (Subspace.remainder_order), so g*h is built only up to
-    its order.  The read starts at ord(g)+ord(h): g*h has no term below it, and
-    degree d of the remainder depends only on degrees <= d of g*h, so the
-    empty degrees before it are never built or read.  Monomials are labels of
-    coord_index: g*h has degree at most 2*deg_max <= D, so the sum of two
-    factors' labels is the product's column.  The full
-    product is formed only where nu_gh is inexact, the one case that looks at
-    it again.  A scan with more pairs than the budget is refused before its
-    first pair."""
+    degree by degree (Subspace.remainder_order) off the parts of g*h from where
+    they start (subspace.graded_product, top D), so g*h is built only up to its
+    order.  The full product is formed only where nu_gh is inexact, the one case
+    that looks at it again.  A scan with more pairs than the budget is refused
+    before its first pair."""
     if deg_max < 1:
         raise PrecondError("deg_max must be >= 1: the candidates have degree 1..deg_max")
     ring = I.ring
@@ -220,10 +187,10 @@ def _scan_pairs(I, deg_max, mode, count, seed, budget):
     npairs = len(live) * (len(live) + 1) // 2
     if npairs > budget:
         raise BudgetError(f"pair scan has {npairs} pairs > budget {budget}")
-    label = coord_index(ring.num_vars, ring.trunc)[0]
-    one = (0,) * ring.num_vars
-    units = [one in g.terms for g, _ in live]
-    layers = [_by_degree(g, label) for g, _ in live]
+    D = ring.trunc
+    label = labeller(ring.num_vars, D)
+    forms = [graded(g, label) for g, _ in live]
+    units = [G[0][0] == 0 for G in forms]  # a nonzero constant term
 
     def rows():
         for i, (g, ng) in enumerate(live):
@@ -234,8 +201,8 @@ def _scan_pairs(I, deg_max, mode, count, seed, budget):
                 elif units[j]:
                     yield g, h, ng, nh, ng, None
                 else:
-                    (oi, G), (oj, H) = layers[i], layers[j]
-                    ngh = oracle.span.remainder_order(_product_parts(G, H), oi + oj)
+                    G, H = forms[i], forms[j]
+                    ngh = oracle.span.remainder_order(graded_product(G, H, D), G[0][0] + H[0][0])
                     yield g, h, ng, nh, ngh, None if ngh.exact else g * h
     return oracle, rows(), npairs
 

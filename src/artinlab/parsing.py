@@ -21,12 +21,15 @@ _TOKEN = re.compile(
 )
 
 
+MAX_NESTING = 100  # levels of parentheses: 5 stack frames of descent each, far below the default limit 1000
+
+
 class ParseError(PrecondError):
     pass
 
 
 def _tokenize(text: str):
-    pos = 0
+    pos = depth = 0
     out = []
     while pos < len(text):
         m = _TOKEN.match(text, pos)
@@ -41,7 +44,11 @@ def _tokenize(text: str):
         elif m.group("name"):
             out.append(("name", m.group("name"), m.start("name")))
         else:
-            out.append(("op", m.group("op"), m.start("op")))
+            op, start = m.group("op"), m.start("op")
+            out.append(("op", op, start))
+            depth += (op == "(") - (op == ")")
+            if depth > MAX_NESTING:  # refused before the descent starts
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING} at position {start}")
         pos = m.end()
     out.append(("end", None, len(text)))
     return out

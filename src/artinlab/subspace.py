@@ -16,11 +16,20 @@ the first degree that survives: a basis row has no entry before its pivot
 and is zero in every other pivot column, so degree d of the remainder
 depends only on degrees <= d of x and on the rows with pivots in those
 degrees.  A caller that builds x one degree at a time, such as the product
-g*h of an ICL scan, never builds the degrees past its order.  Nor does it
-build the degrees before one below which x is known to be zero, such as
-ord(g)+ord(h) for g*h: the read starts there, as the remainder is zero below
-it too (every row cleared has its pivot, and so all its entries, at or after
-the lowest entry of x).
+g*h of an ICL scan, never builds the degrees past its order, nor those below
+a degree under which x is zero, such as ord(g)+ord(h): the read starts there,
+as the remainder is zero below it too (every row cleared has its pivot, and
+so all its entries, at or after the lowest entry of x).
+
+Series are multiplied on labels in one way, shared by the ICL pair scan, the
+beta search and the factorization scan.  The graded form of a series (graded)
+is (degree, ((label, c), ...)) for each nonempty degree, in increasing order.
+graded_product(a, b, top) yields the parts of a*b lazily, one sparse dict
+{label: scalar} per degree: from ord(a)+ord(b), below which a*b has no term,
+up to min(top, deg a + deg b), nothing past top (and nothing for a zero
+factor).  A part's scalars are unreduced sums of products: its reader reduces
+them.  Labels add as monomials multiply, so with top <= D each label of a part
+is that of the product's own monomial.
 
 Pivots are found through an index from pivot column to basis row, so a
 reduction looks up only the columns its vector holds.  The order in which
@@ -102,6 +111,15 @@ def as_module(M) -> ModuleSpec:
     return M.as_module() if isinstance(M, IdealSpec) else M
 
 
+def labeller(num_vars: int, trunc: int, arity: int = 1):
+    """m -> label(0, m) of coord_index(num_vars, trunc, arity), with no table: a
+    caller that labels a few monomials builds nothing per monomial of the ring."""
+    B = trunc + 1
+    step = B**num_vars
+    weights = [arity * step + step // B - step // B**i for i in range(1, num_vars + 1)]
+    return lambda m: sum(map(mul, m, weights))
+
+
 @lru_cache(maxsize=None)
 def coord_index(num_vars: int, trunc: int, arity: int = 1):
     """The monomial index of A^arity: one int label per (component, monomial).
@@ -119,17 +137,45 @@ def coord_index(num_vars: int, trunc: int, arity: int = 1):
       starts[trunc + 1], on no label, and is never read: each caller drops
       such a product as truncated before it forms or reads it.
 
-    Returns (label, offsets, starts): label[m] = label(0, m), label(comp, m) =
-    label[m] + offsets[comp], and starts[d] = d*arity*B^N <= every label of
-    degree d, above those of lower degrees.  vec_to_series decodes a label by
-    divmod: no table maps labels back.
+    Returns (label, offsets, starts): label[m] = label(0, m) (labeller, as a
+    table), label(comp, m) = label[m] + offsets[comp], and starts[d] =
+    d*arity*B^N <= every label of degree d, above those of lower degrees.
+    vec_to_series decodes a label by divmod: no table maps labels back.
     """
-    B = trunc + 1
-    step = B**num_vars
-    weights = [arity * step + step // B - step // B**i for i in range(1, num_vars + 1)]
-    label = {m: sum(map(mul, m, weights))
-             for d in range(trunc + 1) for m in monomials_of_degree(num_vars, d)}
+    lab = labeller(num_vars, trunc, arity)
+    step = (trunc + 1) ** num_vars
+    label = {m: lab(m) for d in range(trunc + 1) for m in monomials_of_degree(num_vars, d)}
     return label, tuple(comp * step for comp in range(arity)), tuple(d * arity * step for d in range(trunc + 2))
+
+
+def graded(s: TruncatedSeries, label) -> tuple:
+    """s in graded form: (degree, ((label(m), c), ...)) for each nonempty degree,
+    in increasing order, each degree's terms in the order s holds them."""
+    by_degree = {}
+    for m, c in s.terms.items():
+        by_degree.setdefault(sum(m), []).append((label(m), c))
+    return tuple((d, tuple(by_degree[d])) for d in sorted(by_degree))
+
+
+def graded_product(a: tuple, b: tuple, top: int):
+    """The parts of a*b, one per degree e, each sum_(da + db = e) a_da * b_db (the
+    contract is in the module docstring); a part between two others may be empty."""
+    if not (a and b):
+        return
+    by_degree = dict(b)
+    low = b[0][0]
+    for e in range(a[0][0] + low, min(top, a[-1][0] + b[-1][0]) + 1):
+        part = {}
+        for da, ta in a:
+            if e - da < low:
+                break
+            tb = by_degree.get(e - da)
+            if tb:
+                for k1, c1 in ta:
+                    for k2, c2 in tb:
+                        k = k1 + k2
+                        part[k] = part.get(k, 0) + c1 * c2
+        yield part
 
 
 def series_to_vec(xs: Sequence[TruncatedSeries], ring: RingSpec) -> dict:

@@ -16,8 +16,8 @@ from typing import Optional
 
 from .errors import BudgetError, PrecondError
 from .series import (ExtOrder, RingSpec, TruncatedSeries, _is_prime, fp_space_size, fp_vectors,
-                     monomials_of_degree)
-from .subspace import LinearMap, coord_index, vec_to_series
+                     monomials_of_degree, sub_multiple)
+from .subspace import LinearMap, coord_index, graded_product, vec_to_series
 
 
 @dataclass
@@ -99,8 +99,8 @@ def _factorization_scan(target: dict, i: int, p: int, budget: int):
     (x_d, y_d) that fit are a particular solution plus the kernel's span.  As
     coefficient lists, x_d then y_d, in increasing order they come in the order
     of a loop over fp_vectors, so the first pair found is that loop's.
-    Monomials are labels of subspace.coord_index, also the rows of each map: no
-    product has degree past i, so its label is the sum of its factors'.
+    Monomials are labels of subspace.coord_index, also the rows of each map.  The
+    layers are graded, and multiplied by subspace.graded_product at top i.
     """
     e = 2 * sum(comb(d + 2, 2) for d in range(1, i))
     # a p >= 2 meets the size gate first: trial division of a p too large to search is slow
@@ -113,20 +113,13 @@ def _factorization_scan(target: dict, i: int, p: int, budget: int):
     layer_keys = {d: tuple(map(label.get, monomials_of_degree(3, d))) for d in range(1, i + 1)}
     target = {label[m]: c % p for m, c in target.items() if c % p and sum(m) <= i}
 
-    def add_product(out, xu, yv, sign=1):
-        """out += sign * xu * yv for two homogeneous layers, in place over F_p."""
-        for k1, c1 in xu.items():
-            for k2, c2 in yv.items():
-                k = k1 + k2
-                s = (out.get(k, 0) + sign * c1 * c2) % p
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
+    def layer(terms, d):
+        """The layer of degree d with these (key, c) terms, in graded form."""
+        return ((d, terms),) if terms else ()
 
-    def times(layer, d):
-        """The columns of u -> layer * u on the layers u of degree d, a linear layer."""
-        return [{k + ku: c for k, c in layer.items()} for ku in layer_keys[d]]
+    def times(form, d):
+        """The columns of u -> x * u on the layers u of degree d, x a linear layer."""
+        return [{k + ku: c for _, terms in form for k, c in terms} for ku in layer_keys[d]]
 
     def fits(graph, need, d):
         """The solutions of graph = need, a particular one plus the kernel's span, in
@@ -136,7 +129,7 @@ def _factorization_scan(target: dict, i: int, p: int, budget: int):
         for k in graph.kernel():
             out = [[(a + c * b) % p for a, b in zip(v, k)] for v in out for c in range(p)]
         keys = layer_keys[d]
-        return [[{k: c for k, c in zip(keys, v[j:]) if c} for j in range(0, len(v), len(keys))]
+        return [[layer(tuple((k, c) for k, c in zip(keys, v[j:]) if c), d) for j in range(0, len(v), len(keys))]
                 for v in sorted(out)]
 
     found, counterexample = 0, None
@@ -144,22 +137,23 @@ def _factorization_scan(target: dict, i: int, p: int, budget: int):
 
     def dfs(xl, yl):
         nonlocal found, counterexample
-        # xl, yl: the layers of degrees 1..depth-1; product checked through degree depth
+        # xl, yl: the layers of degrees 1..depth-1, graded; product checked through degree depth
         depth = len(xl) + 1
         if depth == i:
             found += 1
             if counterexample is None:
-                counterexample = tuple({d: vec_to_series(layer, ring, 1)[0].terms
-                                        for d, layer in enumerate(ls, 1)} for ls in (xl, yl))
+                counterexample = tuple({d: vec_to_series(dict(form[0][1] if form else ()), ring, 1)[0].terms
+                                        for d, form in enumerate(ls, 1)} for ls in (xl, yl))
             return
         # degree depth+1 of x*y is sum_{u=1..depth} x_u * y_(depth+1-u); the terms
         # u = 2..depth-1 are fixed, so they are taken off the target here
         need = {k: c for k, c in target.items() if starts[depth + 1] <= k < starts[depth + 2]}
         for u in range(2, depth):
-            add_product(need, xl[u - 1], yl[depth - u], -1)
+            for part in graded_product(xl[u - 1], yl[depth - u], i):
+                sub_multiple(need, part, 1, p)
         if depth == 1:
-            pairs = ((x1, y1) for x1 in fp_vectors(layer_keys[1], p)
-                     for (y1,) in fits(LinearMap(times(x1, 1), ring), need, 1))
+            firsts = (layer(tuple(v.items()), 1) for v in fp_vectors(layer_keys[1], p))
+            pairs = ((x1, y1) for x1 in firsts for (y1,) in fits(LinearMap(times(x1, 1), ring), need, 1))
         else:
             if depth not in maps:
                 maps[depth] = LinearMap(times(yl[0], depth) + times(xl[0], depth), ring)

@@ -36,6 +36,7 @@ DENSE_RREF = ("tests/test_subspace.py::test_insert_keeps_the_dense_rref",)
 PIVOT_INDEX = ("tests/test_subspace.py::test_pivot_index_follows_inserts_and_copies",)
 MULTIPLES = ("tests/test_subspace.py::test_multiples_are_the_monomial_products",)
 INDEX = ("tests/test_subspace.py::test_monomial_index_contract",)
+GRADED_PRODUCT = ("tests/test_subspace.py::test_graded_product_contract",)
 PLAIN_PARSE = ("tests/test_parsing.py::test_plain_series_parse_as_the_constant_term_of_a_system",)
 READ_START = ("tests/test_orders.py::test_remainder_order_reads_from_its_start",)
 SCAN_ROWS = ("tests/test_orders.py::test_scan_rows_match_dense_oracle",)
@@ -90,9 +91,9 @@ MUTANTS = [
            "term = product(coeff, term)", "term = term",
            CHECKED_SEARCH + ("tests/test_beta.py::test_random_small_systems_agree",
             "tests/test_cli.py::test_beta_lb_of_linear_system_is_level_plus_ar_index")),
-    # _BetaSearch: general terms as graded products
+    # _BetaSearch: general terms as graded products, cut at D
     Mutant("graded product keeps degree D + 1", ARTIN,
-           "e = da + db\n                if e > D:", "e = da + db\n                if e > D + 1:",
+           "graded_product(a, b, self.D)", "graded_product(a, b, self.D + 1)",
            CHECKED_SEARCH),
     Mutant("power difference taken with the wrong sign", ARTIN,
            "dict(tb), 1, p)", "dict(tb), -1, p)",
@@ -105,8 +106,8 @@ MUTANTS = [
            "cartesian_product(*choices)", "cartesian_product(*reversed(choices))",
            LAYER_STREAM + ("tests/test_beta.py::test_search_benchmark_systems_pinned",)),
     Mutant("a degree's choices built on its first read", ARTIN,
-           "        if choices is None:\n            self.choices[d] = ()\n",
-           "        if choices is None and False:\n            self.choices[d] = ()\n",
+           "            if choices is None:\n                self.choices[d] = ()\n",
+           "            if choices is None and False:\n                self.choices[d] = ()\n",
            LAYER_STREAM + LONG_WALK),
     Mutant("one degree's choices reused for the next", ARTIN,
            "choices = self.choices[d]\n", "choices = self.choices[d - 1] or self.choices[d]\n",
@@ -148,6 +149,13 @@ MUTANTS = [
     Mutant("remainder kept as the row whatever its pivot entry", SUBSPACE,
            "if rem[piv] == 1:", "if True:",
            DENSE_RREF),
+    # the graded product: one part per degree from ord(a)+ord(b), none past top
+    Mutant("graded product cut one degree past top", SUBSPACE,
+           "min(top, a[-1][0] + b[-1][0]) + 1", "min(top + 1, a[-1][0] + b[-1][0]) + 1",
+           GRADED_PRODUCT),
+    Mutant("graded product starts one degree high", SUBSPACE,
+           "range(a[0][0] + low,", "range(a[0][0] + low + 1,",
+           GRADED_PRODUCT),
     # the monomial index: labels that sort degree-major and add as monomials multiply
     Mutant("index base B = trunc", SUBSPACE,
            "    B = trunc + 1\n", "    B = trunc\n",
@@ -181,18 +189,15 @@ MUTANTS = [
            "if units[i]:\n                    yield g, h, ng, nh, ng, None",
            SCAN_ROWS),
     Mutant("no unit shortcut", ORDERS,
-           "units = [one in g.terms for g, _ in live]", "units = [False for g, _ in live]",
+           "units = [G[0][0] == 0 for G in forms]", "units = [False for G in forms]",
            SCAN_ROWS),
     # scan pairs: the read of nu(g*h) starts at ord(g)+ord(h)
     Mutant("pair read starts one degree late", ORDERS,
-           "_product_parts(G, H), oi + oj)", "_product_parts(G, H), oi + oj + 1)",
+           "graded_product(G, H, D), G[0][0] + H[0][0])", "graded_product(G, H, D), G[0][0] + H[0][0] + 1)",
            SCAN_ROWS),
-    Mutant("pair read starts at degree 0 while the layers start at the orders", ORDERS,
-           "_product_parts(G, H), oi + oj)", "_product_parts(G, H))",
+    Mutant("pair read starts at degree 0 while the parts start at the orders", ORDERS,
+           "graded_product(G, H, D), G[0][0] + H[0][0])", "graded_product(G, H, D))",
            SCAN_ROWS + ("tests/test_orders.py::test_pair_read_takes_no_part_past_the_order",)),
-    Mutant("layers kept from degree 0", ORDERS,
-           "low = s.order().value", "low = 0",
-           SCAN_ROWS),
     Mutant("remainder_order ignores its start", SUBSPACE,
            "for d in range(start, D + 1):", "for d in range(D + 1):",
            READ_START + SCAN_ROWS),

@@ -8,7 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 import oracles
 from artinlab.artin import _STACK_MARGIN, _BetaSearch, beta_lower_bound_bruteforce
 from artinlab.errors import BudgetError, PrecondError
-from artinlab.series import RingSpec, TruncatedSeries, fp_vectors
+from artinlab.series import RingSpec, TruncatedSeries, fp_vectors, monomials_of_degree
+from artinlab.subspace import coord_index
 from artinlab.parsing import parse_expr
 
 
@@ -126,8 +127,9 @@ def test_layer_streams_follow_fp_vectors():
     for ring, degrees, count in [(RingSpec(2, 3, 6), range(7), None), (RingSpec(3, 2, 4), [4], None),
                                  (RingSpec(3, 3, 4), [4], 300_000)]:
         search = _BetaSearch(system("T1*X1", ring, ["X1"]), 0, 1)
+        label = coord_index(ring.num_vars, ring.trunc)[0]
         for d in degrees:
-            keys = search.layer_keys[d]
+            keys = tuple(label[m] for m in monomials_of_degree(ring.num_vars, d))
             for read, kept in enumerate([0, len(keys)]):
                 n = 0
                 for got, want in zip_longest(islice(search._layers(d), count),

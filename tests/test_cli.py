@@ -6,7 +6,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from math import ceil
+from math import ceil, comb
 
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
@@ -372,6 +372,35 @@ def test_beta_lb_depth_gate_builds_nothing_per_monomial():
     assert int(peak) < 5 * 2**20, peak
 
 
+def test_beta_lb_budget_refusal_builds_nothing_per_monomial():
+    # a search builds a degree's keys when its walk first reads that degree and
+    # labels its own coefficients with no table of the ring: in a fresh process the
+    # search over T1, T2 at D = 800 (321,201 monomials), refused by --budget 1 at
+    # its second node, peaks far below one word per monomial (66 MiB of RSS when
+    # it built every key and the ring's monomial index up front)
+    argv = ("beta-lb", "--vars", "T1,T2", "--char", "2", "--trunc", "800", "--system", "T1*X1",
+            "--unknowns", "X1", "--i", "0", "--budget", "1")
+    assert "budget 1 exhausted after 2 nodes" in run_cli(*argv, expect=3, timeout=10).stderr
+    code = (
+        "import tracemalloc\n"
+        "from artinlab.artin import _BetaSearch\n"
+        "from artinlab.errors import BudgetError\n"
+        "from artinlab.parsing import parse_expr\n"
+        "from artinlab.series import RingSpec\n"
+        "system = [parse_expr('T1*X1', RingSpec(2, 2, 800), unknowns=['X1'])]\n"
+        "tracemalloc.start()\n"
+        "try:\n"
+        "    _BetaSearch(system, 0, 1).run()\n"
+        "except BudgetError as exc:\n"
+        "    print(tracemalloc.get_traced_memory()[1], exc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=cli_env(), timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    peak, message = proc.stdout.split(" ", 1)
+    assert message.startswith("enumeration budget 1 exhausted after 2 nodes"), message
+    assert int(peak) < 5 * 2**20, peak
+
+
 def test_beta_lb_width_guard():
     # a slot's shift map is built once, over its degree-d monomials: no per-slot
     # work that grows with p^dim_d, so a wide ring answers, or is refused by its
@@ -387,9 +416,10 @@ def test_beta_lb_width_guard():
 def test_beta_lb_long_walk_keeps_no_layers():
     # T1*X1 at i = 0 reads each of its D + 1 degrees about once: a long walk that
     # answers well under the timeout and keeps no degree's layers.  In a fresh
-    # process the walk's peak stays under half of what the search holds once built
-    # (a fifth when written; choices built on a degree's first read took as much
-    # again, and a table of every layer of each degree 300 times as much at D = 60)
+    # process, with the process-wide table of monomials built first, the search,
+    # built and walked, peaks under 16 words per monomial of the ring: its keys and
+    # the streams' state (75 bytes when written; choices built on a degree's first
+    # read took 190)
     proc = run_cli("beta-lb", "--vars", "T1,T2", "--char", "2", "--trunc", "400", "--system", "T1*X1",
                    "--unknowns", "X1", "--i", "0", timeout=10)
     assert json.loads(proc.stdout)["result"]["explored_nodes"] == 402
@@ -397,19 +427,16 @@ def test_beta_lb_long_walk_keeps_no_layers():
         "import tracemalloc\n"
         "from artinlab.artin import _BetaSearch\n"
         "from artinlab.parsing import parse_expr\n"
-        "from artinlab.series import RingSpec\n"
-        "ring = RingSpec(2, 2, 200)\n"
+        "from artinlab.series import RingSpec, monomials_up_to\n"
+        "system = [parse_expr('T1*X1', RingSpec(2, 2, 200), unknowns=['X1'])]\n"
+        "monomials_up_to(2, 200)\n"
         "tracemalloc.start()\n"
-        "search = _BetaSearch([parse_expr('T1*X1', ring, unknowns=['X1'])], 0, 10_000)\n"
-        "held = tracemalloc.get_traced_memory()[0]\n"
-        "tracemalloc.reset_peak()\n"
-        "assert search.run().explored_nodes == 202\n"
-        "print(held, tracemalloc.get_traced_memory()[1] - held)\n"
+        "assert _BetaSearch(system, 0, 10_000).run().explored_nodes == 202\n"
+        "print(tracemalloc.get_traced_memory()[1])\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=cli_env(), timeout=10)
     assert proc.returncode == 0, proc.stderr
-    held, walk = map(int, proc.stdout.split())
-    assert walk < held / 2, (held, walk)
+    assert int(proc.stdout) < 128 * comb(200 + 2, 2), proc.stdout
 
 
 def test_beta_lb_huge_exponent():
@@ -467,6 +494,15 @@ def test_out_file(tmp_path):
     path = tmp_path / "report.json"
     run_cli("bound", "--formula", "lin31", "--iI", "1", "--i", "3", "--out", str(path))
     assert json.loads(path.read_text())["result"]["value"] == 4
+
+
+def test_unwritable_out_file_exits_2(tmp_path):
+    # a missing directory or a directory as the path: an error line and exit 2, no traceback
+    for path, reason in [(tmp_path / "missing" / "x", "No such file or directory"), (tmp_path, "Is a directory")]:
+        proc = run_cli("ar-index", "--vars", "T1", "--trunc", "3", "--ideal", "T1", "--out", str(path), expect=2)
+        assert proc.stdout == "" and "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: precondition violated: cannot write the report: ")
+        assert reason in proc.stderr
 
 
 def test_stable_ar_cli():
@@ -769,6 +805,7 @@ def cli_argv(draw):
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(cli_argv())
 @example(["irr-check", "--i", "40", "--p", "2", "--budget", "1000"])
+@example(["ord", "--vars", "T1", "--trunc", "3", "--x", "(" * 1000 + "T1" + ")" * 1000])
 def test_random_argv_never_crashes(argv):
     code, out, err = captured(main, argv)
     assert code in (0, 2, 3), (argv, code, err)

@@ -28,6 +28,9 @@ from artinlab.subspace import (
     Subspace,
     coord_index,
     distance_order,
+    graded,
+    graded_product,
+    labeller,
     series_to_vec,
     span_ideal,
     span_module,
@@ -316,13 +319,14 @@ def dense_order(xs, M):
 
 def degree_fed_product_order(g, h, U):
     """nu(g*h) as the pair scan reads it: the degree-d parts of g*h from
-    d = ord(g)+ord(h), fed lazily.  The factors may reach degree D here:
-    remainder_order reads no part past D (none at all when a factor is zero, as
-    the start is then past D), so every part it reads holds products of degree
+    d = ord(g)+ord(h), fed lazily (graded_product with top D).  The factors may
+    reach degree D here: no part past D is formed (none at all when a factor is
+    zero, as the start is then past D), so every part holds products of degree
     <= D, whose labels are the sums of the factors' labels."""
-    label = coord_index(U.ring.num_vars, U.ring.trunc)[0]
-    (og, G), (oh, H) = orders._by_degree(g, label), orders._by_degree(h, label)
-    return U.remainder_order(orders._product_parts(G, H), og + oh)
+    D = U.ring.trunc
+    label = labeller(U.ring.num_vars, D)
+    parts = graded_product(graded(g, label), graded(h, label), D)
+    return U.remainder_order(parts, g.order().value + h.order().value)
 
 
 SCALARS = {0: [1, -1, 2, -3, Fraction(1, 2), Fraction(-3, 2)], 2: [1], 3: [1, 2], 32003: [1, 2, 16001, 32002]}
@@ -470,7 +474,7 @@ def test_scan_rows_match_dense_oracle(data):
                                               min_size=1, max_size=3), max_size=2))
     I = IdealSpec.of(R, [TruncatedSeries(R, t) for t in gens])
     calls, reads = [], []
-    real, real_parts = Subspace.remainder_order, orders._product_parts
+    real, real_parts = Subspace.remainder_order, orders.graded_product
 
     def counted(self, parts, *args):
         calls.append(1)
@@ -483,7 +487,7 @@ def test_scan_rows_match_dense_oracle(data):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Subspace, "remainder_order", counted)
-        mp.setattr(orders, "_product_parts", counted_parts)
+        mp.setattr(orders, "graded_product", counted_parts)
         _, rows, npairs = orders._scan_pairs(I, deg_max, mode, count, seed, 10**6)
         rows = list(rows)
     cands = scan_candidates(R, deg_max, mode, count, seed, 10**6)
@@ -515,7 +519,7 @@ def test_pair_read_takes_no_part_past_the_order(monkeypatch):
     R = RingSpec(1, 0, 5)
     g = parse_poly("T1 + T1^2", R)
     reads = []
-    real_parts = orders._product_parts
+    real_parts = orders.graded_product
 
     def counted_parts(*args):
         for part in real_parts(*args):
@@ -523,7 +527,7 @@ def test_pair_read_takes_no_part_past_the_order(monkeypatch):
             yield part
 
     monkeypatch.setattr(orders, "scan_candidates", lambda *args: [g])
-    monkeypatch.setattr(orders, "_product_parts", counted_parts)
+    monkeypatch.setattr(orders, "graded_product", counted_parts)
     _, rows, _ = orders._scan_pairs(IdealSpec.of(R, [parse_poly("T1^5", R)]), 2, "random", 0, 0, 10)
     assert [ngh for *_, ngh, _ in rows] == [ExtOrder.of(2)]
     assert len(reads) == 1

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from artinlab.errors import PrecondError
-from artinlab.parsing import ParseError, parse_expr, parse_poly
+from artinlab.parsing import MAX_NESTING, ParseError, parse_expr, parse_poly
 from artinlab.series import RingSpec, TruncatedSeries, monomials_up_to
 
 
@@ -68,6 +68,20 @@ def test_error_positions():
         parse_poly("T1 +", R3)
     with pytest.raises(ParseError):
         parse_poly("(T1", R3)
+
+
+def test_deep_nesting_is_refused_at_its_position():
+    # MAX_NESTING levels parse, in a series and in a system; one more is refused at
+    # the opening parenthesis that passes the limit, before the descent starts
+    def nested(n):
+        return "-" + "(" * n + "T1" + ")" * n
+
+    for unknowns in (None, ["X1"]):
+        want = parse_expr("-T1", R3, unknowns=unknowns).terms
+        assert parse_expr(nested(MAX_NESTING), R3, unknowns=unknowns).terms == want
+        for n in (MAX_NESTING + 1, 10 * MAX_NESTING):
+            with pytest.raises(ParseError, match=f"nested deeper than {MAX_NESTING} at position {MAX_NESTING + 1}$"):
+                parse_expr(nested(n), R3, unknowns=unknowns)
 
 
 def test_zero_literal():

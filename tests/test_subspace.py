@@ -14,6 +14,9 @@ from artinlab.subspace import (
     Subspace,
     coord_index,
     distance_order,
+    graded,
+    graded_product,
+    labeller,
     member,
     multiples,
     series_to_vec,
@@ -394,6 +397,50 @@ def test_multiples_are_the_monomial_products(data):
             products = [[TruncatedSeries.monomial(R, u) * g for g in gen] for u in monomials_of_degree(R.num_vars, d)]
             want = [] if d > cap else [series_to_vec(p, R) for p in products]
             assert list(multiples(gen, d, R, sound)) == want, (gen, d, sound)
+
+
+@st.composite
+def product_cases(draw):
+    """(L, g, h, top): a ring L of N = 1..3 variables over Q, F_2, F_3 or F_32003
+    with trunc D + 1, two sparse series of L of degree <= D (zero allowed) and a
+    cut top in 0..D + 1."""
+    char = draw(st.sampled_from([0, 2, 3, 32003]))
+    num_vars = draw(st.integers(1, 3))
+    D = draw(st.integers(1, {1: 6, 2: 4, 3: 3}[num_vars]))
+    L = RingSpec(num_vars, char, D + 1)
+    scalars = SCALARS if char == 0 else sorted({1, char - 1, min(2, char - 1)})
+    series = st.dictionaries(st.sampled_from(monomials_up_to(num_vars, D)), st.sampled_from(scalars),
+                             max_size=4).map(lambda t: TruncatedSeries(L, t))
+    return L, draw(series), draw(series), draw(st.integers(0, D + 1))
+
+
+T1_OVER_Q = TruncatedSeries.variable(RingSpec(1, 0, 3), 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(product_cases())
+# T1*T1 has its one part at degree 2: cut at top 1 it has none, at top 2 exactly that one
+@example((RingSpec(1, 0, 3), T1_OVER_Q, T1_OVER_Q, 1))
+@example((RingSpec(1, 0, 3), T1_OVER_Q, T1_OVER_Q, 2))
+def test_graded_product_contract(case):
+    # the parts of graded_product, reduced, are the homogeneous parts of g*h
+    # (TruncatedSeries.__mul__) read through the labels, one per degree from
+    # ord(g)+ord(h) up to min(top, deg g + deg h), and none past top
+    L, g, h, top = case
+    label = labeller(L.num_vars, L.trunc)
+    G, H = graded(g, label), graded(h, label)
+    for s, form in ((g, G), (h, H)):
+        assert [d for d, _ in form] == sorted({sum(m) for m in s.terms})
+        assert {k: c for _, terms in form for k, c in terms} == series_to_vec((s,), L)
+    parts = list(graded_product(G, H, top))
+    gh = g * h
+    low = g.order().value + h.order().value
+    high = -1 if g.is_zero or h.is_zero else min(top, g.max_degree() + h.max_degree())
+    assert len(parts) == max(0, high - low + 1), (g, h, top)
+    p = L.char
+    for e, part in enumerate(parts, low):
+        reduced = {k: r for k, c in part.items() if (r := c % p if p else c)}
+        assert reduced == series_to_vec((gh.homogeneous_part(e),), L), (g, h, top, e)
 
 
 def assert_pivot_index(U):
