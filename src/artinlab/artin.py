@@ -103,7 +103,7 @@ def _ar_profile(M: ModuleSpec, U: Subspace) -> tuple:
     built = ring.trunc + 1  # span holds the multiples of degree >= built
     prof = [0] * (cert + 1)
     failed = [None] * (cert + 1)
-    rows = U.rows
+    pivots, rows = U.pivots, U.rows
     stop = len(rows)
     j = cert
     for i in range(cert, 0, -1):
@@ -116,7 +116,10 @@ def _ar_profile(M: ModuleSpec, U: Subspace) -> tuple:
                 for gen in M.generators:
                     for vec in multiples(gen, built, ring):
                         span.insert(vec)
-            while k < stop and span.contains_vec(rows[k]):
+            # a lookup, not a reduction: the span lies in U, both reduced echelon forms on one
+            # column order, so the span's pivots are U's, and rows[k] is 0 at all of them but
+            # its own: it lies in the span iff it is the span's row at that pivot
+            while k < stop and span.row_of.get(pivots[k]) == rows[k]:
                 k += 1
             if k == stop:
                 break
@@ -529,8 +532,9 @@ class _BetaSearch:
     out when d + |u| > D), and a node adds c * layer at key + key(u) in one
     loop.  Every other term (a power of x_j, a product with another unknown, a
     coefficient with several monomials) is formed in graded form
-    (subspace.graded) by _product, the parts of subspace.graded_product at top
-    D reduced mod p; its degrees are added to the residual's.
+    (subspace.graded) by _product, the (degree, part) pairs of
+    subspace.graded_product at top D reduced mod p; its degrees are added to
+    the residual's.
     Only an unknown in such a term is kept: pows[u] holds x_u^k, graded, at
     k = 1 and at each exponent k of x_u in the system, and is empty for every
     other unknown.  Every slot before a slot of degree d is assigned, so x_j is
@@ -666,7 +670,7 @@ class _BetaSearch:
 
     def _product(self, a: tuple, b: tuple) -> tuple:
         """a * b for two graded series, cut at degree D; a zero factor, (), is the product."""
-        return a and b and _graded(enumerate(graded_product(a, b, self.D), a[0][0] + b[0][0]), self.ring.char)
+        return a and b and _graded(graded_product(a, b, self.D), self.ring.char)
 
     def _difference(self, a: tuple, b: tuple) -> tuple:
         """a - b for two graded series."""

@@ -171,9 +171,9 @@ def _scan_pairs(I, deg_max, mode, count, seed, budget):
     A factor with a nonzero constant term is a unit of A_D, and I + m^n is an
     ideal, so g*h lies in I + m^n iff the other factor does: nu_gh is read off
     the other factor's order, with no product.  Every other nu_gh is read
-    degree by degree (Subspace.remainder_order) off the parts of g*h from where
-    they start (subspace.graded_product, top D), so g*h is built only up to its
-    order.  The full product is formed only where nu_gh is inexact, the one case
+    (Subspace.remainder_order) off the (degree, part) pairs of g*h as
+    subspace.graded_product yields them at top D, from ord(g)+ord(h) on, so g*h
+    is built only up to its order.  The full product is formed only where nu_gh is inexact, the one case
     that looks at it again.  A scan with more pairs than the budget is refused
     before its first pair."""
     if deg_max < 1:
@@ -201,8 +201,7 @@ def _scan_pairs(I, deg_max, mode, count, seed, budget):
                 elif units[j]:
                     yield g, h, ng, nh, ng, None
                 else:
-                    G, H = forms[i], forms[j]
-                    ngh = oracle.span.remainder_order(graded_product(G, H, D), G[0][0] + H[0][0])
+                    ngh = oracle.span.remainder_order(graded_product(forms[i], forms[j], D))
                     yield g, h, ng, nh, ngh, None if ngh.exact else g * h
     return oracle, rows(), npairs
 

@@ -11,25 +11,26 @@ form for a local degree ordering): the remainder of x modulo U has order
 max{n : x in U + m^n}, and U cap m^i is spanned by the basis rows whose
 pivot has degree >= i.
 
-That order is read degree by degree (Subspace.remainder_order), stopping at
-the first degree that survives: a basis row has no entry before its pivot
-and is zero in every other pivot column, so degree d of the remainder
-depends only on degrees <= d of x and on the rows with pivots in those
-degrees.  A caller that builds x one degree at a time, such as the product
-g*h of an ICL scan, never builds the degrees past its order, nor those below
-a degree under which x is zero, such as ord(g)+ord(h): the read starts there,
-as the remainder is zero below it too (every row cleared has its pivot, and
-so all its entries, at or after the lowest entry of x).
+That order is read (Subspace.remainder_order) off the parts of x, pairs
+(degree, {label: scalar}) in increasing degree: it is the degree of the
+remainder's lowest label.  A basis row has no entry before its pivot and is
+zero in every other pivot column, so degree d of the remainder depends only
+on degrees <= d of x and on the rows with pivots there: once a part of degree
+d leaves an entry at or below d, no later part is read.  So a caller that
+builds x one degree at a time, such as the product g*h of an ICL scan, never
+builds the degrees past its order, and a caller feeds only the degrees x has
+(every row cleared has its pivot, and so all its entries, at or after the
+lowest entry of x).
 
 Series are multiplied on labels in one way, shared by the ICL pair scan, the
 beta search and the factorization scan.  The graded form of a series (graded)
 is (degree, ((label, c), ...)) for each nonempty degree, in increasing order.
-graded_product(a, b, top) yields the parts of a*b lazily, one sparse dict
-{label: scalar} per degree: from ord(a)+ord(b), below which a*b has no term,
-up to min(top, deg a + deg b), nothing past top (and nothing for a zero
-factor).  A part's scalars are unreduced sums of products: its reader reduces
-them.  Labels add as monomials multiply, so with top <= D each label of a part
-is that of the product's own monomial.
+graded_product(a, b, top) yields the parts of a*b lazily, as remainder_order
+reads them: (e, {label: scalar}) for each degree e from ord(a)+ord(b), below
+which a*b has none, to min(top, deg a + deg b); none for a zero factor, and a
+part between two others may be empty.  Scalars are unreduced sums of products,
+reduced by the reader.  Labels add as monomials multiply, so with top <= D each
+label of a part is that of the product's own monomial.
 
 Pivots are found through an index from pivot column to basis row, so a
 reduction looks up only the columns its vector holds.  The order in which
@@ -158,8 +159,8 @@ def graded(s: TruncatedSeries, label) -> tuple:
 
 
 def graded_product(a: tuple, b: tuple, top: int):
-    """The parts of a*b, one per degree e, each sum_(da + db = e) a_da * b_db (the
-    contract is in the module docstring); a part between two others may be empty."""
+    """The parts of a*b, (e, sum_(da + db = e) a_da * b_db) for each degree e (the
+    contract is in the module docstring)."""
     if not (a and b):
         return
     by_degree = dict(b)
@@ -175,7 +176,7 @@ def graded_product(a: tuple, b: tuple, top: int):
                     for k2, c2 in tb:
                         k = k1 + k2
                         part[k] = part.get(k, 0) + c1 * c2
-        yield part
+        yield e, part
 
 
 def series_to_vec(xs: Sequence[TruncatedSeries], ring: RingSpec) -> dict:
@@ -265,34 +266,27 @@ class Subspace:
         self._eliminate(v, vec)
         return v
 
-    def remainder_order(self, parts, start: int = 0) -> ExtOrder:
+    def remainder_order(self, parts) -> ExtOrder:
         """Order of the remainder of a vector modulo this subspace, fed by degree.
 
-        The vector has no entry below degree start.  parts yields its
-        degree-start, degree-(start+1), ... entries as sparse column dicts
-        (scalars need not be reduced; missing trailing degrees are empty), and
-        is read only up to the order.  At each degree d the new entries are
-        added and their pivot columns cleared (_eliminate); a row has no entry
-        before its pivot, so what is left in degree d lies in non-pivot columns
-        and is already degree d of the full remainder.  Reading from start
-        skips no entry: the rows cleared have their pivots, and so all their
-        entries, at degree >= start, so the remainder is empty below start as
-        the vector is.  The first degree with an entry left is the order; none
-        up to D (or start > D) gives the at-least marker.
+        parts yields (degree, {column: scalar}) pairs in increasing degree, the
+        vector's entries of that degree (scalars need not be reduced; a degree
+        may be missing or empty), and is read only up to the order.  Each part's
+        entries are added and their pivot columns cleared (_eliminate); a row has
+        no entry before its pivot, so every entry left at or below the part's
+        degree is an entry of the full remainder, which later parts cannot
+        change.  The first part that leaves one ends the read, and the order is
+        the degree of the remainder's lowest label; none left after the last
+        part gives the at-least marker.
         """
-        ring = self.ring
-        D, p = ring.trunc, ring.char
-        starts = coord_index(ring.num_vars, D, self.arity)[2]
-        parts = iter(parts)
-        v = {}
-        for d in range(start, D + 1):
-            new = next(parts, None)
-            if new:
-                sub_multiple(v, new, -1, p)
-                self._eliminate(v, new)
-            if v and min(v) < starts[d + 1]:
-                return ExtOrder.of(d)
-        return ExtOrder.at_least(D + 1)
+        ring, v = self.ring, {}
+        step = coord_index(ring.num_vars, ring.trunc, self.arity)[2][1]  # degree d: labels d*step..
+        for d, new in parts:
+            sub_multiple(v, new, -1, ring.char)
+            self._eliminate(v, new)
+            if v and min(v) // step <= d:
+                break
+        return ExtOrder.of(min(v) // step) if v else ExtOrder.at_least(ring.trunc + 1)
 
     def insert(self, vec: dict) -> bool:
         """Add a vector of canonical scalars; returns True when the dimension grew.
@@ -419,15 +413,15 @@ def distance_order(xs, U: Subspace) -> ExtOrder:
     Reducing any w in m^n only subtracts rows whose pivot, and so every entry,
     has degree >= n; hence the remainder has order >= n iff x is in U + m^n.
     A zero remainder gives the at-least marker.  The remainder is never built
-    past its order: x is handed to U.remainder_order one degree at a time.
+    past its order: x is handed to U.remainder_order by its nonempty degrees.
     """
     ring = U.ring
     label, offsets, _ = coord_index(ring.num_vars, ring.trunc, U.arity)
-    parts = [{} for _ in range(ring.trunc + 1)]
+    parts = {}
     for s, off in zip(_series_of(xs, U), offsets):
         for mono, c in s.terms.items():
-            parts[sum(mono)][label[mono] + off] = c
-    return U.remainder_order(parts)
+            parts.setdefault(sum(mono), {})[label[mono] + off] = c
+    return U.remainder_order(sorted(parts.items()))
 
 
 class LinearMap:

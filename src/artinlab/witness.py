@@ -17,7 +17,7 @@ from typing import Optional
 from .errors import BudgetError, PrecondError
 from .series import (ExtOrder, RingSpec, TruncatedSeries, _is_prime, fp_space_size, fp_vectors,
                      monomials_of_degree, sub_multiple)
-from .subspace import LinearMap, coord_index, graded_product, vec_to_series
+from .subspace import LinearMap, graded, graded_product, labeller, vec_to_series
 
 
 @dataclass
@@ -99,8 +99,9 @@ def _factorization_scan(target: dict, i: int, p: int, budget: int):
     (x_d, y_d) that fit are a particular solution plus the kernel's span.  As
     coefficient lists, x_d then y_d, in increasing order they come in the order
     of a loop over fp_vectors, so the first pair found is that loop's.
-    Monomials are labels of subspace.coord_index, also the rows of each map.  The
-    layers are graded, and multiplied by subspace.graded_product at top i.
+    Monomials are labels (subspace.labeller), also the rows of each map.  The
+    target is filed by degree once (subspace.graded), as the layers are, and
+    x_u * y_v is the one (u + v, part) pair of subspace.graded_product at top i.
     """
     e = 2 * sum(comb(d + 2, 2) for d in range(1, i))
     # a p >= 2 meets the size gate first: trial division of a p too large to search is slow
@@ -109,9 +110,9 @@ def _factorization_scan(target: dict, i: int, p: int, budget: int):
     if not _is_prime(p):
         raise PrecondError(f"p = {p} is not a prime; the certificate is over the field F_p")
     ring = RingSpec(3, p, i)
-    label, _, starts = coord_index(3, i)
-    layer_keys = {d: tuple(map(label.get, monomials_of_degree(3, d))) for d in range(1, i + 1)}
-    target = {label[m]: c % p for m, c in target.items() if c % p and sum(m) <= i}
+    label = labeller(3, i)
+    layer_keys = {d: tuple(map(label, monomials_of_degree(3, d))) for d in range(1, i + 1)}
+    filed = dict(graded(TruncatedSeries(ring, target), label))  # degree -> the target's terms
 
     def layer(terms, d):
         """The layer of degree d with these (key, c) terms, in graded form."""
@@ -147,9 +148,9 @@ def _factorization_scan(target: dict, i: int, p: int, budget: int):
             return
         # degree depth+1 of x*y is sum_{u=1..depth} x_u * y_(depth+1-u); the terms
         # u = 2..depth-1 are fixed, so they are taken off the target here
-        need = {k: c for k, c in target.items() if starts[depth + 1] <= k < starts[depth + 2]}
+        need = dict(filed.get(depth + 1, ()))
         for u in range(2, depth):
-            for part in graded_product(xl[u - 1], yl[depth - u], i):
+            for _, part in graded_product(xl[u - 1], yl[depth - u], i):
                 sub_multiple(need, part, 1, p)
         if depth == 1:
             firsts = (layer(tuple(v.items()), 1) for v in fp_vectors(layer_keys[1], p))

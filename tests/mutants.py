@@ -117,6 +117,9 @@ MUTANTS = [
            "M, U = _prune_redundant_generators(as_module(M))",
            "M, U = as_module(M), _prune_redundant_generators(as_module(M))[1]",
            ("tests/test_cli.py::test_stable_ar_checks_the_range_ar_index_certifies",)),
+    Mutant("a row of U counted inside the span when the span has its pivot", ARTIN,
+           "span.row_of.get(pivots[k]) == rows[k]", "pivots[k] in span.row_of",
+           ("tests/test_artin_rees.py::test_profile_matches_per_degree_definition",)),
     # _solve_homogeneous: one column per monomial, read back in that order
     Mutant("homogeneous solve reads its monomials in reverse", ARTIN,
            "dict(zip(monomials_of_degree(ring.num_vars, d), coeffs))",
@@ -129,6 +132,9 @@ MUTANTS = [
     Mutant("depth map built from x_1 on both sides", WITNESS,
            "times(yl[0], depth) + times(xl[0], depth)", "times(xl[0], depth) + times(xl[0], depth)",
            SCAN),
+    Mutant("fixed terms added to the target instead of taken off", WITNESS,
+           "sub_multiple(need, part, 1, p)", "sub_multiple(need, part, -1, p)",
+           ("tests/test_witness.py::test_scan_counts_deeper_factorizations",)),
     # Subspace pivot index and column index
     Mutant("pivots not sorted again after an insert", SUBSPACE,
            "        row_of[piv] = row\n        self._pivots = None", "        row_of[piv] = row",
@@ -191,16 +197,17 @@ MUTANTS = [
     Mutant("no unit shortcut", ORDERS,
            "units = [G[0][0] == 0 for G in forms]", "units = [False for G in forms]",
            SCAN_ROWS),
-    # scan pairs: the read of nu(g*h) starts at ord(g)+ord(h)
-    Mutant("pair read starts one degree late", ORDERS,
-           "graded_product(G, H, D), G[0][0] + H[0][0])", "graded_product(G, H, D), G[0][0] + H[0][0] + 1)",
-           SCAN_ROWS),
-    Mutant("pair read starts at degree 0 while the parts start at the orders", ORDERS,
-           "graded_product(G, H, D), G[0][0] + H[0][0])", "graded_product(G, H, D))",
-           SCAN_ROWS + ("tests/test_orders.py::test_pair_read_takes_no_part_past_the_order",)),
-    Mutant("remainder_order ignores its start", SUBSPACE,
-           "for d in range(start, D + 1):", "for d in range(D + 1):",
-           READ_START + SCAN_ROWS),
+    # the order read: (degree, part) pairs, the order the degree of the remainder's lowest label
+    Mutant("product part tagged one degree high", SUBSPACE,
+           "yield e, part", "yield e + 1, part",
+           GRADED_PRODUCT + CHECKED_SEARCH),
+    Mutant("order read takes one part past the order", SUBSPACE,
+           "if v and min(v) // step <= d:", "if v and min(v) // step < d:",
+           READ_START + ("tests/test_orders.py::test_pair_read_takes_no_part_past_the_order",)),
+    # nu(T1^2) modulo the cusp T1^2 - T2^3 is 3, past the one part, of degree 2, that x has
+    Mutant("order read as the degree of the last part read", SUBSPACE,
+           "return ExtOrder.of(min(v) // step) if v", "return ExtOrder.of(d) if v",
+           ("tests/test_orders.py::test_nu_values_cusp", "tests/test_subspace.py::test_member_and_distance_order")),
     # the ICL envelope: exact pairs filed by (nu(g) + nu(h), nu(gh)), every slope read off the filing
     Mutant("pairs filed by nu(gh) alone", ORDERS,
            "filed.setdefault((ng.value + nh.value, ngh.value), [])", "filed.setdefault((0, ngh.value), [])",

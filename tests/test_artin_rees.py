@@ -244,6 +244,18 @@ def test_profile_matches_per_degree_definition(M):
     assert elem == vec_to_series(row, R, arity)
 
 
+@settings(max_examples=40, deadline=None)
+@given(modules())
+def test_basis_row_lies_in_a_graded_span_iff_it_is_the_spans_row(M):
+    # the test of _ar_profile's sweep: a basis row r of U = span_module(M) with
+    # pivot q lies in m^j * M, which lies in U, iff that span's row at q is r
+    U = span_module(M)
+    for j in range(M.ring.trunc + 2):
+        span = graded_span(M, j)
+        for q, r in zip(U.pivots, U.rows):
+            assert (span.row_of.get(q) == r) == span.contains_vec(r), (j, q)
+
+
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_stable_scan_grows_the_span_of_each_x(data):

@@ -3,7 +3,6 @@ import hashlib
 import json
 import random
 from fractions import Fraction
-from itertools import chain, repeat
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -318,15 +317,14 @@ def dense_order(xs, M):
 
 
 def degree_fed_product_order(g, h, U):
-    """nu(g*h) as the pair scan reads it: the degree-d parts of g*h from
-    d = ord(g)+ord(h), fed lazily (graded_product with top D).  The factors may
-    reach degree D here: no part past D is formed (none at all when a factor is
-    zero, as the start is then past D), so every part holds products of degree
-    <= D, whose labels are the sums of the factors' labels."""
+    """nu(g*h) as the pair scan reads it: the (degree, part) pairs of g*h from
+    degree ord(g)+ord(h), fed lazily (graded_product with top D).  The factors
+    may reach degree D here: no part past D is formed (none at all when a
+    factor is zero), so every part holds products of degree <= D, whose labels
+    are the sums of the factors' labels."""
     D = U.ring.trunc
     label = labeller(U.ring.num_vars, D)
-    parts = graded_product(graded(g, label), graded(h, label), D)
-    return U.remainder_order(parts, g.order().value + h.order().value)
+    return U.remainder_order(graded_product(graded(g, label), graded(h, label), D))
 
 
 SCALARS = {0: [1, -1, 2, -3, Fraction(1, 2), Fraction(-3, 2)], 2: [1], 3: [1, 2], 32003: [1, 2, 16001, 32002]}
@@ -373,11 +371,13 @@ def test_degree_fed_order_matches_full_remainder(data):
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_remainder_order_reads_from_its_start(data):
-    # a vector with no entry below degree start, fed from start, has the order
-    # of the full remainder, read off the same parts fed from degree 0 behind
-    # start empty ones; start > D leaves no part to read and gives >= D+1.  The
-    # parts run on as empty ones past D: the read takes one part per degree
-    # from start up to the order, or up to D when the order is >= D+1
+    # a vector with no entry below degree start has the order of its full
+    # remainder, whichever way its (degree, part) pairs are fed: tagged from
+    # start, one part per degree up to D; sparse, its nonempty degrees only,
+    # with gaps between them; dense from degree 0, empty below start.  start > D
+    # leaves no part and gives >= D+1.  The read takes every part below the
+    # order and then the first one at or past it, if any: so a dense feed takes
+    # none past the order, and every part when the order is >= D+1
     char = data.draw(st.sampled_from(sorted(SCALARS)))
     R = RingSpec(data.draw(st.integers(1, 3)), char, data.draw(st.integers(2, 6)))
     D = R.trunc
@@ -388,18 +388,22 @@ def test_remainder_order_reads_from_its_start(data):
     U = span_module(ModuleSpec(R, arity, tuple(gens)))
     xs = data.draw(st.tuples(*[sparse_series(R, [m for m in monos if sum(m) >= start])] * arity))
     vec = series_to_vec(xs, R)
-    parts = [{k: c for k, c in vec.items() if degree_of(k, R, arity) == d} for d in range(start, D + 1)]
-    reads = []
-
-    def fed(parts):
-        for part in chain(parts, repeat({})):
-            reads.append(1)
-            yield part
-
+    by_degree = [{k: c for k, c in vec.items() if degree_of(k, R, arity) == d} for d in range(D + 1)]
     want = reduce_order(xs, U)
-    assert U.remainder_order(fed(parts), start) == want
-    assert len(reads) == max(0, (want.value if want.exact else D) + 1 - start)
-    assert U.remainder_order([{}] * start + parts) == want
+    feeds = [[(d, by_degree[d]) for d in range(start, D + 1)],
+             [(d, part) for d, part in enumerate(by_degree) if part],
+             list(enumerate(by_degree))]
+    for feed in feeds:
+        reads = []
+
+        def fed():
+            for d, part in feed:
+                reads.append(d)
+                yield d, part
+
+        assert U.remainder_order(fed()) == want, feed
+        below = [d for d, _ in feed if d < want.value]
+        assert reads == below + [d for d, _ in feed if d >= want.value][:1], feed
 
 
 def test_scans_form_full_products_only_for_inexact_pairs(monkeypatch):

@@ -1,6 +1,7 @@
 import ast
 import glob
 import os
+import re
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "artinlab")
 
@@ -22,6 +23,21 @@ def test_no_assert_in_src():
             if isinstance(node, ast.Assert) or (isinstance(exc, ast.Name) and exc.id == "AssertionError"):
                 found.append("%s:%d" % (os.path.basename(path), node.lineno))
     assert not found, found
+
+
+def test_sources_parse_at_the_python_floor():
+    # pyproject.toml promises requires-python >= floor: every module must parse
+    # with that version's grammar, so syntax of a later version cannot slip in
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    with open(os.path.join(root, "pyproject.toml"), encoding="utf-8") as fh:
+        found = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', fh.read(), re.M)
+    floor = tuple(map(int, found.groups()))
+    assert floor == (3, 10)
+    files = sorted(glob.glob(os.path.join(SRC, "*.py")))
+    assert files
+    for path in files:
+        with open(path, encoding="utf-8") as fh:
+            ast.parse(fh.read(), path, feature_version=floor)
 
 
 def test_mutant_anchors_occur_once():

@@ -425,7 +425,8 @@ T1_OVER_Q = TruncatedSeries.variable(RingSpec(1, 0, 3), 0)
 def test_graded_product_contract(case):
     # the parts of graded_product, reduced, are the homogeneous parts of g*h
     # (TruncatedSeries.__mul__) read through the labels, one per degree from
-    # ord(g)+ord(h) up to min(top, deg g + deg h), and none past top
+    # ord(g)+ord(h) up to min(top, deg g + deg h), none past top, each tagged
+    # with its degree
     L, g, h, top = case
     label = labeller(L.num_vars, L.trunc)
     G, H = graded(g, label), graded(h, label)
@@ -437,8 +438,9 @@ def test_graded_product_contract(case):
     low = g.order().value + h.order().value
     high = -1 if g.is_zero or h.is_zero else min(top, g.max_degree() + h.max_degree())
     assert len(parts) == max(0, high - low + 1), (g, h, top)
+    assert [e for e, _ in parts] == list(range(low, high + 1)), (g, h, top)
     p = L.char
-    for e, part in enumerate(parts, low):
+    for e, part in parts:
         reduced = {k: r for k, c in part.items() if (r := c % p if p else c)}
         assert reduced == series_to_vec((gh.homogeneous_part(e),), L), (g, h, top, e)
 

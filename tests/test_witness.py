@@ -113,15 +113,20 @@ def test_scan_finds_factorizations_when_they_exist():
 
 def test_scan_counts_deeper_factorizations():
     # i = 3 solves degree 3 for the pairs (x_2, y_2) as one linear map; the
-    # counts were taken from the full pairwise product
+    # counts were taken from the full pairwise product.  At i = 4 depth 3 takes
+    # the fixed terms x_2*y_2 off the target: (T1 + T3^2)*(T2 + T3^2) over F_3
+    # has 4*3^9 factorizations, two orders times two scalars for the linear
+    # layers, times the 3^(3+6) units 1 + w_1 + w_2 at depths 2 and 3, and none
+    # if those terms are added instead
     from artinlab.witness import _factorization_scan
 
     for target, i, p, want in [
         ({(1, 1, 0): 1}, 3, 2, 16),
         ({(1, 1, 0): 1, (0, 2, 1): 1}, 3, 2, 16),
         ({(1, 1, 0): 1}, 2, 3, 4),
+        ({(1, 1, 0): 1, (1, 0, 2): 1, (0, 1, 2): 1, (0, 0, 4): 1}, 4, 3, 4 * 3**9),
     ]:
-        _, found, ce = _factorization_scan(target, i, p, 10**6)
+        _, found, ce = _factorization_scan(target, i, p, 3**38)  # the raw space at i = 4, p = 3
         assert found == want, (target, i, p)
         # the reported pair multiplies to the target modulo m^(i+1)
         R = RingSpec(3, p, i)
