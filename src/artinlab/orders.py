@@ -173,9 +173,9 @@ def _scan_pairs(I, deg_max, mode, count, seed, budget):
     the other factor's order, with no product.  Every other nu_gh is read
     (Subspace.remainder_order) off the (degree, part) pairs of g*h as
     subspace.graded_product yields them at top D, from ord(g)+ord(h) on, so g*h
-    is built only up to its order.  The full product is formed only where nu_gh is inexact, the one case
-    that looks at it again.  A scan with more pairs than the budget is refused
-    before its first pair."""
+    is built only up to its order.  The full product is formed only where nu_gh
+    is inexact, the one case that looks at it again.  A scan with more pairs
+    than the budget is refused before its first pair."""
     if deg_max < 1:
         raise PrecondError("deg_max must be >= 1: the candidates have degree 1..deg_max")
     ring = I.ring

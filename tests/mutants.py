@@ -207,7 +207,8 @@ MUTANTS = [
     # nu(T1^2) modulo the cusp T1^2 - T2^3 is 3, past the one part, of degree 2, that x has
     Mutant("order read as the degree of the last part read", SUBSPACE,
            "return ExtOrder.of(min(v) // step) if v", "return ExtOrder.of(d) if v",
-           ("tests/test_orders.py::test_nu_values_cusp", "tests/test_subspace.py::test_member_and_distance_order")),
+           READ_START + ("tests/test_orders.py::test_nu_values_cusp",
+                         "tests/test_subspace.py::test_member_and_distance_order")),
     # the ICL envelope: exact pairs filed by (nu(g) + nu(h), nu(gh)), every slope read off the filing
     Mutant("pairs filed by nu(gh) alone", ORDERS,
            "filed.setdefault((ng.value + nh.value, ngh.value), [])", "filed.setdefault((0, ngh.value), [])",

@@ -33,6 +33,7 @@ from artinlab.subspace import (
     series_to_vec,
     span_ideal,
     span_module,
+    vec_to_series,
 )
 from artinlab.parsing import parse_poly
 
@@ -388,6 +389,14 @@ def test_remainder_order_reads_from_its_start(data):
     U = span_module(ModuleSpec(R, arity, tuple(gens)))
     xs = data.draw(st.tuples(*[sparse_series(R, [m for m in monos if sum(m) >= start])] * arity))
     vec = series_to_vec(xs, R)
+    # or a basis row of U with entries past its pivot's degree, cut after that
+    # degree: the remainder, the rest of the row negated, lies past the last part
+    rows = [(d, r) for r in U.rows
+            if start <= (d := degree_of(min(r), R, arity)) < degree_of(max(r), R, arity)]
+    if rows and data.draw(st.booleans()):
+        d, row = data.draw(st.sampled_from(rows))
+        vec = {k: c for k, c in row.items() if degree_of(k, R, arity) == d}
+        xs = vec_to_series(vec, R, arity)
     by_degree = [{k: c for k, c in vec.items() if degree_of(k, R, arity) == d} for d in range(D + 1)]
     want = reduce_order(xs, U)
     feeds = [[(d, by_degree[d]) for d in range(start, D + 1)],
