@@ -490,6 +490,8 @@ def _graded(parts, p: int) -> tuple:
     return tuple(out)
 
 
+_ONE = ((0, ((0, 1),)),)  # the series 1, graded: label(0) = 0
+
 # frames the recursion limit must leave beside one _walk frame per slot: measured,
 # 50 below the search at the deepest caller in the tests and at most 5 inside it
 _STACK_MARGIN = 100
@@ -500,6 +502,7 @@ class BetaResult:
     value: int
     level_i: int
     explored_nodes: int
+    reads: int
     state_space_size: str  # decimal, or "p^e" past 3000 digits
     solvable_classes: int
 
@@ -553,6 +556,16 @@ class _BetaSearch:
     made of its completions, none solvable, so e counts at once; past it, e is
     held for the class, dropped at the class's first solution (where the walk
     leaves the class) and counted when the undo leaves the class.
+
+    The walk never branches past the cut, slot k*n.  A term c*X^alpha with
+    |alpha| >= 2 meets two layers of degree >= k only at degree >= ord(c) + 2k,
+    past D, so below a node with every layer of degree < k set (x0), every
+    completion x0 + h has residual F(x0) + J(x0)*h mod m^(D+1): Taylor
+    expansion, exact over any ring.  The first node at or past the cut that
+    the walk leaves open reads its verdict off the degree-major echelon form of
+    J(x0)'s image (_read): F(x0) in the image is a solution, and otherwise the
+    order of F(x0)'s remainder is the largest order any completion reaches,
+    held like a fixed order.
     """
 
     def __init__(self, system: Sequence[PolyInX], i: int, budget: int):
@@ -574,14 +587,21 @@ class _BetaSearch:
         self.budget = budget
         D = ring.trunc
         self.D = D
-        # _walk recurses once per slot: refuse a depth the interpreter stack cannot
-        # hold, before anything is built per monomial
+        # the cut: a term c*X^alpha with |alpha| >= 2 meets two layers of degree >= k
+        # only at degree ord(c) + 2k > D, so past slot k*n every completion is affine
+        k = max([i + 1] + [(D - coeff.order().value) // 2 + 1
+                           for poly in system for alpha, coeff in poly.terms.items() if sum(alpha) >= 2])
+        self.k = min(k, D + 1)
+        self.cut = self.k * n
+        # _walk recurses once per slot up to the cut: refuse a depth the interpreter
+        # stack cannot hold, before anything is built per monomial
         limit = sys.getrecursionlimit()
-        if (D + 1) * n > limit - _STACK_MARGIN:
-            raise BudgetError(f"search depth {(D + 1) * n} slots > {limit - _STACK_MARGIN}: the "
+        if self.cut > limit - _STACK_MARGIN:
+            raise BudgetError(f"search depth {self.cut} slots > {limit - _STACK_MARGIN}: the "
                               f"recursion limit {limit} less {_STACK_MARGIN} frames for the callers")
         self.slots = [(d, j) for d in range(D + 1) for j in range(n)]
         self.label = label = labeller(ring.num_vars, D)
+        self.step = (D + 1) ** ring.num_vars  # a label of degree d of A^r: d*r*step..(d+1)*r*step - 1
         self.boundary = (i + 1) * n
         # per unknown j, the system terms containing it, each as (its coefficient's
         # order, alpha_j, ((u, alpha_u) for the other unknowns)); the terms c*T^u*x_j
@@ -609,6 +629,7 @@ class _BetaSearch:
         self.choices = [None] * (D + 1)  # per degree: None unread, () read once, then built by _layers
         self.space = (ring.char, n * comb(ring.num_vars + D, D))  # raw space F_p^e
         self.nodes = 0
+        self.reads = 0
         self.solvable = 0  # classes modulo m^(i+1) that hold an exact solution
         self.best = -1
         self.held = -1  # the largest fixed order met in the current class, past the boundary
@@ -627,6 +648,9 @@ class _BetaSearch:
         # degree; a lower bound for the order of every completion of x_u
         self.lb = [0] * n
         self._frames = []
+        # J(x0) is constant for an affine system: built at its first read and kept
+        self.affine = all(sum(alpha) <= 1 for poly in system for alpha in poly.terms)
+        self.jac = None
 
     # -- bookkeeping -------------------------------------------------------
     def _slot_min_degree(self, j: int, d: int) -> int:
@@ -785,21 +809,95 @@ class _BetaSearch:
         o = min(self.ords)
         return o if o < floor and o < self._finality(slot_idx, floor) else None
 
+    # -- the affine read past the cut -------------------------------------------
+    def _jacobian(self) -> list:
+        """dF/dx_j at x0 for each unknown j: a vector of A^r, r the number of equations
+        and equation pidx its component, graded (subspace.graded) on the labels of
+        coord_index(N, D, r).  A term c*T^u*x_j gives c*T^u; every other term
+        a_j * coeff * x_j^(a_j - 1) * prod x_u^(a_u), built from pows."""
+        r, p, step, pows, product = len(self.system), self.ring.char, self.step, self.pows, self._product
+        jac = []
+        for j in range(self.n):
+            terms = [(pidx, ((sum(u), ((self.label(u), c),)),)) for pidx, u, c in self.linear[j]]
+            for pidx, coeff, aj, others in self.general[j]:
+                term = product(coeff or _ONE, ((0, ((0, aj),)),))  # () when p divides a_j
+                for u, a in ((j, aj - 1), *others):
+                    if a:
+                        term = product(term, pows[u][a] if a in pows[u] else power(pows[u][1], a, None, product))
+                terms.append((pidx, term))
+            parts = {}
+            for pidx, term in terms:
+                for e, items in term:
+                    shift = e * (r - 1) * step + pidx * step  # arity 1 -> arity r, component pidx
+                    sub_multiple(parts.setdefault(e, {}), {k + shift: c for k, c in items}, -1, p)
+            jac.append(tuple((e, tuple(parts[e].items())) for e in sorted(parts) if parts[e]))
+        return jac
+
+    def _columns(self, jac: list, d: int):
+        """The image columns of lowest degree d: dF/dx_j(x0) * T^m for each unknown j and
+        each monomial m of degree t = d - ord(dF/dx_j(x0)) in k..D, cut at D."""
+        r, step = len(self.system), self.step
+        for g in jac:
+            t = d - g[0][0] if g else -1
+            if t >= self.k:
+                for m in monomials_of_degree(self.ring.num_vars, t):
+                    s = self.label(m) + t * (r - 1) * step  # label(0, m) of A^r
+                    yield {key + s: c for e, items in g if e + t <= self.D for key, c in items}
+
+    def _image_order(self, jac: list) -> Optional[int]:
+        """The order of F(x0)'s remainder modulo the image of h -> J(x0)*h on the layers
+        of degree k..D, None for a zero remainder.
+
+        Columns of lowest degree above d lie in m^(d+1), so those of lowest degree
+        <= d decide whether the remainder has an entry at degree d (subspace module
+        docstring): each degree's columns are inserted before F(x0)'s part of that
+        degree is added, and the read stops at the first degree left nonzero."""
+        D, r, p, step = self.D, len(self.system), self.ring.char, self.step
+        image, v = Subspace(self.ring, r), {}
+        for d in range(D + 1):
+            for col in self._columns(jac, d):
+                image.insert(col)
+            for pidx, res in enumerate(self.res):
+                shift = d * (r - 1) * step + pidx * step
+                sub_multiple(v, {k + shift: c for k, c in res[d].items()}, -1, p)
+            v = image.reduce(v)
+            if v and min(v) < (d + 1) * r * step:
+                return d
+        return None
+
+    def _read(self) -> Optional[int]:
+        """The largest residual order of a completion of this node, None if one solves
+        the system.  Every layer of degree < k is set (x0) and none above, so the
+        residual is F(x0), and the completions x0 + h give F(x0) + J(x0)*h mod
+        m^(D+1): Taylor expansion, exact over any ring.  A zero F(x0) reads nothing."""
+        if min(self.ords) > self.D:
+            return None
+        self.reads += 1
+        self._charge()
+        jac = self.jac or self._jacobian()
+        if self.affine:
+            self.jac = jac
+        return self._image_order(jac)
+
     # -- the one depth-first walk ---------------------------------------------
+    def _charge(self):
+        """Refuse the search once its nodes and reads pass the budget."""
+        if self.nodes + self.reads > self.budget:
+            raise BudgetError(
+                f"enumeration budget {self.budget} exhausted after {self.nodes} nodes and {self.reads} "
+                "reads; raw state space has size %d^%d" % self.space
+            )
+
     def _walk(self, slot_idx: int) -> bool:
         """Depth-first from slot_idx, counting every node against the budget.
 
         Past the slots frozen to zero, _visit ends the node with a verdict, or
-        returns None to try each value of the next layer.  A True verdict, an
-        exact solution, returns through the layers of degree > i, skipping
-        their remaining values: the walk goes on at the next class.
+        returns None to try each value of the next layer.  A True verdict, a
+        solvable read, returns through the layers of degree > i, skipping their
+        remaining values: the walk goes on at the next class.
         """
         self.nodes += 1
-        if self.nodes > self.budget:
-            raise BudgetError(
-                f"enumeration budget {self.budget} exhausted after {self.nodes} nodes; "
-                "raw state space has size %d^%d" % self.space
-            )
+        self._charge()
         slot_idx, frames, floor = self._advance_auto(slot_idx)
         try:
             verdict = self._visit(slot_idx, floor)
@@ -819,16 +917,18 @@ class _BetaSearch:
 
     def _visit(self, slot_idx: int, floor: int):
         e = self._fixed_order(slot_idx, floor)
-        if e is not None:  # every completion has residual order e: no solution below
+        if e is None and slot_idx >= self.cut:  # the read: no branching past the cut
+            e = self._read()
+            if e is None:  # a completion solves the system: its class is solvable
+                self.solvable += 1
+                self.held = -1
+                return True
+        if e is not None:  # no completion solves the system, and e is the largest order one reaches
             if slot_idx < self.boundary:
                 self.best = max(self.best, e)
             else:
                 self.held = max(self.held, e)
             return False
-        if slot_idx == len(self.slots):  # an exact solution: its class is solvable
-            self.solvable += 1
-            self.held = -1
-            return True
         return None
 
     def run(self) -> BetaResult:
@@ -838,6 +938,7 @@ class _BetaSearch:
             value=max(self.best, self.held, 0),  # with no unknown, the one class is never left
             level_i=self.i,
             explored_nodes=self.nodes,
+            reads=self.reads,
             state_space_size="%d^%d" % self.space if size is None else str(size),
             solvable_classes=self.solvable,
         )

@@ -280,7 +280,7 @@ def _beta_lb(args, s):
     system = [parse_expr(t, s.ring, s.names, unknowns) for t in _split_list(args.system)]
     res = artin.beta_lower_bound_bruteforce(system, args.i, budget=args.budget)
     return Out({"beta_lower_bound": res.value, "i": res.level_i,
-                "explored_nodes": res.explored_nodes,
+                "explored_nodes": res.explored_nodes, "reads": res.reads,
                 "state_space_size": res.state_space_size,
                 "solvable_classes": res.solvable_classes})
 

@@ -47,7 +47,7 @@ SOLVE = ("tests/test_subspace.py::test_solve_linear_matches_dense_rank",)
 MUTANTS = [
     # _BetaSearch: one walk, each class walked in one stretch and left at its first solution
     Mutant("held order not dropped at a solution", ARTIN,
-           "self.solvable += 1\n            self.held = -1", "self.solvable += 1",
+           "self.solvable += 1\n                self.held = -1", "self.solvable += 1",
            CHECKED_SEARCH + BETA_PINNED),
     # the pinned searches hold no unsolvable class of top order followed by a solvable
     # one in the same last boundary slot, so the oracle test carries such a case
@@ -56,6 +56,16 @@ MUTANTS = [
            CHECKED_SEARCH + ("tests/test_beta.py::test_matches_full_enumeration_oracle",)),
     Mutant("a solution returns through the layers of degree >= i", ARTIN,
            "if found and d > self.i:", "if found and d >= self.i:",
+           CHECKED_SEARCH + BETA_PINNED),
+    # _BetaSearch: the affine read past the cut k
+    Mutant("cut at k = floor(D/2), where a quadratic term still reaches degree D", ARTIN,
+           "(D - coeff.order().value) // 2 + 1", "(D - coeff.order().value) // 2",
+           CHECKED_SEARCH + BETA_PINNED),
+    Mutant("the columns of the last unknown dropped from J", ARTIN,
+           "            jac.append(tuple(", "            jac.append(() if j == self.n - 1 else tuple(",
+           CHECKED_SEARCH + BETA_PINNED),
+    Mutant("a solvable read does not leave its class", ARTIN,
+           "                self.held = -1\n                return True", "                self.held = -1\n                return False",
            CHECKED_SEARCH + BETA_PINNED),
     # _BetaSearch: residual degrees and their orders
     Mutant("residual orders never updated", ARTIN,

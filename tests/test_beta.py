@@ -1,4 +1,5 @@
 import sys
+from collections import Counter, defaultdict
 from itertools import islice, zip_longest
 from math import comb
 
@@ -8,8 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 import oracles
 from artinlab.artin import _STACK_MARGIN, _BetaSearch, beta_lower_bound_bruteforce
 from artinlab.errors import BudgetError, PrecondError
-from artinlab.series import RingSpec, TruncatedSeries, fp_vectors, monomials_of_degree
-from artinlab.subspace import coord_index
+from artinlab.series import ExtOrder, RingSpec, TruncatedSeries, fp_vectors, monomials_of_degree
+from artinlab.subspace import LinearMap, Subspace, coord_index, distance_order, series_to_vec
 from artinlab.parsing import parse_expr
 
 
@@ -110,13 +111,15 @@ def test_level_out_of_range():
 
 
 def test_deepest_search_fits_the_stack():
-    # the deepest search the gate accepts, one slot per degree, runs from inside
-    # the test suite without a RecursionError; one slot more is refused
+    # the deepest search the gate accepts, one slot per degree up to the cut
+    # k = floor(D/2) + 1 of X1^2, runs from inside the test suite without a
+    # RecursionError: the zero class walks every slot to the cut.  One slot more
+    # is refused
     depth = sys.getrecursionlimit() - _STACK_MARGIN
-    res = beta_lower_bound_bruteforce(system("T1*X1", RingSpec(1, 2, depth - 1), ["X1"]), 0)
-    assert res.value == 1
+    res = beta_lower_bound_bruteforce(system("X1^2", RingSpec(1, 2, 2 * depth - 2), ["X1"]), 0)
+    assert (res.value, res.explored_nodes, res.solvable_classes) == (0, depth + 2, 1)
     with pytest.raises(BudgetError, match=f"search depth {depth + 1} slots > {depth}"):
-        beta_lower_bound_bruteforce(system("T1*X1", RingSpec(1, 2, depth), ["X1"]), 0)
+        beta_lower_bound_bruteforce(system("X1^2", RingSpec(1, 2, 2 * depth), ["X1"]), 0)
 
 
 def test_layer_streams_follow_fp_vectors():
@@ -185,6 +188,7 @@ class CheckedSearch(_BetaSearch):
         # the class the walk is in (its layers of degree <= i), every class it
         # entered and every class in which it met an exact solution
         self.current, self.entered, self.solved = None, set(), set()
+        self.verdicts = Counter()  # reads that solve (True) and reads of an order (False)
 
     def _advance_auto(self, slot_idx):
         slot_idx, frames, floor = super()._advance_auto(slot_idx)
@@ -224,12 +228,55 @@ class CheckedSearch(_BetaSearch):
                 self.entered.add(layers)
                 self.current = layers
             assert self.current == layers
-            if slot_idx == len(self.slots) and min(self.ords) > self.D:
+            if slot_idx >= self.cut and min(self.ords) > self.D:  # a read of F(x0) = 0
                 self.solved.add(layers)
         else:
             assert self.current is None and self.held == -1
         self.checked += 1
+        self.x0 = xs
         return slot_idx, frames, floor
+
+    def _image_order(self, jac):
+        # each image column is its own Taylor difference F(x0 + T^m e_j) - F(x0), for
+        # every unknown j and monomial m of degree k..D, evaluated on the system
+        ring, r = self.ring, len(self.system)
+        f0 = [oracles.evaluate(poly, self.x0) for poly in self.system]
+        taylor = []  # (j, m, column)
+        for j in range(self.n):
+            for t in range(self.k, self.D + 1):
+                for m in monomials_of_degree(ring.num_vars, t):
+                    xs = list(self.x0)
+                    xs[j] = xs[j] + TruncatedSeries.monomial(ring, m, 1)
+                    col = series_to_vec([oracles.evaluate(poly, xs) - f for poly, f in zip(self.system, f0)], ring)
+                    taylor.append((j, m, col))
+        degree = r * (ring.trunc + 1) ** ring.num_vars  # labels per degree of A^r
+        self.expected = defaultdict(Counter)
+        for _, _, col in taylor:
+            if col:
+                self.expected[min(col) // degree][frozenset(col.items())] += 1
+        got = super()._image_order(jac)
+        # the read, which builds columns only up to the order, against the full image
+        image = Subspace(ring, r)
+        for _, _, col in taylor:
+            image.insert(col)
+        assert distance_order(tuple(f0), image) == (ExtOrder.at_least(self.D + 1) if got is None
+                                                    else ExtOrder.of(got))
+        self.verdicts[got is None] += 1
+        if got is None:  # a solvable read: some completion x0 + h solves the system
+            h = LinearMap([col for _, _, col in taylor], ring).solve(series_to_vec([-f for f in f0], ring))
+            xs = list(self.x0)
+            for (j, m, _), c in zip(taylor, h):
+                if c:
+                    xs[j] = xs[j] + TruncatedSeries.monomial(ring, m, c)
+            assert all(oracles.evaluate(poly, xs).is_zero for poly in self.system)
+            self.solved.add(self.current)
+        return got
+
+    def _columns(self, jac, d):
+        # the columns of lowest degree d are exactly the Taylor differences of that lowest degree
+        cols = list(super()._columns(jac, d))
+        assert Counter(frozenset(col.items()) for col in cols) == self.expected[d], d
+        return cols
 
     def _undo(self):
         self.path.pop()
@@ -293,65 +340,75 @@ class CheckedSearch(_BetaSearch):
 
 def test_incremental_state_matches_definitions():
     R, R2, R3 = RingSpec(1, 2, 2), RingSpec(2, 2, 2), RingSpec(1, 3, 2)
-    # (value, explored_nodes, solvable_classes) at i = 0 and i = 1: every node of
-    # the one walk, so its node count and with it every budget error, is pinned
+    # (value, explored_nodes, reads, solvable_classes) at i = 0 and i = 1: every node
+    # and read of the one walk, so their count and with it every budget error, is pinned
     cases = [
         # the systems of test_matches_full_enumeration_oracle
-        (R, "T1*X1", ["X1"], [(1, 4, 1), (2, 5, 1)]),
-        (R, "X1*X1 - T1^2*X2", ["X1", "X2"], [(0, 8, 2), (2, 9, 2)]),
-        (R, "T1*X1 + T1^2", ["X1"], [(1, 5, 1), (2, 5, 1)]),
-        (R, "X1*X1 - T1", ["X1"], [(1, 3, 0), (1, 3, 0)]),
-        (R2, "T1*X1 + T2*X2", ["X1", "X2"], [(1, 9, 1), (2, 27, 2)]),
-        (R2, "T1*X1 + T2", ["X1"], [(1, 3, 0), (1, 3, 0)]),
-        (R2, "X1*X2 - T1*T2", ["X1", "X2"], [(0, 21, 3), (2, 62, 7)]),
-        (R3, "T1*X1 + T1*X2*X2", ["X1", "X2"], [(1, 18, 3), (2, 40, 7)]),
-        (R, "T1*X1; T1^2*X2", ["X1", "X2"], [(2, 8, 1), (2, 9, 1)]),
+        (R, "T1*X1", ["X1"], [(1, 3, 0, 1), (2, 5, 0, 1)]),
+        (R, "X1*X1 - T1^2*X2", ["X1", "X2"], [(0, 8, 0, 2), (2, 9, 0, 2)]),
+        (R, "T1*X1 + T1^2", ["X1"], [(1, 3, 1, 1), (2, 5, 0, 1)]),
+        (R, "X1*X1 - T1", ["X1"], [(1, 3, 0, 0), (1, 3, 0, 0)]),
+        (R2, "T1*X1 + T2*X2", ["X1", "X2"], [(1, 7, 0, 1), (2, 27, 0, 2)]),
+        (R2, "T1*X1 + T2", ["X1"], [(1, 3, 0, 0), (1, 3, 0, 0)]),
+        (R2, "X1*X2 - T1*T2", ["X1", "X2"], [(0, 15, 2, 3), (2, 47, 5, 7)]),
+        (R3, "T1*X1 + T1*X2*X2", ["X1", "X2"], [(1, 13, 0, 3), (2, 40, 0, 7)]),
+        (R, "T1*X1; T1^2*X2", ["X1", "X2"], [(2, 5, 1, 1), (2, 9, 0, 1)]),
         # the beta-lb systems of the search benchmark, at D = 3
-        (RingSpec(2, 2, 3), "T1*X1 + T2*X2", ["X1", "X2"], [(1, 11, 1), (2, 31, 2)]),
-        (RingSpec(2, 3, 3), "T1*X1 + T2*X2", ["X1", "X2"], [(1, 17, 1), (2, 109, 3)]),
-        (RingSpec(2, 2, 3), "X1*X2 - T1*T2", ["X1", "X2"], [(0, 26, 3), (2, 111, 10)]),
-        (RingSpec(2, 2, 3), "X1^2 + T1*X2", ["X1", "X2"], [(1, 8, 1), (2, 28, 2)]),
-        (RingSpec(2, 2, 3), "T1*X1", ["X1"], [(1, 5, 1), (2, 8, 1)]),
+        (RingSpec(2, 2, 3), "T1*X1 + T2*X2", ["X1", "X2"], [(1, 7, 0, 1), (2, 27, 0, 2)]),
+        (RingSpec(2, 3, 3), "T1*X1 + T2*X2", ["X1", "X2"], [(1, 13, 0, 1), (2, 103, 0, 3)]),
+        (RingSpec(2, 2, 3), "X1*X2 - T1*T2", ["X1", "X2"], [(0, 16, 2, 3), (2, 51, 8, 10)]),
+        (RingSpec(2, 2, 3), "X1^2 + T1*X2", ["X1", "X2"], [(1, 7, 0, 1), (2, 25, 0, 2)]),
+        (RingSpec(2, 2, 3), "T1*X1", ["X1"], [(1, 3, 0, 1), (2, 7, 0, 1)]),
         # T2^D holds the largest key, in the constant, a shift plan and the degree-D layers
-        (RingSpec(2, 2, 3), "T2^3*X1 + T2*X1*X2 - T2^3", ["X1", "X2"], [(1, 17, 3), (3, 53, 6)]),
+        (RingSpec(2, 2, 3), "T2^3*X1 + T2*X1*X2 - T2^3", ["X1", "X2"], [(1, 14, 1, 3), (3, 47, 1, 6)]),
         # over F_3 a power's difference x_j'^a - x_j^a keeps its sign
-        (RingSpec(1, 3, 3), "(1 + 2*T1)*X1^3 + T1*X1 - T1^2", ["X1"], [(0, 9, 1), (2, 10, 1)]),
+        (RingSpec(1, 3, 3), "(1 + 2*T1)*X1^3 + T1*X1 - T1^2", ["X1"], [(0, 6, 1, 1), (2, 7, 1, 1)]),
         # three unknowns in one term, checked node by node
-        (RingSpec(1, 2, 3), "X1*X2*X3 + T1*X1 - T1^2", ["X1", "X2", "X3"], [(1, 55, 6), (2, 129, 18)]),
+        (RingSpec(1, 2, 3), "X1*X2*X3 + T1*X1 - T1^2", ["X1", "X2", "X3"], [(1, 36, 3, 6), (2, 65, 11, 18)]),
+        # two equations: a read that solves, reads that do not; and k = 3 above i + 1
+        (RingSpec(2, 2, 3), "X1 + X2^2 - T1*T2; X2 - T1*X1", ["X1", "X2"], [(0, 9, 1, 1), (1, 27, 1, 1)]),
+        (RingSpec(2, 2, 3), "X1*X2 - T1*T2; X1 + X2 + T1", ["X1", "X2"], [(2, 27, 4, 0), (2, 27, 4, 0)]),
+        (RingSpec(1, 3, 4), "X1^2 - T1^2*X2; T1*X2 - X1", ["X1", "X2"], [(2, 31, 0, 2), (3, 62, 12, 2)]),
     ]
+    verdicts = Counter()
     for ring, text, unknowns, pinned in cases:
         sys_ = system(text, ring, unknowns)
         for i in range(2):
             search = CheckedSearch(sys_, i, 2_000_000)
             got = search.run()
+            verdicts += search.verdicts
             assert search.checked == search.nodes > 0, (text, i)
             assert got == beta_lower_bound_bruteforce(sys_, i), (text, i)
-            assert (got.value, got.explored_nodes, got.solvable_classes) == pinned[i], (text, i)
+            assert (got.value, got.explored_nodes, got.reads, got.solvable_classes) == pinned[i], (text, i)
+    assert verdicts[True] > 0 and verdicts[False] > 0, verdicts
 
 
 def test_search_benchmark_systems_pinned():
-    # (value, explored_nodes, solvable_classes) of the beta-lb systems of the search
-    # benchmark at its sizes: every node of the one walk, so a cheaper node cannot
-    # come from visiting fewer
+    # (value, explored_nodes, reads, solvable_classes) of the beta-lb systems of the
+    # search benchmark at its sizes: every node and read of the one walk, so a
+    # cheaper node cannot come from visiting fewer
     for char, trunc, text, i, pinned in [
-        (2, 6, "T1*X1 + T2*X2", 3, (4, 2603, 64)),
-        (3, 5, "T1*X1 + T2*X2", 2, (3, 2479, 27)),
-        (2, 5, "X1*X2 - T1*T2", 2, (3, 2345, 72)),
-        (2, 5, "X1^2 + T1*X2", 2, (4, 2412, 8)),
+        (2, 6, "T1*X1 + T2*X2", 3, (4, 2347, 0, 64)),
+        (3, 5, "T1*X1 + T2*X2", 2, (3, 2371, 0, 27)),
+        (2, 5, "X1*X2 - T1*T2", 2, (3, 547, 68, 72)),
+        (2, 5, "X1^2 + T1*X2", 2, (4, 169, 14, 8)),
     ]:
         got = beta_lower_bound_bruteforce(system(text, RingSpec(2, char, trunc), ["X1", "X2"]), i)
-        assert (got.value, got.explored_nodes, got.solvable_classes) == pinned, (char, trunc, text)
+        assert (got.value, got.explored_nodes, got.reads, got.solvable_classes) == pinned, (char, trunc, text)
 
 
 def test_search_at_d6_pinned():
-    # (value, solvable_classes) of two searches at D = 6, i = 3: tens of thousands
-    # of nodes, past the oracle's reach
-    for char, text, pinned in [
-        (3, "T1*X1 + T2*X2", (4, 729)),
-        (2, "X1*X2 - T1*T2", (4, 1088)),
+    # (value, solvable_classes) of three searches at D = 6, i = 3: thousands of
+    # nodes, past the oracle's reach.  The last took 4,374,977 nodes of a walk
+    # with no cut, past the default budget; it now answers within it
+    for char, text, pinned, work in [
+        (3, "T1*X1 + T2*X2", (4, 729), None),
+        (2, "X1*X2 - T1*T2", (4, 1088), None),
+        (2, "X1^2 + T1*X2", (6, 64), (4521, 120)),
     ]:
         got = beta_lower_bound_bruteforce(system(text, RingSpec(2, char, 6), ["X1", "X2"]), 3)
         assert (got.value, got.solvable_classes) == pinned, (char, text)
+        assert work in (None, (got.explored_nodes, got.reads)), (char, text)
 
 
 @st.composite
@@ -379,11 +436,16 @@ def small_systems(draw):
     return [parse_expr(" + ".join(eq), ring, unknowns=X) for eq in eqs], draw(st.integers(0, D))
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=50, deadline=None)
 @given(small_systems())
 @example((system("X1; T1*X1", RingSpec(1, 2, 2), ["X1"]), 2))  # live at degree D, shifted past it
 @example((system("T1 + T1^2*X1", RingSpec(1, 2, 3), ["X1"]), 1))  # order 1 fixed at the root
 @example((system("T1*X1 + X1^2", RingSpec(1, 3, 3), ["X1"]), 3))  # i = D: each class one point
+# two equations; the cut k = 2 above i + 1 (a read that solves, reads of an order)
+@example((system("X1 + X2^2 - T1; X2 - T1*X1", RingSpec(1, 2, 3), ["X1", "X2"]), 0))
+@example((system("X1*X2 - T1*T2; T1*X1 + X2", RingSpec(2, 2, 2), ["X1", "X2"]), 0))
+# the cut at the boundary, k = i + 1 = 2, with a quadratic term
+@example((system("X1*X2 - T1; T1*X1 + X2", RingSpec(1, 2, 3), ["X1", "X2"]), 1))
 def test_random_small_systems_agree(case):
     sys_, i = case
     search = CheckedSearch(sys_, i, 2_000_000)

@@ -121,7 +121,7 @@ def test_beta_lb_with_no_unknowns():
     # an empty --unknowns still makes a system, in one unknown X1 that no term reads
     result = run_command(["beta-lb", "--vars", "T1", "--char", "2", "--trunc", "3", "--system", "T1",
                           "--unknowns", "", "--i", "0"])[0]["result"]
-    assert result == {"beta_lower_bound": 1, "i": 0, "explored_nodes": 1, "state_space_size": "16",
+    assert result == {"beta_lower_bound": 1, "i": 0, "explored_nodes": 1, "reads": 0, "state_space_size": "16",
                       "solvable_classes": 0}
 
 
@@ -286,8 +286,8 @@ def test_exit_code_budget():
         (("irr-check", "--i", "2000", "--p", "2"), "search space has size 2^2670667998 > budget"),
         (("icl-scan", "--vars", "T1,T2,T3,T4,T5", "--char", "3", "--trunc", "40", "--ideal", "T1",
           "--deg-max", "20", "--mode", "exhaustive"), "candidate space has size 3^53130 > budget"),
-        (("beta-lb", "--vars", "T1,T2,T3", "--char", "2", "--trunc", "50", "--system", "X1",
-          "--unknowns", "X1", "--i", "0", "--budget", "5"), "raw state space has size 2^23426"),
+        (("beta-lb", "--vars", "T1,T2,T3", "--char", "2", "--trunc", "50", "--system", "X1^2 + T1*X2",
+          "--unknowns", "X1,X2", "--i", "0", "--budget", "5"), "raw state space has size 2^46852"),
         # a random pool is refused on its count before the first draw, not after
         # building 10^6 candidates or spinning through 50*(count+1) draws
         (("valcheck", "--vars", "T1,T2", "--trunc", "8", "--ideal", "T1", "--deg-max", "3",
@@ -304,14 +304,22 @@ def test_exit_code_budget():
 
 
 def test_beta_lb_budget_counts_the_one_walk():
-    # the budget counts the nodes of the one search walk: this search needs 32,
-    # so it answers at a budget of 40 and is refused at 31, after 32 nodes
+    # the budget counts the nodes and reads of the one search walk: the first search
+    # needs 31 nodes, so it answers at a budget of 40 and is refused at 30, after 31
+    # nodes; the second needs 547 nodes and 68 reads, so it answers at 615, and at
+    # 614 it is refused at its last read
     argv = ("beta-lb", "--vars", "T1,T2", "--char", "2", "--trunc", "5", "--system", "T1*X1",
             "--unknowns", "X1", "--i", "3", "--budget")
     rep = json.loads(run_cli(*argv, "40", timeout=10).stdout)["result"]
-    assert (rep["beta_lower_bound"], rep["explored_nodes"]) == (4, 32)
-    proc = run_cli(*argv, "31", expect=3, timeout=10)
-    assert "budget 31 exhausted after 32 nodes" in proc.stderr and "Traceback" not in proc.stderr
+    assert (rep["beta_lower_bound"], rep["explored_nodes"], rep["reads"]) == (4, 31, 0)
+    proc = run_cli(*argv, "30", expect=3, timeout=10)
+    assert "budget 30 exhausted after 31 nodes and 0 reads" in proc.stderr and "Traceback" not in proc.stderr
+    argv = ("beta-lb", "--vars", "T1,T2", "--char", "2", "--trunc", "5", "--system", "X1*X2 - T1*T2",
+            "--unknowns", "X1,X2", "--i", "2", "--budget")
+    rep = json.loads(run_cli(*argv, "615", timeout=10).stdout)["result"]
+    assert (rep["beta_lower_bound"], rep["explored_nodes"], rep["reads"]) == (3, 547, 68)
+    proc = run_cli(*argv, "614", expect=3, timeout=10)
+    assert "budget 614 exhausted after 547 nodes and 68 reads" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_random_scan_stops_when_the_finite_space_runs_out():
@@ -338,27 +346,28 @@ def test_pair_scan_refused_before_its_first_pair():
 
 
 def test_beta_lb_depth_gate():
-    # _walk recurses once per slot: a search deeper than the recursion limit
-    # allows is refused before any node, not ended by a RecursionError
-    argv = ("beta-lb", "--vars", "T1", "--char", "2", "--system", "T1*X1", "--unknowns", "X1",
-            "--i", "0")
-    proc = run_cli(*argv, "--trunc", "1200", expect=3, timeout=2)
-    assert "search depth 1201 slots > 900" in proc.stderr
-    rep = json.loads(run_cli(*argv, "--trunc", "500", timeout=10).stdout)["result"]
-    assert (rep["beta_lower_bound"], rep["explored_nodes"]) == (1, 502)
+    # _walk recurses once per slot up to the cut, k*n slots: a search deeper than
+    # the recursion limit allows is refused before any node, not ended by a
+    # RecursionError.  X1^2 at D = 1800 cuts at k = 901; T1*X1 cuts at k = i + 1
+    # whatever D, so at D = 990 it answers
+    argv = ("beta-lb", "--vars", "T1", "--char", "2", "--unknowns", "X1", "--i", "0")
+    proc = run_cli(*argv, "--system", "X1^2", "--trunc", "1800", expect=3, timeout=2)
+    assert "search depth 901 slots > 900" in proc.stderr
+    rep = json.loads(run_cli(*argv, "--system", "T1*X1", "--trunc", "990", timeout=10).stdout)["result"]
+    assert (rep["beta_lower_bound"], rep["explored_nodes"]) == (1, 3)
 
 
 def test_beta_lb_depth_gate_builds_nothing_per_monomial():
-    # the depth gate reads only (D + 1) * n: in a fresh process the search over
-    # T1, T2 at D = 1200 (721,801 monomials) is refused before anything is built
-    # per monomial, at a peak far below one word per monomial
+    # the depth gate reads only k * n: in a fresh process the search over T1, T2
+    # at D = 1800 (1,623,601 monomials) is refused before anything is built per
+    # monomial, at a peak far below one word per monomial
     code = (
         "import tracemalloc\n"
         "from artinlab.artin import _BetaSearch\n"
         "from artinlab.errors import BudgetError\n"
         "from artinlab.parsing import parse_expr\n"
         "from artinlab.series import RingSpec\n"
-        "system = [parse_expr('T1*X1', RingSpec(2, 2, 1200), unknowns=['X1'])]\n"
+        "system = [parse_expr('X1^2', RingSpec(2, 2, 1800), unknowns=['X1'])]\n"
         "tracemalloc.start()\n"
         "try:\n"
         "    _BetaSearch(system, 0, 2_000_000)\n"
@@ -368,7 +377,7 @@ def test_beta_lb_depth_gate_builds_nothing_per_monomial():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=cli_env(), timeout=10)
     assert proc.returncode == 0, proc.stderr
     peak, message = proc.stdout.split(" ", 1)
-    assert message.startswith("search depth 1201 slots > 900"), message
+    assert message.startswith("search depth 901 slots > 900"), message
     assert int(peak) < 5 * 2**20, peak
 
 
@@ -405,38 +414,40 @@ def test_beta_lb_width_guard():
     # a slot's shift map is built once, over its degree-d monomials: no per-slot
     # work that grows with p^dim_d, so a wide ring answers, or is refused by its
     # budget, in well under the timeout
-    proc = run_cli("beta-lb", "--vars", "T1,T2,T3", "--char", "2", "--trunc", "12", "--system", "T1*X1",
-                   "--unknowns", "X1", "--i", "0", "--budget", "50", timeout=2)
-    assert json.loads(proc.stdout)["result"]["explored_nodes"] == 14
+    proc = run_cli("beta-lb", "--vars", "T1,T2,T3", "--char", "2", "--trunc", "12", "--system",
+                   "X1^2 + T1*X2", "--unknowns", "X1,X2", "--i", "0", "--budget", "50", timeout=2)
+    assert json.loads(proc.stdout)["result"]["explored_nodes"] == 17
     proc = run_cli("beta-lb", "--vars", "T1,T2,T3,T4", "--char", "2", "--trunc", "30", "--system",
                    "T1*X1 + T2*X2", "--unknowns", "X1,X2", "--i", "2", "--budget", "1000", expect=3, timeout=2)
-    assert "budget 1000 exhausted after 1001 nodes" in proc.stderr and "Traceback" not in proc.stderr
+    assert "budget 1000 exhausted after 1001 nodes and 0 reads" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_beta_lb_long_walk_keeps_no_layers():
-    # T1*X1 at i = 0 reads each of its D + 1 degrees about once: a long walk that
-    # answers well under the timeout and keeps no degree's layers.  In a fresh
-    # process, with the process-wide table of monomials built first, the search,
-    # built and walked, peaks under 16 words per monomial of the ring: its keys and
-    # the streams' state (75 bytes when written; choices built on a degree's first
-    # read took 190)
-    proc = run_cli("beta-lb", "--vars", "T1,T2", "--char", "2", "--trunc", "400", "--system", "T1*X1",
+    # X1^2 at i = 0 cuts at k = D/2 + 1 and reads each degree below k about once: a
+    # long walk that answers well under the timeout and keeps no degree's layers.
+    # In a fresh process, with the process-wide table of monomials built first, the
+    # search, built and walked, peaks under 16 words per monomial of the ring, and
+    # under 16 words per monomial of the 101 degrees it reads: its keys and the
+    # streams' state (91 bytes per monomial read when written; choices built on a
+    # degree's first read took 196)
+    proc = run_cli("beta-lb", "--vars", "T1,T2", "--char", "2", "--trunc", "400", "--system", "X1^2",
                    "--unknowns", "X1", "--i", "0", timeout=10)
-    assert json.loads(proc.stdout)["result"]["explored_nodes"] == 402
+    assert json.loads(proc.stdout)["result"]["explored_nodes"] == 203
     code = (
         "import tracemalloc\n"
         "from artinlab.artin import _BetaSearch\n"
         "from artinlab.parsing import parse_expr\n"
         "from artinlab.series import RingSpec, monomials_up_to\n"
-        "system = [parse_expr('T1*X1', RingSpec(2, 2, 200), unknowns=['X1'])]\n"
+        "system = [parse_expr('X1^2', RingSpec(2, 2, 200), unknowns=['X1'])]\n"
         "monomials_up_to(2, 200)\n"
         "tracemalloc.start()\n"
-        "assert _BetaSearch(system, 0, 10_000).run().explored_nodes == 202\n"
+        "assert _BetaSearch(system, 0, 10_000).run().explored_nodes == 103\n"
         "print(tracemalloc.get_traced_memory()[1])\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=cli_env(), timeout=10)
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) < 128 * comb(200 + 2, 2), proc.stdout
+    assert int(proc.stdout) < 128 * comb(100 + 2, 2), proc.stdout
 
 
 def test_beta_lb_huge_exponent():
