@@ -569,17 +569,17 @@ PINNED_OUTPUTS = [
      "096e9a97bf2cf24010c5ef1f2e99a158782a580993d2176c638e193d0321b36f"),
     (("beta-lb", "--vars", "T1,T2", "--char", "2", "--trunc", "5", "--system", "T1*X1",
       "--unknowns", "X1", "--i", "2"),
-     "26fcbe723663af064e0d132d9be5cd2a13e0a23179b7824ccba0a2acada4e33c"),
+     "46e744d6ecf1502481772d628e1aadcc962952296d8e4e84156b01ad98f85568"),
     # an exponent 2 (the search's power lists), a cross term, and F_3
     (("beta-lb", "--vars", "T1,T2", "--char", "2", "--trunc", "4", "--system", "X1^2 + T1*X2",
       "--unknowns", "X1,X2", "--i", "2"),
-     "96fe8fb67a7ab05bb4c3861941aa5509d1beea191981faea9b9bae7c779ca589"),
+     "fe14af9c4ebce4d23ce0f1094faa0c7b3fe8053c3920d61e35086ab726f9fed2"),
     (("beta-lb", "--vars", "T1,T2", "--char", "2", "--trunc", "4", "--system", "X1*X2 - T1*T2",
       "--unknowns", "X1,X2", "--i", "2"),
-     "ebf5e972cabd8c720b57d0011f82c770404cda33073e574d0656198b6972050f"),
+     "34df2eac0592fb910bb2bd055506190a85bf78a55f0823c67145fde319dd69e1"),
     (("beta-lb", "--vars", "T1,T2", "--char", "3", "--trunc", "4", "--system", "T1*X1 + T2*X2",
       "--unknowns", "X1,X2", "--i", "1"),
-     "06c9505097d1dfba7c3a013f58e680a32726ca1b738a811f73a3ccf159aff39f"),
+     "384664cd38727d3e00cf3dd6529e1f071638efe814be41ce15666a1c13e98de1"),
     (("witness", "--i", "3", "--trunc", "9"),
      "c2506e32f92138c2901bab71bfa1a6ac2f00881679dfda3b63429f0db4fbb3ef"),
     (("witness", "--i", "2", "--char", "2", "--trunc", "6"),
