@@ -30,6 +30,8 @@ CHECKED_SEARCH = ("tests/test_beta.py::test_incremental_state_matches_definition
 LAYER_STREAM = ("tests/test_beta.py::test_layer_streams_follow_fp_vectors",)
 LONG_WALK = ("tests/test_cli.py::test_beta_lb_long_walk_keeps_no_layers",)
 BETA_PINNED = ("tests/test_beta.py::test_search_benchmark_systems_pinned", "tests/test_beta.py::test_search_at_d6_pinned")
+# its searches at i = 1 and 2 hold classes with nodes past the cut
+D6_PINNED = ("tests/test_beta.py::test_search_at_d6_pinned",)
 HOMOGENEOUS = ("tests/test_solvers.py::test_linreg_random_suite", "tests/test_solvers.py::test_fxhy_random_suite")
 ICL_DEFINITION = ("tests/test_orders.py::test_icl_scan_matches_fraction_definition",)
 DENSE_RREF = ("tests/test_subspace.py::test_insert_keeps_the_dense_rref",)
@@ -48,7 +50,7 @@ MUTANTS = [
     # _BetaSearch: one walk, each class walked in one stretch and left at its first solution
     Mutant("held order not dropped at a solution", ARTIN,
            "self.solvable += 1\n                self.held = -1", "self.solvable += 1",
-           CHECKED_SEARCH + BETA_PINNED),
+           CHECKED_SEARCH + D6_PINNED),
     # the pinned searches hold no unsolvable class of top order followed by a solvable
     # one in the same last boundary slot, so the oracle test carries such a case
     Mutant("held order counted when the frames fall below boundary - 1", ARTIN,
@@ -57,16 +59,18 @@ MUTANTS = [
     Mutant("a solution returns through the layers of degree >= i", ARTIN,
            "if found and d > self.i:", "if found and d >= self.i:",
            CHECKED_SEARCH + BETA_PINNED),
-    # _BetaSearch: the affine read past the cut k
+    # _BetaSearch: the affine read past the cut k; the pinned searches of the benchmark
+    # systems all cut at k = i + 1, where each class is one read
     Mutant("cut at k = floor(D/2), where a quadratic term still reaches degree D", ARTIN,
            "(D - coeff.order().value) // 2 + 1", "(D - coeff.order().value) // 2",
-           CHECKED_SEARCH + BETA_PINNED),
+           CHECKED_SEARCH + ("tests/test_beta.py::test_matches_full_enumeration_oracle",
+                             "tests/test_beta.py::test_random_small_systems_agree")),
     Mutant("the columns of the last unknown dropped from J", ARTIN,
            "            jac.append(tuple(", "            jac.append(() if j == self.n - 1 else tuple(",
            CHECKED_SEARCH + BETA_PINNED),
     Mutant("a solvable read does not leave its class", ARTIN,
            "                self.held = -1\n                return True", "                self.held = -1\n                return False",
-           CHECKED_SEARCH + BETA_PINNED),
+           CHECKED_SEARCH + D6_PINNED),
     # _BetaSearch: residual degrees and their orders
     Mutant("residual orders never updated", ARTIN,
            "self.res, self.ords = res, ords", "self.res = res",
@@ -114,7 +118,7 @@ MUTANTS = [
     # _BetaSearch._layers: the first read streams, later ones pick from the degree's choices
     Mutant("layers picked with the first key varying fastest", ARTIN,
            "cartesian_product(*choices)", "cartesian_product(*reversed(choices))",
-           LAYER_STREAM + ("tests/test_beta.py::test_search_benchmark_systems_pinned",)),
+           LAYER_STREAM + CHECKED_SEARCH),
     Mutant("a degree's choices built on its first read", ARTIN,
            "            if choices is None:\n                self.choices[d] = ()\n",
            "            if choices is None and False:\n                self.choices[d] = ()\n",

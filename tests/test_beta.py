@@ -398,17 +398,21 @@ def test_search_benchmark_systems_pinned():
 
 
 def test_search_at_d6_pinned():
-    # (value, solvable_classes) of three searches at D = 6, i = 3: thousands of
-    # nodes, past the oracle's reach.  The last took 4,374,977 nodes of a walk
-    # with no cut, past the default budget; it now answers within it
-    for char, text, pinned, work in [
-        (3, "T1*X1 + T2*X2", (4, 729), None),
-        (2, "X1*X2 - T1*T2", (4, 1088), None),
-        (2, "X1^2 + T1*X2", (6, 64), (4521, 120)),
+    # (value, solvable_classes) of searches at D = 6: up to thousands of nodes,
+    # past the oracle's reach.  At i = 3 the cut is k = i + 1 = 4; at i = 1 and 2,
+    # k = 4 lies above the class boundary, so each class holds nodes past it, as
+    # a walk with no cut found too.  The last took 4,374,977 nodes of a walk with
+    # no cut, past the default budget; it now answers within it
+    for char, text, i, pinned, work in [
+        (3, "T1*X1 + T2*X2", 3, (4, 729), None),
+        (2, "X1*X2 - T1*T2", 3, (4, 1088), None),
+        (2, "X1*X2 - T1*T2", 1, (2, 10), None),
+        (2, "X1*X2 - T1*T2", 2, (3, 72), None),
+        (2, "X1^2 + T1*X2", 3, (6, 64), (4521, 120)),
     ]:
-        got = beta_lower_bound_bruteforce(system(text, RingSpec(2, char, 6), ["X1", "X2"]), 3)
-        assert (got.value, got.solvable_classes) == pinned, (char, text)
-        assert work in (None, (got.explored_nodes, got.reads)), (char, text)
+        got = beta_lower_bound_bruteforce(system(text, RingSpec(2, char, 6), ["X1", "X2"]), i)
+        assert (got.value, got.solvable_classes) == pinned, (char, text, i)
+        assert work in (None, (got.explored_nodes, got.reads)), (char, text, i)
 
 
 @st.composite
