@@ -587,8 +587,7 @@ class _BetaSearch:
         self.budget = budget
         D = ring.trunc
         self.D = D
-        # the cut: a term c*X^alpha with |alpha| >= 2 meets two layers of degree >= k
-        # only at degree ord(c) + 2k > D, so past slot k*n every completion is affine
+        # the cut k (class docstring)
         k = max([i + 1] + [(D - coeff.order().value) // 2 + 1
                            for poly in system for alpha, coeff in poly.terms.items() if sum(alpha) >= 2])
         self.k = min(k, D + 1)
@@ -866,10 +865,8 @@ class _BetaSearch:
         return None
 
     def _read(self) -> Optional[int]:
-        """The largest residual order of a completion of this node, None if one solves
-        the system.  Every layer of degree < k is set (x0) and none above, so the
-        residual is F(x0), and the completions x0 + h give F(x0) + J(x0)*h mod
-        m^(D+1): Taylor expansion, exact over any ring.  A zero F(x0) reads nothing."""
+        """The largest residual order of a completion x0 + h of this node, None if one
+        solves the system; the residual is F(x0), and a zero F(x0) reads nothing."""
         if min(self.ords) > self.D:
             return None
         self.reads += 1
