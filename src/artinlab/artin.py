@@ -29,6 +29,7 @@ from .subspace import (
     graded,
     graded_product,
     insert_multiples,
+    blocks,
     labeller,
     multiples,
     series_to_vec,
@@ -600,7 +601,9 @@ class _BetaSearch:
                               f"recursion limit {limit} less {_STACK_MARGIN} frames for the callers")
         self.slots = [(d, j) for d in range(D + 1) for j in range(n)]
         self.label = label = labeller(ring.num_vars, D)
-        self.step = (D + 1) ** ring.num_vars  # a label of degree d of A^r: d*r*step..(d+1)*r*step - 1
+        # a read's vectors lie in A^r, r the number of equations (_jacobian)
+        self.column_label = labeller(ring.num_vars, D, len(system))
+        self.lift, self.start = blocks(ring.num_vars, D, len(system))
         self.boundary = (i + 1) * n
         # per unknown j, the system terms containing it, each as (its coefficient's
         # order, alpha_j, ((u, alpha_u) for the other unknowns)); the terms c*T^u*x_j
@@ -647,9 +650,6 @@ class _BetaSearch:
         # degree; a lower bound for the order of every completion of x_u
         self.lb = [0] * n
         self._frames = []
-        # J(x0) is constant for an affine system: built at its first read and kept
-        self.affine = all(sum(alpha) <= 1 for poly in system for alpha in poly.terms)
-        self.jac = None
 
     # -- bookkeeping -------------------------------------------------------
     def _slot_min_degree(self, j: int, d: int) -> int:
@@ -814,7 +814,7 @@ class _BetaSearch:
         and equation pidx its component, graded (subspace.graded) on the labels of
         coord_index(N, D, r).  A term c*T^u*x_j gives c*T^u; every other term
         a_j * coeff * x_j^(a_j - 1) * prod x_u^(a_u), built from pows."""
-        r, p, step, pows, product = len(self.system), self.ring.char, self.step, self.pows, self._product
+        p, lift, pows, product = self.ring.char, self.lift, self.pows, self._product
         jac = []
         for j in range(self.n):
             terms = [(pidx, ((sum(u), ((self.label(u), c),)),)) for pidx, u, c in self.linear[j]]
@@ -827,7 +827,7 @@ class _BetaSearch:
             parts = {}
             for pidx, term in terms:
                 for e, items in term:
-                    shift = e * (r - 1) * step + pidx * step  # arity 1 -> arity r, component pidx
+                    shift = lift(e, pidx)
                     sub_multiple(parts.setdefault(e, {}), {k + shift: c for k, c in items}, -1, p)
             jac.append(tuple((e, tuple(parts[e].items())) for e in sorted(parts) if parts[e]))
         return jac
@@ -835,12 +835,11 @@ class _BetaSearch:
     def _columns(self, jac: list, d: int):
         """The image columns of lowest degree d: dF/dx_j(x0) * T^m for each unknown j and
         each monomial m of degree t = d - ord(dF/dx_j(x0)) in k..D, cut at D."""
-        r, step = len(self.system), self.step
         for g in jac:
             t = d - g[0][0] if g else -1
             if t >= self.k:
                 for m in monomials_of_degree(self.ring.num_vars, t):
-                    s = self.label(m) + t * (r - 1) * step  # label(0, m) of A^r
+                    s = self.column_label(m)
                     yield {key + s: c for e, items in g if e + t <= self.D for key, c in items}
 
     def _image_order(self, jac: list) -> Optional[int]:
@@ -851,16 +850,16 @@ class _BetaSearch:
         <= d decide whether the remainder has an entry at degree d (subspace module
         docstring): each degree's columns are inserted before F(x0)'s part of that
         degree is added, and the read stops at the first degree left nonzero."""
-        D, r, p, step = self.D, len(self.system), self.ring.char, self.step
-        image, v = Subspace(self.ring, r), {}
-        for d in range(D + 1):
+        p, lift = self.ring.char, self.lift
+        image, v = Subspace(self.ring, len(self.system)), {}
+        for d in range(self.D + 1):
             for col in self._columns(jac, d):
                 image.insert(col)
             for pidx, res in enumerate(self.res):
-                shift = d * (r - 1) * step + pidx * step
+                shift = lift(d, pidx)
                 sub_multiple(v, {k + shift: c for k, c in res[d].items()}, -1, p)
             v = image.reduce(v)
-            if v and min(v) < (d + 1) * r * step:
+            if v and min(v) < self.start(d + 1):
                 return d
         return None
 
@@ -871,10 +870,7 @@ class _BetaSearch:
             return None
         self.reads += 1
         self._charge()
-        jac = self.jac or self._jacobian()
-        if self.affine:
-            self.jac = jac
-        return self._image_order(jac)
+        return self._image_order(self._jacobian())
 
     # -- the one depth-first walk ---------------------------------------------
     def _charge(self):

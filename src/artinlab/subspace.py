@@ -121,6 +121,14 @@ def labeller(num_vars: int, trunc: int, arity: int = 1):
     return lambda m: sum(map(mul, m, weights))
 
 
+def blocks(num_vars: int, trunc: int, arity: int = 1):
+    """The blocks of coord_index(num_vars, trunc, arity), with no table: (lift, start),
+    where label(m) + lift(d, comp) is label(comp, m) of A^arity for a label(m) of A
+    (arity 1) and m of degree d, and start(d) = starts[d]."""
+    step = (trunc + 1) ** num_vars
+    return (lambda d, comp: d * (arity - 1) * step + comp * step), (lambda d: d * arity * step)
+
+
 @lru_cache(maxsize=None)
 def coord_index(num_vars: int, trunc: int, arity: int = 1):
     """The monomial index of A^arity: one int label per (component, monomial).
@@ -144,9 +152,9 @@ def coord_index(num_vars: int, trunc: int, arity: int = 1):
     vec_to_series decodes a label by divmod: no table maps labels back.
     """
     lab = labeller(num_vars, trunc, arity)
-    step = (trunc + 1) ** num_vars
+    lift, start = blocks(num_vars, trunc, arity)
     label = {m: lab(m) for d in range(trunc + 1) for m in monomials_of_degree(num_vars, d)}
-    return label, tuple(comp * step for comp in range(arity)), tuple(d * arity * step for d in range(trunc + 2))
+    return label, tuple(lift(0, comp) for comp in range(arity)), tuple(map(start, range(trunc + 2)))
 
 
 def graded(s: TruncatedSeries, label) -> tuple:

@@ -181,8 +181,11 @@ MUTANTS = [
            "    B = trunc + 1\n", "    B = trunc\n",
            INDEX),
     Mutant("component term dropped from a label", SUBSPACE,
-           "tuple(comp * step for comp in range(arity))", "tuple(0 for comp in range(arity))",
-           INDEX),
+           "d * (arity - 1) * step + comp * step)", "d * (arity - 1) * step)",
+           INDEX + CHECKED_SEARCH),
+    Mutant("a lift to A^arity keeps the label's arity-1 degree block", SUBSPACE,
+           "(lambda d, comp: d * (arity - 1) * step + comp * step)", "(lambda d, comp: comp * step)",
+           INDEX + CHECKED_SEARCH),
     Mutant("label decoded with T1 the lowest digit", SUBSPACE,
            "powers = [B**i for i in range(ring.num_vars - 1, -1, -1)]", "powers = [B**i for i in range(ring.num_vars)]",
            INDEX),

@@ -249,11 +249,11 @@ class CheckedSearch(_BetaSearch):
                     xs[j] = xs[j] + TruncatedSeries.monomial(ring, m, 1)
                     col = series_to_vec([oracles.evaluate(poly, xs) - f for poly, f in zip(self.system, f0)], ring)
                     taylor.append((j, m, col))
-        degree = r * (ring.trunc + 1) ** ring.num_vars  # labels per degree of A^r
+        step = coord_index(ring.num_vars, ring.trunc, r)[2][1]  # degree d of A^r: labels d*step..
         self.expected = defaultdict(Counter)
         for _, _, col in taylor:
             if col:
-                self.expected[min(col) // degree][frozenset(col.items())] += 1
+                self.expected[min(col) // step][frozenset(col.items())] += 1
         got = super()._image_order(jac)
         # the read, which builds columns only up to the order, against the full image
         image = Subspace(ring, r)

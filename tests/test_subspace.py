@@ -12,6 +12,7 @@ from artinlab.subspace import (
     LinearMap,
     ModuleSpec,
     Subspace,
+    blocks,
     coord_index,
     distance_order,
     graded,
@@ -346,7 +347,8 @@ def test_monomial_index_contract():
     # sort as the layout does and are distinct; a shift by u adds the label of
     # (0, u); starts[d] <= label < starts[d+1] at degree d; vec_to_series decodes
     # every label and series_to_vec gives it back; multiples shift by the labels
-    # of the module's own arity
+    # of the module's own arity; labeller and blocks give the same labels and
+    # starts with no table, and blocks lifts a label of A to each component
     for N in range(1, 5):
         for D in range(1, 9):
             R = RingSpec(N, 2, D)
@@ -362,8 +364,11 @@ def test_monomial_index_contract():
                 labels = [lab(comp, m) for comp, m in layout]
                 assert labels == sorted(set(labels)), (N, D, arity)
                 zero = TruncatedSeries.zero(R)
+                lab1, lab_r, (lift, start) = labeller(N, D), labeller(N, D, arity), blocks(N, D, arity)
+                assert [start(d) for d in range(D + 2)] == list(starts)
                 for (comp, m), k in zip(layout, labels):
                     assert starts[sum(m)] <= k < starts[sum(m) + 1], (N, D, arity, comp, m)
+                    assert lab_r(m) + offsets[comp] == k == lab1(m) + lift(sum(m), comp), (N, D, arity, comp, m)
                     xs = tuple(TruncatedSeries.monomial(R, m) if c == comp else zero for c in range(arity))
                     assert vec_to_series({k: 1}, R, arity) == xs, (N, D, arity, k)
                     assert series_to_vec(xs, R) == {k: 1}
