@@ -567,6 +567,19 @@ class _BetaSearch:
     J(x0)'s image (_read): F(x0) in the image is a solution, and otherwise the
     order of F(x0)'s remainder is the largest order any completion reaches,
     held like a fixed order.
+
+    An affine system (every term of degree <= 1 in X) cuts at the boundary,
+    k = i + 1, and its residual is F(0) + L(x) for a linear map L: classes x0
+    and x0 + kappa with L(kappa) = 0 have the same completions, F(x0 + kappa +
+    h) = F(x0 + h), so the walk takes one class per coset of ker L.  The images
+    L(T^m e_j) = dF/dx_j * T^m of the class coordinates go into one span,
+    image, in walk order, a slot's on its first read (_keys): a coordinate is
+    walked iff its insert grows the span, and the others, bound, stay zero.  A
+    bound coordinate's image lies in the span of those walked before it, so
+    the vectors zero at every bound coordinate meet each coset of ker L once.
+    A class walked so stands for p^(class coordinates not walked on its path)
+    classes: the bound ones, and on any system those of the slots frozen to
+    zero.  A solvable class counts with that weight.
     """
 
     def __init__(self, system: Sequence[PolyInX], i: int, budget: int):
@@ -605,6 +618,11 @@ class _BetaSearch:
         self.column_label = labeller(ring.num_vars, D, len(system))
         self.lift, self.start = blocks(ring.num_vars, D, len(system))
         self.boundary = (i + 1) * n
+        # an affine system walks one class per coset of its class map's kernel: the
+        # span of the class coordinates' images, and each class slot's walked keys
+        affine = all(sum(alpha) <= 1 for poly in system for alpha in poly.terms)
+        self.image = Subspace(ring, len(system)) if affine else None
+        self.walked = [None] * self.boundary
         # per unknown j, the system terms containing it, each as (its coefficient's
         # order, alpha_j, ((u, alpha_u) for the other unknowns)); the terms c*T^u*x_j
         # as (equation, u, c); every other term as (equation, graded coeff or None for 1,
@@ -628,11 +646,12 @@ class _BetaSearch:
             self.linear.append(linear)
             self.general.append(general)
         self.shifts = [None] * len(self.slots)  # per slot, built by _slot_shifts
-        self.choices = [None] * (D + 1)  # per degree: None unread, () read once, then built by _layers
+        self.choices = [None] * len(self.slots)  # per slot: None unread, () read once, then built by _layers
         self.space = (ring.char, n * comb(ring.num_vars + D, D))  # raw space F_p^e
         self.nodes = 0
         self.reads = 0
         self.solvable = 0  # classes modulo m^(i+1) that hold an exact solution
+        self.unwalked = 0  # class coordinates not walked on the path: a class weighs p^unwalked
         self.best = -1
         self.held = -1  # the largest fixed order met in the current class, past the boundary
         # mutable search state, from x = 0
@@ -674,21 +693,44 @@ class _BetaSearch:
                 plan.append((pidx, e, c, self.label(u)))
         return plan
 
-    def _layers(self, d: int):
-        """Every layer of degree d in fp_vectors order, each a tuple of (key, c) pairs.
+    def _width(self, d: int) -> int:
+        """The number of monomials of degree d."""
+        return len(monomials_of_degree(self.ring.num_vars, d))
 
-        The first read streams from fp_vectors, so a degree that the walk reads
-        once keeps nothing.  The second builds the degree's choices, kept for
+    def _keys(self, slot_idx: int) -> tuple:
+        """The keys a slot walks: its monomials' labels in increasing order, less, in a
+        class slot of an affine system, the bound ones (class docstring).  A class
+        slot's keys are kept from its first read, when its images enter the span."""
+        d, j = self.slots[slot_idx]
+        monos = monomials_of_degree(self.ring.num_vars, d)
+        if slot_idx >= self.boundary:
+            return tuple(map(self.label, monos))
+        keys = self.walked[slot_idx]
+        if keys is None:
+            if self.image is None:
+                keys = tuple(map(self.label, monos))
+            else:
+                g = self._jacobian()[j]  # dF/dx_j, the same at every x0
+                keys = tuple(self.label(m) for m in monos if self.image.insert(self._column(g, d, m)))
+            self.walked[slot_idx] = keys
+        return keys
+
+    def _layers(self, slot_idx: int):
+        """Every layer of the slot in fp_vectors order over its keys (_keys), each a
+        tuple of (key, c) pairs.
+
+        The first read streams from fp_vectors, so a slot that the walk reads
+        once keeps nothing.  The second builds the slot's choices, kept for
         the search: one (None, (k, 1), ..., (k, p - 1)) per key k.  A layer is
         then one pick per key, the last key varying fastest, less the Nones."""
-        choices = self.choices[d]
-        if not choices:  # the degree's keys, its monomials' labels in increasing order
-            keys = tuple(map(self.label, monomials_of_degree(self.ring.num_vars, d)))
+        choices = self.choices[slot_idx]
+        if not choices:
+            keys = self._keys(slot_idx)
             if choices is None:
-                self.choices[d] = ()
+                self.choices[slot_idx] = ()
                 return (tuple(v.items()) for v in fp_vectors(keys, self.ring.char))
             pairs = (zip(keys, repeat(c)) for c in range(1, self.ring.char))
-            choices = self.choices[d] = list(zip(repeat(None), *pairs))
+            choices = self.choices[slot_idx] = list(zip(repeat(None), *pairs))
         return map(tuple, map(filter, repeat(None), cartesian_product(*choices)))
 
     def _product(self, a: tuple, b: tuple) -> tuple:
@@ -702,11 +744,13 @@ class _BetaSearch:
             sub_multiple(out.setdefault(e, {}), dict(tb), 1, p)
         return _graded(sorted(out.items()), p)
 
-    def _assign(self, slot_idx: int, layer: tuple):
-        """Give the slot's unknown x_j its layer of degree d."""
+    def _assign(self, slot_idx: int, layer: tuple, skipped: int):
+        """Give the slot's unknown x_j its layer of degree d; skipped counts the
+        slot's class coordinates that the walk leaves zero without walking them."""
         d, j = self.slots[slot_idx]
         old_pows = self.pows[j]
-        self._frames.append((j, old_pows, self.res, self.ords, self.lb[j]))
+        self._frames.append((j, old_pows, self.res, self.ords, self.lb[j], self.unwalked))
+        self.unwalked += skipped
         if not layer:
             if self.lb[j] == d:  # x_j is still zero
                 self.lb[j] = d + 1
@@ -769,7 +813,7 @@ class _BetaSearch:
         self.res, self.ords = res, ords
 
     def _undo(self):
-        j, self.pows[j], self.res, self.ords, self.lb[j] = self._frames.pop()
+        j, self.pows[j], self.res, self.ords, self.lb[j], self.unwalked = self._frames.pop()
         if len(self._frames) < self.boundary:  # the walk leaves its class
             self.best = max(self.best, self.held)
             self.held = -1
@@ -783,7 +827,7 @@ class _BetaSearch:
             floor = self._slot_min_degree(j, d)
             if floor <= self.D:
                 return slot_idx, frames, floor
-            self._assign(slot_idx, ())
+            self._assign(slot_idx, (), self._width(d) if slot_idx < self.boundary else 0)
             frames += 1
             slot_idx += 1
         return slot_idx, frames, self.D + 1
@@ -832,6 +876,12 @@ class _BetaSearch:
             jac.append(tuple((e, tuple(parts[e].items())) for e in sorted(parts) if parts[e]))
         return jac
 
+    def _column(self, g: tuple, t: int, m) -> dict:
+        """g * T^m, cut at D, for a vector g of A^r graded as _jacobian gives it and a
+        monomial m of degree t."""
+        s = self.column_label(m)
+        return {key + s: c for e, items in g if e + t <= self.D for key, c in items}
+
     def _columns(self, jac: list, d: int):
         """The image columns of lowest degree d: dF/dx_j(x0) * T^m for each unknown j and
         each monomial m of degree t = d - ord(dF/dx_j(x0)) in k..D, cut at D."""
@@ -839,8 +889,7 @@ class _BetaSearch:
             t = d - g[0][0] if g else -1
             if t >= self.k:
                 for m in monomials_of_degree(self.ring.num_vars, t):
-                    s = self.column_label(m)
-                    yield {key + s: c for e, items in g if e + t <= self.D for key, c in items}
+                    yield self._column(g, t, m)
 
     def _image_order(self, jac: list) -> Optional[int]:
         """The order of F(x0)'s remainder modulo the image of h -> J(x0)*h on the layers
@@ -897,8 +946,10 @@ class _BetaSearch:
             if verdict is not None:
                 return verdict
             d, j = self.slots[slot_idx]
-            for layer in self._layers(d):
-                self._assign(slot_idx, layer)
+            layers = self._layers(slot_idx)
+            skipped = self._width(d) - len(self.walked[slot_idx]) if slot_idx < self.boundary else 0
+            for layer in layers:
+                self._assign(slot_idx, layer, skipped)
                 found = self._walk(slot_idx + 1)
                 self._undo()
                 if found and d > self.i:
@@ -913,7 +964,7 @@ class _BetaSearch:
         if e is None and slot_idx >= self.cut:  # the read: no branching past the cut
             e = self._read()
             if e is None:  # a completion solves the system: its class is solvable
-                self.solvable += 1
+                self.solvable += self.ring.char ** self.unwalked
                 self.held = -1
                 return True
         if e is not None:  # no completion solves the system, and e is the largest order one reaches

@@ -31,6 +31,9 @@ LAYER_STREAM = ("tests/test_beta.py::test_layer_streams_follow_fp_vectors",)
 LONG_WALK = ("tests/test_cli.py::test_beta_lb_long_walk_keeps_no_layers",)
 BETA_PINNED = ("tests/test_beta.py::test_search_benchmark_systems_pinned", "tests/test_beta.py::test_search_at_d6_pinned")
 # its searches at i = 1 and 2 hold classes with nodes past the cut
+ORACLE = ("tests/test_beta.py::test_matches_full_enumeration_oracle",)
+COSETS = ("tests/test_beta.py::test_affine_search_walks_one_class_per_coset",
+          "tests/test_beta.py::test_affine_cosets_match_the_full_walk")
 D6_PINNED = ("tests/test_beta.py::test_search_at_d6_pinned",)
 HOMOGENEOUS = ("tests/test_solvers.py::test_linreg_random_suite", "tests/test_solvers.py::test_fxhy_random_suite")
 ICL_DEFINITION = ("tests/test_orders.py::test_icl_scan_matches_fraction_definition",)
@@ -49,7 +52,8 @@ SOLVE = ("tests/test_subspace.py::test_solve_linear_matches_dense_rank",)
 MUTANTS = [
     # _BetaSearch: one walk, each class walked in one stretch and left at its first solution
     Mutant("held order not dropped at a solution", ARTIN,
-           "self.solvable += 1\n                self.held = -1", "self.solvable += 1",
+           "self.solvable += self.ring.char ** self.unwalked\n                self.held = -1",
+           "self.solvable += self.ring.char ** self.unwalked",
            CHECKED_SEARCH + D6_PINNED),
     # the pinned searches hold no unsolvable class of top order followed by a solvable
     # one in the same last boundary slot, so the oracle test carries such a case
@@ -71,6 +75,17 @@ MUTANTS = [
     Mutant("a solvable read does not leave its class", ARTIN,
            "                self.held = -1\n                return True", "                self.held = -1\n                return False",
            CHECKED_SEARCH + D6_PINNED),
+    # _BetaSearch: one class per coset of an affine system's class map kernel, each
+    # solvable class weighted by the class coordinates its path does not walk
+    Mutant("a bound coordinate walked anyway", ARTIN,
+           "if self.image.insert(self._column(g, d, m))", "if self.image.insert(self._column(g, d, m)) or True",
+           CHECKED_SEARCH + BETA_PINNED + COSETS[:1]),
+    Mutant("the weight exponent off by one", ARTIN,
+           "self.ring.char ** self.unwalked\n", "self.ring.char ** (self.unwalked + 1)\n",
+           CHECKED_SEARCH + BETA_PINNED + ORACLE + COSETS[:1]),
+    Mutant("the coset rule applied to a non-affine system", ARTIN,
+           "affine = all(sum(alpha) <= 1 ", "affine = all(sum(alpha) <= 2 ",
+           CHECKED_SEARCH + ORACLE + ("tests/test_beta.py::test_random_small_systems_agree",)),
     # _BetaSearch: residual degrees and their orders
     Mutant("residual orders never updated", ARTIN,
            "self.res, self.ords = res, ords", "self.res = res",
@@ -115,16 +130,17 @@ MUTANTS = [
     Mutant("x_j' drops the degrees below the layer", ARTIN,
            "new_x = old_pows[1] + step", "new_x = step",
            CHECKED_SEARCH),
-    # _BetaSearch._layers: the first read streams, later ones pick from the degree's choices
+    # _BetaSearch._layers: the first read streams, later ones pick from the slot's choices
     Mutant("layers picked with the first key varying fastest", ARTIN,
            "cartesian_product(*choices)", "cartesian_product(*reversed(choices))",
            LAYER_STREAM + CHECKED_SEARCH),
-    Mutant("a degree's choices built on its first read", ARTIN,
-           "            if choices is None:\n                self.choices[d] = ()\n",
-           "            if choices is None and False:\n                self.choices[d] = ()\n",
+    Mutant("a slot's choices built on its first read", ARTIN,
+           "            if choices is None:\n                self.choices[slot_idx] = ()\n",
+           "            if choices is None and False:\n                self.choices[slot_idx] = ()\n",
            LAYER_STREAM + LONG_WALK),
-    Mutant("one degree's choices reused for the next", ARTIN,
-           "choices = self.choices[d]\n", "choices = self.choices[d - 1] or self.choices[d]\n",
+    Mutant("one slot's choices reused for the next", ARTIN,
+           "choices = self.choices[slot_idx]\n",
+           "choices = self.choices[slot_idx - 1] or self.choices[slot_idx]\n",
            LAYER_STREAM + CHECKED_SEARCH),
     # artin_rees_index, which stable_ar_scan reads each translate (x)+I through
     Mutant("ar-index profiles the unpruned module", ARTIN,

@@ -2,8 +2,9 @@
 
 The oracles are deliberately dense and recomputed from scratch: plain
 Gaussian elimination over lists, rank-based membership, full enumeration.
-No sparse echelon forms, no caching, no code shared with the package
-internals beyond the series type itself.
+No sparse echelon forms, no code shared with the package internals beyond
+the series type itself, and no caching but one memo: naive_beta and
+naive_solvable_classes read one enumeration of a system.
 
 The last section is different: set operations on the package's sparse
 echelon form (copies, sums, intersections, m^i, the graded spans m^j * M,
@@ -14,11 +15,13 @@ solve_linear replaced by a reduction on the graph of the map.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from operator import add
 
 from artinlab.errors import PrecondError
 from artinlab.series import TruncatedSeries, fp_vectors, monomials_of_degree, monomials_up_to
 from artinlab.subspace import Subspace, as_module, coord_index, multiples
+from artinlab.xpoly import PolyInX
 
 
 def dense_coords(xs, ring):
@@ -209,10 +212,31 @@ def evaluate(poly, xs):
 
 def naive_beta(system, i):
     """Literal enumeration of the whole truncated space; tiny rings only."""
+    return _naive_classes(*_system_key(system), i)[1]
+
+
+def naive_solvable_classes(system, i):
+    """The number of classes modulo m^(i+1) that hold an exact solution, counted by
+    naive_beta's enumeration."""
+    return _naive_classes(*_system_key(system), i)[0]
+
+
+def _system_key(system):
+    """(ring, unknowns, terms): a system as a hashable value, so that the two
+    oracles above enumerate a system once."""
+    return system[0].ring, system[0].n_unknowns, tuple(
+        tuple(sorted((alpha, tuple(sorted(c.terms.items()))) for alpha, c in poly.terms.items()))
+        for poly in system)
+
+
+@lru_cache(maxsize=64)
+def _naive_classes(ring, n, terms, i):
+    """(the number of classes modulo m^(i+1) that hold an exact solution, beta), by
+    literal enumeration of the whole truncated space."""
     import itertools
 
-    ring = system[0].ring
-    n = system[0].n_unknowns
+    system = [PolyInX(ring, n, {alpha: TruncatedSeries(ring, dict(c)) for alpha, c in poly})
+              for poly in terms]
     p = ring.char
     monos = monomials_up_to(ring.num_vars, ring.trunc)
     space = []
@@ -242,7 +266,7 @@ def naive_beta(system, i):
         o = res_order(xs)
         if o.exact and trunc_key(xs) not in solutions:
             best = max(best, o.value)
-    return best
+    return len(solutions), best
 
 
 def naive_factorization_scan(target, i, p):

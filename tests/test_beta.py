@@ -9,9 +9,10 @@ from hypothesis import example, given, settings, strategies as st
 import oracles
 from artinlab.artin import _STACK_MARGIN, _BetaSearch, beta_lower_bound_bruteforce
 from artinlab.errors import BudgetError, PrecondError
-from artinlab.series import ExtOrder, RingSpec, TruncatedSeries, fp_vectors, monomials_of_degree
+from artinlab.series import ExtOrder, RingSpec, TruncatedSeries, fp_vectors, monomials_of_degree, monomials_up_to
 from artinlab.subspace import LinearMap, Subspace, coord_index, distance_order, series_to_vec
 from artinlab.parsing import parse_expr
+from artinlab.xpoly import PolyInX
 
 
 def system(text, ring, unknowns):
@@ -41,42 +42,32 @@ def test_quadric_specialization_lower_bound():
 
 
 def test_matches_full_enumeration_oracle():
-    # tiny rings only: the oracle walks the whole space literally
-    R = RingSpec(1, 2, 2)
-    for text, unknowns in [
-        ("T1*X1", ["X1"]),
-        ("X1*X1 - T1^2*X2", ["X1", "X2"]),
-        ("T1*X1 + T1^2", ["X1"]),
-        ("X1*X1 - T1", ["X1"]),
+    # tiny rings only: the oracle walks the whole space literally, for beta and for
+    # the number of classes modulo m^(i+1) that hold a solution
+    R, R2, R3 = RingSpec(1, 2, 2), RingSpec(2, 2, 2), RingSpec(1, 3, 2)
+    for ring, text, unknowns in [
+        (R, "T1*X1", ["X1"]),
+        (R, "X1*X1 - T1^2*X2", ["X1", "X2"]),
+        (R, "T1*X1 + T1^2", ["X1"]),
+        (R, "X1*X1 - T1", ["X1"]),
         # at i = 0 the class x = 0 mod m, residual order 1, is left for the
         # solvable class x = 1 mod m in the same last boundary slot: its order
         # still counts, beta = 1
-        ("X1^3 - X1^2 - T1", ["X1"]),
+        (R, "X1^3 - X1^2 - T1", ["X1"]),
+        (R2, "T1*X1 + T2*X2", ["X1", "X2"]),
+        (R2, "T1*X1 + T2", ["X1"]),
+        (R2, "X1*X2 - T1*T2", ["X1", "X2"]),
+        (R3, "T1*X1 + T1*X2*X2", ["X1", "X2"]),
+        (R, "T1*X1; T1^2*X2", ["X1", "X2"]),  # two equations at once
+        # the slot of x1's degree-1 layer is frozen to zero, and the two classes
+        # x1 = 0 and x1 = T1 mod m^2 both hold a solution
+        (RingSpec(1, 2, 3), "T1^3*X1", ["X1"]),
     ]:
-        sys_ = system(text, R, unknowns)
+        sys_ = system(text, ring, unknowns)
         for i in range(2):
-            got = beta_lower_bound_bruteforce(sys_, i).value
-            want = oracles.naive_beta(sys_, i)
-            assert got == want, (text, i, got, want)
-    R2 = RingSpec(2, 2, 2)
-    for text, unknowns in [
-        ("T1*X1 + T2*X2", ["X1", "X2"]),
-        ("T1*X1 + T2", ["X1"]),
-        ("X1*X2 - T1*T2", ["X1", "X2"]),
-    ]:
-        sys_ = system(text, R2, unknowns)
-        for i in range(2):
-            got = beta_lower_bound_bruteforce(sys_, i).value
-            want = oracles.naive_beta(sys_, i)
-            assert got == want, (text, i, got, want)
-    R3 = RingSpec(1, 3, 2)
-    sys3 = system("T1*X1 + T1*X2*X2", R3, ["X1", "X2"])
-    for i in range(2):
-        assert beta_lower_bound_bruteforce(sys3, i).value == oracles.naive_beta(sys3, i)
-    # two equations at once
-    pair = system("T1*X1; T1^2*X2", R, ["X1", "X2"])
-    for i in range(2):
-        assert beta_lower_bound_bruteforce(pair, i).value == oracles.naive_beta(pair, i)
+            got = beta_lower_bound_bruteforce(sys_, i)
+            want = (oracles.naive_beta(sys_, i), oracles.naive_solvable_classes(sys_, i))
+            assert (got.value, got.solvable_classes) == want, (text, i, got, want)
 
 
 def test_linear_system_bounded_by_intersection_index():
@@ -186,12 +177,16 @@ class CheckedSearch(_BetaSearch):
                 assert got == self.system[pidx].terms[alpha].terms
         self.path = []  # (unknown, layer) per frame
         # the class the walk is in (its layers of degree <= i), every class it
-        # entered and every class in which it met an exact solution
-        self.current, self.entered, self.solved = None, set(), set()
+        # entered and, for every class in which it met an exact solution, its weight
+        self.current, self.entered, self.solved = None, set(), {}
         self.verdicts = Counter()  # reads that solve (True) and reads of an order (False)
+        self.frozen = {}  # per slot, whether the walk's path froze it to zero
 
-    def _advance_auto(self, slot_idx):
-        slot_idx, frames, floor = super()._advance_auto(slot_idx)
+    def _advance_auto(self, start):
+        slot_idx, frames, floor = super()._advance_auto(start)
+        # the slots it froze, and the one it stops at, which the walk branches on or ends at
+        self.frozen.update(dict.fromkeys(range(start, slot_idx), True))
+        self.frozen[slot_idx] = False
         # each x_u is the sum of its layers on the path
         xs = [TruncatedSeries(self.ring, {monomial_of(k, self.ring): c for u_, layer in self.path if u_ == u
                                           for k, c in layer}) for u in range(self.n)]
@@ -229,7 +224,7 @@ class CheckedSearch(_BetaSearch):
                 self.current = layers
             assert self.current == layers
             if slot_idx >= self.cut and min(self.ords) > self.D:  # a read of F(x0) = 0
-                self.solved.add(layers)
+                self.solved[layers] = self.weight()
         else:
             assert self.current is None and self.held == -1
         self.checked += 1
@@ -269,7 +264,7 @@ class CheckedSearch(_BetaSearch):
                 if c:
                     xs[j] = xs[j] + TruncatedSeries.monomial(ring, m, c)
             assert all(oracles.evaluate(poly, xs).is_zero for poly in self.system)
-            self.solved.add(self.current)
+            self.solved[self.current] = self.weight()
         return got
 
     def _columns(self, jac, d):
@@ -285,13 +280,22 @@ class CheckedSearch(_BetaSearch):
             self.current = None
             assert self.held == -1
 
+    def weight(self):
+        # the classes the one walked stands for: p^(its class coordinates not walked),
+        # those of the slots frozen to zero and the bound ones of an affine system
+        walked = sum(len(self.walked[s]) for s in range(self.boundary) if not self.frozen[s])
+        return self.ring.char ** (self.n * comb(self.ring.num_vars + self.i, self.i) - walked)
+
     def run(self):
         got = super().run()
-        # one solution counted per class that holds one
-        assert got.solvable_classes == len(self.solved)
+        # each class that holds a solution counted once, with its weight, and on a
+        # ring the oracle can enumerate, the count of the literal definition
+        assert got.solvable_classes == sum(self.solved.values())
+        if self.space[0] ** self.space[1] <= 4096:
+            assert got.solvable_classes == oracles.naive_solvable_classes(self.system, self.i)
         return got
 
-    def _assign(self, slot_idx, layer):
+    def _assign(self, slot_idx, layer, skipped):
         # a layer is a tuple of (key, c) pairs: distinct monomials of the slot's
         # degree with nonzero scalars
         d, j = self.slots[slot_idx]
@@ -323,7 +327,7 @@ class CheckedSearch(_BetaSearch):
                     e, terms = moved[pidx]
                     assert terms == want.terms and {sum(m) for m in terms} == {e}
         self.path.append((j, layer))
-        super()._assign(slot_idx, layer)
+        super()._assign(slot_idx, layer, skipped)
 
     def full_scan_finality(self, slot_idx):
         # least degree of a residual term that an assignment to any remaining slot
@@ -345,26 +349,26 @@ def test_incremental_state_matches_definitions():
     cases = [
         # the systems of test_matches_full_enumeration_oracle
         (R, "T1*X1", ["X1"], [(1, 3, 0, 1), (2, 5, 0, 1)]),
-        (R, "X1*X1 - T1^2*X2", ["X1", "X2"], [(0, 8, 0, 2), (2, 9, 0, 2)]),
+        (R, "X1*X1 - T1^2*X2", ["X1", "X2"], [(0, 8, 0, 2), (2, 9, 0, 4)]),
         (R, "T1*X1 + T1^2", ["X1"], [(1, 3, 1, 1), (2, 5, 0, 1)]),
         (R, "X1*X1 - T1", ["X1"], [(1, 3, 0, 0), (1, 3, 0, 0)]),
-        (R2, "T1*X1 + T2*X2", ["X1", "X2"], [(1, 7, 0, 1), (2, 27, 0, 2)]),
+        (R2, "T1*X1 + T2*X2", ["X1", "X2"], [(1, 7, 0, 1), (2, 19, 0, 2)]),
         (R2, "T1*X1 + T2", ["X1"], [(1, 3, 0, 0), (1, 3, 0, 0)]),
-        (R2, "X1*X2 - T1*T2", ["X1", "X2"], [(0, 15, 2, 3), (2, 47, 5, 7)]),
-        (R3, "T1*X1 + T1*X2*X2", ["X1", "X2"], [(1, 13, 0, 3), (2, 40, 0, 7)]),
-        (R, "T1*X1; T1^2*X2", ["X1", "X2"], [(2, 5, 1, 1), (2, 9, 0, 1)]),
+        (R2, "X1*X2 - T1*T2", ["X1", "X2"], [(0, 15, 2, 3), (2, 47, 5, 10)]),
+        (R3, "T1*X1 + T1*X2*X2", ["X1", "X2"], [(1, 13, 0, 3), (2, 40, 0, 9)]),
+        (R, "T1*X1; T1^2*X2", ["X1", "X2"], [(2, 5, 1, 1), (2, 9, 0, 2)]),
         # the beta-lb systems of the search benchmark, at D = 3
-        (RingSpec(2, 2, 3), "T1*X1 + T2*X2", ["X1", "X2"], [(1, 7, 0, 1), (2, 27, 0, 2)]),
-        (RingSpec(2, 3, 3), "T1*X1 + T2*X2", ["X1", "X2"], [(1, 13, 0, 1), (2, 103, 0, 3)]),
+        (RingSpec(2, 2, 3), "T1*X1 + T2*X2", ["X1", "X2"], [(1, 7, 0, 1), (2, 19, 0, 2)]),
+        (RingSpec(2, 3, 3), "T1*X1 + T2*X2", ["X1", "X2"], [(1, 13, 0, 1), (2, 49, 0, 3)]),
         (RingSpec(2, 2, 3), "X1*X2 - T1*T2", ["X1", "X2"], [(0, 16, 2, 3), (2, 51, 8, 10)]),
         (RingSpec(2, 2, 3), "X1^2 + T1*X2", ["X1", "X2"], [(1, 7, 0, 1), (2, 25, 0, 2)]),
         (RingSpec(2, 2, 3), "T1*X1", ["X1"], [(1, 3, 0, 1), (2, 7, 0, 1)]),
         # T2^D holds the largest key, in the constant, a shift plan and the degree-D layers
-        (RingSpec(2, 2, 3), "T2^3*X1 + T2*X1*X2 - T2^3", ["X1", "X2"], [(1, 14, 1, 3), (3, 47, 1, 6)]),
+        (RingSpec(2, 2, 3), "T2^3*X1 + T2*X1*X2 - T2^3", ["X1", "X2"], [(1, 14, 1, 3), (3, 47, 1, 9)]),
         # over F_3 a power's difference x_j'^a - x_j^a keeps its sign
         (RingSpec(1, 3, 3), "(1 + 2*T1)*X1^3 + T1*X1 - T1^2", ["X1"], [(0, 6, 1, 1), (2, 7, 1, 1)]),
         # three unknowns in one term, checked node by node
-        (RingSpec(1, 2, 3), "X1*X2*X3 + T1*X1 - T1^2", ["X1", "X2", "X3"], [(1, 36, 3, 6), (2, 65, 11, 18)]),
+        (RingSpec(1, 2, 3), "X1*X2*X3 + T1*X1 - T1^2", ["X1", "X2", "X3"], [(1, 36, 3, 6), (2, 65, 11, 20)]),
         # two equations: a read that solves, reads that do not; and k = 3 above i + 1
         (RingSpec(2, 2, 3), "X1 + X2^2 - T1*T2; X2 - T1*X1", ["X1", "X2"], [(0, 9, 1, 1), (1, 27, 1, 1)]),
         (RingSpec(2, 2, 3), "X1*X2 - T1*T2; X1 + X2 + T1", ["X1", "X2"], [(2, 27, 4, 0), (2, 27, 4, 0)]),
@@ -388,8 +392,8 @@ def test_search_benchmark_systems_pinned():
     # search benchmark at its sizes: every node and read of the one walk, so a
     # cheaper node cannot come from visiting fewer
     for char, trunc, text, i, pinned in [
-        (2, 6, "T1*X1 + T2*X2", 3, (4, 2347, 0, 64)),
-        (3, 5, "T1*X1 + T2*X2", 2, (3, 2371, 0, 27)),
+        (2, 6, "T1*X1 + T2*X2", 3, (4, 91, 0, 64)),
+        (3, 5, "T1*X1 + T2*X2", 2, (3, 157, 0, 27)),
         (2, 5, "X1*X2 - T1*T2", 2, (3, 547, 68, 72)),
         (2, 5, "X1^2 + T1*X2", 2, (4, 169, 14, 8)),
     ]:
@@ -402,9 +406,10 @@ def test_search_at_d6_pinned():
     # past the oracle's reach.  At i = 3 the cut is k = i + 1 = 4; at i = 1 and 2,
     # k = 4 lies above the class boundary, so each class holds nodes past it, as
     # a walk with no cut found too.  The last took 4,374,977 nodes of a walk with
-    # no cut, past the default budget; it now answers within it
+    # no cut, past the default budget; it now answers within it.  The first walks
+    # one class per coset of its class map's kernel
     for char, text, i, pinned, work in [
-        (3, "T1*X1 + T2*X2", 3, (4, 729), None),
+        (3, "T1*X1 + T2*X2", 3, (4, 729), (481, 0)),  # one class per coset of the class map's kernel
         (2, "X1*X2 - T1*T2", 3, (4, 1088), None),
         (2, "X1*X2 - T1*T2", 1, (2, 10), None),
         (2, "X1*X2 - T1*T2", 2, (3, 72), None),
@@ -457,3 +462,57 @@ def test_random_small_systems_agree(case):
     assert search.checked == search.nodes > 0
     assert got == beta_lower_bound_bruteforce(sys_, i)
     assert got.value == oracles.naive_beta(sys_, i)
+    assert got.solvable_classes == oracles.naive_solvable_classes(sys_, i)
+
+
+class FullWalk(_BetaSearch):
+    """The search with the coset rule off: every class coordinate is walked."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.image = None
+
+
+def test_affine_search_walks_one_class_per_coset():
+    # T1*X1 + T2*X2 over F_3 at D = 6, i = 3: the class map's kernel holds
+    # (T2*g, -T1*g) for g of degree <= 2, 6 of the 20 class coordinates, and
+    # the walk takes one class per coset in 481 nodes, where walking every class
+    # takes 181,705.  With three unknowns over F_2 at D = 5, i = 2 the walk of
+    # every class runs past the default budget
+    ring = RingSpec(2, 3, 6)
+    sys_ = system("T1*X1 + T2*X2", ring, ["X1", "X2"])
+    got, full = _BetaSearch(sys_, 3, 2_000_000).run(), FullWalk(sys_, 3, 2_000_000).run()
+    assert (got.value, got.explored_nodes, got.solvable_classes) == (4, 481, 729)
+    assert (full.value, full.explored_nodes, full.solvable_classes) == (4, 181705, 729)
+    sys3 = system("T1*X1 + T2*X2 + T3*X3", RingSpec(3, 2, 5), ["X1", "X2", "X3"])
+    got = beta_lower_bound_bruteforce(sys3, 2)
+    assert (got.value, got.explored_nodes, got.reads, got.solvable_classes) == (3, 1719, 0, 2048)
+    with pytest.raises(BudgetError):
+        FullWalk(sys3, 2, 20_000).run()
+
+
+@st.composite
+def affine_systems(draw):
+    """An affine system over F_2 or F_3 in T1, T2 at D <= 5: one or two equations in
+    one or two unknowns, each a series coefficient per unknown (none, one term or
+    two, of degree <= 3) and an X-free series.  The level runs up to D with one
+    unknown and up to 2 with two, where a walk of every class stays short."""
+    p, D, n = draw(st.sampled_from([2, 3])), draw(st.integers(1, 5)), draw(st.integers(1, 2))
+    ring = RingSpec(2, p, D)
+    series = st.dictionaries(st.sampled_from(monomials_up_to(2, min(D, 3))), st.integers(1, p - 1),
+                             max_size=2).map(lambda terms: TruncatedSeries(ring, terms))
+    alphas = [tuple(int(u == j) for u in range(n)) for j in range(n)] + [(0,) * n]
+    eqs = [PolyInX(ring, n, dict(zip(alphas, draw(st.lists(series, min_size=n + 1, max_size=n + 1)))))
+           for _ in range(draw(st.integers(1, 2)))]
+    return eqs, draw(st.integers(0, D if n == 1 else min(D, 2)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(affine_systems())
+def test_affine_cosets_match_the_full_walk(case):
+    # one class per coset of the class map's kernel, weighted, against every class
+    sys_, i = case
+    got, full = _BetaSearch(sys_, i, 2_000_000).run(), FullWalk(sys_, i, 2_000_000).run()
+    assert (got.value, got.solvable_classes, got.state_space_size) == (full.value, full.solvable_classes,
+                                                                       full.state_space_size)
+    assert got.explored_nodes <= full.explored_nodes and got.reads <= full.reads

@@ -127,7 +127,10 @@ def test_beta_lb_with_no_unknowns():
 
 def test_beta_lb_of_linear_system_is_level_plus_ar_index():
     # on f.X = 0 the Artin function is i -> i + i0, with i0 the Artin-Rees index
-    # of the ideal (f): both commands, in process, must agree on each case
+    # of the ideal (f): both commands, in process, must agree on each case.  At
+    # D = 10 and 12 the search walks one class per coset of its class map's kernel
+    # (the last F_3 case at D = 10, i = 5 takes 10,843 nodes and 728 reads, where
+    # a walk of every class runs past the default budget)
     def result(*argv):
         code, out, err = captured(main, list(argv))
         assert code == 0, err
@@ -142,7 +145,7 @@ def test_beta_lb_of_linear_system_is_level_plus_ar_index():
         ("3", "T1*T2", "T1*T2*X1", "X1", 2, [(6, 1)]),
     ]:
         assert result("ar-index", "--vars", "T1,T2", "--char", char, "--trunc", "8", "--ideal", gens)["i0"] == i0
-        for D, i in levels:
+        for D, i in levels + [(10, 3), (10, 5), (12, 4)]:  # past the reach of a walk of every class
             beta = result("beta-lb", "--vars", "T1,T2", "--char", char, "--trunc", str(D),
                           "--system", text, "--unknowns", unknowns, "--i", str(i))["beta_lower_bound"]
             assert beta == i + i0, (char, text, D, i)
@@ -579,7 +582,7 @@ PINNED_OUTPUTS = [
      "34df2eac0592fb910bb2bd055506190a85bf78a55f0823c67145fde319dd69e1"),
     (("beta-lb", "--vars", "T1,T2", "--char", "3", "--trunc", "4", "--system", "T1*X1 + T2*X2",
       "--unknowns", "X1,X2", "--i", "1"),
-     "384664cd38727d3e00cf3dd6529e1f071638efe814be41ce15666a1c13e98de1"),
+     "db7f5c66a43561471f6dd579d4362630c7183cf66995180459358d9a45acc1c4"),
     (("witness", "--i", "3", "--trunc", "9"),
      "c2506e32f92138c2901bab71bfa1a6ac2f00881679dfda3b63429f0db4fbb3ef"),
     (("witness", "--i", "2", "--char", "2", "--trunc", "6"),
