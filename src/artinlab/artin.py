@@ -545,10 +545,10 @@ class _BetaSearch:
     still zero there iff lb[j] == d, and x_j' = x_j + layer appends one degree.
 
     A layer is a tuple of (key, c) pairs, read by _layers in fp_vectors order,
-    so every node count is that of a walk over fp_vectors itself.  A degree's
-    first read labels its monomials and streams from fp_vectors; from its
-    second, each layer is one pick per key from the degree's choices, built then
-    and kept for the search: a few words per monomial, never one per layer.
+    so every node count is that of a walk over fp_vectors itself.  A slot's
+    first read labels its keys and streams from fp_vectors; from its second,
+    each layer is one pick per key from the slot's choices, built then and
+    kept for the search: a few words per monomial, never one per layer.
 
     Slots are degree-major, so a class modulo m^(i+1) is the layers of the
     first `boundary` frames, and one depth-first _walk enters each class once

@@ -373,6 +373,9 @@ def test_incremental_state_matches_definitions():
         (RingSpec(2, 2, 3), "X1 + X2^2 - T1*T2; X2 - T1*X1", ["X1", "X2"], [(0, 9, 1, 1), (1, 27, 1, 1)]),
         (RingSpec(2, 2, 3), "X1*X2 - T1*T2; X1 + X2 + T1", ["X1", "X2"], [(2, 27, 4, 0), (2, 27, 4, 0)]),
         (RingSpec(1, 3, 4), "X1^2 - T1^2*X2; T1*X2 - X1", ["X1", "X2"], [(2, 31, 0, 2), (3, 62, 12, 2)]),
+        # classes walked past the cut and left at their first solution, met after a
+        # slot's layers come from its choices: the node count follows their order
+        (RingSpec(2, 2, 3), "X1^2 - T2^2*X2", ["X1", "X2"], [(0, 10, 0, 2), (3, 21, 3, 2)]),
     ]
     verdicts = Counter()
     for ring, text, unknowns, pinned in cases:
