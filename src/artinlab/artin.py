@@ -946,7 +946,7 @@ class _BetaSearch:
             if verdict is not None:
                 return verdict
             d, j = self.slots[slot_idx]
-            layers = self._layers(slot_idx)
+            layers = self._layers(slot_idx)  # a class slot's keys are kept from here on
             skipped = self._width(d) - len(self.walked[slot_idx]) if slot_idx < self.boundary else 0
             for layer in layers:
                 self._assign(slot_idx, layer, skipped)
