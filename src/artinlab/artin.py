@@ -9,7 +9,6 @@ silently degrading.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as cartesian_product, repeat
@@ -493,10 +492,6 @@ def _graded(parts, p: int) -> tuple:
 
 _ONE = ((0, ((0, 1),)),)  # the series 1, graded: label(0) = 0
 
-# frames the recursion limit must leave beside one _walk frame per slot: measured,
-# 50 below the search at the deepest caller in the tests and at most 5 inside it
-_STACK_MARGIN = 100
-
 
 @dataclass
 class BetaResult:
@@ -550,13 +545,15 @@ class _BetaSearch:
     each layer is one pick per key from the slot's choices, built then and
     kept for the search: a few words per monomial, never one per layer.
 
-    Slots are degree-major, so a class modulo m^(i+1) is the layers of the
-    first `boundary` frames, and one depth-first _walk enters each class once
-    and walks it in one stretch.  A node whose residual order e is fixed has
-    no exact solution below it.  Above the boundary every class below it is
-    made of its completions, none solvable, so e counts at once; past it, e is
-    held for the class, dropped at the class's first solution (where the walk
-    leaves the class) and counted when the undo leaves the class.
+    The undo stack is the walk's one stack: frame s assigns slot s, frozen to
+    zero or branched on.  Slots are degree-major, so a class modulo m^(i+1) is
+    the layers of the first `boundary` frames, and one depth-first _walk
+    enters each class once and walks it in one stretch.  A node whose residual
+    order e is fixed has no exact solution below it.  Above the boundary every
+    class below it is made of its completions, none solvable, so e counts at
+    once; past it, e is held for the class, dropped at the class's first
+    solution (where the walk leaves the class) and counted when the undo
+    leaves the class.
 
     The walk never branches past the cut, slot k*n.  A term c*X^alpha with
     |alpha| >= 2 meets two layers of degree >= k only at degree >= ord(c) + 2k,
@@ -606,12 +603,6 @@ class _BetaSearch:
                            for poly in system for alpha, coeff in poly.terms.items() if sum(alpha) >= 2])
         self.k = min(k, D + 1)
         self.cut = self.k * n
-        # _walk recurses once per slot up to the cut: refuse a depth the interpreter
-        # stack cannot hold, before anything is built per monomial
-        limit = sys.getrecursionlimit()
-        if self.cut > limit - _STACK_MARGIN:
-            raise BudgetError(f"search depth {self.cut} slots > {limit - _STACK_MARGIN}: the "
-                              f"recursion limit {limit} less {_STACK_MARGIN} frames for the callers")
         self.slots = [(d, j) for d in range(D + 1) for j in range(n)]
         self.label = label = labeller(ring.num_vars, D)
         # a read's vectors lie in A^r, r the number of equations (_jacobian)
@@ -820,17 +811,15 @@ class _BetaSearch:
 
     def _advance_auto(self, slot_idx: int) -> tuple:
         """Freeze to zero the slots that cannot reach the residual; returns the next
-        slot, the frames pushed and that slot's floor (D + 1 past the last slot)."""
-        frames = 0
+        slot and its floor (D + 1 past the last slot)."""
         while slot_idx < len(self.slots):
             d, j = self.slots[slot_idx]
             floor = self._slot_min_degree(j, d)
             if floor <= self.D:
-                return slot_idx, frames, floor
+                return slot_idx, floor
             self._assign(slot_idx, (), self._width(d) if slot_idx < self.boundary else 0)
-            frames += 1
             slot_idx += 1
-        return slot_idx, frames, self.D + 1
+        return slot_idx, self.D + 1
 
     def _finality(self, slot_idx: int, floor: int) -> int:
         """Least residual degree any remaining slot can still change; floor is the
@@ -930,34 +919,43 @@ class _BetaSearch:
                 "reads; raw state space has size %d^%d" % self.space
             )
 
-    def _walk(self, slot_idx: int) -> bool:
-        """Depth-first from slot_idx, counting every node against the budget.
+    def _walk(self):
+        """Depth-first from the root, counting every node against the budget.
 
-        Past the slots frozen to zero, _visit ends the node with a verdict, or
-        returns None to try each value of the next layer.  A True verdict, a
-        solvable read, returns through the layers of degree > i, skipping their
-        remaining values: the walk goes on at the next class.
+        Frame s of the undo stack assigns slot s, frozen to zero or branched on;
+        untried[s] holds the layers left at a branched slot, None at a frozen
+        one and at one the walk has left.  Past the frozen slots, _visit ends
+        the node with a verdict, or returns None to branch on the slot.  On a
+        verdict the walk undoes frames down to the last slot with a layer left
+        and tries that layer.  A True verdict, a solvable read, also drops the
+        layers left past the boundary, at degree > i, so the walk goes on at
+        the next class; below the boundary it drops none, so a slot with no
+        layer left passes on whichever verdict reached it.
         """
-        self.nodes += 1
-        self._charge()
-        slot_idx, frames, floor = self._advance_auto(slot_idx)
-        try:
+        untried = [None] * (len(self.slots) + 1)  # _advance_auto may stop past the last slot
+        slot_idx = 0
+        while True:
+            self.nodes += 1
+            self._charge()
+            slot_idx, floor = self._advance_auto(slot_idx)
             verdict = self._visit(slot_idx, floor)
-            if verdict is not None:
-                return verdict
-            d, j = self.slots[slot_idx]
-            layers = self._layers(slot_idx)  # a class slot's keys are kept from here on
+            if verdict is None:
+                untried[slot_idx] = self._layers(slot_idx)  # a class slot's keys are kept from here on
+            while True:
+                layers = untried[slot_idx]
+                if layers is not None and not (verdict and slot_idx >= self.boundary):
+                    layer = next(layers, None)
+                    if layer is not None:
+                        break
+                untried[slot_idx] = None
+                if not self._frames:
+                    return
+                self._undo()
+                slot_idx = len(self._frames)
+            d = self.slots[slot_idx][0]
             skipped = self._width(d) - len(self.walked[slot_idx]) if slot_idx < self.boundary else 0
-            for layer in layers:
-                self._assign(slot_idx, layer, skipped)
-                found = self._walk(slot_idx + 1)
-                self._undo()
-                if found and d > self.i:
-                    return True
-            return False
-        finally:
-            for _ in range(frames):
-                self._undo()
+            self._assign(slot_idx, layer, skipped)
+            slot_idx += 1
 
     def _visit(self, slot_idx: int, floor: int):
         e = self._fixed_order(slot_idx, floor)
@@ -976,7 +974,7 @@ class _BetaSearch:
         return None
 
     def run(self) -> BetaResult:
-        self._walk(0)
+        self._walk()
         size = fp_space_size(*self.space, 10**3000 - 1)  # decimal up to 3000 digits
         return BetaResult(
             value=max(self.best, self.held, 0),  # with no unknown, the one class is never left

@@ -60,9 +60,19 @@ MUTANTS = [
     Mutant("held order counted when the frames fall below boundary - 1", ARTIN,
            "if len(self._frames) < self.boundary:", "if len(self._frames) < self.boundary - 1:",
            CHECKED_SEARCH + ("tests/test_beta.py::test_matches_full_enumeration_oracle",)),
+    # _BetaSearch._walk: one loop over the undo stack, frame s assigning slot s
     Mutant("a solution returns through the layers of degree >= i", ARTIN,
-           "if found and d > self.i:", "if found and d >= self.i:",
+           "(verdict and slot_idx >= self.boundary)", "(verdict and slot_idx >= self.boundary - self.n)",
            CHECKED_SEARCH + BETA_PINNED),
+    Mutant("a solution keeps the layers left past the boundary", ARTIN,
+           "(verdict and slot_idx >= self.boundary)", "(False and slot_idx >= self.boundary)",
+           CHECKED_SEARCH + D6_PINNED),
+    Mutant("a slot's untried layers kept when the walk leaves it", ARTIN,
+           "                untried[slot_idx] = None\n", "                pass\n",
+           CHECKED_SEARCH),
+    Mutant("no untried entry past the last slot", ARTIN,
+           "untried = [None] * (len(self.slots) + 1)", "untried = [None] * len(self.slots)",
+           ORACLE + ("tests/test_cli.py::test_beta_lb_with_no_unknowns",)),
     # _BetaSearch: the affine read past the cut k; the pinned searches of the benchmark
     # systems all cut at k = i + 1, where each class is one read
     Mutant("cut at k = floor(D/2), where a quadratic term still reaches degree D", ARTIN,

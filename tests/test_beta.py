@@ -1,3 +1,5 @@
+import os
+import subprocess
 import sys
 from collections import Counter, defaultdict
 from itertools import islice, zip_longest
@@ -7,13 +9,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from artinlab.artin import _STACK_MARGIN, _BetaSearch, beta_lower_bound_bruteforce
+from artinlab.artin import _BetaSearch, beta_lower_bound_bruteforce
 from artinlab.errors import BudgetError, PrecondError
 from artinlab.series import ExtOrder, RingSpec, TruncatedSeries, fp_vectors, monomials_of_degree, monomials_up_to
 from artinlab.subspace import LinearMap, Subspace, coord_index, distance_order, series_to_vec
 from artinlab.parsing import parse_expr
 from artinlab.xpoly import PolyInX
 
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 def system(text, ring, unknowns):
     return [parse_expr(t, ring, unknowns=unknowns) for t in text.split(";")]
@@ -101,16 +104,25 @@ def test_level_out_of_range():
         beta_lower_bound_bruteforce(system("T1*X1", R, ["X1"]), 9)
 
 
-def test_deepest_search_fits_the_stack():
-    # the deepest search the gate accepts, one slot per degree up to the cut
-    # k = floor(D/2) + 1 of X1^2, runs from inside the test suite without a
-    # RecursionError: the zero class walks every slot to the cut.  One slot more
-    # is refused
-    depth = sys.getrecursionlimit() - _STACK_MARGIN
-    res = beta_lower_bound_bruteforce(system("X1^2", RingSpec(1, 2, 2 * depth - 2), ["X1"]), 0)
-    assert (res.value, res.explored_nodes, res.solvable_classes) == (0, depth + 2, 1)
-    with pytest.raises(BudgetError, match=f"search depth {depth + 1} slots > {depth}"):
-        beta_lower_bound_bruteforce(system("X1^2", RingSpec(1, 2, 2 * depth), ["X1"]), 0)
+def test_deep_search_runs_under_a_low_recursion_limit():
+    # the walk keeps its path on its own undo stack, one frame per slot, never on
+    # the interpreter's: with the recursion limit at 100, X1^2 over T1 at D = 4000,
+    # i = 0 walks the zero class through every slot to the cut k = 2001 and answers
+    # in 2,003 nodes
+    code = (
+        "import sys\n"
+        "from artinlab.artin import beta_lower_bound_bruteforce\n"
+        "from artinlab.parsing import parse_expr\n"
+        "from artinlab.series import RingSpec\n"
+        "system = [parse_expr('X1^2', RingSpec(1, 2, 4000), unknowns=['X1'])]\n"
+        "sys.setrecursionlimit(100)\n"
+        "res = beta_lower_bound_bruteforce(system, 0)\n"
+        "print(res.value, res.explored_nodes, res.reads, res.solvable_classes)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "2003", "0", "1"]
 
 
 def test_layer_streams_follow_fp_vectors():
@@ -183,7 +195,7 @@ class CheckedSearch(_BetaSearch):
         self.frozen = {}  # per slot, whether the walk's path froze it to zero
 
     def _advance_auto(self, start):
-        slot_idx, frames, floor = super()._advance_auto(start)
+        slot_idx, floor = super()._advance_auto(start)
         # the slots it froze, and the one it stops at, which the walk branches on or ends at
         self.frozen.update(dict.fromkeys(range(start, slot_idx), True))
         self.frozen[slot_idx] = False
@@ -229,7 +241,7 @@ class CheckedSearch(_BetaSearch):
             assert self.current is None and self.held == -1
         self.checked += 1
         self.x0 = xs
-        return slot_idx, frames, floor
+        return slot_idx, floor
 
     def _image_order(self, jac):
         # each image column is its own Taylor difference F(x0 + T^m e_j) - F(x0), for

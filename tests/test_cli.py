@@ -348,40 +348,35 @@ def test_pair_scan_refused_before_its_first_pair():
         assert message in proc.stderr and "Traceback" not in proc.stderr
 
 
-def test_beta_lb_depth_gate():
-    # _walk recurses once per slot up to the cut, k*n slots: a search deeper than
-    # the recursion limit allows is refused before any node, not ended by a
-    # RecursionError.  X1^2 at D = 1800 cuts at k = 901; T1*X1 cuts at k = i + 1
-    # whatever D, so at D = 990 it answers
+def test_beta_lb_deep_searches_answer():
+    # no search is refused for its depth: X1^2 at D = 1800 cuts at k = 901 and
+    # walks the zero class through 901 slots; T1*X1 cuts at k = i + 1 whatever D.
+    # --budget, nodes plus reads, is the only bound on a search
     argv = ("beta-lb", "--vars", "T1", "--char", "2", "--unknowns", "X1", "--i", "0")
-    proc = run_cli(*argv, "--system", "X1^2", "--trunc", "1800", expect=3, timeout=2)
-    assert "search depth 901 slots > 900" in proc.stderr
-    rep = json.loads(run_cli(*argv, "--system", "T1*X1", "--trunc", "990", timeout=10).stdout)["result"]
-    assert (rep["beta_lower_bound"], rep["explored_nodes"]) == (1, 3)
+    for text, trunc, pinned in (("X1^2", "1800", (0, 903, 0, 1)), ("T1*X1", "990", (1, 3, 0, 1))):
+        rep = json.loads(run_cli(*argv, "--system", text, "--trunc", trunc, timeout=10).stdout)["result"]
+        got = tuple(rep[k] for k in ("beta_lower_bound", "explored_nodes", "reads", "solvable_classes"))
+        assert got == pinned, (text, got)
 
 
-def test_beta_lb_depth_gate_builds_nothing_per_monomial():
-    # the depth gate reads only k * n: in a fresh process the search over T1, T2
-    # at D = 1800 (1,623,601 monomials) is refused before anything is built per
-    # monomial, at a peak far below one word per monomial
+def test_deep_beta_search_builds_nothing_per_monomial_up_front():
+    # the search over T1, T2 at D = 1800 (1,623,601 monomials) is built, in a fresh
+    # process, at a peak far below one word per monomial: it keeps a few words per
+    # slot and labels a slot's monomials only when its walk first reads the slot
     code = (
         "import tracemalloc\n"
         "from artinlab.artin import _BetaSearch\n"
-        "from artinlab.errors import BudgetError\n"
         "from artinlab.parsing import parse_expr\n"
         "from artinlab.series import RingSpec\n"
         "system = [parse_expr('X1^2', RingSpec(2, 2, 1800), unknowns=['X1'])]\n"
         "tracemalloc.start()\n"
-        "try:\n"
-        "    _BetaSearch(system, 0, 2_000_000)\n"
-        "except BudgetError as exc:\n"
-        "    print(tracemalloc.get_traced_memory()[1], exc)\n"
+        "search = _BetaSearch(system, 0, 2_000_000)\n"
+        "print(tracemalloc.get_traced_memory()[1], len(search.slots))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=cli_env(), timeout=10)
     assert proc.returncode == 0, proc.stderr
-    peak, message = proc.stdout.split(" ", 1)
-    assert message.startswith("search depth 901 slots > 900"), message
-    assert int(peak) < 5 * 2**20, peak
+    peak, slots = map(int, proc.stdout.split())
+    assert slots == 1801 and peak < 5 * 2**20, (peak, slots)
 
 
 def test_beta_lb_budget_refusal_builds_nothing_per_monomial():
