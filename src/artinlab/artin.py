@@ -932,6 +932,7 @@ class _BetaSearch:
         the next class; below the boundary it drops none, so a slot with no
         layer left passes on whichever verdict reached it.
         """
+        frames, boundary = self._frames, self.boundary
         untried = [None] * (len(self.slots) + 1)  # _advance_auto may stop past the last slot
         slot_idx = 0
         while True:
@@ -943,17 +944,17 @@ class _BetaSearch:
                 untried[slot_idx] = self._layers(slot_idx)  # a class slot's keys are kept from here on
             while True:
                 layers = untried[slot_idx]
-                if layers is not None and not (verdict and slot_idx >= self.boundary):
+                if layers is not None and not (verdict and slot_idx >= boundary):
                     layer = next(layers, None)
                     if layer is not None:
                         break
                 untried[slot_idx] = None
-                if not self._frames:
+                if not frames:
                     return
                 self._undo()
-                slot_idx = len(self._frames)
+                slot_idx = len(frames)
             d = self.slots[slot_idx][0]
-            skipped = self._width(d) - len(self.walked[slot_idx]) if slot_idx < self.boundary else 0
+            skipped = self._width(d) - len(self.walked[slot_idx]) if slot_idx < boundary else 0
             self._assign(slot_idx, layer, skipped)
             slot_idx += 1
 

@@ -62,10 +62,10 @@ MUTANTS = [
            CHECKED_SEARCH + ("tests/test_beta.py::test_matches_full_enumeration_oracle",)),
     # _BetaSearch._walk: one loop over the undo stack, frame s assigning slot s
     Mutant("a solution returns through the layers of degree >= i", ARTIN,
-           "(verdict and slot_idx >= self.boundary)", "(verdict and slot_idx >= self.boundary - self.n)",
+           "(verdict and slot_idx >= boundary)", "(verdict and slot_idx >= boundary - self.n)",
            CHECKED_SEARCH + BETA_PINNED),
     Mutant("a solution keeps the layers left past the boundary", ARTIN,
-           "(verdict and slot_idx >= self.boundary)", "(False and slot_idx >= self.boundary)",
+           "(verdict and slot_idx >= boundary)", "(False and slot_idx >= boundary)",
            CHECKED_SEARCH + D6_PINNED),
     Mutant("a slot's untried layers kept when the walk leaves it", ARTIN,
            "                untried[slot_idx] = None\n", "                pass\n",
