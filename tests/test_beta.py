@@ -18,6 +18,7 @@ from artinlab.xpoly import PolyInX
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
+
 def system(text, ring, unknowns):
     return [parse_expr(t, ring, unknowns=unknowns) for t in text.split(";")]
 
