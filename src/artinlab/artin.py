@@ -9,11 +9,10 @@ silently degrading.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as cartesian_product, repeat
 from math import ceil, comb
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import BudgetError, PrecondError
 from .orders import SLOPE_GRID
@@ -43,15 +42,14 @@ from .xpoly import PolyInX
 # Artin-Rees index
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ArIndexResult:
+class ArIndexResult(NamedTuple):
     """Smallest i0 with  M cap m^i  inside  m^(i-i0) * M  for all certified i."""
 
     i0: int
     certified_up_to: int
     tight_witness: Optional[tuple]  # (i, vector of series) violating index i0-1
     module: ModuleSpec
-    deficits: list = field(default_factory=list)  # (i, largest j with inclusion)
+    deficits: list  # (i, largest j with inclusion)
 
 
 def _prune_redundant_generators(M: ModuleSpec) -> tuple:
@@ -148,8 +146,7 @@ def artin_rees_index(M) -> ArIndexResult:
 # Correction solvers
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SolveCertificate:
+class SolveCertificate(NamedTuple):
     """Exact solution produced from an approximate one, with proximity orders."""
 
     input: tuple
@@ -408,8 +405,7 @@ def solve_fx_hy(
 # Stable inclusion scan
 # ---------------------------------------------------------------------------
 
-@dataclass
-class StableArReport:
+class StableArReport(NamedTuple):
     ideal: IdealSpec
     a: Fraction
     b: int
@@ -493,8 +489,7 @@ def _graded(parts, p: int) -> tuple:
 _ONE = ((0, ((0, 1),)),)  # the series 1, graded: label(0) = 0
 
 
-@dataclass
-class BetaResult:
+class BetaResult(NamedTuple):
     value: int
     level_i: int
     explored_nodes: int

@@ -8,25 +8,14 @@ here; the scans elsewhere produce scan-certified values for them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import PrecondError
 
 
-@dataclass
-class BoundParams:
-    """Named constants a bound may consume.
-
-    a, b: complementary-inequality constants (slope >= 1, offset >= 0)
-    c: gap between the order function and its multiplicative limit
-    i_I, i_P, i_Jn: Artin-Rees indices of the ideals in play
-    n: exponent of the power unknown; t: power of the distinguished element
-    ord_g, max_ord: orders of generators; nu_x: order of the translated element
-    """
-
+class _Params(NamedTuple):
     a: Optional[Fraction] = None
     b: Optional[Fraction] = None
     c: Optional[Fraction] = None
@@ -39,21 +28,30 @@ class BoundParams:
     max_ord: Optional[int] = None
     nu_x: Optional[int] = None
 
-    def __post_init__(self):
-        if self.a is not None:
-            self.a = Fraction(self.a)
-            if self.a < 1:
-                raise PrecondError("slope a must be >= 1")
-        if self.b is not None:
-            self.b = Fraction(self.b)
-            if self.b < 0:
-                raise PrecondError("offset b must be >= 0")
-        if self.c is not None:
-            self.c = Fraction(self.c)
-        for name in ("i_I", "i_P", "i_Jn", "n", "t", "ord_g", "max_ord", "nu_x"):
-            v = getattr(self, name)
+
+class BoundParams(_Params):
+    """Named constants a bound may consume; a, b and c are held as Fractions.
+
+    a, b: complementary-inequality constants (slope >= 1, offset >= 0)
+    c: gap between the order function and its multiplicative limit
+    i_I, i_P, i_Jn: Artin-Rees indices of the ideals in play
+    n: exponent of the power unknown; t: power of the distinguished element
+    ord_g, max_ord: orders of generators; nu_x: order of the translated element
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        a, b, c, *counts = _Params(*args, **kwargs)
+        a, b, c = (None if v is None else Fraction(v) for v in (a, b, c))
+        if a is not None and a < 1:
+            raise PrecondError("slope a must be >= 1")
+        if b is not None and b < 0:
+            raise PrecondError("offset b must be >= 0")
+        for name, v in zip(_Params._fields[3:], counts):
             if v is not None and v < 0:
                 raise PrecondError(f"parameter {name} must be >= 0")
+        return super().__new__(cls, a, b, c, *counts)
 
 
 def _log2_floor(n: int) -> int:
@@ -111,8 +109,7 @@ def evaluate_bound(formula_id: str, params: BoundParams, i: int) -> int:
     return floor(val)
 
 
-@dataclass
-class CrossCheckReport:
+class CrossCheckReport(NamedTuple):
     formula_id: str
     rows: list  # (i, measured, bound, within)
     exceedances: list  # (i, measured, bound)

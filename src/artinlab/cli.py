@@ -9,7 +9,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from math import comb
 from typing import Callable, NamedTuple, Optional
@@ -22,16 +21,16 @@ from .parsing import parse_expr, parse_poly
 
 
 def jsonable(x, names=None):
-    """The JSON form of a report value; a dataclass becomes the dict of the
-    fields its repr shows, in declaration order."""
+    """The JSON form of a report value; a record (a NamedTuple: every report and
+    value type of the package) becomes the dict of its fields, in declaration order."""
     if isinstance(x, TruncatedSeries):
         return x.to_str(names)
     if isinstance(x, ExtOrder):
         return x.value if x.exact else f">={x.value}"
     if isinstance(x, Fraction):
         return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-    if is_dataclass(x):
-        return {f.name: jsonable(getattr(x, f.name), names) for f in fields(x) if f.repr}
+    if isinstance(x, tuple) and hasattr(x, "_asdict"):
+        return {k: jsonable(v, names) for k, v in x._asdict().items()}
     if isinstance(x, dict):
         return {str(k): jsonable(v, names) for k, v in x.items()}
     if isinstance(x, (list, tuple)):

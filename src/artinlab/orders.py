@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import BudgetError, PrecondError
 from .series import ExtOrder, RingSpec, TruncatedSeries, fp_space_size, fp_vectors, monomials_up_to
@@ -51,8 +50,7 @@ def nu(I: IdealSpec, x: TruncatedSeries) -> ExtOrder:
     return NuOracle(I).nu(x)
 
 
-@dataclass
-class NuBarReport:
+class NuBarReport(NamedTuple):
     """Certified lower estimate of the Rees order lim nu(x^n)/n."""
 
     estimate: Fraction
@@ -93,8 +91,7 @@ def nu_bar_estimate(I: IdealSpec, x: TruncatedSeries, n_max: int) -> NuBarReport
     return NuBarReport(estimate=best, samples=samples, nu_x=samples[0][1], flags=flags)
 
 
-@dataclass
-class IclReport:
+class IclReport(NamedTuple):
     """Scan-certified ICL constants for a fixed slope a."""
 
     ideal: IdealSpec
@@ -104,10 +101,10 @@ class IclReport:
     violations: list  # (g, h, nu_g, nu_h) with g*h certified inside the ideal
     scan_degree: int
     certified_note: str
-    seed: Optional[int] = None
-    mode: str = "random"
-    pair_count: int = 0
-    skipped: list = field(default_factory=list)
+    seed: Optional[int]
+    mode: str
+    pair_count: int
+    skipped: list  # (g, h, nu_g, nu_h, nu_gh) with nu_gh beyond the truncation
 
 
 def scan_candidates(
@@ -165,8 +162,9 @@ def scan_candidates(
 
 
 def _scan_pairs(I, deg_max, mode, count, seed, budget):
-    """One lazy pass over the candidate pairs with exact orders: (oracle, rows,
-    pair count), rows yielding (g, h, nu_g, nu_h, nu_gh, g*h) per pair.
+    """One lazy pass over the candidate pairs with exact orders: (oracle, candidates,
+    rows, pair count), the candidates those of exact order, rows yielding
+    (g, h, nu_g, nu_h, nu_gh, g*h) per pair.
 
     A factor with a nonzero constant term is a unit of A_D, and I + m^n is an
     ideal, so g*h lies in I + m^n iff the other factor does: nu_gh is read off
@@ -203,7 +201,7 @@ def _scan_pairs(I, deg_max, mode, count, seed, budget):
                 else:
                     ngh = oracle.span.remainder_order(graded_product(forms[i], forms[j], D))
                     yield g, h, ng, nh, ngh, None if ngh.exact else g * h
-    return oracle, rows(), npairs
+    return oracle, [g for g, _ in live], rows(), npairs
 
 
 def _icl_reports(I, deg_max, slopes, mode, count, seed, budget) -> list:
@@ -214,7 +212,7 @@ def _icl_reports(I, deg_max, slopes, mode, count, seed, budget) -> list:
     (nu(g) + nu(h), nu(gh)), so each slope reads b = max(0, largest excess)
     off the keys, and its attaining pairs off the keys whose excess is b.
     """
-    oracle, rows, npairs = _scan_pairs(I, deg_max, mode, count, seed, budget)
+    oracle, cands, rows, npairs = _scan_pairs(I, deg_max, mode, count, seed, budget)
     filed = {}  # (nu(g) + nu(h), nu(gh)) -> the exact pairs with those orders
     violations = []
     skipped = []
@@ -229,18 +227,15 @@ def _icl_reports(I, deg_max, slopes, mode, count, seed, budget) -> list:
         f"constants certified for the scanned pairs only (factors of degree <= {deg_max}, "
         f"truncation {I.ring.trunc}); no claim beyond the scan"
     )
-    shapes = {}  # id(candidate) -> (terms, degree, text), each computed once per scan
-
-    def shape(s):
-        key = id(s)
-        if key not in shapes:
-            shapes[key] = (len(s.terms), s.max_degree(), s.to_str())
-        return shapes[key]
+    # simplest witnesses first: fewest terms, then lowest degree, then text, read as the
+    # candidate's rank in text order (distinct candidates print distinct texts: no tie);
+    # a violation leaves every slope without attaining pairs, so nothing to rank
+    ranked = [] if violations else sorted(cands, key=TruncatedSeries.to_str)
+    shapes = {id(s): (len(s.terms), s.max_degree(), r) for r, s in enumerate(ranked)}
 
     def simplest(t):
-        # simplest witnesses first: fewest terms, then lowest degree, then text (never a tie)
-        (ng, dg, tg), (nh, dh, th) = shape(t[0]), shape(t[1])
-        return (ng + nh, dg + dh, tg, th)
+        (ng, dg, rg), (nh, dh, rh) = shapes[id(t[0])], shapes[id(t[1])]
+        return (ng + nh, dg + dh, rg, rh)
 
     reports = []
     for a in slopes:
@@ -293,8 +288,7 @@ def icl_envelope(
     return _icl_reports(I, deg_max, SLOPE_GRID, mode, count, seed, budget)
 
 
-@dataclass
-class ValuationReport:
+class ValuationReport(NamedTuple):
     is_valuation: bool
     counterexample: Optional[tuple]  # (g, h, nu_g, nu_h, nu_gh or None)
     scan_degree: int
@@ -311,7 +305,7 @@ def valuation_check(
     budget: int = 200_000,
 ) -> ValuationReport:
     """True iff nu(g*h) = nu(g) + nu(h) on every scanned pair with decidable orders."""
-    _, rows, npairs = _scan_pairs(I, deg_max, mode, count, seed, budget)
+    _, _, rows, npairs = _scan_pairs(I, deg_max, mode, count, seed, budget)
     D = I.ring.trunc
     for g, h, ng, nh, ngh, gh in rows:
         total = ng.value + nh.value

@@ -17,12 +17,11 @@ over Q.  The RingSpec.s_* methods give the same arithmetic for cold callers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, total_ordering
+from functools import lru_cache
 from itertools import product
 from operator import add, itemgetter, mul
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import PrecondError
 
@@ -42,24 +41,22 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class RingSpec:
+class RingSpec(NamedTuple("RingSpec", [("num_vars", int), ("char", int), ("trunc", int)])):
     """Ambient truncated local ring: N variables over Q (char 0) or F_p, cut at total degree D."""
 
-    num_vars: int
-    char: int
-    trunc: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.num_vars < 1:
+    def __new__(cls, num_vars: int, char: int, trunc: int):
+        if num_vars < 1:
             raise PrecondError("num_vars must be >= 1")
-        if self.trunc < 1:
+        if trunc < 1:
             raise PrecondError("trunc must be >= 1")
         # the bound first: trial division of a huge --char would run unbounded
-        if self.char >= 2**31:
+        if char >= 2**31:
             raise PrecondError("prime characteristic must be < 2^31")
-        if self.char != 0 and not _is_prime(self.char):
-            raise PrecondError(f"characteristic {self.char} is not 0 or a prime")
+        if char != 0 and not _is_prime(char):
+            raise PrecondError(f"characteristic {char} is not 0 or a prime")
+        return super().__new__(cls, num_vars, char, trunc)
 
     # -- exact scalar arithmetic ------------------------------------------
     def s_from(self, v):
@@ -179,9 +176,7 @@ def fp_space_size(p: int, e: int, limit: int) -> Optional[int]:
     return size if size <= limit else None
 
 
-@total_ordering
-@dataclass(frozen=True)
-class ExtOrder:
+class ExtOrder(NamedTuple):
     """An order value: either an exact integer <= D, or the marker "at least D+1".
 
     The inexact form covers everything the truncation cannot distinguish,
@@ -207,8 +202,18 @@ class ExtOrder:
         # "at least n" dominates "exactly n"
         return (self.value, 0 if self.exact else 1)
 
+    # all four from the key: a tuple's own order would put "at least n" below "exactly n"
     def __lt__(self, other: "ExtOrder") -> bool:
         return self._key() < other._key()
+
+    def __le__(self, other: "ExtOrder") -> bool:
+        return self._key() <= other._key()
+
+    def __gt__(self, other: "ExtOrder") -> bool:
+        return self._key() > other._key()
+
+    def __ge__(self, other: "ExtOrder") -> bool:
+        return self._key() >= other._key()
 
     def __repr__(self):
         return str(self.value) if self.exact else f">={self.value}"

@@ -49,10 +49,9 @@ A linear solve and a kernel are both reads of the graph of the map (LinearMap).
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import PrecondError
 from .series import (
@@ -65,17 +64,16 @@ from .series import (
 )
 
 
-@dataclass(frozen=True)
-class IdealSpec:
+class IdealSpec(NamedTuple("IdealSpec", [("ring", RingSpec), ("generators", tuple)])):
     """A finitely generated ideal of the truncated ring; an empty tuple is the zero ideal."""
 
-    ring: RingSpec
-    generators: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        for g in self.generators:
-            if g.ring != self.ring:
+    def __new__(cls, ring: RingSpec, generators: tuple):
+        for g in generators:
+            if g.ring != ring:
                 raise PrecondError("incompatible rings")
+        return super().__new__(cls, ring, generators)
 
     @staticmethod
     def of(ring: RingSpec, gens: Sequence[TruncatedSeries]) -> "IdealSpec":
@@ -85,23 +83,21 @@ class IdealSpec:
         return ModuleSpec(self.ring, 1, tuple((g,) for g in self.generators))
 
 
-@dataclass(frozen=True)
-class ModuleSpec:
+class ModuleSpec(NamedTuple("ModuleSpec", [("ring", RingSpec), ("arity", int), ("generators", tuple)])):
     """A submodule of A^arity given by generating vectors of truncated series."""
 
-    ring: RingSpec
-    arity: int
-    generators: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.arity < 1:
+    def __new__(cls, ring: RingSpec, arity: int, generators: tuple):
+        if arity < 1:
             raise PrecondError("module arity must be >= 1")
-        for vec in self.generators:
-            if len(vec) != self.arity:
+        for vec in generators:
+            if len(vec) != arity:
                 raise PrecondError("generator vector length does not match arity")
             for g in vec:
-                if g.ring != self.ring:
+                if g.ring != ring:
                     raise PrecondError("incompatible rings")
+        return super().__new__(cls, ring, arity, generators)
 
     def max_generator_degree(self) -> int:
         degs = [g.max_degree() for vec in self.generators for g in vec if not g.is_zero]

@@ -10,9 +10,8 @@ quadric below by i -> i^2 - 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import comb
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import BudgetError, PrecondError
 from .series import (ExtOrder, RingSpec, TruncatedSeries, _is_prime, fp_space_size, fp_vectors,
@@ -20,8 +19,7 @@ from .series import (ExtOrder, RingSpec, TruncatedSeries, _is_prime, fp_space_si
 from .subspace import LinearMap, graded, graded_product, labeller, vec_to_series
 
 
-@dataclass
-class WitnessFamily:
+class WitnessFamily(NamedTuple):
     i: int
     x1: TruncatedSeries
     x2: TruncatedSeries
@@ -75,14 +73,12 @@ def monomial_witness_family(i: int, ring: RingSpec) -> WitnessFamily:
     return WitnessFamily(i, x1, x2, x3, x4, residual, residual.order(), note)
 
 
-@dataclass
-class IrreducibilityCertificate:
+class IrreducibilityCertificate(NamedTuple):
     i: int
     p: int
     search_space_size: int
     factorizations_found: int
     method: str
-    counterexample: Optional[tuple] = field(default=None, repr=False)  # not part of a report
 
 
 def _factorization_scan(target: dict, i: int, p: int, budget: int):
@@ -173,7 +169,7 @@ def irreducibility_exhaustive(i: int, p: int, budget: int = 10_000_000) -> Irred
     if i < 2:
         raise PrecondError("need i >= 2 (for i=1 the product T1*T2 - T3 has unit cofactors)")
     target = {(1, 1, 0): 1, (0, 0, i): -1}
-    size, found, counterexample = _factorization_scan(target, i, p, budget)
+    size, found, _ = _factorization_scan(target, i, p, budget)
     return IrreducibilityCertificate(
         i=i,
         p=p,
@@ -183,12 +179,10 @@ def irreducibility_exhaustive(i: int, p: int, budget: int = 10_000_000) -> Irred
             "exhaustive over non-unit pairs determined by homogeneous layers of degrees "
             f"1..{i - 1}, refined layer by layer with early rejection"
         ),
-        counterexample=counterexample,
     )
 
 
-@dataclass
-class LowerBoundReport:
+class LowerBoundReport(NamedTuple):
     i_max: int
     families: list  # WitnessFamily per i
     certificates: list  # IrreducibilityCertificate per feasible (i, p)

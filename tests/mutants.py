@@ -23,6 +23,7 @@ class Mutant(NamedTuple):
 ARTIN = "src/artinlab/artin.py"
 ORDERS = "src/artinlab/orders.py"
 PARSING = "src/artinlab/parsing.py"
+SERIES = "src/artinlab/series.py"
 SUBSPACE = "src/artinlab/subspace.py"
 WITNESS = "src/artinlab/witness.py"
 
@@ -260,13 +261,13 @@ MUTANTS = [
            "best = max([0, *excess.values()])", "best = max(excess.values(), default=0)",
            ICL_DEFINITION),
     Mutant("every pair equally simple", ORDERS,
-           "return (ng + nh, dg + dh, tg, th)", "return 0",
+           "return (ng + nh, dg + dh, rg, rh)", "return 0",
            ICL_DEFINITION),
     Mutant("nine attaining pairs kept", ORDERS,
            "8, chain.from_iterable(", "9, chain.from_iterable(",
            ICL_DEFINITION),
     Mutant("rows listed in full before the caller reads them", ORDERS,
-           "return oracle, rows(), npairs", "return oracle, list(rows()), npairs",
+           "live], rows(), npairs", "live], list(rows()), npairs",
            ("tests/test_orders.py::test_valuation_check_stops_at_its_first_counterexample",
             "tests/test_orders.py::test_scans_form_full_products_only_for_inexact_pairs")),
     # LinearMap: solves and kernels read off the graph of the map
@@ -285,4 +286,12 @@ MUTANTS = [
     Mutant("kernel read starts at the last image column", SUBSPACE,
            "bisect.bisect_left(self.graph.pivots, self.R)", "bisect.bisect_left(self.graph.pivots, self.R - 1)",
            SOLVE + SCAN),
+    # value records: a NamedTuple keeps a tuple's own comparisons unless it defines them
+    Mutant("ExtOrder drops its > and >=", SERIES,
+           "    def __gt__(self, other: \"ExtOrder\") -> bool:\n        return self._key() > other._key()\n\n"
+           "    def __ge__(self, other: \"ExtOrder\") -> bool:\n        return self._key() >= other._key()\n", "",
+           ("tests/test_series.py::test_extorder_at_least_dominates_under_every_comparison",)),
+    Mutant("RingSpec skips its trunc check", SERIES,
+           "        if trunc < 1:\n            raise PrecondError(\"trunc must be >= 1\")\n", "",
+           ("tests/test_series.py::test_ring_spec_validation",)),
 ]

@@ -208,6 +208,26 @@ def test_irr_check_cli():
     assert rep["result"]["factorizations_found"] == 0
 
 
+def test_record_reports_print_their_fields_in_order():
+    # a report record prints as the dict of its fields, in declaration order; the
+    # first factorization the scan finds is not part of any certificate
+    from artinlab import artin, witness
+
+    cert_keys = ["i", "p", "search_space_size", "factorizations_found", "method"]
+    assert list(witness.IrreducibilityCertificate._fields) == cert_keys
+    ring = ("--vars", "T1,T2,T3", "--trunc", "9")
+    cases = [(("irr-check", "--i", "2", "--p", "2"), witness.IrreducibilityCertificate),
+             (("witness", "--i", "2", *ring), witness.WitnessFamily),
+             (("witness", "--i-max", "2", *ring), witness.LowerBoundReport),
+             (("solve-linreg", *ring, "--gens", "T1;T2^2", "--x", "T2^2; -T1", "--i", "3"),
+              artin.SolveCertificate)]
+    for argv, record in cases:
+        assert list(run_command(list(argv))[0]["result"]) == list(record._fields)
+    report = run_command(["witness", "--i-max", "2", *ring])[0]["result"]
+    assert [list(f) for f in report["families"]] == [list(witness.WitnessFamily._fields)] * 2
+    assert [list(c) for c in report["certificates"]] == [cert_keys] * 2
+
+
 def test_solver_cli():
     out = run_cli(
         "solve-linreg", "--vars", "T1,T2", "--trunc", "8",

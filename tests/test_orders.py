@@ -218,7 +218,7 @@ def test_valuation_check_stops_at_its_first_counterexample():
     # pair with no unit factor up to the counterexample)
     R = RingSpec(2, 0, 8)
     I = IdealSpec.of(R, [parse_poly("T1*T2", R)])
-    _, rows, npairs = orders._scan_pairs(I, 3, "random", 40, 5, 10**6)
+    _, _, rows, npairs = orders._scan_pairs(I, 3, "random", 40, 5, 10**6)
     rows = list(rows)
     stop = next(n for n, (g, h, ng, nh, ngh, _) in enumerate(rows)
                 if (ngh.value != ng.value + nh.value if ngh.exact else ng.value + nh.value <= R.trunc))
@@ -501,7 +501,7 @@ def test_scan_rows_match_dense_oracle(data):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Subspace, "remainder_order", counted)
         mp.setattr(orders, "graded_product", counted_parts)
-        _, rows, npairs = orders._scan_pairs(I, deg_max, mode, count, seed, 10**6)
+        _, _, rows, npairs = orders._scan_pairs(I, deg_max, mode, count, seed, 10**6)
         rows = list(rows)
     cands = scan_candidates(R, deg_max, mode, count, seed, 10**6)
     live = [g for g in cands if dense_order(g, I).exact]
@@ -541,7 +541,7 @@ def test_pair_read_takes_no_part_past_the_order(monkeypatch):
 
     monkeypatch.setattr(orders, "scan_candidates", lambda *args: [g])
     monkeypatch.setattr(orders, "graded_product", counted_parts)
-    _, rows, _ = orders._scan_pairs(IdealSpec.of(R, [parse_poly("T1^5", R)]), 2, "random", 0, 0, 10)
+    _, _, rows, _ = orders._scan_pairs(IdealSpec.of(R, [parse_poly("T1^5", R)]), 2, "random", 0, 0, 10)
     assert [ngh for *_, ngh, _ in rows] == [ExtOrder.of(2)]
     assert len(reads) == 1
 

@@ -81,13 +81,36 @@ def test_prime_field_arithmetic():
     assert a.scale(2) == TruncatedSeries.variable(R, 0)  # 6 = 1 mod 5
 
 
+def test_extorder_at_least_dominates_under_every_comparison():
+    # a tuple's own order puts (n, False) below (n, True): each of <, <=, > and >=
+    # must read the key, or max and sorted pick "exactly n" over "at least n"
+    low, high = ExtOrder.of(3), ExtOrder.at_least(3)
+    assert low < high and low <= high and high > low and high >= low
+    assert not (high < low or high <= low or low > high or low >= high)
+    assert max(low, high) is high and max(high, low) is high
+    assert min(low, high) is low and min(high, low) is low
+    assert sorted([ExtOrder.of(4), high, ExtOrder.at_least(2), low]) == [
+        ExtOrder.at_least(2), low, high, ExtOrder.of(4)]
+
+
+def test_extorder_is_shared_and_frozen():
+    assert ExtOrder.of(5) is ExtOrder.of(5)
+    assert ExtOrder.at_least(5) == ExtOrder.at_least(5) != ExtOrder.of(5)
+    for value in (ExtOrder.of(2), ExtOrder.at_least(2), RingSpec(2, 0, 4)):
+        for name in value._fields:
+            with pytest.raises(AttributeError):
+                setattr(value, name, 1)
+
+
 def test_ring_spec_validation():
-    with pytest.raises(PrecondError):
-        RingSpec(0, 0, 3)
-    with pytest.raises(PrecondError):
-        RingSpec(2, 4, 3)
-    with pytest.raises(PrecondError):
-        RingSpec(2, 0, 0)
+    for args, message in [((0, 0, 3), "num_vars must be >= 1"), ((2, 0, 0), "trunc must be >= 1"),
+                          ((2, 2**31, 3), r"prime characteristic must be < 2\^31"),
+                          ((2, 4, 3), "characteristic 4 is not 0 or a prime")]:
+        with pytest.raises(PrecondError, match=message):
+            RingSpec(*args)
+    assert RingSpec(2, 5, 4) == RingSpec(num_vars=2, char=5, trunc=4)
+    assert hash(RingSpec(2, 5, 4)) == hash(RingSpec(2, 5, 4))
+    assert len({RingSpec(2, 5, 4), RingSpec(2, 5, 4), RingSpec(2, 0, 4), RingSpec(2, 5, 3)}) == 3
 
 
 # ---------------------------------------------------------------------------

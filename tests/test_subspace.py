@@ -151,6 +151,24 @@ def test_distance_order_monotone_under_shrinking():
         assert distance_order(x, big) >= distance_order(x, small)
 
 
+def test_ideal_and_module_specs_check_compare_and_hash():
+    R, S = RingSpec(2, 0, 5), RingSpec(2, 5, 5)
+    t1, t2 = var(R, 0), var(R, 1)
+    I = IdealSpec.of(R, [t1, t2**2])
+    assert I == IdealSpec(R, (t1, t2**2)) and hash(I) == hash(IdealSpec(R, (t1, t2**2)))
+    assert I != IdealSpec(R, (t1,)) and I != IdealSpec.of(R, [t2**2, t1])
+    assert I.as_module() == ModuleSpec(R, 1, ((t1,), (t2**2,)))
+    assert hash(I.as_module()) == hash(ModuleSpec(R, 1, ((t1,), (t2**2,))))
+    with pytest.raises(PrecondError, match="incompatible rings"):
+        IdealSpec(S, (t1,))
+    with pytest.raises(PrecondError, match="module arity must be >= 1"):
+        ModuleSpec(R, 0, ())
+    with pytest.raises(PrecondError, match="generator vector length does not match arity"):
+        ModuleSpec(R, 2, ((t1,),))
+    with pytest.raises(PrecondError, match="incompatible rings"):
+        ModuleSpec(S, 2, ((t1, t2),))
+
+
 def test_zero_ideal_distance_is_plain_order():
     R = RingSpec(2, 0, 5)
     t1, t2 = var(R, 0), var(R, 1)

@@ -108,7 +108,7 @@ def test_scan_finds_factorizations_when_they_exist():
     assert found > 0
     assert ce is not None
     # while the perturbed target admits none
-    assert irreducibility_exhaustive(2, 2).counterexample is None
+    assert _factorization_scan({(1, 1, 0): 1, (0, 0, 2): -1}, 2, 2, 10**6)[1:] == (0, None)
 
 
 def test_scan_counts_deeper_factorizations():
