@@ -519,19 +519,14 @@ class _BetaSearch:
     order and the least degree written, never by rescanning terms.
 
     The residual changes by coeff * (x_j'^a - x_j^a) * prod_{u != j} x_u^(alpha_u)
-    over the system terms that contain x_j.  A term c*T^u*x_j, linear in x_j,
-    with one monomial as coefficient and no other unknown, sends the layer of
-    degree d to degree d + |u|: for each slot, the first time it gets a
-    nonzero layer, that degree and key(u) are taken once (or the term is left
-    out when d + |u| > D), and a node adds c * layer at key + key(u) in one
-    loop.  Every other term (a power of x_j, a product with another unknown, a
-    coefficient with several monomials) is formed in graded form
+    over the system terms that contain x_j, each formed in graded form
     (subspace.graded) by _product, the (degree, part) pairs of
     subspace.graded_product at top D reduced mod p; its degrees are added to
-    the residual's.
-    Only an unknown in such a term is kept: pows[u] holds x_u^k, graded, at
-    k = 1 and at each exponent k of x_u in the system, and is empty for every
-    other unknown.  Every slot before a slot of degree d is assigned, so x_j is
+    the residual's.  At a = 1 the difference is the layer itself.
+    Only an unknown that a product reads is kept, one raised to a >= 2 or
+    met in a term with another unknown: pows[u] holds x_u^k, graded, at k = 1
+    and at each exponent k of x_u in the system, and is empty for every other
+    unknown.  Every slot before a slot of degree d is assigned, so x_j is
     still zero there iff lb[j] == d, and x_j' = x_j + layer appends one degree.
 
     A layer is a tuple of (key, c) pairs, read by _layers in fp_vectors order,
@@ -609,29 +604,20 @@ class _BetaSearch:
         affine = all(sum(alpha) <= 1 for poly in system for alpha in poly.terms)
         self.image = Subspace(ring, len(system)) if affine else None
         self.walked = [None] * self.boundary
-        # per unknown j, the system terms containing it, each as (its coefficient's
-        # order, alpha_j, ((u, alpha_u) for the other unknowns)); the terms c*T^u*x_j
-        # as (equation, u, c); every other term as (equation, graded coeff or None for 1,
-        # alpha_j, others)
-        self.terms_by_unknown, self.linear, self.general = [], [], []
+        # per unknown j, the system terms containing it, each as (equation, graded
+        # coeff or None for 1, its coefficient's order, alpha_j, ((u, alpha_u) for the
+        # other unknowns))
+        self.terms = [[] for _ in range(n)]
         one = TruncatedSeries.one(ring)
-        for j in range(n):
-            reach, linear, general = [], [], []
-            for pidx, poly in enumerate(self.system):
-                for alpha, coeff in poly.terms.items():
-                    if alpha[j] >= 1 and not coeff.is_zero:
+        for pidx, poly in enumerate(self.system):
+            for alpha, coeff in poly.terms.items():
+                if coeff.is_zero:
+                    continue
+                form = None if coeff == one else graded(coeff, label)  # 1: no product
+                for j, aj in enumerate(alpha):
+                    if aj:
                         others = tuple((u, a) for u, a in enumerate(alpha) if a and u != j)
-                        mono = next(iter(coeff.terms.items())) if len(coeff.terms) == 1 else None
-                        reach.append((coeff.order().value, alpha[j], others))
-                        if alpha[j] == 1 and mono and not others:
-                            linear.append((pidx, *mono))
-                        else:
-                            form = None if coeff == one else graded(coeff, label)  # 1: no product
-                            general.append((pidx, form, alpha[j], others))
-            self.terms_by_unknown.append(reach)
-            self.linear.append(linear)
-            self.general.append(general)
-        self.shifts = [None] * len(self.slots)  # per slot, built by _slot_shifts
+                        self.terms[j].append((pidx, form, coeff.order().value, aj, others))
         self.choices = [None] * len(self.slots)  # per slot: None unread, () read once, then built by _layers
         self.space = (ring.char, n * comb(ring.num_vars + D, D))  # raw space F_p^e
         self.nodes = 0
@@ -648,9 +634,9 @@ class _BetaSearch:
         # each residual's first nonempty degree, D + 1 for a zero residual
         self.ords = [next((e for e, part in enumerate(r) if part), D + 1) for r in self.res]
         # pows[u][k] = x_u^k, graded, for k = 1 and each exponent k of x_u in the
-        # system, kept only for an unknown that a general term reads
-        self.pows = [dict.fromkeys({1, *(t[1] for t in self.terms_by_unknown[u])}, ())
-                     if self.general[u] else {} for u in range(n)]
+        # system, kept only for an unknown that a product reads
+        self.pows = [dict.fromkeys({1, *(t[3] for t in terms)}, ())
+                     if any(aj >= 2 or others for _, _, _, aj, others in terms) else {} for terms in self.terms]
         # lb[u]: the order of x_u once it is nonzero, before that its next layer's
         # degree; a lower bound for the order of every completion of x_u
         self.lb = [0] * n
@@ -660,24 +646,13 @@ class _BetaSearch:
     def _slot_min_degree(self, j: int, d: int) -> int:
         best = self.D + 1
         lb = self.lb
-        for cord, aj, others in self.terms_by_unknown[j]:
+        for _, _, cord, aj, others in self.terms[j]:
             s = cord + d + (aj - 1) * lb[j]
             for u, a in others:
                 s += a * lb[u]
             if s < best:
                 best = s
         return best
-
-    def _slot_shifts(self, slot_idx: int) -> list:
-        """(equation, degree d + |u|, c, key(u)) for each term c*T^u*x_j of the
-        slot's unknown that stays within D."""
-        d, j = self.slots[slot_idx]
-        plan = self.shifts[slot_idx] = []
-        for pidx, u, c in self.linear[j]:
-            e = d + sum(u)
-            if e <= self.D:
-                plan.append((pidx, e, c, self.label(u)))
-        return plan
 
     def _width(self, d: int) -> int:
         """The number of monomials of degree d."""
@@ -744,49 +719,33 @@ class _BetaSearch:
         D, p = self.D, self.ring.char
         res = list(self.res)
         low = {}  # equation -> least degree written; its list of degrees is a fresh copy
-        shifts = self.shifts[slot_idx]
-        if shifts is None:
-            shifts = self._slot_shifts(slot_idx)
-        # one term c*T^u*x_j per equation at most: alpha = e_j has one coefficient
-        for pidx, e, c, ku in shifts:
-            r = res[pidx] = list(res[pidx])
-            low[pidx] = e
-            part = r[e] = dict(r[e])
-            for k, v in layer:
-                k += ku
-                s = (part.get(k, 0) + c * v) % p
-                if s:
-                    part[k] = s
-                else:
-                    del part[k]
-        if old_pows:
-            step = ((d, layer),)
+        product, step = self._product, ((d, layer),)
+        if old_pows:  # x_j is kept: a term with a >= 2 reads new_pows, one of another unknown pows[j]
             new_x = old_pows[1] + step  # every degree of x_j is below d
-            product = self._product
             new_pows = self.pows[j] = {k: power(new_x, k, None, product) for k in old_pows}  # k >= 1: no `one`
-            pows = self.pows
-            for pidx, coeff, aj, others in self.general[j]:
-                # x_j'^a - x_j^a; the layer's monomials are new to x_j, so x_j' - x_j is the layer
-                term = self._difference(new_pows[aj], old_pows[aj]) if aj > 1 else step
-                if coeff:
-                    term = product(coeff, term)
-                for u, a in others:
-                    if not term:
-                        break
-                    term = product(term, pows[u][a])
+        pows = self.pows
+        for pidx, coeff, _, aj, others in self.terms[j]:
+            # x_j'^a - x_j^a; the layer's monomials are new to x_j, so x_j' - x_j is the layer
+            term = self._difference(new_pows[aj], old_pows[aj]) if aj > 1 else step
+            if coeff:
+                term = product(coeff, term)
+            for u, a in others:
                 if not term:
-                    continue
-                if pidx not in low:
-                    res[pidx] = list(res[pidx])
-                r, low[pidx] = res[pidx], min(low.get(pidx, D + 1), term[0][0])
-                for e, items in term:
-                    r[e] = part = dict(r[e])
-                    for k, v in items:
-                        s = (part.get(k, 0) + v) % p
-                        if s:
-                            part[k] = s
-                        else:
-                            del part[k]
+                    break
+                term = product(term, pows[u][a])
+            if not term:
+                continue
+            if pidx not in low:
+                res[pidx] = list(res[pidx])
+            r, low[pidx] = res[pidx], min(low.get(pidx, D + 1), term[0][0])
+            for e, items in term:
+                r[e] = part = dict(r[e])
+                for k, v in items:
+                    s = (part.get(k, 0) + v) % p
+                    if s:
+                        part[k] = s
+                    else:
+                        del part[k]
         # below the lower of the old order and the least degree written, every
         # degree is still empty: the order is the first nonempty one from there
         ords = list(self.ords)
@@ -840,20 +799,18 @@ class _BetaSearch:
     def _jacobian(self) -> list:
         """dF/dx_j at x0 for each unknown j: a vector of A^r, r the number of equations
         and equation pidx its component, graded (subspace.graded) on the labels of
-        coord_index(N, D, r).  A term c*T^u*x_j gives c*T^u; every other term
-        a_j * coeff * x_j^(a_j - 1) * prod x_u^(a_u), built from pows."""
+        coord_index(N, D, r).  Each term of x_j gives
+        a_j * coeff * x_j^(a_j - 1) * prod x_u^(a_u), the powers read from pows:
+        a term linear in x_j with no other unknown gives its coefficient."""
         p, lift, pows, product = self.ring.char, self.lift, self.pows, self._product
         jac = []
         for j in range(self.n):
-            terms = [(pidx, ((sum(u), ((self.label(u), c),)),)) for pidx, u, c in self.linear[j]]
-            for pidx, coeff, aj, others in self.general[j]:
+            parts = {}
+            for pidx, coeff, _, aj, others in self.terms[j]:
                 term = product(coeff or _ONE, ((0, ((0, aj),)),))  # () when p divides a_j
                 for u, a in ((j, aj - 1), *others):
                     if a:
                         term = product(term, pows[u][a] if a in pows[u] else power(pows[u][1], a, None, product))
-                terms.append((pidx, term))
-            parts = {}
-            for pidx, term in terms:
                 for e, items in term:
                     shift = lift(e, pidx)
                     sub_multiple(parts.setdefault(e, {}), {k + shift: c for k, c in items}, -1, p)

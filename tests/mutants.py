@@ -107,31 +107,30 @@ MUTANTS = [
     Mutant("order walk stops one degree early", ARTIN,
            "while o <= D and not r[o]:", "while o < D and not r[o]:",
            CHECKED_SEARCH),
-    Mutant("degree dict shared between frames", ARTIN,
-           "part = r[e] = dict(r[e])", "part = r[e]",
-           CHECKED_SEARCH),
-    Mutant("general term's degree dict shared between frames", ARTIN,
+    Mutant("a term's degree dict shared between frames", ARTIN,
            "r[e] = part = dict(r[e])", "r[e] = part = r[e]",
            CHECKED_SEARCH),
-    Mutant("general term's least degree not written", ARTIN,
+    Mutant("a term's least degree not written", ARTIN,
            "min(low.get(pidx, D + 1), term[0][0])", "low.get(pidx, D + 1)",
            CHECKED_SEARCH),
-    Mutant("slot plan keeps a term at degree D + 1", ARTIN,
-           "            if e <= self.D:\n                plan.append(",
-           "            if e <= self.D + 1:\n                plan.append(",
-           ("tests/test_beta.py::test_random_small_systems_agree",)),
     # _BetaSearch: the state its terms read
     Mutant("powers kept for every unknown", ARTIN,
-           "if self.general[u] else {} for u in range(n)]", "if True else {} for u in range(n)]",
+           "if any(aj >= 2 or others for", "if True or any(aj >= 2 or others for",
            CHECKED_SEARCH),
+    Mutant("powers not kept for an unknown read beside another", ARTIN,
+           "any(aj >= 2 or others for", "any(aj >= 2 for",
+           CHECKED_SEARCH + BETA_PINNED[:1]),
+    Mutant("powers not kept for an unknown raised to a >= 2", ARTIN,
+           "any(aj >= 2 or others for", "any(others for",
+           CHECKED_SEARCH + BETA_PINNED[:1]),
     Mutant("an empty layer always moves lb[j] past its degree", ARTIN,
            "if self.lb[j] == d:  # x_j is still zero", "if True:",
            CHECKED_SEARCH),
-    Mutant("general term without its coefficient", ARTIN,
+    Mutant("a term without its coefficient", ARTIN,
            "term = product(coeff, term)", "term = term",
            CHECKED_SEARCH + ("tests/test_beta.py::test_random_small_systems_agree",
             "tests/test_cli.py::test_beta_lb_of_linear_system_is_level_plus_ar_index")),
-    # _BetaSearch: general terms as graded products, cut at D
+    # _BetaSearch: every term a graded product, cut at D
     Mutant("graded product keeps degree D + 1", ARTIN,
            "graded_product(a, b, self.D)", "graded_product(a, b, self.D + 1)",
            CHECKED_SEARCH),

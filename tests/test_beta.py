@@ -182,12 +182,18 @@ class CheckedSearch(_BetaSearch):
 
     def __init__(self, *args):
         super().__init__(*args)
-        # each general term holds its coefficient graded, or None for the coefficient 1
-        for j, general in enumerate(self.general):
-            for pidx, coeff, aj, others in general:
+        # each unknown's table holds every system term with that unknown once, with its
+        # coefficient graded, or None for the coefficient 1, and the coefficient's order
+        for j, terms in enumerate(self.terms):
+            alphas = []
+            for pidx, coeff, cord, aj, others in terms:
                 alpha = tuple(aj if u == j else dict(others).get(u, 0) for u in range(self.n))
+                want = self.system[pidx].terms[alpha]
                 got = {(0,) * self.ring.num_vars: 1} if coeff is None else graded_terms(coeff, self.ring)
-                assert got == self.system[pidx].terms[alpha].terms
+                assert got == want.terms and cord == want.order().value
+                alphas.append((pidx, alpha))
+            assert sorted(alphas) == sorted((pidx, alpha) for pidx, poly in enumerate(self.system)
+                                            for alpha in poly.terms if alpha[j])
         self.path = []  # (unknown, layer) per frame
         # the class the walk is in (its layers of degree <= i), every class it
         # entered and, for every class in which it met an exact solution, its weight
@@ -215,9 +221,11 @@ class CheckedSearch(_BetaSearch):
                        for e, part in enumerate(r) for k, c in part.items())
             assert o == next((e for e, part in enumerate(r) if part), self.D + 1)
         for j, (x, pows) in enumerate(zip(xs, self.pows)):
-            # powers only for an unknown a general term reads: x_j itself and its exponents
-            exps = {alpha[j] for poly in self.system for alpha in poly.terms if alpha[j]}
-            assert set(pows) == ({1} | exps if self.general[j] else set())
+            # powers only for an unknown a product reads, one raised to a >= 2 or met in a
+            # term with another unknown: x_j itself and its exponents
+            alphas = [alpha for poly in self.system for alpha in poly.terms if alpha[j]]
+            read = any(alpha[j] >= 2 or sum(map(bool, alpha)) >= 2 for alpha in alphas)
+            assert set(pows) == ({1} | {alpha[j] for alpha in alphas} if read else set())
             assert all(graded_terms(v, self.ring) == (x**k).terms for k, v in pows.items())
         for u, x in enumerate(xs):
             assert self.lb[u] == (x.order().value if x.terms else sum(u_ == u for u_, _ in self.path))
@@ -314,31 +322,6 @@ class CheckedSearch(_BetaSearch):
         d, j = self.slots[slot_idx]
         assert type(layer) is tuple and len({k for k, _ in layer}) == len(layer)
         assert all(sum(monomial_of(k, self.ring)) == d and 0 < c < self.ring.char for k, c in layer)
-        # before the search reads it: the slot's plan moves the layer as the
-        # product c*T^u * layer, for each term c*T^u*x_j of each equation, and
-        # holds no term the product drops past D
-        if layer:
-            plan = self.shifts[slot_idx]
-            if plan is None:
-                plan = self._slot_shifts(slot_idx)
-            p = self.ring.char
-            moved = {pidx: (e, {monomial_of(k + ku, self.ring): c * v % p for k, v in layer})
-                     for pidx, e, c, ku in plan}
-            assert len(moved) == len(plan)
-            unit = tuple(int(u == j) for u in range(self.n))
-            for pidx, poly in enumerate(self.system):
-                coeff = poly.terms.get(unit)
-                if coeff is None or len(coeff.terms) != 1:
-                    assert pidx not in moved
-                    continue
-                ((u, c),) = coeff.terms.items()
-                want = TruncatedSeries.monomial(self.ring, u, c) * TruncatedSeries(
-                    self.ring, {monomial_of(k, self.ring): v for k, v in layer})
-                if want.is_zero:
-                    assert pidx not in moved
-                else:
-                    e, terms = moved[pidx]
-                    assert terms == want.terms and {sum(m) for m in terms} == {e}
         self.path.append((j, layer))
         super()._assign(slot_idx, layer, skipped)
 
@@ -376,7 +359,7 @@ def test_incremental_state_matches_definitions():
         (RingSpec(2, 2, 3), "X1*X2 - T1*T2", ["X1", "X2"], [(0, 16, 2, 3), (2, 51, 8, 10)]),
         (RingSpec(2, 2, 3), "X1^2 + T1*X2", ["X1", "X2"], [(1, 7, 0, 1), (2, 25, 0, 2)]),
         (RingSpec(2, 2, 3), "T1*X1", ["X1"], [(1, 3, 0, 1), (2, 7, 0, 1)]),
-        # T2^D holds the largest key, in the constant, a shift plan and the degree-D layers
+        # T2^D holds the largest key, in the constant, a coefficient and the degree-D layers
         (RingSpec(2, 2, 3), "T2^3*X1 + T2*X1*X2 - T2^3", ["X1", "X2"], [(1, 14, 1, 3), (3, 47, 1, 9)]),
         # over F_3 a power's difference x_j'^a - x_j^a keeps its sign
         (RingSpec(1, 3, 3), "(1 + 2*T1)*X1^3 + T1*X1 - T1^2", ["X1"], [(0, 6, 1, 1), (2, 7, 1, 1)]),
