@@ -182,18 +182,13 @@ class CheckedSearch(_BetaSearch):
 
     def __init__(self, *args):
         super().__init__(*args)
-        # each unknown's table holds every system term with that unknown once, with its
-        # coefficient graded, or None for the coefficient 1, and the coefficient's order
+        # each term holds its coefficient graded, or None for the coefficient 1, and its order
         for j, terms in enumerate(self.terms):
-            alphas = []
             for pidx, coeff, cord, aj, others in terms:
                 alpha = tuple(aj if u == j else dict(others).get(u, 0) for u in range(self.n))
                 want = self.system[pidx].terms[alpha]
                 got = {(0,) * self.ring.num_vars: 1} if coeff is None else graded_terms(coeff, self.ring)
                 assert got == want.terms and cord == want.order().value
-                alphas.append((pidx, alpha))
-            assert sorted(alphas) == sorted((pidx, alpha) for pidx, poly in enumerate(self.system)
-                                            for alpha in poly.terms if alpha[j])
         self.path = []  # (unknown, layer) per frame
         # the class the walk is in (its layers of degree <= i), every class it
         # entered and, for every class in which it met an exact solution, its weight
