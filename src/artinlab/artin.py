@@ -550,10 +550,11 @@ class _BetaSearch:
     past D, so below a node with every layer of degree < k set (x0), every
     completion x0 + h has residual F(x0) + J(x0)*h mod m^(D+1): Taylor
     expansion, exact over any ring.  The first node at or past the cut that
-    the walk leaves open reads its verdict off the degree-major echelon form of
-    J(x0)'s image (_read): F(x0) in the image is a solution, and otherwise the
-    order of F(x0)'s remainder is the largest order any completion reaches,
-    held like a fixed order.
+    the walk leaves open reads its verdict (_read): the order of F(x0)'s
+    remainder modulo the image of h -> J(x0)*h (_image), by
+    Subspace.remainder_order.  The at-least marker is a solution; an exact
+    order is the largest any completion reaches, held like a fixed order.
+    The image is built again only when J(x0) changes, on an affine system never.
 
     An affine system (every term of degree <= 1 in X) cuts at the boundary,
     k = i + 1, and its residual is F(0) + L(x) for a linear map L: classes x0
@@ -595,9 +596,9 @@ class _BetaSearch:
         self.cut = self.k * n
         self.slots = [(d, j) for d in range(D + 1) for j in range(n)]
         self.label = label = labeller(ring.num_vars, D)
-        # a read's vectors lie in A^r, r the number of equations (_jacobian)
-        self.column_label = labeller(ring.num_vars, D, len(system))
-        self.lift, self.start = blocks(ring.num_vars, D, len(system))
+        # a read's vectors lie in A^r, r the number of equations; _image keeps the last J(x0)
+        self.lift = blocks(ring.num_vars, D, len(system))[0]
+        self._jac = self._img = None
         self.boundary = (i + 1) * n
         # an affine system walks one class per coset of its class map's kernel: the
         # span of the class coordinates' images, and each class slot's walked keys
@@ -820,47 +821,35 @@ class _BetaSearch:
     def _column(self, g: tuple, t: int, m) -> dict:
         """g * T^m, cut at D, for a vector g of A^r graded as _jacobian gives it and a
         monomial m of degree t."""
-        s = self.column_label(m)
+        s = self.label(m) + self.lift(t, 0)
         return {key + s: c for e, items in g if e + t <= self.D for key, c in items}
 
-    def _columns(self, jac: list, d: int):
-        """The image columns of lowest degree d: dF/dx_j(x0) * T^m for each unknown j and
-        each monomial m of degree t = d - ord(dF/dx_j(x0)) in k..D, cut at D."""
-        for g in jac:
-            t = d - g[0][0] if g else -1
-            if t >= self.k:
-                for m in monomials_of_degree(self.ring.num_vars, t):
-                    yield self._column(g, t, m)
-
-    def _image_order(self, jac: list) -> Optional[int]:
-        """The order of F(x0)'s remainder modulo the image of h -> J(x0)*h on the layers
-        of degree k..D, None for a zero remainder.
-
-        Columns of lowest degree above d lie in m^(d+1), so those of lowest degree
-        <= d decide whether the remainder has an entry at degree d (subspace module
-        docstring): each degree's columns are inserted before F(x0)'s part of that
-        degree is added, and the read stops at the first degree left nonzero."""
-        p, lift = self.ring.char, self.lift
-        image, v = Subspace(self.ring, len(self.system)), {}
-        for d in range(self.D + 1):
-            for col in self._columns(jac, d):
-                image.insert(col)
-            for pidx, res in enumerate(self.res):
-                shift = lift(d, pidx)
-                sub_multiple(v, {k + shift: c for k, c in res[d].items()}, -1, p)
-            v = image.reduce(v)
-            if v and min(v) < self.start(d + 1):
-                return d
-        return None
+    def _image(self, jac: list) -> Subspace:
+        """The image of h -> J(x0)*h on the layers of degree k..D: dF/dx_j(x0) * T^m for
+        each unknown j and monomial m of degree k..D, highest degree first (as
+        insert_multiples).  The last one is kept and read again while J(x0) is
+        unchanged, as at every read of an affine system."""
+        if jac != self._jac:
+            self._jac, self._img = jac, Subspace(self.ring, len(self.system))
+            for g in jac:
+                for t in range(self.D, self.k - 1, -1):
+                    for m in monomials_of_degree(self.ring.num_vars, t):
+                        self._img.insert(self._column(g, t, m))
+        return self._img
 
     def _read(self) -> Optional[int]:
         """The largest residual order of a completion x0 + h of this node, None if one
-        solves the system; the residual is F(x0), and a zero F(x0) reads nothing."""
+        solves the system: the order of F(x0)'s remainder modulo the image of J(x0)
+        (_image), read by degree, each degree of F(x0) lifted into A^r.  The
+        at-least marker, a zero remainder, is a solution; a zero F(x0) reads nothing."""
         if min(self.ords) > self.D:
             return None
         self.reads += 1
         self._charge()
-        return self._image_order(self._jacobian())
+        parts = ((d, {k + self.lift(d, pidx): c for pidx, r in enumerate(self.res) for k, c in r[d].items()})
+                 for d in range(min(self.ords), self.D + 1))
+        order = self._image(self._jacobian()).remainder_order(parts)
+        return order.value if order.exact else None
 
     # -- the one depth-first walk ---------------------------------------------
     def _charge(self):

@@ -20,7 +20,9 @@ d leaves an entry at or below d, no later part is read.  So a caller that
 builds x one degree at a time, such as the product g*h of an ICL scan, never
 builds the degrees past its order, and a caller feeds only the degrees x has
 (every row cleared has its pivot, and so all its entries, at or after the
-lowest entry of x).
+lowest entry of x).  The beta search's read past its cut is such a caller too.
+The labels of degree d start at d*step, step = arity*(D+1)^N (coord_index), a
+slot each Subspace sets, so no order read (nor cap_start) builds a table.
 
 Series are multiplied on labels in one way, shared by the ICL pair scan, the
 beta search and the factorization scan.  The graded form of a series (graded)
@@ -225,11 +227,12 @@ class Subspace:
     back-eliminate.  insert keeps both maps.
     """
 
-    __slots__ = ("ring", "arity", "row_of", "holders", "_pivots")
+    __slots__ = ("ring", "arity", "step", "row_of", "holders", "_pivots")
 
     def __init__(self, ring: RingSpec, arity: int = 1):
         self.ring = ring
         self.arity = arity
+        self.step = arity * (ring.trunc + 1) ** ring.num_vars  # degree d: labels d*step.. (coord_index)
         self.row_of = {}
         self.holders = {}
         self._pivots = None
@@ -283,8 +286,7 @@ class Subspace:
         the degree of the remainder's lowest label; none left after the last
         part gives the at-least marker.
         """
-        ring, v = self.ring, {}
-        step = coord_index(ring.num_vars, ring.trunc, self.arity)[2][1]  # degree d: labels d*step..
+        ring, step, v = self.ring, self.step, {}
         for d, new in parts:
             sub_multiple(v, new, -1, ring.char)
             self._eliminate(v, new)
@@ -337,8 +339,7 @@ class Subspace:
         ring = self.ring
         if not 0 <= i <= ring.trunc + 1:
             raise PrecondError(f"m-power exponent {i} out of range 0..{ring.trunc + 1}")
-        starts = coord_index(ring.num_vars, ring.trunc, self.arity)[2]
-        return bisect.bisect_left(self.pivots, starts[i])
+        return bisect.bisect_left(self.pivots, i * self.step)
 
 
 def multiples(gen, d: int, ring: RingSpec, sound: bool = False):

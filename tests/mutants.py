@@ -36,6 +36,7 @@ ORACLE = ("tests/test_beta.py::test_matches_full_enumeration_oracle",)
 COSETS = ("tests/test_beta.py::test_affine_search_walks_one_class_per_coset",
           "tests/test_beta.py::test_affine_cosets_match_the_full_walk")
 D6_PINNED = ("tests/test_beta.py::test_search_at_d6_pinned",)
+IMAGE_MEMO = ("tests/test_beta.py::test_read_builds_an_image_only_when_jacobian_changes",)
 HOMOGENEOUS = ("tests/test_solvers.py::test_linreg_random_suite", "tests/test_solvers.py::test_fxhy_random_suite")
 ICL_DEFINITION = ("tests/test_orders.py::test_icl_scan_matches_fraction_definition",)
 DENSE_RREF = ("tests/test_subspace.py::test_insert_keeps_the_dense_rref",)
@@ -83,6 +84,12 @@ MUTANTS = [
     Mutant("the columns of the last unknown dropped from J", ARTIN,
            "            jac.append(tuple(", "            jac.append(() if j == self.n - 1 else tuple(",
            CHECKED_SEARCH + BETA_PINNED),
+    Mutant("image kept after J(x0) changed", ARTIN,
+           "if jac != self._jac:", "if self._img is None:",
+           CHECKED_SEARCH + BETA_PINNED + IMAGE_MEMO),
+    Mutant("image built from degree k + 1", ARTIN,
+           "for t in range(self.D, self.k - 1, -1):", "for t in range(self.D, self.k, -1):",
+           CHECKED_SEARCH + BETA_PINNED + ORACLE),
     Mutant("a solvable read does not leave its class", ARTIN,
            "                self.held = -1\n                return True", "                self.held = -1\n                return False",
            CHECKED_SEARCH + D6_PINNED),
@@ -247,6 +254,10 @@ MUTANTS = [
     Mutant("order read takes one part past the order", SUBSPACE,
            "if v and min(v) // step <= d:", "if v and min(v) // step < d:",
            READ_START + ("tests/test_orders.py::test_pair_read_takes_no_part_past_the_order",)),
+    # the degree blocks of A^arity: the two-equation searches and a module's profile read them
+    Mutant("order-read step of arity 1", SUBSPACE,
+           "self.step = arity * (ring.trunc + 1) ** ring.num_vars", "self.step = (ring.trunc + 1) ** ring.num_vars",
+           CHECKED_SEARCH + ("tests/test_cli.py::test_ar_index_module_rows",)),
     # nu(T1^2) modulo the cusp T1^2 - T2^3 is 3, past the one part, of degree 2, that x has
     Mutant("order read as the degree of the last part read", SUBSPACE,
            "return ExtOrder.of(min(v) // step) if v", "return ExtOrder.of(d) if v",

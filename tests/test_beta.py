@@ -1,7 +1,7 @@
 import os
 import subprocess
 import sys
-from collections import Counter, defaultdict
+from collections import Counter
 from itertools import islice, zip_longest
 from math import comb
 
@@ -247,47 +247,47 @@ class CheckedSearch(_BetaSearch):
         self.x0 = xs
         return slot_idx, floor
 
-    def _image_order(self, jac):
-        # each image column is its own Taylor difference F(x0 + T^m e_j) - F(x0), for
-        # every unknown j and monomial m of degree k..D, evaluated on the system
+    def _read(self):
+        # each Taylor difference F(x0 + T^m e_j) - F(x0), for every unknown j and monomial m
+        # of degree k..D, evaluated on the system, and the full image they span
         ring, r = self.ring, len(self.system)
         f0 = [oracles.evaluate(poly, self.x0) for poly in self.system]
-        taylor = []  # (j, m, column)
+        self.taylor = []  # (j, m, column)
         for j in range(self.n):
             for t in range(self.k, self.D + 1):
                 for m in monomials_of_degree(ring.num_vars, t):
                     xs = list(self.x0)
                     xs[j] = xs[j] + TruncatedSeries.monomial(ring, m, 1)
                     col = series_to_vec([oracles.evaluate(poly, xs) - f for poly, f in zip(self.system, f0)], ring)
-                    taylor.append((j, m, col))
-        step = coord_index(ring.num_vars, ring.trunc, r)[2][1]  # degree d of A^r: labels d*step..
-        self.expected = defaultdict(Counter)
-        for _, _, col in taylor:
-            if col:
-                self.expected[min(col) // step][frozenset(col.items())] += 1
-        got = super()._image_order(jac)
-        # the read, which builds columns only up to the order, against the full image
-        image = Subspace(ring, r)
-        for _, _, col in taylor:
-            image.insert(col)
-        assert distance_order(tuple(f0), image) == (ExtOrder.at_least(self.D + 1) if got is None
-                                                    else ExtOrder.of(got))
-        self.verdicts[got is None] += 1
+                    self.taylor.append((j, m, col))
+        self.full = Subspace(ring, r)
+        for _, _, col in self.taylor:
+            self.full.insert(col)
+        reads, self.images = self.reads, 0
+        got = super()._read()
+        # a zero F(x0) reads nothing; every other read reads one image, the order of
+        # F(x0)'s remainder modulo the full image
+        assert (self.reads - reads, self.images) == ((0, 0) if all(f.is_zero for f in f0) else (1, 1))
+        assert distance_order(tuple(f0), self.full) == (ExtOrder.at_least(self.D + 1) if got is None
+                                                        else ExtOrder.of(got))
+        if self.reads > reads:
+            self.verdicts[got is None] += 1
         if got is None:  # a solvable read: some completion x0 + h solves the system
-            h = LinearMap([col for _, _, col in taylor], ring).solve(series_to_vec([-f for f in f0], ring))
+            h = LinearMap([col for _, _, col in self.taylor], ring).solve(series_to_vec([-f for f in f0], ring))
             xs = list(self.x0)
-            for (j, m, _), c in zip(taylor, h):
+            for (j, m, _), c in zip(self.taylor, h):
                 if c:
                     xs[j] = xs[j] + TruncatedSeries.monomial(ring, m, c)
             assert all(oracles.evaluate(poly, xs).is_zero for poly in self.system)
             self.solved[self.current] = self.weight()
         return got
 
-    def _columns(self, jac, d):
-        # the columns of lowest degree d are exactly the Taylor differences of that lowest degree
-        cols = list(super()._columns(jac, d))
-        assert Counter(frozenset(col.items()) for col in cols) == self.expected[d], d
-        return cols
+    def _image(self, jac):
+        # the image of J(x0) has the echelon rows of the span of the Taylor differences
+        image = super()._image(jac)
+        assert oracles.same_subspace(image, self.full)
+        self.images += 1
+        return image
 
     def _undo(self):
         self.path.pop()
@@ -412,6 +412,31 @@ def test_search_at_d6_pinned():
         got = beta_lower_bound_bruteforce(system(text, RingSpec(2, char, 6), ["X1", "X2"]), i)
         assert (got.value, got.solvable_classes) == pinned, (char, text, i)
         assert work in (None, (got.explored_nodes, got.reads)), (char, text, i)
+
+
+class ImageLog(_BetaSearch):
+    """The search with each read's J(x0) and the image it read logged."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.log = []
+
+    def _image(self, jac):
+        image = super()._image(jac)
+        self.log.append((jac, image))
+        return image
+
+
+def test_read_builds_an_image_only_when_jacobian_changes():
+    # the affine T1^2*X1 + T2^3*X2 has one J(x0), and one image for its 728 reads;
+    # on X1*X2 - T1*T2 the image is built anew exactly when J(x0) changes
+    for char, trunc, text, i, reads, builds in [(3, 10, "T1^2*X1 + T2^3*X2", 5, 728, 1),
+                                                (2, 5, "X1*X2 - T1*T2", 2, 68, 68)]:
+        search = ImageLog(system(text, RingSpec(2, char, trunc), ["X1", "X2"]), i, 2_000_000)
+        assert search.run().reads == len(search.log) == reads
+        assert len({id(image) for _, image in search.log}) == builds  # the log keeps each image alive
+        for (jac0, image0), (jac1, image1) in zip(search.log, search.log[1:]):
+            assert (image1 is not image0) == (jac1 != jac0)
 
 
 @st.composite

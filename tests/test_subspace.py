@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -83,6 +84,23 @@ def test_span_m_power():
         span_m_power(R, 9)
     with pytest.raises(PrecondError):
         full.cap_start(9)
+
+
+def test_order_reads_build_no_monomial_table():
+    # remainder_order and cap_start find a degree's labels from the step slot, so on
+    # T1, T2 at D = 1200 (722,401 monomials) they peak far below one word per
+    # monomial (the table of coord_index took 137 MiB)
+    R = RingSpec(2, 2, 1200)
+    label, U = labeller(2, 1200), Subspace(R)
+    U.insert({label((2, 0)): 1})
+    tracemalloc.start()
+    try:
+        assert U.remainder_order([(3, {label((2, 1)): 1})]) == ExtOrder.of(3)
+        assert (U.cap_start(2), U.cap_start(5)) == (0, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
 
 
 def test_sum_intersect_dimension_formula_examples():
