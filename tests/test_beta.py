@@ -252,16 +252,16 @@ class CheckedSearch(_BetaSearch):
         # of degree k..D, evaluated on the system, and the full image they span
         ring, r = self.ring, len(self.system)
         f0 = [oracles.evaluate(poly, self.x0) for poly in self.system]
-        self.taylor = []  # (j, m, column)
+        taylor = []  # (j, m, column)
         for j in range(self.n):
             for t in range(self.k, self.D + 1):
                 for m in monomials_of_degree(ring.num_vars, t):
                     xs = list(self.x0)
                     xs[j] = xs[j] + TruncatedSeries.monomial(ring, m, 1)
                     col = series_to_vec([oracles.evaluate(poly, xs) - f for poly, f in zip(self.system, f0)], ring)
-                    self.taylor.append((j, m, col))
+                    taylor.append((j, m, col))
         self.full = Subspace(ring, r)
-        for _, _, col in self.taylor:
+        for _, _, col in taylor:
             self.full.insert(col)
         reads, self.images = self.reads, 0
         got = super()._read()
@@ -273,9 +273,9 @@ class CheckedSearch(_BetaSearch):
         if self.reads > reads:
             self.verdicts[got is None] += 1
         if got is None:  # a solvable read: some completion x0 + h solves the system
-            h = LinearMap([col for _, _, col in self.taylor], ring).solve(series_to_vec([-f for f in f0], ring))
+            h = LinearMap([col for _, _, col in taylor], ring).solve(series_to_vec([-f for f in f0], ring))
             xs = list(self.x0)
-            for (j, m, _), c in zip(self.taylor, h):
+            for (j, m, _), c in zip(taylor, h):
                 if c:
                     xs[j] = xs[j] + TruncatedSeries.monomial(ring, m, c)
             assert all(oracles.evaluate(poly, xs).is_zero for poly in self.system)
