@@ -23,11 +23,11 @@ from .subspace import (
     ModuleSpec,
     Subspace,
     as_module,
+    degree_labels,
     distance_order,
     graded,
     graded_product,
     insert_multiples,
-    blocks,
     labeller,
     multiples,
     series_to_vec,
@@ -507,9 +507,10 @@ class _BetaSearch:
     that cannot influence the residual at all are frozen to zero, which
     collapses classes that are equivalent by translation.
 
-    Monomials are int keys, the labels of subspace.coord_index, computed by
-    subspace.labeller as the search reads them, with no table of the ring's: the
-    sum of two keys is the key of their product whenever that has degree <= D.
+    Monomials are int keys, their labels in A^r (subspace.labeller), r the
+    number of equations, computed as the search reads them: the sum of two
+    keys is the key of their product whenever that has degree <= D, and
+    equation pidx of a read adds label(1, pidx).
 
     A node pays only for the degrees its layer changes.  Each residual is a
     list of D + 1 dicts, one per homogeneous degree; an assignment copies the
@@ -595,9 +596,9 @@ class _BetaSearch:
         self.k = min(k, D + 1)
         self.cut = self.k * n
         self.slots = [(d, j) for d in range(D + 1) for j in range(n)]
-        self.label = label = labeller(ring.num_vars, D)
-        # a read's vectors lie in A^r, r the number of equations; _image keeps the last J(x0)
-        self.lift = blocks(ring.num_vars, D, len(system))[0]
+        label = labeller(ring.num_vars, D, len(system))
+        # a read's vectors lie in A^r, equation pidx from label(1, pidx) on; _image keeps the last J(x0)
+        self.shifts = [label((0,) * ring.num_vars, pidx) for pidx in range(len(system))]
         self._jac = self._img = None
         self.boundary = (i + 1) * n
         # an affine system walks one class per coset of its class map's kernel: the
@@ -664,16 +665,16 @@ class _BetaSearch:
         class slot of an affine system, the bound ones (class docstring).  A class
         slot's keys are kept from its first read, when its images enter the span."""
         d, j = self.slots[slot_idx]
-        monos = monomials_of_degree(self.ring.num_vars, d)
+        labels = degree_labels(self.ring.num_vars, self.D, len(self.system), d)
         if slot_idx >= self.boundary:
-            return tuple(map(self.label, monos))
+            return labels
         keys = self.walked[slot_idx]
         if keys is None:
             if self.image is None:
-                keys = tuple(map(self.label, monos))
+                keys = labels
             else:
                 g = self._jacobian()[j]  # dF/dx_j, the same at every x0
-                keys = tuple(self.label(m) for m in monos if self.image.insert(self._column(g, d, m)))
+                keys = tuple(s for s in labels if self.image.insert(self._column(g, d, s)))
             self.walked[slot_idx] = keys
         return keys
 
@@ -799,11 +800,11 @@ class _BetaSearch:
     # -- the affine read past the cut -------------------------------------------
     def _jacobian(self) -> list:
         """dF/dx_j at x0 for each unknown j: a vector of A^r, r the number of equations
-        and equation pidx its component, graded (subspace.graded) on the labels of
-        coord_index(N, D, r).  Each term of x_j gives
+        and equation pidx its component, graded (subspace.graded) on its labels in
+        A^r, label(1, pidx) added to each key.  Each term of x_j gives
         a_j * coeff * x_j^(a_j - 1) * prod x_u^(a_u), the powers read from pows:
         a term linear in x_j with no other unknown gives its coefficient."""
-        p, lift, pows, product = self.ring.char, self.lift, self.pows, self._product
+        p, shifts, pows, product = self.ring.char, self.shifts, self.pows, self._product
         jac = []
         for j in range(self.n):
             parts = {}
@@ -813,15 +814,13 @@ class _BetaSearch:
                     if a:
                         term = product(term, pows[u][a] if a in pows[u] else power(pows[u][1], a, None, product))
                 for e, items in term:
-                    shift = lift(e, pidx)
-                    sub_multiple(parts.setdefault(e, {}), {k + shift: c for k, c in items}, -1, p)
+                    sub_multiple(parts.setdefault(e, {}), {k + shifts[pidx]: c for k, c in items}, -1, p)
             jac.append(tuple((e, tuple(parts[e].items())) for e in sorted(parts) if parts[e]))
         return jac
 
-    def _column(self, g: tuple, t: int, m) -> dict:
+    def _column(self, g: tuple, t: int, s: int) -> dict:
         """g * T^m, cut at D, for a vector g of A^r graded as _jacobian gives it and a
-        monomial m of degree t."""
-        s = self.label(m) + self.lift(t, 0)
+        monomial m of degree t, s = label(m)."""
         return {key + s: c for e, items in g if e + t <= self.D for key, c in items}
 
     def _image(self, jac: list) -> Subspace:
@@ -833,20 +832,20 @@ class _BetaSearch:
             self._jac, self._img = jac, Subspace(self.ring, len(self.system))
             for g in jac:
                 for t in range(self.D, self.k - 1, -1):
-                    for m in monomials_of_degree(self.ring.num_vars, t):
-                        self._img.insert(self._column(g, t, m))
+                    for s in degree_labels(self.ring.num_vars, self.D, len(self.system), t):
+                        self._img.insert(self._column(g, t, s))
         return self._img
 
     def _read(self) -> Optional[int]:
         """The largest residual order of a completion x0 + h of this node, None if one
         solves the system: the order of F(x0)'s remainder modulo the image of J(x0)
-        (_image), read by degree, each degree of F(x0) lifted into A^r.  The
+        (_image), read by degree, equation pidx of F(x0) shifted by label(1, pidx).  The
         at-least marker, a zero remainder, is a solution; a zero F(x0) reads nothing."""
         if min(self.ords) > self.D:
             return None
         self.reads += 1
         self._charge()
-        parts = ((d, {k + self.lift(d, pidx): c for pidx, r in enumerate(self.res) for k, c in r[d].items()})
+        parts = ((d, {k + shift: c for shift, r in zip(self.shifts, self.res) for k, c in r[d].items()})
                  for d in range(min(self.ords), self.D + 1))
         order = self._image(self._jacobian()).remainder_order(parts)
         return order.value if order.exact else None

@@ -1,7 +1,7 @@
 """Ideals, submodules and powers of the maximal ideal as exact linear subspaces.
 
 At truncation order D every A-submodule of A^p becomes a finite-dimensional
-subspace of the coefficient space, its columns the labels of coord_index: by
+subspace of the coefficient space, its columns the labels of labeller: by
 total degree, then component, then graded-lex.  Membership reduces to an exact reduced row
 echelon computation, which is canonical: equal subspaces have identical bases.
 
@@ -21,8 +21,9 @@ builds x one degree at a time, such as the product g*h of an ICL scan, never
 builds the degrees past its order, and a caller feeds only the degrees x has
 (every row cleared has its pivot, and so all its entries, at or after the
 lowest entry of x).  The beta search's read past its cut is such a caller too.
-The labels of degree d start at d*step, step = arity*(D+1)^N (coord_index), a
-slot each Subspace sets, so no order read (nor cap_start) builds a table.
+The labels of degree d start at d*step, step = arity*(D+1)^N (labeller), a
+slot each Subspace sets.  No label is kept in a table of the ring's monomials:
+labeller computes each one where it is read.
 
 Series are multiplied on labels in one way, shared by the ICL pair scan, the
 beta search and the factorization scan.  The graded form of a series (graded)
@@ -110,49 +111,36 @@ def as_module(M) -> ModuleSpec:
     return M.as_module() if isinstance(M, IdealSpec) else M
 
 
-def labeller(num_vars: int, trunc: int, arity: int = 1):
-    """m -> label(0, m) of coord_index(num_vars, trunc, arity), with no table: a
-    caller that labels a few monomials builds nothing per monomial of the ring."""
-    B = trunc + 1
-    step = B**num_vars
-    weights = [arity * step + step // B - step // B**i for i in range(1, num_vars + 1)]
-    return lambda m: sum(map(mul, m, weights))
-
-
-def blocks(num_vars: int, trunc: int, arity: int = 1):
-    """The blocks of coord_index(num_vars, trunc, arity), with no table: (lift, start),
-    where label(m) + lift(d, comp) is label(comp, m) of A^arity for a label(m) of A
-    (arity 1) and m of degree d, and start(d) = starts[d]."""
-    step = (trunc + 1) ** num_vars
-    return (lambda d, comp: d * (arity - 1) * step + comp * step), (lambda d: d * arity * step)
-
-
 @lru_cache(maxsize=None)
-def coord_index(num_vars: int, trunc: int, arity: int = 1):
-    """The monomial index of A^arity: one int label per (component, monomial).
+def labeller(num_vars: int, trunc: int, arity: int = 1):
+    """The monomial label of A^arity, one int per (monomial, component): the
+    function label(m, comp=0), computed with no table, one per ring shape.
 
     With B = trunc + 1, a monomial m = T1^e_1...TN^e_N of degree d has the
     weight w(m) = d*B^(N-1) - sum_i e_i*B^(N-i) in 0..B^N - 1, and
-    label(comp, m) = d*arity*B^N + comp*B^N + w(m).  Two contracts:
+    label(m, comp) = d*arity*B^N + comp*B^N + w(m).  Three contracts:
     - order: labels sort by degree, then component, then graded-lex, as no
       exponent passes trunc, so the sum in w reads them as digits in base B,
       and w falls as m rises in graded-lex order.  These are the echelon
-      columns: degree-major, the rows at or past starts[i] span U cap m^i.
-    - additivity: a label is linear in the exponents, so label(comp, m*u) =
-      label(comp, m) + label(0, u) when deg(m*u) <= trunc, and a shift by a
-      monomial is one int add.  A sum past degree trunc lands at or past
-      starts[trunc + 1], on no label, and is never read: each caller drops
-      such a product as truncated before it forms or reads it.
-
-    Returns (label, offsets, starts): label[m] = label(0, m) (labeller, as a
-    table), label(comp, m) = label[m] + offsets[comp], and starts[d] =
-    d*arity*B^N <= every label of degree d, above those of lower degrees.
+      columns: degree-major, degree d from d*step on (Subspace.step).
+    - additivity: a label is linear in the exponents, so label(m*u, comp) =
+      label(m, comp) + label(u) when deg(m*u) <= trunc, and a shift by a
+      monomial is one int add.  A sum past degree trunc lands on no label and
+      is never read: each caller drops such a product as truncated before it
+      forms or reads it.
+    - components: label(m, comp) = label(m) + label(1, comp).
     vec_to_series decodes a label by divmod: no table maps labels back.
     """
-    lab = labeller(num_vars, trunc, arity)
-    lift, start = blocks(num_vars, trunc, arity)
-    label = {m: lab(m) for d in range(trunc + 1) for m in monomials_of_degree(num_vars, d)}
-    return label, tuple(lift(0, comp) for comp in range(arity)), tuple(map(start, range(trunc + 2)))
+    B = trunc + 1
+    step = B**num_vars
+    weights = [arity * step + step // B - step // B**i for i in range(1, num_vars + 1)]
+    return lambda m, comp=0: sum(map(mul, m, weights), comp * step)
+
+
+@lru_cache(maxsize=None)
+def degree_labels(num_vars: int, trunc: int, arity: int, d: int) -> tuple:
+    """The labels (labeller) of monomials_of_degree(num_vars, d), in increasing order."""
+    return tuple(map(labeller(num_vars, trunc, arity), monomials_of_degree(num_vars, d)))
 
 
 def graded(s: TruncatedSeries, label) -> tuple:
@@ -186,18 +174,18 @@ def graded_product(a: tuple, b: tuple, top: int):
 
 
 def series_to_vec(xs: Sequence[TruncatedSeries], ring: RingSpec) -> dict:
-    label, offsets, _ = coord_index(ring.num_vars, ring.trunc, len(xs))
+    label = labeller(ring.num_vars, ring.trunc, len(xs))
     vec = {}
-    for s, off in zip(xs, offsets):
+    for comp, s in enumerate(xs):
         if s.ring != ring:
             raise PrecondError("incompatible rings")
         for mono, c in s.terms.items():
-            vec[label[mono] + off] = c
+            vec[label(mono, comp)] = c
     return vec
 
 
 def vec_to_series(vec: dict, ring: RingSpec, arity: int) -> tuple:
-    """The series of a vector, each label (coord_index) decoded by divmod."""
+    """The series of a vector, each label (labeller) decoded by divmod."""
     B = ring.trunc + 1
     powers = [B**i for i in range(ring.num_vars - 1, -1, -1)]  # B^(N-i) for i = 1..N
     step = B * powers[0]
@@ -232,7 +220,7 @@ class Subspace:
     def __init__(self, ring: RingSpec, arity: int = 1):
         self.ring = ring
         self.arity = arity
-        self.step = arity * (ring.trunc + 1) ** ring.num_vars  # degree d: labels d*step.. (coord_index)
+        self.step = arity * (ring.trunc + 1) ** ring.num_vars  # degree d: labels d*step.. (labeller)
         self.row_of = {}
         self.holders = {}
         self._pivots = None
@@ -345,7 +333,7 @@ class Subspace:
 def multiples(gen, d: int, ring: RingSpec, sound: bool = False):
     """The vectors u * gen, one per monomial u of degree d, as sparse columns: each
     term of gen that the shift by u keeps, moved to its column by adding the
-    label of u (coord_index).
+    label of u (degree_labels).
 
     Nothing past the multiplier cap: D - ord(gen), beyond which every product
     truncates to 0, or with sound=True D - deg(gen), so that every product is
@@ -360,11 +348,10 @@ def multiples(gen, d: int, ring: RingSpec, sound: bool = False):
         cap = ring.trunc - min(g.order().value for g in live)
     if d > cap:
         return
-    label, offsets, _ = coord_index(ring.num_vars, ring.trunc, len(gen))
-    kept = [(label[m] + off, c) for g, off in zip(gen, offsets) for m, c in g.terms.items()
+    label = labeller(ring.num_vars, ring.trunc, len(gen))
+    kept = [(label(m, comp), c) for comp, g in enumerate(gen) for m, c in g.terms.items()
             if sum(m) + d <= ring.trunc]
-    for u in monomials_of_degree(ring.num_vars, d):
-        lu = label[u]
+    for lu in degree_labels(ring.num_vars, ring.trunc, len(gen), d):
         yield {k + lu: c for k, c in kept}
 
 
@@ -420,12 +407,9 @@ def distance_order(xs, U: Subspace) -> ExtOrder:
     A zero remainder gives the at-least marker.  The remainder is never built
     past its order: x is handed to U.remainder_order by its nonempty degrees.
     """
-    ring = U.ring
-    label, offsets, _ = coord_index(ring.num_vars, ring.trunc, U.arity)
     parts = {}
-    for s, off in zip(_series_of(xs, U), offsets):
-        for mono, c in s.terms.items():
-            parts.setdefault(sum(mono), {})[label[mono] + off] = c
+    for k, c in series_to_vec(_series_of(xs, U), U.ring).items():
+        parts.setdefault(k // U.step, {})[k] = c
     return U.remainder_order(sorted(parts.items()))
 
 

@@ -14,9 +14,8 @@ from math import comb
 from typing import NamedTuple, Optional
 
 from .errors import BudgetError, PrecondError
-from .series import (ExtOrder, RingSpec, TruncatedSeries, _is_prime, fp_space_size, fp_vectors,
-                     monomials_of_degree, sub_multiple)
-from .subspace import LinearMap, graded, graded_product, labeller, vec_to_series
+from .series import ExtOrder, RingSpec, TruncatedSeries, _is_prime, fp_space_size, fp_vectors, sub_multiple
+from .subspace import LinearMap, degree_labels, graded, graded_product, labeller, vec_to_series
 
 
 class WitnessFamily(NamedTuple):
@@ -106,9 +105,8 @@ def _factorization_scan(target: dict, i: int, p: int, budget: int):
     if not _is_prime(p):
         raise PrecondError(f"p = {p} is not a prime; the certificate is over the field F_p")
     ring = RingSpec(3, p, i)
-    label = labeller(3, i)
-    layer_keys = {d: tuple(map(label, monomials_of_degree(3, d))) for d in range(1, i + 1)}
-    filed = dict(graded(TruncatedSeries(ring, target), label))  # degree -> the target's terms
+    layer_keys = {d: degree_labels(3, i, 1, d) for d in range(1, i + 1)}
+    filed = dict(graded(TruncatedSeries(ring, target), labeller(3, i)))  # degree -> the target's terms
 
     def layer(terms, d):
         """The layer of degree d with these (key, c) terms, in graded form."""

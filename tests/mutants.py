@@ -84,6 +84,9 @@ MUTANTS = [
     Mutant("the columns of the last unknown dropped from J", ARTIN,
            "            jac.append(tuple(", "            jac.append(() if j == self.n - 1 else tuple(",
            CHECKED_SEARCH + BETA_PINNED),
+    Mutant("β read lifts every equation to component 0", ARTIN,
+           "label((0,) * ring.num_vars, pidx) for pidx", "label((0,) * ring.num_vars, 0) for pidx",
+           CHECKED_SEARCH + ORACLE),
     Mutant("image kept after J(x0) changed", ARTIN,
            "if jac != self._jac:", "if self._img is None:",
            CHECKED_SEARCH + BETA_PINNED + IMAGE_MEMO),
@@ -96,7 +99,7 @@ MUTANTS = [
     # _BetaSearch: one class per coset of an affine system's class map kernel, each
     # solvable class weighted by the class coordinates its path does not walk
     Mutant("a bound coordinate walked anyway", ARTIN,
-           "if self.image.insert(self._column(g, d, m))", "if self.image.insert(self._column(g, d, m)) or True",
+           "if self.image.insert(self._column(g, d, s))", "if self.image.insert(self._column(g, d, s)) or True",
            CHECKED_SEARCH + BETA_PINNED + COSETS[:1]),
     Mutant("the weight exponent off by one", ARTIN,
            "self.ring.char ** self.unwalked\n", "self.ring.char ** (self.unwalked + 1)\n",
@@ -214,23 +217,26 @@ MUTANTS = [
            "    B = trunc + 1\n", "    B = trunc\n",
            INDEX),
     Mutant("component term dropped from a label", SUBSPACE,
-           "d * (arity - 1) * step + comp * step)", "d * (arity - 1) * step)",
+           "sum(map(mul, m, weights), comp * step)", "sum(map(mul, m, weights))",
            INDEX + CHECKED_SEARCH),
-    Mutant("a lift to A^arity keeps the label's arity-1 degree block", SUBSPACE,
-           "(lambda d, comp: d * (arity - 1) * step + comp * step)", "(lambda d, comp: comp * step)",
-           INDEX + CHECKED_SEARCH),
+    Mutant("degree labels of arity 1", SUBSPACE,
+           "tuple(map(labeller(num_vars, trunc, arity), monomials_of_degree",
+           "tuple(map(labeller(num_vars, trunc), monomials_of_degree",
+           INDEX + ("tests/test_cli.py::test_ar_index_module_rows",)),
     Mutant("label decoded with T1 the lowest digit", SUBSPACE,
            "powers = [B**i for i in range(ring.num_vars - 1, -1, -1)]", "powers = [B**i for i in range(ring.num_vars)]",
            INDEX),
     # multiples: generator terms straight to their columns, shifted by one int add
     Mutant("multiples shift by the arity-1 label of u", SUBSPACE,
-           "lu = label[u]", "lu = coord_index(ring.num_vars, ring.trunc)[0][u]",
+           "for lu in degree_labels(ring.num_vars, ring.trunc, len(gen), d):",
+           "for lu in degree_labels(ring.num_vars, ring.trunc, 1, d):",
            INDEX),
     Mutant("multiples drop the terms that land on degree D", SUBSPACE,
            "if sum(m) + d <= ring.trunc]", "if sum(m) + d < ring.trunc]",
            MULTIPLES),
     Mutant("multiples put each component in the other's columns", SUBSPACE,
-           "for g, off in zip(gen, offsets)", "for g, off in zip(gen, offsets[::-1])",
+           "(label(m, comp), c) for comp, g in enumerate(gen)",
+           "(label(m, len(gen) - 1 - comp), c) for comp, g in enumerate(gen)",
            MULTIPLES),
     # parsing: series atoms, lifted only for a system
     Mutant("a system with no unknowns parses as a plain series", PARSING,

@@ -20,7 +20,7 @@ from operator import add
 
 from artinlab.errors import PrecondError
 from artinlab.series import TruncatedSeries, fp_vectors, monomials_of_degree, monomials_up_to
-from artinlab.subspace import Subspace, as_module, coord_index, multiples
+from artinlab.subspace import Subspace, as_module, labeller, multiples
 from artinlab.xpoly import PolyInX
 
 
@@ -328,8 +328,9 @@ def span_m_power(ring, i, arity=1) -> Subspace:
     """Direct sum of m^i over all components; i = D+1 gives the zero subspace."""
     if not 0 <= i <= ring.trunc + 1:
         raise PrecondError(f"m-power exponent {i} out of range 0..{ring.trunc + 1}")
-    label, offsets, _ = coord_index(ring.num_vars, ring.trunc, arity)
-    return from_rows(ring, arity, [{label[m] + off: 1} for m in label if sum(m) >= i for off in offsets])
+    label = labeller(ring.num_vars, ring.trunc, arity)
+    return from_rows(ring, arity, [{label(m, comp): 1} for m in monomials_up_to(ring.num_vars, ring.trunc)
+                                   if sum(m) >= i for comp in range(arity)])
 
 
 def from_rows(ring, arity, rows) -> Subspace:
@@ -388,7 +389,7 @@ def subspace_sum(U: Subspace, V: Subspace) -> Subspace:
 def subspace_intersect(U: Subspace, V: Subspace) -> Subspace:
     """Exact intersection via echelon on doubled coordinates."""
     _check(U, V)
-    n = coord_index(U.ring.num_vars, U.ring.trunc, U.arity)[2][-1]  # past every label
+    n = (U.ring.trunc + 1) * U.step  # past every label
     work = Subspace(U.ring, U.arity)  # columns below 2n, arity only nominal
     for row in U.rows:
         double = dict(row)

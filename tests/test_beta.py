@@ -12,7 +12,7 @@ import oracles
 from artinlab.artin import _BetaSearch, beta_lower_bound_bruteforce
 from artinlab.errors import BudgetError, PrecondError
 from artinlab.series import ExtOrder, RingSpec, TruncatedSeries, fp_vectors, monomials_of_degree, monomials_up_to
-from artinlab.subspace import LinearMap, Subspace, coord_index, distance_order, series_to_vec
+from artinlab.subspace import LinearMap, Subspace, distance_order, labeller, series_to_vec
 from artinlab.parsing import parse_expr
 from artinlab.xpoly import PolyInX
 
@@ -134,9 +134,9 @@ def test_layer_streams_follow_fp_vectors():
     for ring, degrees, count in [(RingSpec(2, 3, 6), range(7), None), (RingSpec(3, 2, 4), [4], None),
                                  (RingSpec(3, 3, 4), [4], 300_000)]:
         search = _BetaSearch(system("T1*X1", ring, ["X1"]), 0, 1)
-        label = coord_index(ring.num_vars, ring.trunc)[0]
+        label = labeller(ring.num_vars, ring.trunc)
         for d in degrees:
-            keys = tuple(label[m] for m in monomials_of_degree(ring.num_vars, d))
+            keys = tuple(map(label, monomials_of_degree(ring.num_vars, d)))
             for read, kept in enumerate([0, len(keys)]):
                 n = 0
                 for got, want in zip_longest(islice(search._layers(d), count),
@@ -147,11 +147,13 @@ def test_layer_streams_follow_fp_vectors():
                 assert len(search.choices[d]) == kept, (ring, d, read)
 
 
-def monomial_of(key, ring):
-    """The monomial of a label of degree d: key = d*B^N + w with B = D + 1, and
-    d*B^(N-1) - w holds the exponents as digits in base B, T1 the highest."""
+def monomial_of(key, ring, r):
+    """The monomial of a component-0 label of A^r of degree d: key = d*r*B^N + w with
+    B = D + 1 and w < B^N, and d*B^(N-1) - w holds the exponents as digits in base B,
+    T1 the highest."""
     B, N = ring.trunc + 1, ring.num_vars
-    d, w = divmod(key, B**N)
+    d, w = divmod(key, r * B**N)
+    assert w < B**N
     digits = d * B ** (N - 1) - w
     exps = []
     for k in range(N - 1, -1, -1):
@@ -161,15 +163,16 @@ def monomial_of(key, ring):
     return tuple(exps)
 
 
-def graded_terms(g, ring):
-    """The terms of a graded series, checked to be one: its nonempty degrees in
-    increasing order, each holding nonzero scalars at keys of that degree."""
+def graded_terms(g, ring, r):
+    """The terms of a graded series on the component-0 labels of A^r, checked to be
+    one: its nonempty degrees in increasing order, each holding nonzero scalars at
+    keys of that degree."""
     assert [e for e, _ in g] == sorted({e for e, _ in g})
     terms = {}
     for e, items in g:
         assert items
         for k, c in items:
-            m = monomial_of(k, ring)
+            m = monomial_of(k, ring, r)
             assert sum(m) == e and 0 < c < ring.char and m not in terms
             terms[m] = c
     return terms
@@ -182,12 +185,13 @@ class CheckedSearch(_BetaSearch):
 
     def __init__(self, *args):
         super().__init__(*args)
+        self.r = len(self.system)  # keys are the labels of A^r
         # each term holds its coefficient graded, or None for the coefficient 1, and its order
         for j, terms in enumerate(self.terms):
             for pidx, coeff, cord, aj, others in terms:
                 alpha = tuple(aj if u == j else dict(others).get(u, 0) for u in range(self.n))
                 want = self.system[pidx].terms[alpha]
-                got = {(0,) * self.ring.num_vars: 1} if coeff is None else graded_terms(coeff, self.ring)
+                got = {(0,) * self.ring.num_vars: 1} if coeff is None else graded_terms(coeff, self.ring, self.r)
                 assert got == want.terms and cord == want.order().value
         self.path = []  # (unknown, layer) per frame
         # the class the walk is in (its layers of degree <= i), every class it
@@ -202,17 +206,17 @@ class CheckedSearch(_BetaSearch):
         self.frozen.update(dict.fromkeys(range(start, slot_idx), True))
         self.frozen[slot_idx] = False
         # each x_u is the sum of its layers on the path
-        xs = [TruncatedSeries(self.ring, {monomial_of(k, self.ring): c for u_, layer in self.path if u_ == u
-                                          for k, c in layer}) for u in range(self.n)]
+        xs = [TruncatedSeries(self.ring, {monomial_of(k, self.ring, self.r): c for u_, layer in self.path
+                                          if u_ == u for k, c in layer}) for u in range(self.n)]
         for poly, r, o in zip(self.system, self.res, self.ords):
             # the residual by degree: flattened it is the evaluation, each degree's
             # dict holds that degree's nonzero terms, and the order is the first
             # nonempty degree
             assert len(r) == self.D + 1
-            terms = {monomial_of(k, self.ring): c for part in r for k, c in part.items()}
+            terms = {monomial_of(k, self.ring, self.r): c for part in r for k, c in part.items()}
             assert terms == oracles.evaluate(poly, xs).terms
             assert len(terms) == sum(map(len, r))
-            assert all(sum(monomial_of(k, self.ring)) == e and c
+            assert all(sum(monomial_of(k, self.ring, self.r)) == e and c
                        for e, part in enumerate(r) for k, c in part.items())
             assert o == next((e for e, part in enumerate(r) if part), self.D + 1)
         for j, (x, pows) in enumerate(zip(xs, self.pows)):
@@ -221,7 +225,7 @@ class CheckedSearch(_BetaSearch):
             alphas = [alpha for poly in self.system for alpha in poly.terms if alpha[j]]
             read = any(alpha[j] >= 2 or sum(map(bool, alpha)) >= 2 for alpha in alphas)
             assert set(pows) == ({1} | {alpha[j] for alpha in alphas} if read else set())
-            assert all(graded_terms(v, self.ring) == (x**k).terms for k, v in pows.items())
+            assert all(graded_terms(v, self.ring, self.r) == (x**k).terms for k, v in pows.items())
         for u, x in enumerate(xs):
             assert self.lb[u] == (x.order().value if x.terms else sum(u_ == u for u_, _ in self.path))
         if slot_idx < len(self.slots):
@@ -316,7 +320,7 @@ class CheckedSearch(_BetaSearch):
         # degree with nonzero scalars
         d, j = self.slots[slot_idx]
         assert type(layer) is tuple and len({k for k, _ in layer}) == len(layer)
-        assert all(sum(monomial_of(k, self.ring)) == d and 0 < c < self.ring.char for k, c in layer)
+        assert all(sum(monomial_of(k, self.ring, self.r)) == d and 0 < c < self.ring.char for k, c in layer)
         self.path.append((j, layer))
         super()._assign(slot_idx, layer, skipped)
 

@@ -1,4 +1,3 @@
-import bisect
 import hashlib
 import json
 import random
@@ -25,7 +24,6 @@ from artinlab.subspace import (
     IdealSpec,
     ModuleSpec,
     Subspace,
-    coord_index,
     distance_order,
     graded,
     graded_product,
@@ -307,8 +305,8 @@ def reduce_order(xs, U):
 
 
 def degree_of(label, R, arity):
-    """The degree d of a label, from starts[d] <= label < starts[d + 1]."""
-    return bisect.bisect_right(coord_index(R.num_vars, R.trunc, arity)[2], label) - 1
+    """The degree of a label, that of the one monomial vec_to_series decodes it to."""
+    return next(sum(m) for s in vec_to_series({label: 1}, R, arity) for m in s.terms)
 
 
 def dense_order(xs, M):

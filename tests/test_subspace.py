@@ -13,8 +13,7 @@ from artinlab.subspace import (
     LinearMap,
     ModuleSpec,
     Subspace,
-    blocks,
-    coord_index,
+    degree_labels,
     distance_order,
     graded,
     graded_product,
@@ -87,20 +86,26 @@ def test_span_m_power():
 
 
 def test_order_reads_build_no_monomial_table():
-    # remainder_order and cap_start find a degree's labels from the step slot, so on
-    # T1, T2 at D = 1200 (722,401 monomials) they peak far below one word per
-    # monomial (the table of coord_index took 137 MiB)
+    # remainder_order and cap_start find a degree's labels from the step slot, and
+    # distance_order and series_to_vec compute each label where they read it, so on
+    # T1, T2 at D = 1200 (722,401 monomials) each peaks far below one word per
+    # monomial (a table of the ring's labels took 137 MiB)
     R = RingSpec(2, 2, 1200)
-    label, U = labeller(2, 1200), Subspace(R)
+    label, U, T1 = labeller(2, 1200), Subspace(R), TruncatedSeries.monomial(R, (1, 0))
     U.insert({label((2, 0)): 1})
+    peaks = []
     tracemalloc.start()
     try:
-        assert U.remainder_order([(3, {label((2, 1)): 1})]) == ExtOrder.of(3)
-        assert (U.cap_start(2), U.cap_start(5)) == (0, 1)
-        peak = tracemalloc.get_traced_memory()[1]
+        for read, want in [(lambda: U.remainder_order([(3, {label((2, 1)): 1})]), ExtOrder.of(3)),
+                           (lambda: (U.cap_start(2), U.cap_start(5)), (0, 1)),
+                           (lambda: distance_order(T1, U), ExtOrder.of(1)),
+                           (lambda: series_to_vec((T1,), R), {label((1, 0)): 1})]:
+            tracemalloc.reset_peak()
+            assert read() == want
+            peaks.append(tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()
-    assert peak < 2**20, peak
+    assert max(peaks) < 2**20, peaks
 
 
 def test_sum_intersect_dimension_formula_examples():
@@ -380,39 +385,36 @@ def test_scalar_representation_random(data):
 def test_monomial_index_contract():
     # for N 1..4, D 1..8 and arity 1..3, against the positional layout written out
     # here (degree, then component, then monomials_of_degree order): the labels
-    # sort as the layout does and are distinct; a shift by u adds the label of
-    # (0, u); starts[d] <= label < starts[d+1] at degree d; vec_to_series decodes
-    # every label and series_to_vec gives it back; multiples shift by the labels
-    # of the module's own arity; labeller and blocks give the same labels and
-    # starts with no table, and blocks lifts a label of A to each component
+    # sort as the layout does and are distinct; label(m, comp) = label(m) +
+    # label(1, comp); a shift by u adds label(u); degree d lies in the block
+    # d*step <= label < (d+1)*step of Subspace.step; degree_labels lists each
+    # degree's component-0 labels in layout order; vec_to_series decodes every
+    # label and series_to_vec gives it back; multiples shift by the labels of the
+    # module's own arity
     for N in range(1, 5):
         for D in range(1, 9):
             R = RingSpec(N, 2, D)
             for arity in range(1, 4):
-                label, offsets, starts = coord_index(N, D, arity)
-                assert set(label) == set(monomials_up_to(N, D)) and len(offsets) == arity
-
-                def lab(comp, m):
-                    return label[m] + offsets[comp]
-
+                label, step, one = labeller(N, D, arity), Subspace(R, arity).step, (0,) * N
                 layout = [(comp, m) for d in range(D + 1) for comp in range(arity)
                           for m in monomials_of_degree(N, d)]
-                labels = [lab(comp, m) for comp, m in layout]
+                labels = [label(m, comp) for comp, m in layout]
                 assert labels == sorted(set(labels)), (N, D, arity)
+                for d in range(D + 1):
+                    want = tuple(k for (comp, m), k in zip(layout, labels) if comp == 0 and sum(m) == d)
+                    assert degree_labels(N, D, arity, d) == want, (N, D, arity, d)
                 zero = TruncatedSeries.zero(R)
-                lab1, lab_r, (lift, start) = labeller(N, D), labeller(N, D, arity), blocks(N, D, arity)
-                assert [start(d) for d in range(D + 2)] == list(starts)
                 for (comp, m), k in zip(layout, labels):
-                    assert starts[sum(m)] <= k < starts[sum(m) + 1], (N, D, arity, comp, m)
-                    assert lab_r(m) + offsets[comp] == k == lab1(m) + lift(sum(m), comp), (N, D, arity, comp, m)
+                    assert sum(m) * step <= k < (sum(m) + 1) * step, (N, D, arity, comp, m)
+                    assert k == label(m) + label(one, comp), (N, D, arity, comp, m)
                     xs = tuple(TruncatedSeries.monomial(R, m) if c == comp else zero for c in range(arity))
                     assert vec_to_series({k: 1}, R, arity) == xs, (N, D, arity, k)
                     assert series_to_vec(xs, R) == {k: 1}
                     for u in monomials_up_to(N, D - sum(m)):
-                        assert lab(comp, tuple(a + b for a, b in zip(m, u))) == k + lab(0, u), (m, u)
+                        assert label(tuple(a + b for a, b in zip(m, u)), comp) == k + label(u), (m, u)
                 ones = (TruncatedSeries.one(R),) * arity
                 for d in range(D + 1):
-                    want = [{lab(comp, u): 1 for comp in range(arity)} for u in monomials_of_degree(N, d)]
+                    want = [{label(u, comp): 1 for comp in range(arity)} for u in monomials_of_degree(N, d)]
                     assert list(multiples(ones, d, R)) == want, (N, D, arity, d)
 
 
@@ -529,8 +531,8 @@ def test_pivot_index_follows_inserts_and_copies(data):
             unit[comp] = TruncatedSeries.monomial(R, x)
             V.insert(series_to_vec(unit, R))
             assert_pivot_index(V)
-    label, offsets = coord_index(R.num_vars, R.trunc, arity)[:2]
-    assert V.rows == [{k: 1} for k in sorted(label[m] + off for m in monos for off in offsets)]
+    label = labeller(R.num_vars, R.trunc, arity)
+    assert V.rows == [{k: 1} for k in sorted(label(m, comp) for m in monos for comp in range(arity))]
     assert_pivot_index(U)
     assert U.row_of == before
     for i in range(R.trunc + 2):
