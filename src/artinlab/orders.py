@@ -186,7 +186,7 @@ def _scan_pairs(I, deg_max, mode, count, seed, budget):
     if npairs > budget:
         raise BudgetError(f"pair scan has {npairs} pairs > budget {budget}")
     D = ring.trunc
-    label = labeller(ring.num_vars, D)
+    label = labeller(ring.num_vars, D, 1)
     forms = [graded(g, label) for g, _ in live]
     units = [G[0][0] == 0 for G in forms]  # a nonzero constant term
 

@@ -112,7 +112,7 @@ def as_module(M) -> ModuleSpec:
 
 
 @lru_cache(maxsize=None)
-def labeller(num_vars: int, trunc: int, arity: int = 1):
+def labeller(num_vars: int, trunc: int, arity: int):
     """The monomial label of A^arity, one int per (monomial, component): the
     function label(m, comp=0), computed with no table, one per ring shape.
 

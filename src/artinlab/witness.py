@@ -106,7 +106,7 @@ def _factorization_scan(target: dict, i: int, p: int, budget: int):
         raise PrecondError(f"p = {p} is not a prime; the certificate is over the field F_p")
     ring = RingSpec(3, p, i)
     layer_keys = {d: degree_labels(3, i, 1, d) for d in range(1, i + 1)}
-    filed = dict(graded(TruncatedSeries(ring, target), labeller(3, i)))  # degree -> the target's terms
+    filed = dict(graded(TruncatedSeries(ring, target), labeller(3, i, 1)))  # degree -> the target's terms
 
     def layer(terms, d):
         """The layer of degree d with these (key, c) terms, in graded form."""

@@ -221,8 +221,8 @@ MUTANTS = [
            INDEX + CHECKED_SEARCH),
     Mutant("degree labels of arity 1", SUBSPACE,
            "tuple(map(labeller(num_vars, trunc, arity), monomials_of_degree",
-           "tuple(map(labeller(num_vars, trunc), monomials_of_degree",
-           INDEX + ("tests/test_cli.py::test_ar_index_module_rows",)),
+           "tuple(map(labeller(num_vars, trunc, 1), monomials_of_degree",
+           INDEX + CHECKED_SEARCH + ("tests/test_cli.py::test_pinned_output_bytes",)),
     Mutant("label decoded with T1 the lowest digit", SUBSPACE,
            "powers = [B**i for i in range(ring.num_vars - 1, -1, -1)]", "powers = [B**i for i in range(ring.num_vars)]",
            INDEX),

@@ -134,7 +134,7 @@ def test_layer_streams_follow_fp_vectors():
     for ring, degrees, count in [(RingSpec(2, 3, 6), range(7), None), (RingSpec(3, 2, 4), [4], None),
                                  (RingSpec(3, 3, 4), [4], 300_000)]:
         search = _BetaSearch(system("T1*X1", ring, ["X1"]), 0, 1)
-        label = labeller(ring.num_vars, ring.trunc)
+        label = labeller(ring.num_vars, ring.trunc, 1)
         for d in degrees:
             keys = tuple(map(label, monomials_of_degree(ring.num_vars, d)))
             for read, kept in enumerate([0, len(keys)]):

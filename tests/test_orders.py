@@ -322,7 +322,7 @@ def degree_fed_product_order(g, h, U):
     factor is zero), so every part holds products of degree <= D, whose labels
     are the sums of the factors' labels."""
     D = U.ring.trunc
-    label = labeller(U.ring.num_vars, D)
+    label = labeller(U.ring.num_vars, D, 1)
     return U.remainder_order(graded_product(graded(g, label), graded(h, label), D))
 
 

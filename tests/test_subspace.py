@@ -91,7 +91,7 @@ def test_order_reads_build_no_monomial_table():
     # T1, T2 at D = 1200 (722,401 monomials) each peaks far below one word per
     # monomial (a table of the ring's labels took 137 MiB)
     R = RingSpec(2, 2, 1200)
-    label, U, T1 = labeller(2, 1200), Subspace(R), TruncatedSeries.monomial(R, (1, 0))
+    label, U, T1 = labeller(2, 1200, 1), Subspace(R), TruncatedSeries.monomial(R, (1, 0))
     U.insert({label((2, 0)): 1})
     peaks = []
     tracemalloc.start()
@@ -471,7 +471,7 @@ def test_graded_product_contract(case):
     # ord(g)+ord(h) up to min(top, deg g + deg h), none past top, each tagged
     # with its degree
     L, g, h, top = case
-    label = labeller(L.num_vars, L.trunc)
+    label = labeller(L.num_vars, L.trunc, 1)
     G, H = graded(g, label), graded(h, label)
     for s, form in ((g, G), (h, H)):
         assert [d for d, _ in form] == sorted({sum(m) for m in s.terms})
