@@ -509,15 +509,16 @@ class _BetaSearch:
 
     Monomials are int keys, their labels in A^r (subspace.labeller), r the
     number of equations, computed as the search reads them: the sum of two
-    keys is the key of their product whenever that has degree <= D, and
-    equation pidx of a read adds label(1, pidx).
+    keys is the key of their product whenever that has degree <= D.  A term
+    of equation pidx carries that equation's component, label(1, pidx), and
+    adds it to each key it writes, so the residual F(x) is one vector of A^r.
 
-    A node pays only for the degrees its layer changes.  Each residual is a
+    A node pays only for the degrees its layer changes.  The residual is a
     list of D + 1 dicts, one per homogeneous degree; an assignment copies the
     list and the dicts of the degrees it writes, and the undo frame keeps the
-    old list.  A residual's order is its first nonempty degree: after a write
-    it is found by walking up the empty degrees from the lower of the old
-    order and the least degree written, never by rescanning terms.
+    old list.  The residual's order is its first nonempty degree: after a
+    write it is found by walking up the empty degrees from the lower of the
+    old order and the least degree written, never by rescanning terms.
 
     The residual changes by coeff * (x_j'^a - x_j^a) * prod_{u != j} x_u^(alpha_u)
     over the system terms that contain x_j, each formed in graded form
@@ -534,7 +535,7 @@ class _BetaSearch:
     so every node count is that of a walk over fp_vectors itself.  A slot's
     first read labels its keys and streams from fp_vectors; from its second,
     each layer is one pick per key from the slot's choices, built then and
-    kept for the search: a few words per monomial, never one per layer.
+    kept for the search: one tuple per monomial, never one per layer.
 
     The undo stack is the walk's one stack: frame s assigns slot s, frozen to
     zero or branched on.  Slots are degree-major, so a class modulo m^(i+1) is
@@ -597,21 +598,20 @@ class _BetaSearch:
         self.cut = self.k * n
         self.slots = [(d, j) for d in range(D + 1) for j in range(n)]
         label = labeller(ring.num_vars, D, len(system))
-        # a read's vectors lie in A^r, equation pidx from label(1, pidx) on; _image keeps the last J(x0)
-        self.shifts = [label((0,) * ring.num_vars, pidx) for pidx in range(len(system))]
-        self._jac = self._img = None
+        self._jac = self._img = None  # _image keeps the last J(x0)
         self.boundary = (i + 1) * n
         # an affine system walks one class per coset of its class map's kernel: the
         # span of the class coordinates' images, and each class slot's walked keys
         affine = all(sum(alpha) <= 1 for poly in system for alpha in poly.terms)
         self.image = Subspace(ring, len(system)) if affine else None
         self.walked = [None] * self.boundary
-        # per unknown j, the system terms containing it, each as (equation, graded
-        # coeff or None for 1, its coefficient's order, alpha_j, ((u, alpha_u) for the
-        # other unknowns))
+        # per unknown j, the system terms containing it, each as (its equation's
+        # component label(1, pidx), graded coeff or None for 1, its coefficient's
+        # order, alpha_j, ((u, alpha_u) for the other unknowns))
         self.terms = [[] for _ in range(n)]
         one = TruncatedSeries.one(ring)
         for pidx, poly in enumerate(self.system):
+            comp = label((0,) * ring.num_vars, pidx)
             for alpha, coeff in poly.terms.items():
                 if coeff.is_zero:
                     continue
@@ -619,7 +619,7 @@ class _BetaSearch:
                 for j, aj in enumerate(alpha):
                     if aj:
                         others = tuple((u, a) for u, a in enumerate(alpha) if a and u != j)
-                        self.terms[j].append((pidx, form, coeff.order().value, aj, others))
+                        self.terms[j].append((comp, form, coeff.order().value, aj, others))
         self.choices = [None] * len(self.slots)  # per slot: None unread, () read once, then built by _layers
         self.space = (ring.char, n * comb(ring.num_vars + D, D))  # raw space F_p^e
         self.nodes = 0
@@ -628,13 +628,13 @@ class _BetaSearch:
         self.unwalked = 0  # class coordinates not walked on the path: a class weighs p^unwalked
         self.best = -1
         self.held = -1  # the largest fixed order met in the current class, past the boundary
-        # mutable search state, from x = 0
-        self.res = []  # per equation, its residual as D + 1 dicts, one per degree
-        for poly in self.system:
-            const = dict(graded(poly.terms.get((0,) * n, TruncatedSeries.zero(ring)), label))  # the X-free term
-            self.res.append([dict(const.get(e, ())) for e in range(D + 1)])
-        # each residual's first nonempty degree, D + 1 for a zero residual
-        self.ords = [next((e for e, part in enumerate(r) if part), D + 1) for r in self.res]
+        # mutable search state, from x = 0: the residual F(0), the X-free terms, as
+        # D + 1 dicts, one per degree, degree d holding the labels from d*step on
+        f0 = [poly.terms.get((0,) * n, TruncatedSeries.zero(ring)) for poly in system]
+        step, self.res = len(system) * (D + 1) ** ring.num_vars, [{} for _ in range(D + 1)]
+        for k, c in series_to_vec(f0, ring).items():
+            self.res[k // step][k] = c
+        self.ord = next((e for e, part in enumerate(self.res) if part), D + 1)  # first nonempty degree
         # pows[u][k] = x_u^k, graded, for k = 1 and each exponent k of x_u in the
         # system, kept only for an unknown that a product reads
         self.pows = [dict.fromkeys({1, *(t[3] for t in terms)}, ())
@@ -712,21 +712,20 @@ class _BetaSearch:
         slot's class coordinates that the walk leaves zero without walking them."""
         d, j = self.slots[slot_idx]
         old_pows = self.pows[j]
-        self._frames.append((j, old_pows, self.res, self.ords, self.lb[j], self.unwalked))
+        self._frames.append((j, old_pows, self.res, self.ord, self.lb[j], self.unwalked))
         self.unwalked += skipped
         if not layer:
             if self.lb[j] == d:  # x_j is still zero
                 self.lb[j] = d + 1
             return
         D, p = self.D, self.ring.char
-        res = list(self.res)
-        low = {}  # equation -> least degree written; its list of degrees is a fresh copy
+        res, low = list(self.res), D + 1  # low: the least degree written
         product, step = self._product, ((d, layer),)
         if old_pows:  # x_j is kept: a term with a >= 2 reads new_pows, one of another unknown pows[j]
             new_x = old_pows[1] + step  # every degree of x_j is below d
             new_pows = self.pows[j] = {k: power(new_x, k, None, product) for k in old_pows}  # k >= 1: no `one`
         pows = self.pows
-        for pidx, coeff, _, aj, others in self.terms[j]:
+        for comp, coeff, _, aj, others in self.terms[j]:
             # x_j'^a - x_j^a; the layer's monomials are new to x_j, so x_j' - x_j is the layer
             term = self._difference(new_pows[aj], old_pows[aj]) if aj > 1 else step
             if coeff:
@@ -737,12 +736,11 @@ class _BetaSearch:
                 term = product(term, pows[u][a])
             if not term:
                 continue
-            if pidx not in low:
-                res[pidx] = list(res[pidx])
-            r, low[pidx] = res[pidx], min(low.get(pidx, D + 1), term[0][0])
+            low = min(low, term[0][0])
             for e, items in term:
-                r[e] = part = dict(r[e])
+                res[e] = part = dict(res[e])
                 for k, v in items:
+                    k += comp
                     s = (part.get(k, 0) + v) % p
                     if s:
                         part[k] = s
@@ -750,17 +748,13 @@ class _BetaSearch:
                         del part[k]
         # below the lower of the old order and the least degree written, every
         # degree is still empty: the order is the first nonempty one from there
-        ords = list(self.ords)
-        for pidx, lo in low.items():
-            r = res[pidx]
-            o = min(ords[pidx], lo)
-            while o <= D and not r[o]:
-                o += 1
-            ords[pidx] = o
-        self.res, self.ords = res, ords
+        o = min(self.ord, low)
+        while o <= D and not res[o]:
+            o += 1
+        self.res, self.ord = res, o
 
     def _undo(self):
-        j, self.pows[j], self.res, self.ords, self.lb[j], self.unwalked = self._frames.pop()
+        j, self.pows[j], self.res, self.ord, self.lb[j], self.unwalked = self._frames.pop()
         if len(self._frames) < self.boundary:  # the walk leaves its class
             self.best = max(self.best, self.held)
             self.held = -1
@@ -794,27 +788,27 @@ class _BetaSearch:
 
     def _fixed_order(self, slot_idx: int, floor: int) -> Optional[int]:
         """Least order of a residual term that no remaining slot can change, or None."""
-        o = min(self.ords)
+        o = self.ord
         return o if o < floor and o < self._finality(slot_idx, floor) else None
 
     # -- the affine read past the cut -------------------------------------------
     def _jacobian(self) -> list:
         """dF/dx_j at x0 for each unknown j: a vector of A^r, r the number of equations
         and equation pidx its component, graded (subspace.graded) on its labels in
-        A^r, label(1, pidx) added to each key.  Each term of x_j gives
+        A^r, each term's component added to its keys.  Each term of x_j gives
         a_j * coeff * x_j^(a_j - 1) * prod x_u^(a_u), the powers read from pows:
         a term linear in x_j with no other unknown gives its coefficient."""
-        p, shifts, pows, product = self.ring.char, self.shifts, self.pows, self._product
+        p, pows, product = self.ring.char, self.pows, self._product
         jac = []
         for j in range(self.n):
             parts = {}
-            for pidx, coeff, _, aj, others in self.terms[j]:
+            for comp, coeff, _, aj, others in self.terms[j]:
                 term = product(coeff or _ONE, ((0, ((0, aj),)),))  # () when p divides a_j
                 for u, a in ((j, aj - 1), *others):
                     if a:
                         term = product(term, pows[u][a] if a in pows[u] else power(pows[u][1], a, None, product))
                 for e, items in term:
-                    sub_multiple(parts.setdefault(e, {}), {k + shifts[pidx]: c for k, c in items}, -1, p)
+                    sub_multiple(parts.setdefault(e, {}), {k + comp: c for k, c in items}, -1, p)
             jac.append(tuple((e, tuple(parts[e].items())) for e in sorted(parts) if parts[e]))
         return jac
 
@@ -839,15 +833,14 @@ class _BetaSearch:
     def _read(self) -> Optional[int]:
         """The largest residual order of a completion x0 + h of this node, None if one
         solves the system: the order of F(x0)'s remainder modulo the image of J(x0)
-        (_image), read by degree, equation pidx of F(x0) shifted by label(1, pidx).  The
-        at-least marker, a zero remainder, is a solution; a zero F(x0) reads nothing."""
-        if min(self.ords) > self.D:
+        (_image), read off the residual's own degree dicts, which remainder_order
+        does not write.  The at-least marker, a zero remainder, is a solution; a
+        zero F(x0) reads nothing."""
+        if self.ord > self.D:
             return None
         self.reads += 1
         self._charge()
-        parts = ((d, {k + shift: c for shift, r in zip(self.shifts, self.res) for k, c in r[d].items()})
-                 for d in range(min(self.ords), self.D + 1))
-        order = self._image(self._jacobian()).remainder_order(parts)
+        order = self._image(self._jacobian()).remainder_order(enumerate(self.res))
         return order.value if order.exact else None
 
     # -- the one depth-first walk ---------------------------------------------

@@ -266,13 +266,14 @@ class Subspace:
 
         parts yields (degree, {column: scalar}) pairs in increasing degree, the
         vector's entries of that degree (scalars need not be reduced; a degree
-        may be missing or empty), and is read only up to the order.  Each part's
-        entries are added and their pivot columns cleared (_eliminate); a row has
-        no entry before its pivot, so every entry left at or below the part's
-        degree is an entry of the full remainder, which later parts cannot
-        change.  The first part that leaves one ends the read, and the order is
-        the degree of the remainder's lowest label; none left after the last
-        part gives the at-least marker.
+        may be missing or empty), read only up to the order and never written:
+        a caller may hand over dicts it shares.  Each part's entries are added
+        and their pivot columns cleared (_eliminate); a row has no entry before
+        its pivot, so every entry left at or below the part's degree is an
+        entry of the full remainder, which later parts cannot change.  The
+        first part that leaves one ends the read, and the order is the degree
+        of the remainder's lowest label; none left after the last part gives
+        the at-least marker.
         """
         ring, step, v = self.ring, self.step, {}
         for d, new in parts:

@@ -84,9 +84,10 @@ MUTANTS = [
     Mutant("the columns of the last unknown dropped from J", ARTIN,
            "            jac.append(tuple(", "            jac.append(() if j == self.n - 1 else tuple(",
            CHECKED_SEARCH + BETA_PINNED),
+    # its two-equation search reads 486 times
     Mutant("β read lifts every equation to component 0", ARTIN,
-           "label((0,) * ring.num_vars, pidx) for pidx", "label((0,) * ring.num_vars, 0) for pidx",
-           CHECKED_SEARCH + ORACLE),
+           "{k + comp: c for k, c in items}", "{k: c for k, c in items}",
+           CHECKED_SEARCH + ORACLE + BETA_PINNED[:1]),
     Mutant("image kept after J(x0) changed", ARTIN,
            "if jac != self._jac:", "if self._img is None:",
            CHECKED_SEARCH + BETA_PINNED + IMAGE_MEMO),
@@ -107,22 +108,25 @@ MUTANTS = [
     Mutant("the coset rule applied to a non-affine system", ARTIN,
            "affine = all(sum(alpha) <= 1 ", "affine = all(sum(alpha) <= 2 ",
            CHECKED_SEARCH + ORACLE + ("tests/test_beta.py::test_random_small_systems_agree",)),
-    # _BetaSearch: residual degrees and their orders
+    # _BetaSearch: the residual, one vector of A^r by degree, and its order
     Mutant("residual orders never updated", ARTIN,
-           "self.res, self.ords = res, ords", "self.res = res",
+           "self.res, self.ord = res, o", "self.res = res",
            CHECKED_SEARCH),
     Mutant("order walk starts one past the least degree written", ARTIN,
-           "o = min(ords[pidx], lo)", "o = min(ords[pidx], lo + 1)",
+           "o = min(self.ord, low)", "o = min(self.ord, low + 1)",
            CHECKED_SEARCH),
     Mutant("order walk stops one degree early", ARTIN,
-           "while o <= D and not r[o]:", "while o < D and not r[o]:",
+           "while o <= D and not res[o]:", "while o < D and not res[o]:",
            CHECKED_SEARCH),
     Mutant("a term's degree dict shared between frames", ARTIN,
-           "r[e] = part = dict(r[e])", "r[e] = part = r[e]",
+           "res[e] = part = dict(res[e])", "res[e] = part = res[e]",
            CHECKED_SEARCH),
     Mutant("a term's least degree not written", ARTIN,
-           "min(low.get(pidx, D + 1), term[0][0])", "low.get(pidx, D + 1)",
+           "low = min(low, term[0][0])", "low = min(low, D + 1)",
            CHECKED_SEARCH),
+    Mutant("a term writes its equation's residual in component 0", ARTIN,
+           "                    k += comp\n", "",
+           CHECKED_SEARCH + ORACLE),
     # _BetaSearch: the state its terms read
     Mutant("powers kept for every unknown", ARTIN,
            "if any(aj >= 2 or others for", "if True or any(aj >= 2 or others for",

@@ -147,20 +147,27 @@ def test_layer_streams_follow_fp_vectors():
                 assert len(search.choices[d]) == kept, (ring, d, read)
 
 
-def monomial_of(key, ring, r):
-    """The monomial of a component-0 label of A^r of degree d: key = d*r*B^N + w with
-    B = D + 1 and w < B^N, and d*B^(N-1) - w holds the exponents as digits in base B,
-    T1 the highest."""
+def component_monomial(key, ring, r):
+    """(comp, m) of a label of A^r of degree d: key = d*r*B^N + comp*B^N + w with
+    B = D + 1, comp < r and w < B^N, and d*B^(N-1) - w holds the exponents of m as
+    digits in base B, T1 the highest."""
     B, N = ring.trunc + 1, ring.num_vars
     d, w = divmod(key, r * B**N)
-    assert w < B**N
+    comp, w = divmod(w, B**N)
     digits = d * B ** (N - 1) - w
     exps = []
     for k in range(N - 1, -1, -1):
         e, digits = divmod(digits, B**k)
         exps.append(e)
     assert sum(exps) == d and all(0 <= e < B for e in exps)
-    return tuple(exps)
+    return comp, tuple(exps)
+
+
+def monomial_of(key, ring, r):
+    """The monomial of a component-0 label of A^r (component_monomial)."""
+    comp, m = component_monomial(key, ring, r)
+    assert comp == 0
+    return m
 
 
 def graded_terms(g, ring, r):
@@ -186,13 +193,18 @@ class CheckedSearch(_BetaSearch):
     def __init__(self, *args):
         super().__init__(*args)
         self.r = len(self.system)  # keys are the labels of A^r
-        # each term holds its coefficient graded, or None for the coefficient 1, and its order
+        # per unknown x_j, one term per system term that contains it, in the system's
+        # order: its equation's component, the label of 1 there, its coefficient
+        # graded, or None for the coefficient 1, and its order
         for j, terms in enumerate(self.terms):
-            for pidx, coeff, cord, aj, others in terms:
-                alpha = tuple(aj if u == j else dict(others).get(u, 0) for u in range(self.n))
-                want = self.system[pidx].terms[alpha]
+            want = [(pidx, alpha, c) for pidx, poly in enumerate(self.system)
+                    for alpha, c in poly.terms.items() if alpha[j] and not c.is_zero]
+            assert len(terms) == len(want)
+            for (comp, coeff, cord, aj, others), (pidx, alpha, c) in zip(terms, want):
+                assert component_monomial(comp, self.ring, self.r) == (pidx, (0,) * self.ring.num_vars)
+                assert alpha == tuple(aj if u == j else dict(others).get(u, 0) for u in range(self.n))
                 got = {(0,) * self.ring.num_vars: 1} if coeff is None else graded_terms(coeff, self.ring, self.r)
-                assert got == want.terms and cord == want.order().value
+                assert got == c.terms and cord == c.order().value
         self.path = []  # (unknown, layer) per frame
         # the class the walk is in (its layers of degree <= i), every class it
         # entered and, for every class in which it met an exact solution, its weight
@@ -208,17 +220,17 @@ class CheckedSearch(_BetaSearch):
         # each x_u is the sum of its layers on the path
         xs = [TruncatedSeries(self.ring, {monomial_of(k, self.ring, self.r): c for u_, layer in self.path
                                           if u_ == u for k, c in layer}) for u in range(self.n)]
-        for poly, r, o in zip(self.system, self.res, self.ords):
-            # the residual by degree: flattened it is the evaluation, each degree's
-            # dict holds that degree's nonzero terms, and the order is the first
-            # nonempty degree
-            assert len(r) == self.D + 1
-            terms = {monomial_of(k, self.ring, self.r): c for part in r for k, c in part.items()}
-            assert terms == oracles.evaluate(poly, xs).terms
-            assert len(terms) == sum(map(len, r))
-            assert all(sum(monomial_of(k, self.ring, self.r)) == e and c
-                       for e, part in enumerate(r) for k, c in part.items())
-            assert o == next((e for e, part in enumerate(r) if part), self.D + 1)
+        # the residual by degree: flattened it is the system evaluated at x, one vector
+        # of A^r; each degree's dict holds the nonzero entries of labels of that
+        # degree, and the order is the first nonempty degree
+        res = self.res
+        assert len(res) == self.D + 1
+        vec = {k: c for part in res for k, c in part.items()}
+        assert vec == series_to_vec([oracles.evaluate(poly, xs) for poly in self.system], self.ring)
+        assert len(vec) == sum(map(len, res))
+        step = self.r * (self.D + 1) ** self.ring.num_vars
+        assert all(k // step == e and c for e, part in enumerate(res) for k, c in part.items())
+        assert self.ord == next((e for e, part in enumerate(res) if part), self.D + 1)
         for j, (x, pows) in enumerate(zip(xs, self.pows)):
             # powers only for an unknown a product reads, one raised to a >= 2 or met in a
             # term with another unknown: x_j itself and its exponents
@@ -243,7 +255,7 @@ class CheckedSearch(_BetaSearch):
                 self.entered.add(layers)
                 self.current = layers
             assert self.current == layers
-            if slot_idx >= self.cut and min(self.ords) > self.D:  # a read of F(x0) = 0
+            if slot_idx >= self.cut and self.ord > self.D:  # a read of F(x0) = 0
                 self.solved[layers] = self.weight()
         else:
             assert self.current is None and self.held == -1
@@ -387,13 +399,15 @@ def test_incremental_state_matches_definitions():
 
 def test_search_benchmark_systems_pinned():
     # (value, explored_nodes, reads, solvable_classes) of the beta-lb systems of the
-    # search benchmark at its sizes: every node and read of the one walk, so a
-    # cheaper node cannot come from visiting fewer
+    # search benchmark at its sizes, and of a two-equation search that reads often:
+    # every node and read of the one walk, so a cheaper node cannot come from
+    # visiting fewer
     for char, trunc, text, i, pinned in [
         (2, 6, "T1*X1 + T2*X2", 3, (4, 91, 0, 64)),
         (3, 5, "T1*X1 + T2*X2", 2, (3, 157, 0, 27)),
         (2, 5, "X1*X2 - T1*T2", 2, (3, 547, 68, 72)),
         (2, 5, "X1^2 + T1*X2", 2, (4, 169, 14, 8)),
+        (3, 5, "X1^2 - T1^3; X1*X2 - T2^2", 1, (3, 1102, 486, 0)),
     ]:
         got = beta_lower_bound_bruteforce(system(text, RingSpec(2, char, trunc), ["X1", "X2"]), i)
         assert (got.value, got.explored_nodes, got.reads, got.solvable_classes) == pinned, (char, trunc, text)

@@ -153,6 +153,24 @@ def test_beta_lb_of_linear_system_is_level_plus_ar_index():
                 assert (got["explored_nodes"], got["reads"], got["solvable_classes"]) == (10843, 728, 59049)
 
 
+def test_beta_lb_of_linear_system_at_level_zero_falls_below_level_plus_ar_index():
+    # the identity beta(i) = i + i0 fails at i = 0 on these two ideals over F_3 at
+    # D = 12, where ar-index has settled (i0 certified up to 8): beta(0) = i0 - 1,
+    # while beta(i) = i + i0 at i = 1 and 2.  (beta, explored_nodes) at i = 0, 1, 2
+    # are pinned
+    ring = ["--vars", "T1,T2", "--char", "3", "--trunc", "12"]
+    for gens, text, i0, pinned in [
+        ("2*T1^2*T2;T1^3 + T1*T2^3", "2*T1^2*T2*X1 + (T1^3 + T1*T2^3)*X2", 4, [(3, 13), (5, 103), (6, 2371)]),
+        ("2*T1^2 + 2*T2^3;2*T1^3*T2", "(2*T1^2 + 2*T2^3)*X1 + 2*T1^3*T2*X2", 6, [(5, 7), (7, 61), (8, 1519)]),
+    ]:
+        got = run_command(["ar-index", *ring, "--ideal", gens])[0]["result"]
+        assert (got["i0"], got["certified_up_to"]) == (i0, 8), gens
+        assert [beta for beta, _ in pinned] == [i0 - 1, i0 + 1, i0 + 2]
+        for i, want in enumerate(pinned):
+            got = run_command(["beta-lb", *ring, "--system", text, "--unknowns", "X1,X2", "--i", str(i)])[0]["result"]
+            assert (got["beta_lower_bound"], got["explored_nodes"]) == want, (gens, i)
+
+
 @st.composite
 def stable_ar_draws(draw):
     """Over F_2 or F_3 in T1, T2 at D <= 8: generators of I with terms of degree
