@@ -154,6 +154,7 @@ def component_monomial(key, ring, r):
     B, N = ring.trunc + 1, ring.num_vars
     d, w = divmod(key, r * B**N)
     comp, w = divmod(w, B**N)
+    assert comp < r
     digits = d * B ** (N - 1) - w
     exps = []
     for k in range(N - 1, -1, -1):
