@@ -27,7 +27,6 @@ from .subspace import (
     distance_order,
     graded,
     graded_product,
-    insert_multiples,
     labeller,
     multiples,
     series_to_vec,
@@ -52,94 +51,68 @@ class ArIndexResult(NamedTuple):
     deficits: list  # (i, largest j with inclusion)
 
 
-def _prune_redundant_generators(M: ModuleSpec) -> tuple:
-    """Degree-minimal generating subset of the same truncated module, and its span.
+def _tagged_span(M: ModuleSpec) -> tuple:
+    """(U, lm, kept): U the span of M, grown level by level; lm[q] the level of
+    the last insert that wrote U's row at pivot q; kept the generators that
+    stay in a minimal generating set.
 
-    Redundant generators do not change the module, so they must not shrink
-    the certified range; keep lowest-degree generators first and drop any
-    vector the kept ones already span.  Among generators of one degree the
-    given order rules.  It decides which of them are kept, but not the
-    largest kept degree, which sets the range: a generator of degree d is
-    kept iff the lower-degree generators do not span every generator of
-    degree d.  The profile and the witness are read off canonical spans, so
-    the order changes no output, only the cost: over Q, growing the span from
-    a generator whose pivot coefficient is not 1 can fill it with fractions.
-    """
-    order = sorted(
-        (vec for vec in M.generators if not all(g.is_zero for g in vec)),
-        key=lambda vec: max(g.max_degree() for g in vec if not g.is_zero),
-    )
-    ring = M.ring
-    kept = []
-    span = Subspace(ring, M.arity)
-    for vec in order:
-        if span.contains_vec(series_to_vec(vec, ring)):
-            continue
-        kept.append(vec)
-        insert_multiples(span, vec)
-    return ModuleSpec(ring, M.arity, tuple(kept)), span
+    A level is a multiplier degree: levels D down to j span m^j * M, one
+    Subspace in reduced echelon form on U's column order.  Its row at a pivot q
+    is U's row iff no later insert writes it, as a write clears an entry at a
+    pivot column, which no later write puts back.  So U's row at q lies in
+    m^j * M iff lm[q] >= j.
 
-
-def _ar_profile(M: ModuleSpec, U: Subspace) -> tuple:
-    """(prof, failed) for 0 <= i <= cert = D - (largest generator degree), the
-    certified range: prof[i] is the largest j <= i with U cap m^i inside
-    m^j * M, and failed[i] the first basis row of U cap m^i outside
-    m^(prof[i]+1) * M when the sweep tested that span (else None).
-
-    U is the span of M.  prof is nondecreasing in i and m^j * M grows as j
-    falls, so one downward sweep over i grows a single span of m^j * M, one
-    multiplier degree at a time.  At i = cert it tests every row of U cap
-    m^cert; below, only the rows whose pivot has degree i, as the deeper ones
-    lie in m^prof[i+1] * M.  A row that passed stays inside as the span grows,
-    so each test resumes at the row that failed the last one.
+    The nonzero generators go lowest degree first, the given order ruling
+    within one degree.  A generator's level-0 insert, the generator itself,
+    grows the span iff it lies outside m*M plus the generators before it; by
+    Nakayama's lemma those kept form a minimal generating set, and a generator
+    of degree d is kept iff the lower-degree ones do not generate M.  That
+    largest kept degree sets the certified range.  The order decides which
+    generators of one degree are kept, and the cost: over Q, a row grown from
+    a generator whose pivot coefficient is not 1 can fill with fractions.
     """
     ring = M.ring
-    cert = ring.trunc - M.max_generator_degree()
-    if cert < 0:
-        raise PrecondError("generators exceed the truncation order; no certified range")
-    span = Subspace(ring, M.arity)
-    built = ring.trunc + 1  # span holds the multiples of degree >= built
-    prof = [0] * (cert + 1)
-    failed = [None] * (cert + 1)
-    pivots, rows = U.pivots, U.rows
-    stop = len(rows)
-    j = cert
-    for i in range(cert, 0, -1):
-        start = U.cap_start(i)
-        k = start  # rows[start:k] lie in the span
-        j = min(j, i)
-        while j > 0:
-            while built > j:
-                built -= 1
-                for gen in M.generators:
-                    for vec in multiples(gen, built, ring):
-                        span.insert(vec)
-            # a lookup, not a reduction: the span lies in U, both reduced echelon forms on one
-            # column order, so the span's pivots are U's, and rows[k] is 0 at all of them but
-            # its own: it lies in the span iff it is the span's row at that pivot
-            while k < stop and span.row_of.get(pivots[k]) == rows[k]:
-                k += 1
-            if k == stop:
-                break
-            failed[i] = rows[k]
-            j -= 1
-        prof[i] = j
-        stop = start
-    return prof, failed
+    gens = sorted((vec for vec in M.generators if not all(g.is_zero for g in vec)),
+                  key=lambda vec: max(g.max_degree() for g in vec if not g.is_zero))
+    U, lm, kept = Subspace(ring, M.arity), {}, []
+    for level in range(ring.trunc, -1, -1):
+        for gen in gens:
+            for vec in multiples(gen, level, ring):
+                wrote = U.insert(vec)
+                for q in wrote:
+                    lm[q] = level
+                if not level and wrote:
+                    kept.append(gen)
+    return U, lm, kept
 
 
 def artin_rees_index(M) -> ArIndexResult:
-    M, U = _prune_redundant_generators(as_module(M))
-    prof, failed = _ar_profile(M, U)
-    deficits = list(enumerate(prof))
+    """The Artin-Rees profile of M, read off one tagged span (_tagged_span).
+
+    prof[i], the largest j <= i with M cap m^i inside m^j * M, is the least lm
+    over the rows of M cap m^i, those from U.cap_start(i) on, or i if that is
+    less.  The witness, at the first i reaching i0, is the first of those rows
+    with lm <= prof[i]: a row outside m^(prof[i]+1) * M, so index i0-1 fails.
+    """
+    M = as_module(M)
+    U, lm, kept = _tagged_span(M)
+    M = ModuleSpec(M.ring, M.arity, tuple(kept))
+    cert = M.ring.trunc - M.max_generator_degree()
+    pivots = U.pivots
+    prof, low, stop = [], cert, len(pivots)  # low: the least lm from cap_start(i) on, or cert
+    for i in range(cert, -1, -1):
+        start = U.cap_start(i)
+        low = min([low, *(lm[q] for q in pivots[start:stop])])
+        prof.append(min(i, low))
+        stop = start
+    deficits = list(enumerate(reversed(prof)))
     i0 = max(i - j for i, j in deficits)
     witness = None
     if i0:
-        # at the first i reaching i0, prof[i] < min(prof[i+1], i), so the sweep
-        # tested j = prof[i]+1 there: its failed row shows that i0-1 fails
-        i = next(i for i, j in deficits if i - j == i0)
-        witness = (i, vec_to_series(failed[i], M.ring, M.arity))
-    return ArIndexResult(i0, len(prof) - 1, witness, M, deficits)
+        i, j = next((i, j) for i, j in deficits if i - j == i0)
+        q = next(q for q in pivots[U.cap_start(i):] if lm[q] <= j)
+        witness = (i, vec_to_series(U.row_of[q], M.ring, M.arity))
+    return ArIndexResult(i0, cert, witness, M, deficits)
 
 
 # ---------------------------------------------------------------------------

@@ -283,8 +283,10 @@ class Subspace:
                 break
         return ExtOrder.of(min(v) // step) if v else ExtOrder.at_least(ring.trunc + 1)
 
-    def insert(self, vec: dict) -> bool:
-        """Add a vector of canonical scalars; returns True when the dimension grew.
+    def insert(self, vec: dict) -> tuple:
+        """Add a vector of canonical scalars; returns the pivots of the rows it
+        wrote, the new row's first, or () when the dimension did not grow.  A
+        truth test reads the growth: the tuple is nonempty even for pivot 0.
 
         The new row is the remainder scaled to 1 at its pivot piv; its other
         columns are non-pivot ones.  It is back-eliminated from exactly the
@@ -294,7 +296,7 @@ class Subspace:
         """
         rem = self.reduce(vec)
         if not rem:
-            return False
+            return ()
         p = self.ring.char
         piv = min(rem)
         if rem[piv] == 1:
@@ -303,7 +305,8 @@ class Subspace:
             row = {}
             sub_multiple(row, rem, -self.ring.s_inv(rem[piv]), p)  # row = rem / rem[piv]
         holders, row_of = self.holders, self.row_of
-        for q in holders.pop(piv, ()):
+        back = holders.pop(piv, ())
+        for q in back:
             other = row_of[q]
             sub_multiple(other, row, other[piv], p)
             for k in row:
@@ -316,7 +319,7 @@ class Subspace:
                 holders.setdefault(k, set()).add(piv)
         row_of[piv] = row
         self._pivots = None
-        return True
+        return (piv, *back)
 
     def contains_vec(self, vec: dict) -> bool:
         return not self.reduce(vec)
@@ -377,7 +380,7 @@ def span_module(M: ModuleSpec, sound: bool = False) -> Subspace:
     # and reduce against few rows.  Interleaving the generators degree by
     # degree made the spans of (2*T1^2 - T2^3 - 2*T1^4, -T2^3 - 2*T1^2*T2^2 +
     # 3*T1^5) over Q at D = 14 take 4x the eliminations and 36x the Fraction
-    # entries, and its ar-index 6x the time.
+    # entries.
     for gen in M.generators:
         insert_multiples(U, gen, sound)
     return U

@@ -166,14 +166,20 @@ MUTANTS = [
            "choices = self.choices[slot_idx]\n",
            "choices = self.choices[slot_idx - 1] or self.choices[slot_idx]\n",
            LAYER_STREAM + CHECKED_SEARCH),
-    # artin_rees_index, which stable_ar_scan reads each translate (x)+I through
-    Mutant("ar-index profiles the unpruned module", ARTIN,
-           "M, U = _prune_redundant_generators(as_module(M))",
-           "M, U = as_module(M), _prune_redundant_generators(as_module(M))[1]",
-           ("tests/test_cli.py::test_stable_ar_checks_the_range_ar_index_certifies",)),
-    Mutant("a row of U counted inside the span when the span has its pivot", ARTIN,
-           "span.row_of.get(pivots[k]) == rows[k]", "pivots[k] in span.row_of",
-           ("tests/test_artin_rees.py::test_profile_matches_per_degree_definition",)),
+    # artin_rees_index, which stable_ar_scan reads each translate (x)+I through: one
+    # span, each row tagged by the level that last wrote it
+    Mutant("a row's tag not moved when back-elimination rewrites it", SUBSPACE,
+           "return (piv, *back)", "return (piv,)",
+           ("tests/test_subspace.py::test_insert_returns_the_pivots_of_the_rows_it_wrote",
+            "tests/test_artin_rees.py::test_basis_row_lies_in_a_graded_span_iff_it_is_the_spans_row",
+            "tests/test_artin_rees.py::test_profile_matches_per_degree_definition")),
+    Mutant("witness row sought with lm < prof[i], which no row of M cap m^i has", ARTIN,
+           "if lm[q] <= j)", "if lm[q] < j)",
+           ("tests/test_artin_rees.py::test_principal_ideal_indices",)),
+    Mutant("every nonzero generator kept", ARTIN,
+           "if not level and wrote:", "if not level:",
+           ("tests/test_cli.py::test_stable_ar_checks_the_range_ar_index_certifies",
+            "tests/test_artin_rees.py::test_kept_generators_match_the_greedy_pruning")),
     # _solve_homogeneous: one column per monomial, read back in that order
     Mutant("homogeneous solve reads its monomials in reverse", ARTIN,
            "dict(zip(monomials_of_degree(ring.num_vars, d), coeffs))",

@@ -10,8 +10,9 @@ The last section is different: set operations on the package's sparse
 echelon form (copies, sums, intersections, m^i, the graded spans m^j * M,
 inclusion and equality of subspaces).  The program reads U cap m^i off the
 pivots and never needs the others, so they live here, as the long-way
-references its tests compare against.  So does the per-coordinate linear solve that
-solve_linear replaced by a reduction on the graph of the map.
+references its tests compare against.  So do the per-coordinate linear solve that
+solve_linear replaced by a reduction on the graph of the map, and the greedy
+pruning of generators that ar-index replaced by Nakayama's lemma.
 """
 
 from fractions import Fraction
@@ -20,7 +21,7 @@ from operator import add
 
 from artinlab.errors import PrecondError
 from artinlab.series import TruncatedSeries, fp_vectors, monomials_of_degree, monomials_up_to
-from artinlab.subspace import Subspace, as_module, labeller, multiples
+from artinlab.subspace import Subspace, as_module, labeller, multiples, series_to_vec
 from artinlab.xpoly import PolyInX
 
 
@@ -353,6 +354,27 @@ def graded_span(M, j) -> Subspace:
             for vec in multiples(gen, d, ring):
                 U.insert(vec)
     return U
+
+
+def greedy_generators(M) -> tuple:
+    """A generating subset of M, chosen greedily: the nonzero generators lowest
+    degree first (the given order within one degree), each kept iff the
+    multiples of those kept before it do not span it.  ar-index once pruned
+    this way; the set need not be minimal, but its largest degree is that of
+    every minimal one, the least d whose generators of degree <= d generate M."""
+    M = as_module(M)
+    ring = M.ring
+    order = sorted((vec for vec in M.generators if not all(g.is_zero for g in vec)),
+                   key=lambda vec: max(g.max_degree() for g in vec if not g.is_zero))
+    kept, span = [], Subspace(ring, M.arity)
+    for vec in order:
+        if span.contains_vec(series_to_vec(vec, ring)):
+            continue
+        kept.append(vec)
+        for d in range(ring.trunc + 1):
+            for u in multiples(vec, d, ring):
+                span.insert(u)
+    return tuple(kept)
 
 
 def cap_m_power(U: Subspace, i) -> Subspace:

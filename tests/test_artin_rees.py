@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import lru_cache
 from math import ceil
 
 import pytest
@@ -7,11 +8,13 @@ from hypothesis import example, given, settings, strategies as st
 import oracles
 from artinlab import artin
 from artinlab.artin import artin_rees_index, stable_ar_scan
-from artinlab.series import RingSpec, TruncatedSeries, monomials_up_to
+from artinlab.series import ExtOrder, RingSpec, TruncatedSeries, monomials_up_to
 from artinlab.subspace import (
     IdealSpec,
     ModuleSpec,
+    Subspace,
     member,
+    multiples,
     span_module,
     vec_to_series,
 )
@@ -19,6 +22,7 @@ from artinlab.parsing import parse_poly
 from oracles import cap_m_power, contains, graded_span, same_subspace, span_m_power, subspace_intersect
 
 F7 = RingSpec(2, 7, 5)
+R5 = RingSpec(2, 0, 5)
 
 
 def test_principal_ideal_indices():
@@ -100,8 +104,8 @@ def test_index_generator_invariant():
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_index_ignores_the_order_of_the_generators(data):
-    # the pruning keeps generators of one degree in the given order, so the kept
-    # subset depends on it; the range, the profile and the witness must not
+    # the Nakayama rule keeps generators of one degree in the given order, so the
+    # kept subset depends on it; the range, the profile and the witness must not
     R = RingSpec(2, data.draw(st.sampled_from([0, 2, 3])), data.draw(st.integers(3, 6)))
     monos = [m for m in monomials_up_to(2, 3) if sum(m) >= 1]
     scalars = [1, 2, -1, Fraction(1, 2), 3] if R.char == 0 else list(range(1, R.char))
@@ -124,20 +128,33 @@ def test_certified_range_shrinks_with_generator_degree():
     assert res.i0 == 0
 
 
+@lru_cache(maxsize=None)
+def translate_reference(I, x):
+    """(nu(x), reference_deficits of (x)+I over the range that its greedy
+    pruning certifies), or (nu(x), None) for x in I, all from the oracles."""
+    R = I.ring
+    nu = oracles.naive_nu(I, x)
+    if nu > R.trunc:
+        return nu, None
+    M = ModuleSpec(R, 1, tuple((g,) for g in I.generators) + ((x,),))
+    cert = R.trunc - ModuleSpec(R, 1, oracles.greedy_generators(M)).max_generator_degree()
+    return nu, reference_deficits(M, cert)
+
+
 def checked_scan(I, xs, **kw):
-    """stable_ar_scan, required to equal the report rebuilt with each profile read
-    off span_module((x)+I), a span of its own, which the grown span must equal."""
+    """stable_ar_scan, its checks required to be those rebuilt from the oracles:
+    for each x outside I, the rows e >= offset of its reference profile."""
     rep = stable_ar_scan(I, xs, **kw)
-    profile = artin._ar_profile
-
-    def from_span_module(M, U):
-        ref = span_module(M)
-        assert same_subspace(U, ref)
-        return profile(M, ref)
-
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(artin, "_ar_profile", from_span_module)
-        assert rep == stable_ar_scan(I, xs, **kw)
+    a, b = Fraction(kw.get("a", 1)), kw.get("b", 0)
+    want, skipped = [], []
+    for x in xs:
+        nu, deficits = translate_reference(I, x)
+        if deficits is None:
+            skipped.append(x)
+            continue
+        offset = ceil(a * nu) + b
+        want += [(x, e - offset, ExtOrder.of(nu), e, e - offset <= j) for e, j in deficits[offset:]]
+    assert (rep.checks, rep.skipped) == (want, skipped)
     return rep
 
 
@@ -223,7 +240,7 @@ def modules(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(modules())
-# i0 = 2 only shows when every row of M cap m^cert, here cert = 2, is tested at i = cert
+# i0 = 2 at cert = 2: the profile reads every row of M cap m^cert
 @example(ModuleSpec(F7, 1, ((parse_poly("3*T1*T2^2", F7),),)))
 def test_profile_matches_per_degree_definition(M):
     R, arity = M.ring, M.arity
@@ -247,13 +264,66 @@ def test_profile_matches_per_degree_definition(M):
 @settings(max_examples=40, deadline=None)
 @given(modules())
 def test_basis_row_lies_in_a_graded_span_iff_it_is_the_spans_row(M):
-    # the test of _ar_profile's sweep: a basis row r of U = span_module(M) with
-    # pivot q lies in m^j * M, which lies in U, iff that span's row at q is r
-    U = span_module(M)
+    # the lm rule of the tagged span: a basis row r of U = span_module(M) with
+    # pivot q lies in m^j * M, which lies in U, iff lm[q] >= j, iff that span's
+    # row at q is r
+    U, lm, _ = artin._tagged_span(M)
+    assert same_subspace(U, span_module(M))
+    assert sorted(lm) == U.pivots
     for j in range(M.ring.trunc + 2):
         span = graded_span(M, j)
         for q, r in zip(U.pivots, U.rows):
-            assert (span.row_of.get(q) == r) == span.contains_vec(r), (j, q)
+            assert (lm[q] >= j) == span.contains_vec(r) == (span.row_of.get(q) == r), (j, q)
+
+
+@st.composite
+def redundant_modules(draw):
+    """modules(), with a generator that the others generate put among them."""
+    M = draw(modules())
+    u = TruncatedSeries.monomial(M.ring, draw(st.sampled_from(monomials_up_to(2, 2))))
+    gens = list(M.generators)
+    gens.insert(draw(st.integers(0, len(gens))), tuple(u * a + b for a, b in zip(gens[0], gens[-1])))
+    return ModuleSpec(M.ring, M.arity, tuple(gens))
+
+
+@settings(max_examples=40, deadline=None)
+@given(redundant_modules())
+# T1*T2 + T1^4 = T1 * (T2 + T1^3 + T1^5) at D = 5: the greedy pruning keeps both
+# generators, the Nakayama rule only the second
+@example(ModuleSpec(R5, 1, ((parse_poly("T1*T2 + T1^4", R5),), (parse_poly("T2 + T1^3 + T1^5", R5),))))
+def test_kept_generators_match_the_greedy_pruning(M):
+    R, arity = M.ring, M.arity
+    U, _, kept = artin._tagged_span(M)
+    kept = ModuleSpec(R, arity, tuple(kept))
+    greedy = ModuleSpec(R, arity, oracles.greedy_generators(M))
+    assert kept.max_generator_degree() == greedy.max_generator_degree()
+    assert same_subspace(span_module(kept), U) and same_subspace(span_module(greedy), U)
+    # a minimal generating set: one generator per dimension of M / m*M
+    assert len(kept.generators) == len(U.pivots) - len(graded_span(M, 1).pivots)
+    assert artin_rees_index(M).module == kept
+
+
+def test_ar_index_builds_one_span():
+    # one Subspace, each multiple of each generator inserted into it once
+    R = RingSpec(2, 0, 6)
+    I = IdealSpec.of(R, [parse_poly("T1^2 - T2^3", R), parse_poly("T1*T2^2", R)])
+    spans, inserts = [], []
+    init, insert = Subspace.__init__, Subspace.insert
+
+    def counting_init(self, *args):
+        spans.append(self)
+        init(self, *args)
+
+    def counting_insert(self, vec):
+        inserts.append(self)
+        return insert(self, vec)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(Subspace, "__init__", counting_init)
+        m.setattr(Subspace, "insert", counting_insert)
+        artin_rees_index(I)
+    count = sum(len(list(multiples((g,), d, R))) for g in I.generators for d in range(R.trunc + 1))
+    assert len(spans) == 1 and inserts == [spans[0]] * count
 
 
 @settings(max_examples=30, deadline=None)

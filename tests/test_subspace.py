@@ -577,3 +577,33 @@ def test_insert_keeps_the_dense_rref(case):
         for row in U.rows:
             assert_canonical_scalars(row.values(), R)
         assert_pivot_index(U)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.tuples(st.sampled_from([0, 2, 3, 32003]), st.sampled_from([1, 2])).flatmap(lambda ca: echelon_draws(*ca)))
+# the insert of pivot 3 rewrites one older row, the insert of pivot 4 two
+@example((RingSpec(2, 0, 2), 6, [{0: 1, 3: 1, 4: 1}, {3: 1, 4: 1}, {1: 1, 3: 1}, {3: 1, 5: 2}]))
+def test_insert_returns_the_pivots_of_the_rows_it_wrote(case):
+    # insert returns the pivots of exactly the rows it created or changed, the
+    # new one first, and () for a vector the span already holds
+    R, ncols, vecs = case
+    U = Subspace(R)
+    for vec in vecs:
+        before = {q: dict(row) for q, row in U.row_of.items()}
+        wrote = U.insert(vec)
+        assert type(wrote) is tuple and len(set(wrote)) == len(wrote)
+        assert set(wrote) == {q for q, row in U.row_of.items() if before.get(q) != row}
+        assert U.row_of.keys() - before.keys() == set(wrote[:1])
+        assert U.insert(vec) == ()
+
+
+def test_insert_of_the_constant_returns_pivot_zero():
+    # label 0, the constant of component 0, is a pivot like any other: the
+    # growth reads as a nonempty tuple, not as the falsy pivot itself
+    R = RingSpec(2, 0, 3)
+    label = labeller(R.num_vars, R.trunc, 1)
+    U = Subspace(R)
+    assert U.insert({label((1, 0)): 1, label((0, 2)): 3}) == (label((1, 0)),)
+    wrote = U.insert({label((0, 0)): 1})
+    assert wrote and wrote == (0,)
+    assert U.insert({label((0, 0)): 2, label((1, 0)): 1, label((0, 2)): 3}) == ()
