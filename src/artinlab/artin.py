@@ -10,7 +10,7 @@ silently degrading.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product as cartesian_product, repeat
+from itertools import combinations, product as cartesian_product, repeat
 from math import ceil, comb
 from typing import NamedTuple, Optional, Sequence
 
@@ -543,6 +543,21 @@ class _BetaSearch:
     A class walked so stands for p^(class coordinates not walked on its path)
     classes: the bound ones, and on any system those of the slots frozen to
     zero.  A solvable class counts with that weight.
+
+    A unit pair, the first a < b with alpha_a = alpha_b in every term and
+    alpha_a >= 1 in some, gives F(u*x_a, x_b/u) = F(x) for every unit u of
+    1 + m, so solvability and every residual order are constant on an orbit,
+    and the walk takes one class per orbit.  Units keep orders, so the frozen
+    slots are the same along an orbit.  The degree-e part w_e of u moves the
+    layer ord(x_j) + e of each x_j of the pair by +-x_j,low * w_e, plus terms
+    in w_1..w_(e-1).  It is taken up at the first of the two slots it moves,
+    in slot order (_keys): there x_j,low*T^m, |m| = e, has its pivot at
+    lead + label(m), lead the least key of x_j,low, and those keys are bound.
+    That first slot is never frozen where the second is walked: its
+    _slot_min_degree was at most the second's.  Layer by layer, one unit takes
+    each class to the classes zero at every bound key, and only one, so an
+    orbit holds p^(bound keys on the path) classes, the multiplication by
+    x_j,low being injective.
     """
 
     def __init__(self, system: Sequence[PolyInX], i: int, budget: int):
@@ -578,6 +593,11 @@ class _BetaSearch:
         affine = all(sum(alpha) <= 1 for poly in system for alpha in poly.terms)
         self.image = Subspace(ring, len(system)) if affine else None
         self.walked = [None] * self.boundary
+        # the unit pair (class docstring), each unknown of it mapped to the other
+        alphas = [alpha for poly in system for alpha, coeff in poly.terms.items() if not coeff.is_zero]
+        self.partner = next(({a: b, b: a} for a, b in combinations(range(n), 2)
+                             if any(alpha[a] for alpha in alphas) and all(alpha[a] == alpha[b] for alpha in alphas)),
+                            {})
         # per unknown j, the system terms containing it, each as (its equation's
         # component label(1, pidx), graded coeff or None for 1, its coefficient's
         # order, alpha_j, ((u, alpha_u) for the other unknowns))
@@ -634,13 +654,22 @@ class _BetaSearch:
         return len(monomials_of_degree(self.ring.num_vars, d))
 
     def _keys(self, slot_idx: int) -> tuple:
-        """The keys a slot walks: its monomials' labels in increasing order, less, in a
-        class slot of an affine system, the bound ones (class docstring).  A class
-        slot's keys are kept from its first read, when its images enter the span."""
+        """The keys a slot walks at this node: its monomials' labels in increasing
+        order, less, in a class slot of an affine system or of a unit pair, the
+        bound ones (class docstring).  An affine class slot's keys are kept from its
+        first read, when its images enter the span; a pair's follow x_j."""
         d, j = self.slots[slot_idx]
         labels = degree_labels(self.ring.num_vars, self.D, len(self.system), d)
         if slot_idx >= self.boundary:
             return labels
+        q = self.partner.get(j)
+        if q is not None:
+            e = d - self.lb[j]  # > 0 iff x_j is nonzero below d, of order lb[j]
+            if not e or (self.lb[q] + e) * self.n + q < slot_idx:  # w_e taken up at the partner's slot
+                return labels
+            lead = min(k for k, _ in self.pows[j][1][0][1])
+            bound = {lead + s for s in degree_labels(self.ring.num_vars, self.D, len(self.system), e)}
+            return tuple(k for k in labels if k not in bound)
         keys = self.walked[slot_idx]
         if keys is None:
             if self.image is None:
@@ -651,23 +680,24 @@ class _BetaSearch:
             self.walked[slot_idx] = keys
         return keys
 
-    def _layers(self, slot_idx: int):
-        """Every layer of the slot in fp_vectors order over its keys (_keys), each a
+    def _layers(self, slot_idx: int, keys: tuple):
+        """Every layer of the slot over keys (_keys) in fp_vectors order, each a
         tuple of (key, c) pairs.
 
         The first read streams from fp_vectors, so a slot that the walk reads
         once keeps nothing.  The second builds the slot's choices, kept for
-        the search: one (None, (k, 1), ..., (k, p - 1)) per key k.  A layer is
-        then one pick per key, the last key varying fastest, less the Nones."""
+        the search: one (None, (k, 1), ..., (k, p - 1)) per monomial label k of
+        the slot.  A layer is then one pick per key, the last key varying
+        fastest, less the Nones."""
         choices = self.choices[slot_idx]
+        if choices is None:
+            self.choices[slot_idx] = ()
+            return (tuple(v.items()) for v in fp_vectors(keys, self.ring.char))
         if not choices:
-            keys = self._keys(slot_idx)
-            if choices is None:
-                self.choices[slot_idx] = ()
-                return (tuple(v.items()) for v in fp_vectors(keys, self.ring.char))
-            pairs = (zip(keys, repeat(c)) for c in range(1, self.ring.char))
-            choices = self.choices[slot_idx] = list(zip(repeat(None), *pairs))
-        return map(tuple, map(filter, repeat(None), cartesian_product(*choices)))
+            labels = degree_labels(self.ring.num_vars, self.D, len(self.system), self.slots[slot_idx][0])
+            pairs = (zip(labels, repeat(c)) for c in range(1, self.ring.char))
+            choices = self.choices[slot_idx] = dict(zip(labels, zip(repeat(None), *pairs)))
+        return map(tuple, map(filter, repeat(None), cartesian_product(*map(choices.get, keys))))
 
     def _product(self, a: tuple, b: tuple) -> tuple:
         """a * b for two graded series, cut at degree D; a zero factor, (), is the product."""
@@ -840,6 +870,7 @@ class _BetaSearch:
         """
         frames, boundary = self._frames, self.boundary
         untried = [None] * (len(self.slots) + 1)  # _advance_auto may stop past the last slot
+        skipped = [0] * len(self.slots)  # per branched slot, its monomials that its keys leave out
         slot_idx = 0
         while True:
             self.nodes += 1
@@ -847,7 +878,9 @@ class _BetaSearch:
             slot_idx, floor = self._advance_auto(slot_idx)
             verdict = self._visit(slot_idx, floor)
             if verdict is None:
-                untried[slot_idx] = self._layers(slot_idx)  # a class slot's keys are kept from here on
+                keys = self._keys(slot_idx)
+                untried[slot_idx] = self._layers(slot_idx, keys)
+                skipped[slot_idx] = self._width(self.slots[slot_idx][0]) - len(keys)
             while True:
                 layers = untried[slot_idx]
                 if layers is not None and not (verdict and slot_idx >= boundary):
@@ -859,9 +892,7 @@ class _BetaSearch:
                     return
                 self._undo()
                 slot_idx = len(frames)
-            d = self.slots[slot_idx][0]
-            skipped = self._width(d) - len(self.walked[slot_idx]) if slot_idx < boundary else 0
-            self._assign(slot_idx, layer, skipped)
+            self._assign(slot_idx, layer, skipped[slot_idx])
             slot_idx += 1
 
     def _visit(self, slot_idx: int, floor: int):

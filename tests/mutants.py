@@ -36,6 +36,8 @@ ORACLE = ("tests/test_beta.py::test_matches_full_enumeration_oracle",)
 COSETS = ("tests/test_beta.py::test_affine_search_walks_one_class_per_coset",
           "tests/test_beta.py::test_affine_cosets_match_the_full_walk")
 D6_PINNED = ("tests/test_beta.py::test_search_at_d6_pinned",)
+ORBITS = ("tests/test_beta.py::test_unit_pair_search_walks_one_class_per_orbit",
+          "tests/test_beta.py::test_unit_orbits_match_the_walk_of_every_class")
 IMAGE_MEMO = ("tests/test_beta.py::test_read_builds_an_image_only_when_jacobian_changes",)
 HOMOGENEOUS = ("tests/test_solvers.py::test_linreg_random_suite", "tests/test_solvers.py::test_fxhy_random_suite")
 ICL_DEFINITION = ("tests/test_orders.py::test_icl_scan_matches_fraction_definition",)
@@ -108,6 +110,32 @@ MUTANTS = [
     Mutant("the coset rule applied to a non-affine system", ARTIN,
            "affine = all(sum(alpha) <= 1 ", "affine = all(sum(alpha) <= 2 ",
            CHECKED_SEARCH + ORACLE + ("tests/test_beta.py::test_random_small_systems_agree",)),
+    # _BetaSearch: one class per orbit of a unit pair, each solvable class weighted by
+    # the keys its path binds.  Binding fewer keys, and weighing by fewer, still counts
+    # every class, so the checked search's keys and the pinned node counts kill those
+    Mutant("the bound count off by one", ARTIN,
+           "skipped[slot_idx] = self._width(self.slots[slot_idx][0]) - len(keys)",
+           "skipped[slot_idx] = self._width(self.slots[slot_idx][0]) - len(keys) + (len(keys) < self._width("
+           "self.slots[slot_idx][0]))",
+           CHECKED_SEARCH + BETA_PINNED + ORBITS + COSETS[:1]),
+    Mutant("w_e taken up at both slots it moves", ARTIN,
+           "if not e or (self.lb[q] + e) * self.n + q < slot_idx:", "if not e:",
+           CHECKED_SEARCH + ORBITS),
+    Mutant("w_e taken up at the later of the two slots it moves", ARTIN,
+           "(self.lb[q] + e) * self.n + q < slot_idx:", "(self.lb[q] + e) * self.n + q > slot_idx:",
+           CHECKED_SEARCH + BETA_PINNED[:1] + ORBITS),
+    Mutant("bound keys taken from the partner's lowest layer", ARTIN,
+           "lead = min(k for k, _ in self.pows[j][1][0][1])", "lead = min(k for k, _ in self.pows[q][1][0][1])",
+           CHECKED_SEARCH + BETA_PINNED + ORBITS),
+    Mutant("the orbit rule applied past the boundary", ARTIN,
+           "        if slot_idx >= self.boundary:\n            return labels\n        q = self.partner.get(j)\n",
+           "        q = self.partner.get(j)\n        if slot_idx >= self.boundary and q is None:\n"
+           "            return labels\n",
+           CHECKED_SEARCH + D6_PINNED + ORBITS[1:]),
+    Mutant("the first pair of unknowns taken without the equal exponents", ARTIN,
+           "if any(alpha[a] for alpha in alphas) and all(alpha[a] == alpha[b] for alpha in alphas)",
+           "if any(alpha[a] for alpha in alphas)",
+           CHECKED_SEARCH + ORACLE + ORBITS[1:]),
     # _BetaSearch: the residual, one vector of A^r by degree, and its order
     Mutant("residual orders never updated", ARTIN,
            "self.res, self.ord = res, o", "self.res = res",
@@ -156,11 +184,11 @@ MUTANTS = [
            CHECKED_SEARCH),
     # _BetaSearch._layers: the first read streams, later ones pick from the slot's choices
     Mutant("layers picked with the first key varying fastest", ARTIN,
-           "cartesian_product(*choices)", "cartesian_product(*reversed(choices))",
+           "cartesian_product(*map(choices.get, keys))", "cartesian_product(*map(choices.get, keys[::-1]))",
            LAYER_STREAM + CHECKED_SEARCH),
     Mutant("a slot's choices built on its first read", ARTIN,
-           "            if choices is None:\n                self.choices[slot_idx] = ()\n",
-           "            if choices is None and False:\n                self.choices[slot_idx] = ()\n",
+           "        if choices is None:\n            self.choices[slot_idx] = ()\n",
+           "        if choices is None and False:\n            self.choices[slot_idx] = ()\n",
            LAYER_STREAM + LONG_WALK),
     Mutant("one slot's choices reused for the next", ARTIN,
            "choices = self.choices[slot_idx]\n",

@@ -130,20 +130,22 @@ def test_layer_streams_follow_fp_vectors():
     # each degree's layers, as (key, c) tuples, come in fp_vectors order on its first
     # read, which streams and keeps nothing, and on its second, which builds the
     # degree's choices, one per monomial (N=2, D=6 over F_3, every degree; N=3,
-    # degree 4, 15 monomials: all 2^15 layers over F_2, the first 300,000 over F_3)
+    # degree 4, 15 monomials: all 2^15 layers over F_2, the first 300,000 over F_3).
+    # A third read over every other key, as a node that binds keys reads, picks
+    # from the same choices
     for ring, degrees, count in [(RingSpec(2, 3, 6), range(7), None), (RingSpec(3, 2, 4), [4], None),
                                  (RingSpec(3, 3, 4), [4], 300_000)]:
         search = _BetaSearch(system("T1*X1", ring, ["X1"]), 0, 1)
         label = labeller(ring.num_vars, ring.trunc, 1)
         for d in degrees:
-            keys = tuple(map(label, monomials_of_degree(ring.num_vars, d)))
-            for read, kept in enumerate([0, len(keys)]):
+            labels = tuple(map(label, monomials_of_degree(ring.num_vars, d)))
+            for read, (keys, kept) in enumerate([(labels, 0), (labels, len(labels)), (labels[::2], len(labels))]):
                 n = 0
-                for got, want in zip_longest(islice(search._layers(d), count),
+                for got, want in zip_longest(islice(search._layers(d, keys), count),
                                              islice(fp_vectors(keys, ring.char), count)):
                     assert want is not None and got == tuple(want.items()), (ring, d, read, n)
                     n += 1
-                assert n == (count or ring.char ** len(keys))
+                assert n == min(count or ring.char ** len(keys), ring.char ** len(keys))
                 assert len(search.choices[d]) == kept, (ring, d, read)
 
 
@@ -206,6 +208,13 @@ class CheckedSearch(_BetaSearch):
                 assert alpha == tuple(aj if u == j else dict(others).get(u, 0) for u in range(self.n))
                 got = {(0,) * self.ring.num_vars: 1} if coeff is None else graded_terms(coeff, self.ring, self.r)
                 assert got == c.terms and cord == c.order().value
+        # the unit pair: the first a < b with alpha_a = alpha_b in every term of every
+        # equation and alpha_a >= 1 in one, each mapped to the other
+        alphas = [alpha for poly in self.system for alpha, c in poly.terms.items() if not c.is_zero]
+        pairs = [(a, b) for a in range(self.n) for b in range(a + 1, self.n)
+                 if all(alpha[a] == alpha[b] for alpha in alphas) and any(alpha[a] for alpha in alphas)]
+        assert self.partner == ({pairs[0][0]: pairs[0][1], pairs[0][1]: pairs[0][0]} if pairs else {})
+        self.bound = {}  # per branched class slot, the monomials its keys leave out on the path
         self.path = []  # (unknown, layer) per frame
         # the class the walk is in (its layers of degree <= i), every class it
         # entered and, for every class in which it met an exact solution, its weight
@@ -241,6 +250,9 @@ class CheckedSearch(_BetaSearch):
             assert all(graded_terms(v, self.ring, self.r) == (x**k).terms for k, v in pows.items())
         for u, x in enumerate(xs):
             assert self.lb[u] == (x.order().value if x.terms else sum(u_ == u for u_, _ in self.path))
+        # the weight exponent so far: the monomials of each class slot on the path that
+        # its layer leaves out, all of a frozen slot's and a branched one's bound keys
+        assert self.unwalked == self.weight_exponent(min(slot_idx, self.boundary))
         if slot_idx < len(self.slots):
             d, j = self.slots[slot_idx]
             assert floor == self._slot_min_degree(j, d) <= self.D
@@ -313,11 +325,51 @@ class CheckedSearch(_BetaSearch):
             self.current = None
             assert self.held == -1
 
+    def _keys(self, slot_idx):
+        # the keys of a branched slot: every label of its degree, less at a class slot
+        # the bound ones.  Of an affine system: those its first read bound.  Of a unit
+        # pair's x_j, nonzero below d of order o, e = d - o, unless the partner's slot
+        # of w_e came first: the pivots of the span of x_j's layer of degree o times
+        # the monomials of degree e, one per monomial.  The partner's slot of w_e,
+        # when it came first, was branched on, never frozen
+        got = super()._keys(slot_idx)
+        d, j = self.slots[slot_idx]
+        labels = [labeller(self.ring.num_vars, self.D, self.r)(m) for m in monomials_of_degree(self.ring.num_vars, d)]
+        want = sorted(labels)
+        q = self.partner.get(j)
+        if slot_idx >= self.boundary:
+            pass
+        elif self.image is not None:
+            assert self.walked[slot_idx] is got
+            want = [k for k in want if k in got]
+        elif q is not None and self.x0[j].terms and self.x0[j].order().value < d:
+            o = self.x0[j].order().value
+            e = d - o
+            first = self.x0[q].terms and (self.x0[q].order().value + e) * self.n + q < slot_idx
+            if first:
+                assert not self.frozen[(self.x0[q].order().value + e) * self.n + q]
+            else:
+                low = TruncatedSeries(self.ring, {m: c for m, c in self.x0[j].terms.items() if sum(m) == o})
+                span = Subspace(self.ring, self.r)
+                for m in monomials_of_degree(self.ring.num_vars, e):
+                    span.insert(series_to_vec([low * TruncatedSeries.monomial(self.ring, m)]
+                                              + [TruncatedSeries.zero(self.ring)] * (self.r - 1), self.ring))
+                assert len(span.pivots) == comb(self.ring.num_vars - 1 + e, e)  # x_j,low * is injective
+                want = [k for k in want if k not in span.row_of]
+        assert list(got) == want, (slot_idx, got, want)
+        if slot_idx < self.boundary:
+            self.bound[slot_idx] = len(labels) - len(got)
+        return got
+
+    def weight_exponent(self, stop):
+        # the class coordinates of the class slots before stop that the path leaves
+        # out: every monomial of a slot frozen to zero, the bound ones of a branched slot
+        N = self.ring.num_vars
+        return sum(comb(N - 1 + self.slots[s][0], N - 1) if self.frozen[s] else self.bound[s] for s in range(stop))
+
     def weight(self):
-        # the classes the one walked stands for: p^(its class coordinates not walked),
-        # those of the slots frozen to zero and the bound ones of an affine system
-        walked = sum(len(self.walked[s]) for s in range(self.boundary) if not self.frozen[s])
-        return self.ring.char ** (self.n * comb(self.ring.num_vars + self.i, self.i) - walked)
+        # the classes the one walked stands for: p^(frozen widths + bound keys)
+        return self.ring.char ** self.weight_exponent(self.boundary)
 
     def run(self):
         got = super().run()
@@ -362,21 +414,21 @@ def test_incremental_state_matches_definitions():
         (R, "X1*X1 - T1", ["X1"], [(1, 3, 0, 0), (1, 3, 0, 0)]),
         (R2, "T1*X1 + T2*X2", ["X1", "X2"], [(1, 7, 0, 1), (2, 19, 0, 2)]),
         (R2, "T1*X1 + T2", ["X1"], [(1, 3, 0, 0), (1, 3, 0, 0)]),
-        (R2, "X1*X2 - T1*T2", ["X1", "X2"], [(0, 15, 2, 3), (2, 47, 5, 10)]),
+        (R2, "X1*X2 - T1*T2", ["X1", "X2"], [(0, 15, 2, 3), (2, 32, 2, 10)]),
         (R3, "T1*X1 + T1*X2*X2", ["X1", "X2"], [(1, 13, 0, 3), (2, 40, 0, 9)]),
         (R, "T1*X1; T1^2*X2", ["X1", "X2"], [(2, 5, 1, 1), (2, 9, 0, 2)]),
         # the beta-lb systems of the search benchmark, at D = 3
         (RingSpec(2, 2, 3), "T1*X1 + T2*X2", ["X1", "X2"], [(1, 7, 0, 1), (2, 19, 0, 2)]),
         (RingSpec(2, 3, 3), "T1*X1 + T2*X2", ["X1", "X2"], [(1, 13, 0, 1), (2, 49, 0, 3)]),
-        (RingSpec(2, 2, 3), "X1*X2 - T1*T2", ["X1", "X2"], [(0, 16, 2, 3), (2, 51, 8, 10)]),
+        (RingSpec(2, 2, 3), "X1*X2 - T1*T2", ["X1", "X2"], [(0, 16, 2, 3), (2, 33, 2, 10)]),
         (RingSpec(2, 2, 3), "X1^2 + T1*X2", ["X1", "X2"], [(1, 7, 0, 1), (2, 25, 0, 2)]),
         (RingSpec(2, 2, 3), "T1*X1", ["X1"], [(1, 3, 0, 1), (2, 7, 0, 1)]),
         # T2^D holds the largest key, in the constant, a coefficient and the degree-D layers
         (RingSpec(2, 2, 3), "T2^3*X1 + T2*X1*X2 - T2^3", ["X1", "X2"], [(1, 14, 1, 3), (3, 47, 1, 9)]),
         # over F_3 a power's difference x_j'^a - x_j^a keeps its sign
         (RingSpec(1, 3, 3), "(1 + 2*T1)*X1^3 + T1*X1 - T1^2", ["X1"], [(0, 6, 1, 1), (2, 7, 1, 1)]),
-        # three unknowns in one term, checked node by node
-        (RingSpec(1, 2, 3), "X1*X2*X3 + T1*X1 - T1^2", ["X1", "X2", "X3"], [(1, 36, 3, 6), (2, 65, 11, 20)]),
+        # three unknowns in one term, checked node by node; (X2, X3) is a unit pair
+        (RingSpec(1, 2, 3), "X1*X2*X3 + T1*X1 - T1^2", ["X1", "X2", "X3"], [(1, 36, 3, 6), (2, 51, 7, 20)]),
         # two equations: a read that solves, reads that do not; and k = 3 above i + 1
         (RingSpec(2, 2, 3), "X1 + X2^2 - T1*T2; X2 - T1*X1", ["X1", "X2"], [(0, 9, 1, 1), (1, 27, 1, 1)]),
         (RingSpec(2, 2, 3), "X1*X2 - T1*T2; X1 + X2 + T1", ["X1", "X2"], [(2, 27, 4, 0), (2, 27, 4, 0)]),
@@ -406,7 +458,10 @@ def test_search_benchmark_systems_pinned():
     for char, trunc, text, i, pinned in [
         (2, 6, "T1*X1 + T2*X2", 3, (4, 91, 0, 64)),
         (3, 5, "T1*X1 + T2*X2", 2, (3, 157, 0, 27)),
-        (2, 5, "X1*X2 - T1*T2", 2, (3, 547, 68, 72)),
+        (2, 5, "X1*X2 - T1*T2", 2, (3, 87, 0, 72)),  # one class per unit orbit
+        # no unit pair (T1^2*X1 holds X1 alone): it reads as the walk of every class
+        # of X1*X2 - T1*T2 does, each read on a new image
+        (2, 5, "X1*X2 - T1*T2 + T1^2*X1", 2, (3, 547, 68, 72)),
         (2, 5, "X1^2 + T1*X2", 2, (4, 169, 14, 8)),
         (3, 5, "X1^2 - T1^3; X1*X2 - T2^2", 1, (3, 1102, 486, 0)),
     ]:
@@ -420,7 +475,8 @@ def test_search_at_d6_pinned():
     # k = 4 lies above the class boundary, so each class holds nodes past it, as
     # a walk with no cut found too.  The last took 4,374,977 nodes of a walk with
     # no cut, past the default budget; it now answers within it.  The first walks
-    # one class per coset of its class map's kernel
+    # one class per coset of its class map's kernel.  X1*X2 - T1*T2 is walked
+    # both over its unit orbits and over every class, where it reads
     for char, text, i, pinned, work in [
         (3, "T1*X1 + T2*X2", 3, (4, 729), (481, 0)),  # one class per coset of the class map's kernel
         (2, "X1*X2 - T1*T2", 3, (4, 1088), None),
@@ -428,13 +484,26 @@ def test_search_at_d6_pinned():
         (2, "X1*X2 - T1*T2", 2, (3, 72), None),
         (2, "X1^2 + T1*X2", 3, (6, 64), (4521, 120)),
     ]:
-        got = beta_lower_bound_bruteforce(system(text, RingSpec(2, char, 6), ["X1", "X2"]), i)
+        sys_ = system(text, RingSpec(2, char, 6), ["X1", "X2"])
+        got = beta_lower_bound_bruteforce(sys_, i)
         assert (got.value, got.solvable_classes) == pinned, (char, text, i)
         assert work in (None, (got.explored_nodes, got.reads)), (char, text, i)
+        if "X1*X2" in text:
+            full = NoOrbitWalk(sys_, i, 2_000_000).run()
+            assert (full.value, full.solvable_classes) == pinned, (char, text, i)
 
 
-class ImageLog(_BetaSearch):
-    """The search with each read's J(x0) and the image it read logged."""
+class NoOrbitWalk(_BetaSearch):
+    """The search with the unit-orbit rule off: every class of a unit pair is walked."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.partner = {}
+
+
+class ImageLog(NoOrbitWalk):
+    """The search with the unit-orbit rule off, each read's J(x0) and the image it
+    read logged."""
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -448,7 +517,8 @@ class ImageLog(_BetaSearch):
 
 def test_read_builds_an_image_only_when_jacobian_changes():
     # the affine T1^2*X1 + T2^3*X2 has one J(x0), and one image for its 728 reads;
-    # on X1*X2 - T1*T2 the image is built anew exactly when J(x0) changes
+    # on X1*X2 - T1*T2, walked over every class, the image is built anew exactly
+    # when J(x0) changes (one class per unit orbit, it reads nothing)
     for char, trunc, text, i, reads, builds in [(3, 10, "T1^2*X1 + T2^3*X2", 5, 728, 1),
                                                 (2, 5, "X1*X2 - T1*T2", 2, 68, 68)]:
         search = ImageLog(system(text, RingSpec(2, char, trunc), ["X1", "X2"]), i, 2_000_000)
@@ -551,6 +621,70 @@ def test_affine_cosets_match_the_full_walk(case):
     # one class per coset of the class map's kernel, weighted, against every class
     sys_, i = case
     got, full = _BetaSearch(sys_, i, 2_000_000).run(), FullWalk(sys_, i, 2_000_000).run()
+    assert (got.value, got.solvable_classes, got.state_space_size) == (full.value, full.solvable_classes,
+                                                                       full.state_space_size)
+    assert got.explored_nodes <= full.explored_nodes and got.reads <= full.reads
+
+
+def test_unit_pair_search_walks_one_class_per_orbit():
+    # X1*X2 - T1*T2 has the unit pair (X1, X2): F(u*x1, x2/u) = F(x) for u in 1 + m.
+    # One class per orbit keeps (value, solvable_classes): over F_2 at D = 5, i = 2
+    # in 87 nodes and no read, where the walk of every class takes 547 nodes and 68
+    # reads.  Over F_3 at D = 6, i = 3 the walk of every class ran past the default
+    # budget (3,563,770 nodes and 79,696 reads); over F_2 at D = 8, i = 4 it took
+    # 653,475 nodes.  Both answer within it, each solvable orbit weighed in full
+    sys_ = system("X1*X2 - T1*T2", RingSpec(2, 2, 5), ["X1", "X2"])
+    got, full = _BetaSearch(sys_, 2, 2_000_000).run(), NoOrbitWalk(sys_, 2, 2_000_000).run()
+    assert (got.value, got.explored_nodes, got.reads, got.solvable_classes) == (3, 87, 0, 72)
+    assert (full.value, full.explored_nodes, full.reads, full.solvable_classes) == (3, 547, 68, 72)
+    for char, trunc, i, pinned in [(3, 6, 3, (4, 1894, 0, 79704)), (2, 8, 4, (5, 387, 0, 33792))]:
+        got = beta_lower_bound_bruteforce(system("X1*X2 - T1*T2", RingSpec(2, char, trunc), ["X1", "X2"]), i)
+        assert (got.value, got.explored_nodes, got.reads, got.solvable_classes) == pinned, (char, trunc, i)
+
+
+@st.composite
+def pair_systems(draw):
+    """A system with a unit pair over F_2 or F_3 in T1 (and T2): one or two equations
+    in two or three unknowns, each term c*T^u*(A*B)^k*C^l with k, l <= 2, and A*B in
+    at least one.  A, B and C are drawn from X1..Xn, so the pair may be any two
+    unknowns.  The level is at least 1, where a unit moves a class, and the class
+    space at most 2^12, where the walk of every class stays short."""
+    p, N, D, n, i = draw(st.sampled_from([(p, N, D, n, i) for p in (2, 3) for N in (1, 2) for D in range(2, 6)
+                                          for n in (2, 3) for i in range(1, D + 1)
+                                          if p ** (n * comb(N + i, i)) <= 4096]))
+    names = draw(st.permutations(["X1", "X2", "X3"][:n]))
+    a, b, c = names[0], names[1], (names[2] if n == 3 else None)
+    T = ["T1", "T2"][:N]
+    coeffs = st.one_of(st.tuples(st.integers(1, p - 1), st.lists(st.sampled_from(T), max_size=2))
+                       .map(lambda t: "*".join(["%d" % t[0]] + t[1])),
+                       st.just("(1 + T1)" if N == 1 else "(T1 + T2)"))
+
+    def term(t):
+        coeff, k, l = t
+        power = lambda v, e: [] if not e else [v if e == 1 else "%s^%d" % (v, e)]
+        return "*".join([coeff] + power(a, k) + power(b, k) + power(c, l))
+
+    pieces = st.tuples(coeffs, st.integers(0, 2), st.integers(0, 2) if c else st.just(0)).map(term)
+    eqs = draw(st.lists(st.lists(pieces, min_size=1, max_size=3), min_size=1, max_size=2))
+    eqs[0].append("%s*%s" % (a, b))
+    ring = RingSpec(N, p, D)
+    return [parse_expr(" + ".join(eq), ring, unknowns=["X1", "X2", "X3"][:n]) for eq in eqs], i
+
+
+@settings(max_examples=40, deadline=None)
+@given(pair_systems())
+# the pair (X2, X3) after an unknown outside it; two equations
+@example((system("X1 + T1*X2*X3; T2*X2^2*X3^2 + T1", RingSpec(2, 2, 3), ["X1", "X2", "X3"]), 1))
+# X1*X2 + T1*X1 holds no pair
+@example((system("X1*X2 + T1*X1 - T1^2", RingSpec(1, 3, 4), ["X1", "X2"]), 2))
+def test_unit_orbits_match_the_walk_of_every_class(case):
+    # one class per unit orbit, each solvable one weighed by its orbit, checked node
+    # by node, against the walk of every class: the same answer from no more work
+    sys_, i = case
+    search = CheckedSearch(sys_, i, 2_000_000)
+    got, full = search.run(), NoOrbitWalk(sys_, i, 2_000_000).run()
+    assert search.checked == search.nodes > 0
+    assert got == beta_lower_bound_bruteforce(sys_, i)
     assert (got.value, got.solvable_classes, got.state_space_size) == (full.value, full.solvable_classes,
                                                                        full.state_space_size)
     assert got.explored_nodes <= full.explored_nodes and got.reads <= full.reads

@@ -349,20 +349,38 @@ def test_exit_code_budget():
 def test_beta_lb_budget_counts_the_one_walk():
     # the budget counts the nodes and reads of the one search walk: the first search
     # needs 31 nodes, so it answers at a budget of 40 and is refused at 30, after 31
-    # nodes; the second needs 547 nodes and 68 reads, so it answers at 615, and at
-    # 614 it is refused at its last read
+    # nodes; the second needs 169 nodes and 14 reads, so it answers at 183, and at
+    # 182 it is refused at its last read
     argv = ("beta-lb", "--vars", "T1,T2", "--char", "2", "--trunc", "5", "--system", "T1*X1",
             "--unknowns", "X1", "--i", "3", "--budget")
     rep = json.loads(run_cli(*argv, "40", timeout=10).stdout)["result"]
     assert (rep["beta_lower_bound"], rep["explored_nodes"], rep["reads"]) == (4, 31, 0)
     proc = run_cli(*argv, "30", expect=3, timeout=10)
     assert "budget 30 exhausted after 31 nodes and 0 reads" in proc.stderr and "Traceback" not in proc.stderr
-    argv = ("beta-lb", "--vars", "T1,T2", "--char", "2", "--trunc", "5", "--system", "X1*X2 - T1*T2",
+    argv = ("beta-lb", "--vars", "T1,T2", "--char", "2", "--trunc", "5", "--system", "X1^2 + T1*X2",
             "--unknowns", "X1,X2", "--i", "2", "--budget")
-    rep = json.loads(run_cli(*argv, "615", timeout=10).stdout)["result"]
-    assert (rep["beta_lower_bound"], rep["explored_nodes"], rep["reads"]) == (3, 547, 68)
-    proc = run_cli(*argv, "614", expect=3, timeout=10)
-    assert "budget 614 exhausted after 547 nodes and 68 reads" in proc.stderr and "Traceback" not in proc.stderr
+    rep = json.loads(run_cli(*argv, "183", timeout=10).stdout)["result"]
+    assert (rep["beta_lower_bound"], rep["explored_nodes"], rep["reads"]) == (4, 169, 14)
+    proc = run_cli(*argv, "182", expect=3, timeout=10)
+    assert "budget 182 exhausted after 169 nodes and 14 reads" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_irr_check_is_a_beta_identity_at_level_zero():
+    # a class of X1*X2 - T1*T2 + T3^i over T1..T3 at D = i modulo m is a pair of
+    # constant terms.  The 2(p - 1) classes with one unit coordinate are solvable
+    # (divide by the unit); those with two are not (the target has no constant
+    # term); (0, 0) is solvable iff T1*T2 - T3^i factors into non-units modulo
+    # m^(i+1).  So irr-check finds no factorization in its whole space, layers of
+    # degrees 1..i-1 of both factors, iff beta-lb at level 0 counts 2(p - 1)
+    for i, p in [(3, 2), (4, 2), (3, 3)]:
+        space = p ** (2 * sum(comb(d + 2, 2) for d in range(1, i)))
+        irr = json.loads(run_cli("irr-check", "--i", str(i), "--p", str(p), "--budget", str(space),
+                                 timeout=10).stdout)["result"]
+        assert (irr["factorizations_found"], irr["search_space_size"]) == (0, space), (i, p)
+        rep = json.loads(run_cli("beta-lb", "--vars", "T1,T2,T3", "--char", str(p), "--trunc", str(i), "--system",
+                                 "X1*X2 - T1*T2 + T3^%d" % i, "--unknowns", "X1,X2", "--i", "0",
+                                 timeout=10).stdout)["result"]
+        assert rep["solvable_classes"] == 2 * (p - 1), (i, p)
 
 
 def test_random_scan_stops_when_the_finite_space_runs_out():
