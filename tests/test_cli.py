@@ -632,7 +632,7 @@ PINNED_OUTPUTS = [
      "fe14af9c4ebce4d23ce0f1094faa0c7b3fe8053c3920d61e35086ab726f9fed2"),
     (("beta-lb", "--vars", "T1,T2", "--char", "2", "--trunc", "4", "--system", "X1*X2 - T1*T2",
       "--unknowns", "X1,X2", "--i", "2"),
-     "34df2eac0592fb910bb2bd055506190a85bf78a55f0823c67145fde319dd69e1"),
+     "8e3fc87ce645d59fe1cb457ba43aaa99cacbf3de54b645fd215163ceefaa5960"),
     (("beta-lb", "--vars", "T1,T2", "--char", "3", "--trunc", "4", "--system", "T1*X1 + T2*X2",
       "--unknowns", "X1,X2", "--i", "1"),
      "db7f5c66a43561471f6dd579d4362630c7183cf66995180459358d9a45acc1c4"),
