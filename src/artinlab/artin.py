@@ -670,14 +670,12 @@ class _BetaSearch:
             lead = min(k for k, _ in self.pows[j][1][0][1])
             bound = {lead + s for s in degree_labels(self.ring.num_vars, self.D, len(self.system), e)}
             return tuple(k for k in labels if k not in bound)
+        if self.image is None:
+            return labels
         keys = self.walked[slot_idx]
         if keys is None:
-            if self.image is None:
-                keys = labels
-            else:
-                g = self._jacobian()[j]  # dF/dx_j, the same at every x0
-                keys = tuple(s for s in labels if self.image.insert(self._column(g, d, s)))
-            self.walked[slot_idx] = keys
+            g = self._jacobian()[j]  # dF/dx_j, the same at every x0
+            keys = self.walked[slot_idx] = tuple(s for s in labels if self.image.insert(self._column(g, d, s)))
         return keys
 
     def _layers(self, slot_idx: int, keys: tuple):

@@ -336,10 +336,8 @@ class CheckedSearch(_BetaSearch):
         d, j = self.slots[slot_idx]
         labels = [labeller(self.ring.num_vars, self.D, self.r)(m) for m in monomials_of_degree(self.ring.num_vars, d)]
         want = sorted(labels)
-        q = self.partner.get(j)
-        if slot_idx >= self.boundary:
-            pass
-        elif self.image is not None:
+        q = self.partner.get(j) if slot_idx < self.boundary else None
+        if slot_idx < self.boundary and self.image is not None:
             assert self.walked[slot_idx] is got
             want = [k for k in want if k in got]
         elif q is not None and self.x0[j].terms and self.x0[j].order().value < d:
